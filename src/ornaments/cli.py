@@ -5,7 +5,8 @@ summaries to standard error.  Exit status: 0 for a successful run (even
 when a validation report says "invalid"), 1 for unusable input (parse
 errors, dimension mismatches, invalid ornaments where validity is a
 precondition), 2 for internal contract violations such as the two invariant
-algorithms disagreeing.  All randomness flows from --seed.
+algorithms disagreeing or a route running out of retries.  All randomness
+flows from --seed.
 """
 
 from __future__ import annotations
@@ -92,11 +93,18 @@ def cmd_mu(args):
         degree.component_k(ornament)
     except DimensionMismatch as exc:
         return _fail(str(exc))
-    report = {"command": "mu", "method": args.method, "seed": args.seed}
     values = {}
-    if args.method in ("degree", "both"):
-        mu, solutions = degree.mu_via_degree_auto(ornament, seed=args.seed)
-        values["degree"] = mu
+    try:
+        if args.method in ("degree", "both"):
+            values["degree"], solutions = degree.mu_via_degree_auto(
+                ornament, seed=args.seed
+            )
+        if args.method in ("sweep", "both"):
+            values["sweep"] = sweep.mu_via_sweep(ornament, seed=args.seed)
+    except RuntimeError as exc:  # retries exhausted
+        return _fail(str(exc), status=2)
+    report = {"command": "mu", "method": args.method, "seed": args.seed}
+    if "degree" in values:
         report["solutions"] = [
             {
                 "facets": list(sol.facets),
@@ -107,8 +115,6 @@ def cmd_mu(args):
             }
             for sol in solutions
         ]
-    if args.method in ("sweep", "both"):
-        values["sweep"] = sweep.mu_via_sweep(ornament, seed=args.seed)
     report["mu"] = values
     if args.method == "both":
         report["agreement"] = values["degree"] == values["sweep"]
@@ -166,10 +172,13 @@ def cmd_sweep(args):
     end = track.endpoint(1)
     if not validate_ornament(start).ok or not validate_ornament(end).ok:
         return _fail("track endpoints must be valid ornaments")
-    points, _ = sweep.sweep_with_retries(track, seed=args.seed)
+    try:
+        points, _ = sweep.sweep_with_retries(track, seed=args.seed)
+        mu_start, _ = degree.mu_via_degree_auto(start, seed=args.seed)
+        mu_end, _ = degree.mu_via_degree_auto(end, seed=args.seed)
+    except RuntimeError as exc:  # retries exhausted
+        return _fail(str(exc), status=2)
     sign_sum = sum(p.sign for p in points)
-    mu_start, _ = degree.mu_via_degree_auto(start, seed=args.seed)
-    mu_end, _ = degree.mu_via_degree_auto(end, seed=args.seed)
     pairs, remainder = sweep.pair_opposite_signs(points)
     indexed = {id(p): i for i, p in enumerate(points)}
     report = {

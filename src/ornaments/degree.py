@@ -10,6 +10,15 @@ triple finds the unique candidate preimage, which is counted when it is
 strictly interior with a positive ray scalar and signed by the determinant
 of the very matrix that was solved.
 
+Before any solve, a triple must pass a prefilter: the ray has to meet the
+interval hull of the map over the three facet boxes.  The prefilter runs
+on integers.  Every facet box is scaled by one common positive integer
+that clears all their denominators, and the ray by its own; "some s >= 0
+puts s*v in the box" does not change under positive scalings of the box
+or of v, so exactly the same triples reach a solve.  Each facet's share
+of the hull is computed once, and the shares of a facet pair are added
+once for all third facets.
+
 Degeneracies (singular systems that still touch the closed cells, boundary
 solutions, zero ray scalar) are detected exactly and reported as
 NonGenericDirection; callers retry with a fresh seeded direction, which
@@ -25,6 +34,7 @@ from .geometry import (
     DimensionMismatch,
     Rat,
     Vector,
+    common_denominator,
     derive_seed,
     feasible_point,
     integer_scaled,
@@ -131,20 +141,41 @@ def _facet_frames(f):
     return frames
 
 
-def _sphere_map_box(b1, b2, b3):
-    """Interval hull of (2x-y-z, 2y-x-z) when x, y, z range over boxes."""
-    mins, maxs = [], []
-    for lo1, hi1, lo2, hi2, lo3, hi3 in zip(
-        b1[0], b1[1], b2[0], b2[1], b3[0], b3[1]
-    ):
-        mins.append(2 * lo1 - hi2 - hi3)
-        maxs.append(2 * hi1 - lo2 - lo3)
-    for lo1, hi1, lo2, hi2, lo3, hi3 in zip(
-        b1[0], b1[1], b2[0], b2[1], b3[0], b3[1]
-    ):
-        mins.append(2 * lo2 - hi1 - hi3)
-        maxs.append(2 * hi2 - lo1 - lo3)
-    return tuple(mins), tuple(maxs)
+def _sphere_map_box_terms(o):
+    """Per component and facet, the facet's integer share of the interval
+    hull of (2x-y-z, 2y-x-z) over the boxes of a facet triple.
+
+    All facet boxes are first scaled by one common positive integer, which
+    clears their denominators; the hull of a triple is then the sum of its
+    three shares, each a pair ``(mins, maxs)`` of integer lists, and is the
+    same positive multiple of the rational hull.
+    """
+    boxes = [
+        [f.facet_box(i) for i in range(len(f.domain.facets))]
+        for f in o.components
+    ]
+    scale = common_denominator(
+        c for per_facet in boxes for box in per_facet
+        for side in box for c in side
+    )
+    terms = []
+    for which, per_facet in enumerate(boxes):
+        shares = []
+        for box in per_facet:
+            lo = integer_scaled(box[0], scale)[1]
+            hi = integer_scaled(box[1], scale)[1]
+            if which == 0:
+                mins = [2 * a for a in lo] + [-b for b in hi]
+                maxs = [2 * b for b in hi] + [-a for a in lo]
+            elif which == 1:
+                mins = [-b for b in hi] + [2 * a for a in lo]
+                maxs = [-a for a in lo] + [2 * b for b in hi]
+            else:
+                mins = [-b for b in hi] * 2
+                maxs = [-a for a in lo] * 2
+            shares.append((mins, maxs))
+        terms.append(shares)
+    return terms
 
 
 def _interior_status(solution, arities):
@@ -239,20 +270,22 @@ def mu_via_degree(o, v, sign_convention=None):
         raise DimensionMismatch(f"ray must have length {2 * m}")
     f1, f2, f3 = o.components
     frames = [_facet_frames(f) for f in o.components]
-    boxes = [
-        [f.facet_box(i) for i in range(len(f.domain.facets))]
-        for f in o.components
-    ]
+    terms1, terms2, terms3 = _sphere_map_box_terms(o)
     d = f1.domain.dim
     arities = (d + 1, d + 1, d + 1)
     ray_scale, ray_int = integer_scaled(ray.coords)
     solutions = []
     total = 0
-    for i1 in range(len(f1.domain.facets)):
-        for i2 in range(len(f2.domain.facets)):
-            for i3 in range(len(f3.domain.facets)):
-                gbox = _sphere_map_box(boxes[0][i1], boxes[1][i2], boxes[2][i3])
-                if not ray_meets_box(ray, gbox):
+    for i1, (mins1, maxs1) in enumerate(terms1):
+        for i2, (mins2, maxs2) in enumerate(terms2):
+            mins12 = [a + b for a, b in zip(mins1, mins2)]
+            maxs12 = [a + b for a, b in zip(maxs1, maxs2)]
+            for i3, (mins3, maxs3) in enumerate(terms3):
+                box = (
+                    [a + b for a, b in zip(mins12, mins3)],
+                    [a + b for a, b in zip(maxs12, maxs3)],
+                )
+                if not ray_meets_box(ray_int, box):
                     continue
                 base1, e1 = frames[0][i1]
                 base2, e2 = frames[1][i2]

@@ -281,13 +281,23 @@ def bareiss_solve(rows, rhs=None):
     return solve_integer([row[:-1] for row in aug], [row[-1] for row in aug])
 
 
-def integer_scaled(coords):
+def common_denominator(values):
+    """Least positive integer whose product with every value is integral."""
+    scale = 1
+    for c in values:
+        scale = math.lcm(scale, c.denominator)
+    return scale
+
+
+def integer_scaled(coords, scale=None):
     """``(scale, ints)`` with a positive integer ``scale`` such that
     ``scale * coords`` is integral; scaling a matrix column or a right-hand
-    side this way preserves determinant signs and is undone on solutions."""
-    scale = 1
-    for c in coords:
-        scale = math.lcm(scale, c.denominator)
+    side this way preserves determinant signs and is undone on solutions.
+
+    ``scale`` defaults to :func:`common_denominator` of ``coords``; a given
+    one must be a multiple of it (say, one scale shared by many lists)."""
+    if scale is None:
+        scale = common_denominator(coords)
     return scale, [c.numerator * (scale // c.denominator) for c in coords]
 
 
@@ -508,21 +518,29 @@ def boxes_overlap(*boxes):
 
 def ray_meets_box(direction, box):
     """Exact test whether some ``s >= 0`` puts ``s * direction`` in the
-    closed box.  Used as a conservative prefilter, so the closed version of
-    the ray is intentional."""
-    lo = Rat(0)
-    hi = None  # +infinity
+    closed box ``(mins, maxs)`` (each ``min <= max``).  Used as a
+    conservative prefilter, so the closed version of the ray is intentional.
+
+    The running bounds on ``s`` are kept as unreduced fractions with
+    positive denominators and compared by cross-multiplying, so the test
+    never divides: on integer inputs it runs on integers alone.  A positive
+    scale of the box or of the direction leaves the answer unchanged, which
+    lets callers clear denominators once and pass integers.
+    """
+    lo_n, lo_d = 0, 1
+    hi_n = hi_d = None  # +infinity
     for d, mn, mx in zip(direction, box[0], box[1]):
         if d == 0:
             if mn > 0 or mx < 0:
                 return False
             continue
-        a, b = mn / d, mx / d
-        if a > b:
-            a, b = b, a
-        if a > lo:
-            lo = a
-        hi = b if hi is None else min(hi, b)
-        if hi < lo:
+        if d < 0:
+            d, mn, mx = -d, -mx, -mn
+        # s ranges over [mn / d, mx / d] on this coordinate.
+        if mn * lo_d > lo_n * d:
+            lo_n, lo_d = mn, d
+        if hi_d is None or mx * hi_d < hi_n * d:
+            hi_n, hi_d = mx, d
+        if hi_n * lo_d < lo_n * hi_d:
             return False
     return True

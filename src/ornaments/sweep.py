@@ -26,6 +26,7 @@ from .geometry import (
     DimensionMismatch,
     Rat,
     Vector,
+    common_denominator,
     derive_seed,
     feasible_point,
     integer_scaled,
@@ -187,6 +188,26 @@ def linear_track(start, end, cuts=()):
 #: motion is the same straight-line collapse; the extra frames exist so the
 #: intervals where the components have already separated prune away.
 _COLLAPSE_CUTS = (Rat(1, 8), Rat(1, 4), Rat(3, 8), Rat(1, 2), Rat(3, 4))
+
+
+def _integer_frames(track):
+    """Per keyframe, the images with the time appended, all multiplied by
+    the least positive integer that clears every denominator of the
+    track's images and times; integer tuples indexed like
+    ``track.images`` (compare :func:`cell_points`)."""
+    scale = common_denominator(
+        list(track.times)
+        + [c for frame in track.images for comp in frame
+           for img in comp for c in img]
+    )
+    return [
+        tuple(
+            tuple(tuple(integer_scaled(img.coords + (t,), scale)[1])
+                  for img in comp)
+            for comp in frame
+        )
+        for t, frame in zip(track.times, track.images)
+    ]
 
 
 def _cell_frame(points):
@@ -482,12 +503,19 @@ def detect_triple_points(track):
 
     Enumerates same-interval cell triples (a strictly interior common point
     has a strictly interior time, so cross-interval triples cannot
-    contribute), prefiltered by exact bounding boxes.  Raises
+    contribute), prefiltered by exact extents along the coordinates and
+    the directions e_i +- e_j.  The extents are computed on the track
+    scaled by one positive integer that clears every denominator of its
+    images and times: scaling all cells alike by a positive factor scales
+    every extent by it, so each overlap test, and with it the set of
+    triples that reach a solve, is unchanged.  The solves, the touching
+    tests and the witnesses use the rational points.  Raises
     NonGenericTrack on any exactly-degenerate configuration.
     """
     found = []
     nfacets = [len(dom.facets) for dom in track.domains]
     pairs = _extent_directions(track.m + 1)
+    int_frames = _integer_frames(track)
     for j in range(len(track.times) - 1):
         cells = []
         prism_extents = []
@@ -499,7 +527,9 @@ def detect_triple_points(track):
                 entries = []
                 for cell in cc:
                     pts = cell_points(track, cell)
-                    entries.append((cell, pts, _extents(pts, pairs),
+                    int_pts = [int_frames[j + level][ci][v]
+                               for v, level in cell.vertices]
+                    entries.append((cell, pts, _extents(int_pts, pairs),
                                     _cell_frame(pts)))
                 per_facet.append(entries)
                 per_facet_ext.append(_extents_union([e[2] for e in entries]))

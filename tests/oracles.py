@@ -3,7 +3,8 @@
 Deliberately self-contained: the feasibility oracle enumerates candidate
 vertices of the constraint polyhedron with its own little Gaussian
 elimination instead of calling anything from the package, so the two
-routes share no code.
+routes share no code.  The rational ray-box test and sphere-map box are
+the references for the integer prefilter of the degree route.
 """
 
 from fractions import Fraction
@@ -72,3 +73,43 @@ def brute_force_feasible(eq_rows, le_rows, nvars):
             if x is not None and satisfies(x):
                 return True
     return False
+
+
+def ray_meets_box_by_division(direction, box):
+    """Reference ray-box test: intersect the intervals ``[mn/d, mx/d]`` of
+    admissible ray parameters by exact division.  Inputs are converted to
+    Fractions first, so integer inputs are never divided as floats."""
+    lo = Fraction(0)
+    hi = None  # +infinity
+    for d, mn, mx in zip(direction, box[0], box[1]):
+        d, mn, mx = Fraction(d), Fraction(mn), Fraction(mx)
+        if d == 0:
+            if mn > 0 or mx < 0:
+                return False
+            continue
+        a, b = mn / d, mx / d
+        if a > b:
+            a, b = b, a
+        if a > lo:
+            lo = a
+        hi = b if hi is None else min(hi, b)
+        if hi < lo:
+            return False
+    return True
+
+
+def sphere_map_box(b1, b2, b3):
+    """Interval hull of (2x-y-z, 2y-x-z) when x, y, z range over the boxes
+    ``(mins, maxs)`` b1, b2, b3, built coordinate by coordinate."""
+    mins, maxs = [], []
+    for lo1, hi1, lo2, hi2, lo3, hi3 in zip(
+        b1[0], b1[1], b2[0], b2[1], b3[0], b3[1]
+    ):
+        mins.append(2 * lo1 - hi2 - hi3)
+        maxs.append(2 * hi1 - lo2 - lo3)
+    for lo1, hi1, lo2, hi2, lo3, hi3 in zip(
+        b1[0], b1[1], b2[0], b2[1], b3[0], b3[1]
+    ):
+        mins.append(2 * lo2 - hi1 - hi3)
+        maxs.append(2 * hi2 - lo1 - lo3)
+    return tuple(mins), tuple(maxs)

@@ -1,6 +1,10 @@
+import hashlib
 import json
 
-from ornaments import cli, formats
+import pytest
+
+from ornaments import cli, degree, formats, sweep
+from ornaments.constructions import make_borromean
 from ornaments.geometry import Rat, Vector
 from ornaments.model import Ornament, PLMap, TriangulatedManifold
 from ornaments.sweep import (
@@ -226,3 +230,52 @@ def test_bad_targets_rejected(tmp_path, capsys):
                        "--targets", "0,0;0,0;1,1",
                        "--out", str(tmp_path / "x.json"))
     assert code == 1
+
+
+def _never_generic_direction(*args, **kwargs):
+    raise degree.NonGenericDirection("every direction is degenerate")
+
+
+def _never_generic_track(*args, **kwargs):
+    raise sweep.NonGenericTrack("every track is degenerate")
+
+
+@pytest.mark.parametrize("command, patch", [
+    ("mu-degree", (degree, "mu_via_degree", _never_generic_direction)),
+    ("mu-sweep", (sweep, "detect_triple_points", _never_generic_track)),
+    ("sweep", (sweep, "detect_triple_points", _never_generic_track)),
+    ("sweep", (degree, "mu_via_degree", _never_generic_direction)),
+], ids=["mu-degree", "mu-sweep", "sweep-track", "sweep-endpoints"])
+def test_retry_exhaustion_exits_two_with_json_error(
+        command, patch, tmp_path, capsys, monkeypatch, borromean_k1):
+    if command == "sweep":
+        track = linear_track(borromean_k1, borromean_k1)
+        path = tmp_path / "still.json"
+        path.write_text(formats.dumps_doc(formats.track_to_doc(track)))
+        argv = ["sweep", str(path)]
+    else:
+        path = write_ornament(tmp_path, borromean_k1)
+        argv = ["mu", path, "--method", command.split("-")[1]]
+    monkeypatch.setattr(*patch)
+    code = cli.main(argv)
+    report = json.loads(capsys.readouterr().out)
+    assert code == 2
+    assert isinstance(report["error"], str) and report["error"]
+
+
+#: sha256 of the stdout of ``ornaments mu <doc> --method both --seed 0`` on
+#: make_borromean(1, r=3), recorded while the prefilters still ran on
+#: rationals.  A change that moves a witness, a sign or a byte of the JSON
+#: report fails here.
+PINNED_MU_STDOUT_SHA256 = (
+    "df267bafde3db7b22bba17ffb7747d552a4173fb8f50655174796c4b0a97ac43"
+)
+
+
+def test_mu_stdout_is_pinned(tmp_path, capsys):
+    path = write_ornament(tmp_path, make_borromean(1, r=3))
+    assert cli.main(["mu", path, "--method", "both", "--seed", "0"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf8")).hexdigest() == (
+        PINNED_MU_STDOUT_SHA256
+    )

@@ -1,6 +1,13 @@
+from itertools import product
+
 import pytest
 
-from ornaments.constructions import make_random_ornament, make_trivial
+from ornaments import degree
+from ornaments.constructions import (
+    make_borromean,
+    make_random_ornament,
+    make_trivial,
+)
 from ornaments.degree import (
     NonGenericDirection,
     RayDirection,
@@ -12,8 +19,10 @@ from ornaments.degree import (
     reverse_component_orientation,
     unnormalized_sphere_map,
 )
-from ornaments.geometry import DimensionMismatch, Rat, Vector
+from ornaments.geometry import DimensionMismatch, Rat, Vector, derive_seed
 from ornaments.model import validate_ornament
+
+from oracles import ray_meets_box_by_division, sphere_map_box
 
 
 def test_sphere_map_kills_diagonal():
@@ -137,3 +146,45 @@ def test_agreement_on_random_corpus():
     for seed in range(12):
         o = make_random_ornament(1, seed=seed, spread=Rat(8))
         assert mu_via_degree_auto(o, seed=seed)[0] == mu_via_sweep(o, seed=seed)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: make_borromean(1, r=1),
+    lambda: make_random_ornament(1, 0, 1, 8),
+    lambda: make_random_ornament(1, 0, 2, 8),
+], ids=["borromean-r1", "random-seed1", "random-seed2"])
+def test_integer_prefilter_passes_the_rational_triples(make, monkeypatch):
+    """The live integer prefilter lets through exactly the facet triples
+    whose rational sphere-map box meets the ray."""
+    o = make()
+    live = degree.ray_meets_box
+    passed = []
+
+    def recording(direction, box):
+        ok = live(direction, box)
+        passed.append(ok)
+        return ok
+
+    monkeypatch.setattr(degree, "ray_meets_box", recording)
+    for attempt in range(64):
+        v = ray_direction(o.m, derive_seed(0, "ray", attempt))
+        passed.clear()
+        try:
+            mu_via_degree(o, v)
+        except NonGenericDirection:
+            continue
+        break
+    boxes = [
+        [f.facet_box(i) for i in range(len(f.domain.facets))]
+        for f in o.components
+    ]
+    triples = list(product(*(range(len(b)) for b in boxes)))
+    assert len(passed) == len(triples)
+    rational = {
+        t for t in triples
+        if ray_meets_box_by_division(
+            v.v, sphere_map_box(*(boxes[c][i] for c, i in enumerate(t)))
+        )
+    }
+    assert {t for t, ok in zip(triples, passed) if ok} == rational
+    assert 0 < len(rational) < len(triples)

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from ornaments.geometry import (
     DimensionMismatch,
@@ -22,7 +23,7 @@ from ornaments.geometry import (
     solve_integer,
 )
 
-from oracles import brute_force_feasible
+from oracles import brute_force_feasible, ray_meets_box_by_division
 
 
 def rand_matrix(rng, n, m=None):
@@ -286,3 +287,48 @@ def test_ray_meets_box():
     assert not ray_meets_box(Vector([0, 1]), box)
     straddling = ((Rat(-1), Rat(1)), (Rat(2), Rat(3)))
     assert ray_meets_box(Vector([0, 1]), straddling)
+
+
+# Ray-box test against the division-based reference: small and huge ints
+# (beyond float precision), Fractions, and both mixed.
+_SMALL_INTS = st.integers(-6, 6)
+_HUGE_INTS = st.integers(-2 ** 70, 2 ** 70)
+_FRACTIONS = st.fractions(min_value=-6, max_value=6, max_denominator=9)
+_NUMBERS = {
+    "int": st.one_of(_SMALL_INTS, _HUGE_INTS),
+    "fraction": _FRACTIONS,
+    "mixed": st.one_of(_SMALL_INTS, _HUGE_INTS, _FRACTIONS),
+}
+
+
+@st.composite
+def _ray_and_box(draw, kind):
+    """A direction (zero components likely) and a box whose per-coordinate
+    intervals are general, single points, or have an end at 0."""
+    numbers = _NUMBERS[kind]
+    n = draw(st.integers(1, 5))
+    direction = draw(st.lists(st.one_of(st.just(0), numbers),
+                              min_size=n, max_size=n))
+    mins, maxs = [], []
+    for _ in range(n):
+        shape = draw(st.sampled_from(["interval", "point", "face at 0"]))
+        a = draw(numbers)
+        b = a if shape == "point" else draw(numbers)
+        if shape == "face at 0":
+            a = 0
+        lo, hi = min(a, b), max(a, b)
+        mins.append(lo)
+        maxs.append(hi)
+    return direction, (mins, maxs)
+
+
+@pytest.mark.parametrize("kind", sorted(_NUMBERS))
+def test_ray_meets_box_agrees_with_division(kind):
+    @given(_ray_and_box(kind))
+    def check(case):
+        direction, box = case
+        assert ray_meets_box(direction, box) == ray_meets_box_by_division(
+            direction, box
+        )
+
+    check()

@@ -1,7 +1,9 @@
+import math
 import random
 
 import pytest
 
+from ornaments import sweep
 from ornaments.constructions import make_random_ornament, make_trivial
 from ornaments.degree import mu_via_degree_auto
 from ornaments.geometry import Rat, Vector
@@ -294,3 +296,52 @@ def test_default_targets_outside_and_distinct(borromean_k1):
     )
     for t in targets:
         assert max(abs(c) for c in t) > radius
+
+
+def test_integer_extents_are_scaled_rational_extents(borromean_k1,
+                                                    monkeypatch):
+    """Each cell's extents, computed on the integer-scaled track, are the
+    common scale times the extents of its rational points."""
+    moved = perturb_ornament(borromean_k1, Rat(1, 64), seed=2)
+    tracks = [
+        linear_track(borromean_k1, moved, cuts=(Rat(1, 3),)),
+        sweep._refined_track(
+            linear_track(borromean_k1, moved), seed=0, attempt=0
+        ),
+    ]
+    live = sweep._extents
+    recorded = []
+
+    def recording(points, pairs):
+        recorded.append((points, pairs))
+        return live(points, pairs)
+
+    monkeypatch.setattr(sweep, "_extents", recording)
+    for track in tracks:
+        scale = 1
+        for t in track.times:
+            scale = math.lcm(scale, t.denominator)
+        for frame in track.images:
+            for comp in frame:
+                for img in comp:
+                    for c in img:
+                        scale = math.lcm(scale, c.denominator)
+        assert scale > 1
+        recorded.clear()
+        detect_triple_points(track)
+        expected = [
+            cell_points(track, cell)
+            for j in range(len(track.times) - 1)
+            for ci, dom in enumerate(track.domains)
+            for fi, facet in enumerate(dom.facets)
+            for cell in staircase_cells(facet, ci, fi, j)
+        ]
+        assert len(recorded) == len(expected)
+        for (int_pts, pairs), pts in zip(recorded, expected):
+            assert [list(p) for p in int_pts] == [
+                [scale * c for c in p] for p in pts
+            ]
+            mins, maxs = live(pts, pairs)
+            assert live(int_pts, pairs) == (
+                [scale * x for x in mins], [scale * x for x in maxs]
+            )
