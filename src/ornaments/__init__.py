@@ -6,16 +6,11 @@ number of triple points swept out by a homotopy to the trivial ornament."""
 from .geometry import (
     DEFAULT_DENOMINATOR_LIMIT,
     DimensionMismatch,
-    Matrix,
     Rat,
     Vector,
-    barycentric_position,
-    det_sign,
     format_rational,
     parse_rational,
     random_rational_perturbation,
-    rat,
-    solve_affine,
 )
 from .model import (
     Ornament,

@@ -152,8 +152,11 @@ def cmd_gen(args):
         return _fail("generated ornament failed validation", status=2)
     text = formats.dumps_doc(formats.ornament_to_doc(ornament))
     if args.out:
-        with open(args.out, "w", encoding="utf8") as handle:
-            handle.write(text)
+        try:
+            with open(args.out, "w", encoding="utf8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            return _fail(str(exc))
         _emit({"command": "gen", "kind": args.kind, "out": args.out,
                "status": "written"})
         _note(f"wrote {args.out}")

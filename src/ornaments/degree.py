@@ -38,7 +38,9 @@ from .geometry import (
     derive_seed,
     feasible_point,
     integer_scaled,
+    interior_barycentric,
     ray_meets_box,
+    simplex_frame,
     solve_integer,
 )
 from .model import Ornament, TriangulatedManifold, _nonneg_rows
@@ -128,19 +130,6 @@ def component_k(o):
     return (d + 1) // 2
 
 
-def _facet_frames(f):
-    """Per facet: base image (last listed vertex) and the edge vectors of
-    the remaining vertices relative to it, in listed order, pre-scaled to
-    integer columns ``(scale, ints)`` for the solver."""
-    frames = []
-    for i in range(len(f.domain.facets)):
-        pts = f.facet_points(i)
-        base = pts[-1]
-        edges = [integer_scaled((p - base).coords) for p in pts[:-1]]
-        frames.append((base, edges))
-    return frames
-
-
 def _sphere_map_box_terms(o):
     """Per component and facet, the facet's integer share of the interval
     hull of (2x-y-z, 2y-x-z) over the boxes of a facet triple.
@@ -176,39 +165,6 @@ def _sphere_map_box_terms(o):
             shares.append((mins, maxs))
         terms.append(shares)
     return terms
-
-
-def _interior_status(solution, arities):
-    """Classify a reduced-barycentric solution (with trailing ray scalar)
-    as "interior", "closed" (touches a boundary) or "outside"."""
-    pos = 0
-    interior = True
-    for arity in arities:
-        coords = solution[pos:pos + arity - 1]
-        pos += arity - 1
-        last = 1 - sum(coords, Rat(0))
-        for c in list(coords) + [last]:
-            if c < 0:
-                return "outside"
-            if c == 0:
-                interior = False
-    s = solution[-1]
-    if s < 0:
-        return "outside"
-    if s == 0:
-        interior = False
-    return "interior" if interior else "closed"
-
-
-def _full_barycentric(solution, arities):
-    out = []
-    pos = 0
-    for arity in arities:
-        coords = list(solution[pos:pos + arity - 1])
-        pos += arity - 1
-        coords.append(1 - sum(coords, Rat(0)))
-        out.append(tuple(coords))
-    return tuple(out)
 
 
 def _ray_touches_closed_cells(o, facet_indices, v):
@@ -269,7 +225,10 @@ def mu_via_degree(o, v, sign_convention=None):
     if len(ray) != 2 * m:
         raise DimensionMismatch(f"ray must have length {2 * m}")
     f1, f2, f3 = o.components
-    frames = [_facet_frames(f) for f in o.components]
+    frames = [
+        [simplex_frame(f.facet_points(i)) for i in range(len(f.domain.facets))]
+        for f in o.components
+    ]
     terms1, terms2, terms3 = _sphere_map_box_terms(o)
     d = f1.domain.dim
     arities = (d + 1, d + 1, d + 1)
@@ -321,18 +280,19 @@ def mu_via_degree(o, v, sign_convention=None):
                     + [s for s, _ in e3] + [ray_scale]
                 )
                 solution = [s * y / rho for s, y in zip(col_scales, scaled)]
-                status = _interior_status(solution, arities)
-                if status == "outside":
+                full = interior_barycentric(solution, arities)
+                ray_s = solution[-1]
+                if full is None or ray_s < 0:
                     continue
-                if status == "closed":
+                if full == "closed" or ray_s == 0:
                     raise NonGenericDirection(
                         f"boundary preimage on facets {(i1, i2, i3)}"
                     )
                 total += sign
                 solutions.append(PreimageSolution(
                     facets=(i1, i2, i3),
-                    barycentric=_full_barycentric(solution, arities),
-                    s=solution[-1],
+                    barycentric=full,
+                    s=ray_s,
                     sign=convention.global_sign * sign,
                 ))
     return convention.global_sign * total, solutions

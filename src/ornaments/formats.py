@@ -40,6 +40,12 @@ def _expect(condition, path, message):
         _fail(path, message)
 
 
+def _is_int(value):
+    """JSON integers only: ``bool`` is a subclass of ``int`` in Python, but
+    ``true`` and ``false`` are not integers in a document."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _parse_coords(raw, path):
     _expect(isinstance(raw, list) and raw, path, "expected a coordinate list")
     coords = []
@@ -56,7 +62,7 @@ def _parse_component(raw, m, path):
     for key in ("name", "dim", "vertices", "facets"):
         _expect(key in raw, path, f"missing field {key!r}")
     dim = raw["dim"]
-    _expect(isinstance(dim, int) and dim >= 1, f"{path}.dim", "bad dimension")
+    _expect(_is_int(dim) and dim >= 1, f"{path}.dim", "bad dimension")
     vertices = raw["vertices"]
     _expect(isinstance(vertices, list) and vertices, f"{path}.vertices",
             "expected a vertex list")
@@ -72,7 +78,7 @@ def _parse_component(raw, m, path):
     for fi, facet in enumerate(facets):
         _expect(
             isinstance(facet, list)
-            and all(isinstance(v, int) for v in facet),
+            and all(_is_int(v) for v in facet),
             f"{path}.facets[{fi}]", "expected a list of vertex indices",
         )
         _expect(len(facet) == dim + 1, f"{path}.facets[{fi}]",
@@ -89,7 +95,7 @@ def ornament_from_doc(doc):
     _expect(isinstance(doc, dict), "$", "expected an object")
     _expect("m" in doc, "$", "missing field 'm'")
     m = doc["m"]
-    _expect(isinstance(m, int) and m >= 1, "$.m", "bad ambient dimension")
+    _expect(_is_int(m) and m >= 1, "$.m", "bad ambient dimension")
     comps = doc.get("components")
     _expect(isinstance(comps, list) and len(comps) == 3, "$.components",
             "expected exactly three components")

@@ -1,18 +1,21 @@
 """Exact rational linear algebra and geometric predicates.
 
-Every scalar in this library is an arbitrary-precision rational, so the
-predicates built on top (determinant sign, simplex membership, linear
-feasibility) are decided exactly rather than within a tolerance.  "Generic
-position" questions downstream thereby become decidable: a configuration is
-degenerate if and only if some matrix here is exactly singular or some
-solution lands exactly on a face.
+Every scalar in this library is an arbitrary-precision rational
+(``fractions.Fraction``), so the predicates built on top (determinant
+sign, simplex membership, linear feasibility) are decided exactly rather
+than within a tolerance.  "Generic position" questions downstream thereby
+become decidable: a configuration is degenerate if and only if some matrix
+here is exactly singular or some solution lands exactly on a face.
 
-Square systems are solved by fraction-free Bareiss elimination on integer
-matrices obtained by clearing denominators one row at a time; intermediate
-entries stay minor-sized.  Linear feasibility of mixed equality/inequality
-systems is decided by Gaussian elimination of the equalities followed by
-Fourier-Motzkin elimination of the survivors, with exact sample-point
-extraction for witnesses.
+This module is the exact kernel of both invariant routes.  Square systems
+are solved by fraction-free Bareiss elimination on integer matrices whose
+columns were cleared of denominators by :func:`integer_scaled`; the same
+elimination loop also serves the sweep's partial pair reduction.  Both
+routes build their systems from the same affine frames of simplices and
+classify solutions with the same interior test.  Linear feasibility of
+mixed equality/inequality systems is decided by Gaussian elimination of
+the equalities followed by Fourier-Motzkin elimination of the survivors,
+with exact sample-point extraction for witnesses.
 """
 
 from __future__ import annotations
@@ -21,10 +24,7 @@ import math
 import random
 import re
 
-try:
-    from gmpy2 import mpq as Rat
-except ImportError:  # pragma: no cover - exercised only without gmpy2
-    from fractions import Fraction as Rat
+from fractions import Fraction as Rat
 
 #: Default bound on the denominator factor introduced by seeded perturbations.
 DEFAULT_DENOMINATOR_LIMIT = 2 ** 16
@@ -32,11 +32,6 @@ DEFAULT_DENOMINATOR_LIMIT = 2 ** 16
 
 class DimensionMismatch(ValueError):
     """Shapes of the operands are incompatible."""
-
-
-def rat(numerator, denominator=1):
-    """Build an exact rational (reduced, positive denominator)."""
-    return Rat(numerator, denominator)
 
 
 _RATIONAL_FORMAT = re.compile(r"[+-]?[0-9]+(/[0-9]+)?\Z")
@@ -132,89 +127,35 @@ class Vector:
         return all(c == 0 for c in self.coords)
 
 
-class Matrix:
-    """Rectangular array of exact rationals, row-major."""
+def eliminate(aug, ncols):
+    """In-place fraction-free forward elimination of the first ``ncols``
+    columns over all rows of the integer matrix ``aug``.
 
-    __slots__ = ("rows", "nrows", "ncols")
-
-    def __init__(self, rows):
-        self.rows = tuple(tuple(Rat(x) for x in row) for row in rows)
-        self.nrows = len(self.rows)
-        self.ncols = len(self.rows[0]) if self.rows else 0
-        if any(len(row) != self.ncols for row in self.rows):
-            raise DimensionMismatch("ragged rows in matrix")
-
-    @classmethod
-    def identity(cls, n):
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-    def is_square(self):
-        return self.nrows == self.ncols
-
-    def transpose(self):
-        return Matrix(zip(*self.rows)) if self.rows else Matrix([])
-
-    def __matmul__(self, other):
-        if self.ncols != other.nrows:
-            raise DimensionMismatch(
-                f"cannot multiply {self.nrows}x{self.ncols} by {other.nrows}x{other.ncols}"
-            )
-        cols = other.transpose().rows
-        return Matrix(
-            [[sum((a * b for a, b in zip(row, col)), Rat(0)) for col in cols]
-             for row in self.rows]
-        )
-
-    def __eq__(self, other):
-        return isinstance(other, Matrix) and self.rows == other.rows
-
-    def __hash__(self):
-        return hash(self.rows)
-
-    def __repr__(self):
-        return f"Matrix({[list(map(str, row)) for row in self.rows]})"
-
-
-def _cleared_rows(rows, rhs=None):
-    """Scale each row by a positive integer so all entries become integers.
-
-    Row scaling by positive constants changes neither the solution set nor
-    any determinant sign.
+    Returns ``(swap_sign, pivots)``: the sign of the row permutation applied
+    and the successive Bareiss pivots, which end up on the diagonal of the
+    now upper-triangular leading block; every entry below them is zeroed.
+    Returns ``None`` when some column has no pivot (the leading columns are
+    dependent).
     """
-    out = []
-    for i, row in enumerate(rows):
-        entries = list(row) + ([rhs[i]] if rhs is not None else [])
-        scale = 1
-        for x in entries:
-            scale = math.lcm(scale, x.denominator)
-        out.append([x.numerator * (scale // x.denominator) for x in entries])
-    return out
-
-
-def _eliminate_integer(aug, n, width):
-    """In-place fraction-free forward elimination on integer rows.
-
-    Returns the determinant sign of the leading n x n block (0 when
-    singular); on a nonzero return the block is upper triangular with the
-    successive Bareiss pivots on the diagonal.
-    """
-    sign = 1
+    nrows = len(aug)
+    swap_sign = 1
+    pivots = []
     prev = 1
-    for col in range(n):
+    for col in range(ncols):
         piv = None
-        for r in range(col, n):
+        for r in range(col, nrows):
             if aug[r][col]:
                 piv = r
                 break
         if piv is None:
-            return 0
+            return None
         if piv != col:
             aug[col], aug[piv] = aug[piv], aug[col]
-            sign = -sign
+            swap_sign = -swap_sign
         pivot = aug[col][col]
         prow = aug[col]
         tail = prow[col + 1:]
-        for r in range(col + 1, n):
+        for r in range(col + 1, nrows):
             row = aug[r]
             lead = row[col]
             if lead:
@@ -233,8 +174,9 @@ def _eliminate_integer(aug, n, width):
                 else:
                     row[col + 1:] = [pivot * rc // prev for rc in row[col + 1:]]
             row[col] = 0
+        pivots.append(pivot)
         prev = pivot
-    return sign if aug[n - 1][n - 1] > 0 else -sign
+    return swap_sign, pivots
 
 
 def solve_integer(rows, rhs=None):
@@ -247,14 +189,14 @@ def solve_integer(rows, rhs=None):
     n = len(rows)
     if n == 0:
         return 1, [] if rhs is not None else None
+    aug = rows if rhs is None else [row + [b] for row, b in zip(rows, rhs)]
+    reduction = eliminate(aug, n)
+    if reduction is None:
+        return 0, None
+    # The last Bareiss pivot is the determinant of the row-permuted matrix.
+    swap_sign, pivots = reduction
+    sign = swap_sign if pivots[-1] > 0 else -swap_sign
     if rhs is None:
-        aug = rows
-        width = n
-    else:
-        aug = [row + [b] for row, b in zip(rows, rhs)]
-        width = n + 1
-    sign = _eliminate_integer(aug, n, width)
-    if sign == 0 or rhs is None:
         return sign, None
     solution = [Rat(0)] * n
     for i in range(n - 1, -1, -1):
@@ -263,22 +205,6 @@ def solve_integer(rows, rhs=None):
             acc -= aug[i][j] * solution[j]
         solution[i] = acc / aug[i][i]
     return sign, solution
-
-
-def bareiss_solve(rows, rhs=None):
-    """Fraction-free elimination on a square rational system.
-
-    Returns ``(sign, solution)`` where ``sign`` is the exact determinant
-    sign in {-1, 0, +1} and ``solution`` is a list of rationals solving
-    ``rows @ x = rhs`` (``None`` when the matrix is singular or no ``rhs``
-    was given).
-    """
-    if not rows:
-        return 1, [] if rhs is not None else None
-    aug = _cleared_rows(rows, rhs)
-    if rhs is None:
-        return solve_integer(aug)
-    return solve_integer([row[:-1] for row in aug], [row[-1] for row in aug])
 
 
 def common_denominator(values):
@@ -301,43 +227,43 @@ def integer_scaled(coords, scale=None):
     return scale, [c.numerator * (scale // c.denominator) for c in coords]
 
 
-def det_sign(m):
-    """Exact sign of the determinant of a square matrix: -1, 0 or +1."""
-    if not m.is_square():
-        raise DimensionMismatch(f"determinant of {m.nrows}x{m.ncols} matrix")
-    sign, _ = bareiss_solve(m.rows)
-    return sign
+def simplex_frame(points):
+    """Base point (the last vertex) and the edge vectors of the other
+    vertices relative to it, in listed order, each pre-scaled to an integer
+    column ``(scale, ints)`` by :func:`integer_scaled`: the reusable half of
+    every linear system in which the simplex takes part."""
+    base = points[-1]
+    edges = [
+        integer_scaled(tuple(x - b for x, b in zip(p, base)))
+        for p in points[:-1]
+    ]
+    return base, edges
 
 
-def solve_affine(a, b):
-    """Exact solution of ``a @ x = b`` for square ``a``.
+def interior_barycentric(solution, arities):
+    """Classify stacked reduced barycentric coordinates, one block of
+    ``arity - 1`` per simplex (the last vertex's coordinate is implied;
+    entries past the blocks are ignored).
 
-    Returns the unique solution Vector when ``a`` is nonsingular, otherwise
-    ``None``; never approximates.
+    Returns the full coordinates, one tuple per simplex, when the point is
+    strictly interior to every simplex; ``"closed"`` when it lies in every
+    closed simplex but on some boundary; ``None`` when it is outside some
+    closed simplex.
     """
-    if not a.is_square():
-        raise DimensionMismatch(f"solve with {a.nrows}x{a.ncols} matrix")
-    if a.nrows != len(b):
-        raise DimensionMismatch(
-            f"matrix is {a.nrows}x{a.ncols} but right-hand side has length {len(b)}"
-        )
-    sign, solution = bareiss_solve(a.rows, list(b))
-    if sign == 0:
-        return None
-    return Vector(solution)
-
-
-def barycentric_position(coords):
-    """Classify barycentric coordinates summing to 1 as "interior",
-    "boundary" or "outside" of their simplex."""
-    coords = [Rat(c) for c in coords]
-    if sum(coords, Rat(0)) != 1:
-        raise ValueError("barycentric coordinates must sum to 1")
-    if all(c > 0 for c in coords):
-        return "interior"
-    if all(c >= 0 for c in coords):
-        return "boundary"
-    return "outside"
+    full = []
+    interior = True
+    pos = 0
+    for arity in arities:
+        coords = list(solution[pos:pos + arity - 1])
+        pos += arity - 1
+        coords.append(1 - sum(coords, Rat(0)))
+        for c in coords:
+            if c < 0:
+                return None
+            if c == 0:
+                interior = False
+        full.append(tuple(coords))
+    return tuple(full) if interior else "closed"
 
 
 def random_rational_perturbation(v, eps, seed,
@@ -505,15 +431,6 @@ def box_intersection(a, b):
         if lo > hi:
             return None
     return mins, maxs
-
-
-def boxes_overlap(*boxes):
-    acc = boxes[0]
-    for b in boxes[1:]:
-        acc = box_intersection(acc, b)
-        if acc is None:
-            return False
-    return True
 
 
 def ray_meets_box(direction, box):

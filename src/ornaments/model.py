@@ -251,29 +251,28 @@ class Ornament:
         return f"Ornament(m={self.m})"
 
 
-def common_point_system(maps, facet_indices):
-    """Equality rows for "all maps agree at a point of their facet", in
-    stacked full barycentric coordinates.
+def common_point_system(point_lists):
+    """Equality rows for "the simplices spanned by the point lists share a
+    point", in stacked full barycentric coordinates: consecutive lists
+    agree coordinate by coordinate, and each list's weights sum to 1.
 
     Returns ``(eq_rows, nvars, offsets)`` where ``offsets[i]`` is the column
-    of the first barycentric coordinate of component ``i``.
+    of the first barycentric coordinate of list ``i``.
     """
-    m = maps[0].ambient_dim
-    arities = [len(maps[i].domain.facets[facet_indices[i]]) for i in range(len(maps))]
+    width = len(point_lists[0][0])
+    arities = [len(pts) for pts in point_lists]
     offsets = [0]
     for a in arities[:-1]:
         offsets.append(offsets[-1] + a)
     nvars = sum(arities)
     eq_rows = []
-    for left in range(len(maps) - 1):
+    for left in range(len(point_lists) - 1):
         right = left + 1
-        pts_l = maps[left].facet_points(facet_indices[left])
-        pts_r = maps[right].facet_points(facet_indices[right])
-        for c in range(m):
+        for c in range(width):
             row = [Rat(0)] * nvars
-            for a, p in enumerate(pts_l):
+            for a, p in enumerate(point_lists[left]):
                 row[offsets[left] + a] = p[c]
-            for a, p in enumerate(pts_r):
+            for a, p in enumerate(point_lists[right]):
                 row[offsets[right] + a] = -p[c]
             eq_rows.append((row, Rat(0)))
     for i, arity in enumerate(arities):
@@ -314,9 +313,10 @@ def validate_ornament(o):
             for i3, b3 in enumerate(boxes3):
                 if box_intersection(b12, b3) is None:
                     continue
-                eq_rows, nvars, offsets = common_point_system(
-                    o.components, (i1, i2, i3)
-                )
+                eq_rows, nvars, offsets = common_point_system([
+                    f.facet_points(i)
+                    for f, i in zip(o.components, (i1, i2, i3))
+                ])
                 point = feasible_point(eq_rows, _nonneg_rows(nvars), nvars)
                 if point is not None:
                     splits = [point[offsets[0]:offsets[1]],

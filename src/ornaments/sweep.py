@@ -28,14 +28,18 @@ from .geometry import (
     Vector,
     common_denominator,
     derive_seed,
+    eliminate,
     feasible_point,
     integer_scaled,
+    interior_barycentric,
     random_rational_perturbation,
+    simplex_frame,
     solve_integer,
 )
 from .model import (
     Ornament,
     PLMap,
+    common_point_system,
     permutation_parity,
     validate_ornament,
     _nonneg_rows,
@@ -210,17 +214,6 @@ def _integer_frames(track):
     ]
 
 
-def _cell_frame(points):
-    """Base point (last vertex) plus integer-scaled edge columns of a cell's
-    image simplex: the reusable half of the per-triple linear systems."""
-    base = points[-1]
-    edges = [
-        integer_scaled(tuple(x - b for x, b in zip(p, base)))
-        for p in points[:-1]
-    ]
-    return base, edges
-
-
 def _extent_directions(width):
     """Index pairs defining the prefilter directions e_i + e_j and
     e_i - e_j; together with the plain coordinates they separate thin
@@ -291,41 +284,6 @@ def _extents_meet3(a, b, c):
     return True
 
 
-def _solve_triple(frame1, frame2, frame3):
-    """Solve "the three affine cells meet" in the reduced barycentric
-    coordinates of the three cells (last vertex of each eliminated).
-
-    Returns ``(det_sign, solution)`` for the block system
-    ``[[E1, -E2, 0], [0, E2, -E3]]`` assembled in component order.  This is
-    the reference implementation; the detection loop goes through the
-    pair-reduction route below, which must agree with it exactly.
-    """
-    base1, e1 = frame1
-    base2, e2 = frame2
-    base3, e3 = frame3
-    width = len(base1)
-    zeros1 = [0] * len(e1)
-    zeros3 = [0] * len(e3)
-    rows = []
-    rhs = []
-    for c in range(width):
-        rows.append(
-            [u[c] for _, u in e1] + [-u[c] for _, u in e2] + zeros3
-        )
-        rhs.append(base2[c] - base1[c])
-    for c in range(width):
-        rows.append(
-            zeros1 + [u[c] for _, u in e2] + [-u[c] for _, u in e3]
-        )
-        rhs.append(base3[c] - base2[c])
-    rho, rhs_int = integer_scaled(rhs)
-    sign, scaled = solve_integer(rows, rhs_int)
-    if sign == 0:
-        return 0, None
-    col_scales = [s for s, _ in e1] + [s for s, _ in e2] + [s for s, _ in e3]
-    return sign, [s * y / rho for s, y in zip(col_scales, scaled)]
-
-
 def _pair_reduction(frame1, frame2):
     """Eliminate cell 1's barycentric columns from the pair equations
     ``E1 a - E2 b = base2 - base1`` by fraction-free steps on the top block
@@ -348,46 +306,10 @@ def _pair_reduction(frame1, frame2):
     for c in range(width):
         aug.append([u[c] for _, u in e1] + [-u[c] for _, u in e2]
                    + [r12_int[c]])
-    swap_sign = 1
-    pivots = []
-    tail_width = len(aug[0])
-    prev = 1
-    for col in range(d1):
-        piv = None
-        for r in range(col, width):
-            if aug[r][col]:
-                piv = r
-                break
-        if piv is None:
-            return None
-        if piv != col:
-            aug[col], aug[piv] = aug[piv], aug[col]
-            swap_sign = -swap_sign
-        pivot = aug[col][col]
-        prow = aug[col]
-        tail = prow[col + 1:]
-        for r in range(col + 1, width):
-            row = aug[r]
-            lead = row[col]
-            if lead:
-                if prev == 1:
-                    row[col + 1:] = [
-                        pivot * rc - lead * pc
-                        for rc, pc in zip(row[col + 1:], tail)
-                    ]
-                else:
-                    row[col + 1:] = [
-                        (pivot * rc - lead * pc) // prev
-                        for rc, pc in zip(row[col + 1:], tail)
-                    ]
-            else:
-                if prev == 1:
-                    row[col + 1:] = [pivot * rc for rc in row[col + 1:]]
-                else:
-                    row[col + 1:] = [pivot * rc // prev for rc in row[col + 1:]]
-            row[col] = 0
-        pivots.append(pivot)
-        prev = pivot
+    reduction = eliminate(aug, d1)
+    if reduction is None:
+        return None
+    swap_sign, pivots = reduction
     # Each fraction-free step multiplies the rows below the pivot by
     # (pivot / previous pivot); together with the swaps and the triangular
     # pivot block this fixes the determinant sign of the original system
@@ -408,9 +330,11 @@ def _pair_reduction(frame1, frame2):
 def _solve_triple_reduced(reduction, frame1, frame2, frame3):
     """Finish a pair-reduced triple system for one candidate third cell.
 
-    Equivalent to :func:`_solve_triple` but reuses the eliminated pair
-    block: only the (b, c) subsystem is solved per candidate, and the a
-    coordinates are back-substituted from the cached triangular rows.
+    Equivalent to solving the whole block system
+    ``[[E1, -E2, 0], [0, E2, -E3]]`` in component order, but reuses the
+    eliminated pair block: only the (b, c) subsystem is solved per
+    candidate, and the a coordinates are back-substituted from the cached
+    triangular rows.
     """
     tri_rows, con_rows, sign_fix, rho12 = reduction
     base1, e1 = frame1
@@ -455,49 +379,6 @@ def _solve_triple_reduced(reduction, frame1, frame2, frame3):
     return sign_fix * sign_n, solution
 
 
-def _closed_cells_touch(points):
-    """Exact feasibility of a common point of the three closed cells."""
-    arities = [len(p) for p in points]
-    offsets = [0, arities[0], arities[0] + arities[1]]
-    n = sum(arities)
-    width = len(points[0][0])
-    rows = []
-    for left in (0, 1):
-        right = left + 1
-        for c in range(width):
-            row = [Rat(0)] * n
-            for a, p in enumerate(points[left]):
-                row[offsets[left] + a] = p[c]
-            for a, p in enumerate(points[right]):
-                row[offsets[right] + a] = -p[c]
-            rows.append((row, Rat(0)))
-    for i in range(3):
-        row = [Rat(0)] * n
-        for a in range(arities[i]):
-            row[offsets[i] + a] = Rat(1)
-        rows.append((row, Rat(1)))
-    return feasible_point(rows, _nonneg_rows(n), n) is not None
-
-
-def _interior_solution(solution, arities):
-    """Full barycentric coordinates when strictly interior; "closed" when
-    touching a cell boundary; None when outside the closed cells."""
-    full = []
-    interior = True
-    pos = 0
-    for arity in arities:
-        coords = list(solution[pos:pos + arity - 1])
-        pos += arity - 1
-        coords.append(1 - sum(coords, Rat(0)))
-        for c in coords:
-            if c < 0:
-                return None
-            if c == 0:
-                interior = False
-        full.append(tuple(coords))
-    return tuple(full) if interior else "closed"
-
-
 def detect_triple_points(track):
     """All transverse common points of the three component tracks, signed.
 
@@ -530,7 +411,7 @@ def detect_triple_points(track):
                     int_pts = [int_frames[j + level][ci][v]
                                for v, level in cell.vertices]
                     entries.append((cell, pts, _extents(int_pts, pairs),
-                                    _cell_frame(pts)))
+                                    simplex_frame(pts)))
                 per_facet.append(entries)
                 per_facet_ext.append(_extents_union([e[2] for e in entries]))
             cells.append(per_facet)
@@ -569,13 +450,16 @@ def detect_triple_points(track):
                                     reduction, fr1, fr2, fr3
                                 )
                             if sign == 0:
-                                if _closed_cells_touch(points):
+                                eq_rows, nvars, _ = common_point_system(points)
+                                if feasible_point(
+                                    eq_rows, _nonneg_rows(nvars), nvars
+                                ) is not None:
                                     raise NonGenericTrack(
                                         f"singular touching system at interval {j}"
                                     )
                                 continue
                             arities = [len(p) for p in points]
-                            full = _interior_solution(solution, arities)
+                            full = interior_barycentric(solution, arities)
                             if full is None:
                                 continue
                             if full == "closed":

@@ -4,11 +4,16 @@ Deliberately self-contained: the feasibility oracle enumerates candidate
 vertices of the constraint polyhedron with its own little Gaussian
 elimination instead of calling anything from the package, so the two
 routes share no code.  The rational ray-box test and sphere-map box are
-the references for the integer prefilter of the degree route.
+the references for the integer prefilter of the degree route.  The direct
+triple solve is the reference for the sweep's pair reduction: it solves
+the whole block system with the package's square solver, which the tests
+check separately against ``_solve_unique``.
 """
 
 from fractions import Fraction
 from itertools import combinations
+
+from ornaments.geometry import integer_scaled, solve_integer
 
 
 def _solve_unique(rows, nvars):
@@ -113,3 +118,38 @@ def sphere_map_box(b1, b2, b3):
         mins.append(2 * lo2 - hi1 - hi3)
         maxs.append(2 * hi2 - lo1 - lo3)
     return tuple(mins), tuple(maxs)
+
+
+def solve_triple(frame1, frame2, frame3):
+    """Solve "the three affine cells meet" in the reduced barycentric
+    coordinates of the three cells (last vertex of each eliminated).
+
+    Returns ``(det_sign, solution)`` for the block system
+    ``[[E1, -E2, 0], [0, E2, -E3]]`` assembled in component order from
+    frames built by ``ornaments.geometry.simplex_frame``.  The sweep's
+    pair-reduction route must agree with it exactly.
+    """
+    base1, e1 = frame1
+    base2, e2 = frame2
+    base3, e3 = frame3
+    width = len(base1)
+    zeros1 = [0] * len(e1)
+    zeros3 = [0] * len(e3)
+    rows = []
+    rhs = []
+    for c in range(width):
+        rows.append(
+            [u[c] for _, u in e1] + [-u[c] for _, u in e2] + zeros3
+        )
+        rhs.append(base2[c] - base1[c])
+    for c in range(width):
+        rows.append(
+            zeros1 + [u[c] for _, u in e2] + [-u[c] for _, u in e3]
+        )
+        rhs.append(base3[c] - base2[c])
+    rho, rhs_int = integer_scaled(rhs)
+    sign, scaled = solve_integer(rows, rhs_int)
+    if sign == 0:
+        return 0, None
+    col_scales = [s for s, _ in e1] + [s for s, _ in e2] + [s for s, _ in e3]
+    return sign, [s * y / rho for s, y in zip(col_scales, scaled)]

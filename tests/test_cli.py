@@ -68,6 +68,15 @@ def test_gen_output_reemits_byte_identical(tmp_path, capsys):
     assert again == text
 
 
+def test_gen_unwritable_out_is_input_error(tmp_path, capsys):
+    out = tmp_path / "missing" / "x.json"
+    code, report = run(capsys, "gen", "borromean", "--k", "1",
+                       "--out", str(out))
+    assert code == 1
+    assert "x.json" in report["error"]
+    assert not out.exists()
+
+
 def test_gen_trivial_with_targets_has_mu_zero(tmp_path, capsys):
     out = tmp_path / "t.json"
     code, _ = run(capsys, "gen", "trivial", "--k", "1",

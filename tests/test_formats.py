@@ -68,6 +68,33 @@ def test_missing_component_fields():
     assert "components[2]" in str(err.value)
 
 
+def _set_m(doc):
+    doc["m"] = True
+
+
+def _set_dim(doc):
+    doc["components"][0]["dim"] = True
+
+
+def _set_facet_index(doc):
+    doc["components"][0]["facets"][0] = [False, True]
+
+
+@pytest.mark.parametrize("corrupt, where", [
+    pytest.param(_set_m, "$.m:", id="m"),
+    pytest.param(_set_dim, "$.components[0].dim:", id="dim"),
+    pytest.param(_set_facet_index, "$.components[0].facets[0]:",
+                 id="facet-index"),
+])
+def test_booleans_are_not_integers(corrupt, where):
+    # true == 1 and false == 0 in Python; a document must say 1 and 0
+    doc = formats.ornament_to_doc(small_ornament())
+    corrupt(doc)
+    with pytest.raises(formats.FormatError) as err:
+        formats.ornament_from_doc(doc)
+    assert str(err.value).startswith(where)
+
+
 def test_wrong_component_count():
     doc = formats.ornament_to_doc(small_ornament())
     doc["components"] = doc["components"][:2]

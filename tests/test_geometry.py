@@ -4,142 +4,159 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ornaments.geometry import (
-    DimensionMismatch,
-    Matrix,
     Rat,
     Vector,
-    bareiss_solve,
-    barycentric_position,
     bounding_box,
-    boxes_overlap,
+    box_intersection,
     derive_seed,
-    det_sign,
     feasible_point,
     format_rational,
+    integer_scaled,
+    interior_barycentric,
     parse_rational,
     random_rational_perturbation,
     ray_meets_box,
-    solve_affine,
     solve_integer,
 )
 
-from oracles import brute_force_feasible, ray_meets_box_by_division
+from oracles import (
+    _solve_unique,
+    brute_force_feasible,
+    ray_meets_box_by_division,
+)
 
 
-def rand_matrix(rng, n, m=None):
+def rand_rows(rng, n, m=None):
     m = n if m is None else m
-    return Matrix([[Rat(rng.randint(-9, 9), rng.randint(1, 7))
-                    for _ in range(m)] for _ in range(n)])
+    return [[rng.randint(-9, 9) for _ in range(m)] for _ in range(n)]
 
 
-# --- det_sign -------------------------------------------------------------
+def identity_rows(n):
+    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+
+def matmul(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)]
+            for row in a]
+
+
+def det_sign(rows):
+    """Determinant sign through the solver; the rows are copied first."""
+    return solve_integer([row[:] for row in rows])[0]
+
+
+def solve(rows, rhs):
+    """Solve integer rows against a rational right-hand side."""
+    rho, rhs_int = integer_scaled(rhs)
+    sign, scaled = solve_integer([row[:] for row in rows], rhs_int)
+    if sign == 0:
+        return None
+    return [y / rho for y in scaled]
+
+
+# --- determinant sign ---------------------------------------------------------
 
 def test_det_sign_identity():
-    assert det_sign(Matrix.identity(3)) == 1
+    assert det_sign(identity_rows(3)) == 1
 
 
 def test_det_sign_row_swap():
-    m = Matrix([[0, 1, 0], [1, 0, 0], [0, 0, 1]])
-    assert det_sign(m) == -1
+    assert det_sign([[0, 1, 0], [1, 0, 0], [0, 0, 1]]) == -1
 
 
 def test_det_sign_repeated_row():
-    m = Matrix([[1, 2, 3], [4, 5, 6], [1, 2, 3]])
-    assert det_sign(m) == 0
-
-
-def test_det_sign_requires_square():
-    with pytest.raises(DimensionMismatch):
-        det_sign(Matrix([[1, 2, 3], [4, 5, 6]]))
+    assert det_sign([[1, 2, 3], [4, 5, 6], [1, 2, 3]]) == 0
 
 
 def test_det_sign_transpose_invariant():
     rng = random.Random(1)
     for _ in range(40):
-        m = rand_matrix(rng, rng.randint(1, 5))
-        assert det_sign(m) == det_sign(m.transpose())
+        rows = rand_rows(rng, rng.randint(1, 5))
+        assert det_sign(rows) == det_sign([list(c) for c in zip(*rows)])
 
 
 def test_det_sign_multiplicative():
     rng = random.Random(2)
     for _ in range(40):
         n = rng.randint(1, 4)
-        a = rand_matrix(rng, n)
-        b = rand_matrix(rng, n)
-        assert det_sign(a @ b) == det_sign(a) * det_sign(b)
+        a = rand_rows(rng, n)
+        b = rand_rows(rng, n)
+        assert det_sign(matmul(a, b)) == det_sign(a) * det_sign(b)
 
 
-# --- solve_affine ---------------------------------------------------------
+# --- solve_integer ------------------------------------------------------------
 
 def test_solve_identity():
-    v = Vector([Rat(1, 3), Rat(-2), Rat(7, 5)])
-    assert solve_affine(Matrix.identity(3), v) == v
+    x = [Rat(1, 3), Rat(-2), Rat(7, 5)]
+    assert solve(identity_rows(3), x) == x
 
 
 def test_solve_zero_matrix_singular():
-    assert solve_affine(Matrix([[0, 0], [0, 0]]), Vector([0, 0])) is None
+    assert solve_integer([[0, 0], [0, 0]], [0, 0]) == (0, None)
 
 
 def test_solve_recovers_constructed_solution():
     # oracle: build b := a @ x for a known random x, then ask for x back
     rng = random.Random(3)
     for _ in range(25):
-        a = rand_matrix(rng, 4)
+        a = rand_rows(rng, 4)
         if det_sign(a) == 0:
             continue
-        x = Vector([Rat(rng.randint(-20, 20), rng.randint(1, 9))
-                    for _ in range(4)])
-        b = Vector([sum((c * xv for c, xv in zip(row, x)), Rat(0))
-                    for row in a.rows])
-        assert solve_affine(a, b) == x
+        x = [Rat(rng.randint(-20, 20), rng.randint(1, 9)) for _ in range(4)]
+        b = [sum((c * xv for c, xv in zip(row, x)), Rat(0)) for row in a]
+        assert solve(a, b) == x
 
 
 def test_solution_substitutes_exactly():
     rng = random.Random(4)
     for _ in range(25):
-        a = rand_matrix(rng, 3)
-        b = Vector([Rat(rng.randint(-9, 9)) for _ in range(3)])
-        x = solve_affine(a, b)
+        a = rand_rows(rng, 3)
+        b = [Rat(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(3)]
+        x = solve(a, b)
         if x is None:
             assert det_sign(a) == 0
             continue
-        recovered = [sum((c * xv for c, xv in zip(row, x)), Rat(0))
-                     for row in a.rows]
-        assert Vector(recovered) == b
-
-
-def test_solve_dimension_errors():
-    with pytest.raises(DimensionMismatch):
-        solve_affine(Matrix([[1, 2]]), Vector([1]))
-    with pytest.raises(DimensionMismatch):
-        solve_affine(Matrix.identity(2), Vector([1, 2, 3]))
+        assert [sum((c * xv for c, xv in zip(row, x)), Rat(0))
+                for row in a] == b
 
 
 def test_solve_integer_matches_rational_path():
+    # the oracle is an independent Gauss-Jordan elimination on Fractions
     rng = random.Random(5)
-    for _ in range(30):
+    singular = 0
+    for _ in range(200):
         n = rng.randint(1, 5)
-        rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+        rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
         rhs = [rng.randint(-9, 9) for _ in range(n)]
-        s1, x1 = solve_integer([r[:] for r in rows], rhs[:])
-        s2, x2 = bareiss_solve([[Rat(c) for c in row] for row in rows],
-                               [Rat(c) for c in rhs])
-        assert s1 == s2
-        assert x1 == x2
+        sign, x = solve_integer([r[:] for r in rows], rhs[:])
+        # the homogeneous system has a unique solution iff nonsingular
+        nonsingular = _solve_unique([(r, 0) for r in rows], n) is not None
+        assert (sign != 0) == nonsingular
+        if sign == 0:
+            singular += 1
+            assert x is None
+        else:
+            assert x == _solve_unique(list(zip(rows, rhs)), n)
+    assert singular > 0  # the corpus exercises the singular branch
 
 
-# --- barycentric_position ---------------------------------------------------
+# --- interior_barycentric -------------------------------------------------------
 
 def test_barycentric_classification():
     third = Rat(1, 3)
-    assert barycentric_position([third, third, third]) == "interior"
-    assert barycentric_position([0, Rat(1, 2), Rat(1, 2)]) == "boundary"
-    assert barycentric_position([Rat(-1, 4), Rat(1, 2), Rat(3, 4)]) == "outside"
-
-
-def test_barycentric_requires_unit_sum():
-    with pytest.raises(ValueError):
-        barycentric_position([Rat(1, 2), Rat(1, 2), Rat(1, 2)])
+    # two triangles' reduced coordinates, a trailing entry ignored
+    assert interior_barycentric([third, third, Rat(1, 4), Rat(1, 2), -5],
+                                [3, 3]) == (
+        (third, third, third), (Rat(1, 4), Rat(1, 2), Rat(1, 4))
+    )
+    # a zero coordinate, given or implied, is "closed"
+    assert interior_barycentric([0, Rat(1, 2)], [3]) == "closed"
+    assert interior_barycentric([Rat(1, 2), Rat(1, 2)], [3]) == "closed"
+    assert interior_barycentric([third, third, 1, 0], [3, 3]) == "closed"
+    # a negative coordinate, given or implied, is outside, even after a zero
+    assert interior_barycentric([Rat(-1, 4), Rat(1, 2)], [3]) is None
+    assert interior_barycentric([Rat(3, 4), Rat(1, 2)], [3]) is None
+    assert interior_barycentric([0, Rat(1, 2), third, -third], [3, 3]) is None
 
 
 # --- random_rational_perturbation -------------------------------------------
@@ -272,9 +289,9 @@ def test_bounding_box_and_overlap():
     box = bounding_box([(Rat(0), Rat(1)), (Rat(2), Rat(-1))])
     assert box == ((Rat(0), Rat(-1)), (Rat(2), Rat(1)))
     other = bounding_box([(Rat(2), Rat(0))])
-    assert boxes_overlap(box, other)
+    assert box_intersection(box, other) == other
     far = bounding_box([(Rat(3), Rat(0))])
-    assert not boxes_overlap(box, far)
+    assert box_intersection(box, far) is None
 
 
 def test_ray_meets_box():

@@ -171,7 +171,9 @@ def test_feasibility_matches_brute_force_on_facet_triples():
             idx = tuple(
                 rng.randrange(len(f.domain.facets)) for f in o.components
             )
-            eq_rows, nvars, _ = common_point_system(o.components, idx)
+            eq_rows, nvars, _ = common_point_system([
+                f.facet_points(i) for f, i in zip(o.components, idx)
+            ])
             ours = feasible_point(eq_rows, _nonneg_rows(nvars), nvars) is not None
             theirs = brute_force_feasible(eq_rows, _nonneg_rows(nvars), nvars)
             assert ours == theirs

@@ -6,7 +6,7 @@ import pytest
 from ornaments import sweep
 from ornaments.constructions import make_random_ornament, make_trivial
 from ornaments.degree import mu_via_degree_auto
-from ornaments.geometry import Rat, Vector
+from ornaments.geometry import Rat, Vector, simplex_frame
 from ornaments.model import perturb_ornament, validate_ornament
 from ornaments.sweep import (
     HomotopyTrack,
@@ -25,11 +25,11 @@ from ornaments.sweep import (
     straight_line_homotopy_to_trivial,
     sweep_with_retries,
     trivial_ornament,
-    _cell_frame,
     _pair_reduction,
-    _solve_triple,
     _solve_triple_reduced,
 )
+
+from oracles import solve_triple
 
 
 # --- staircase triangulation ---------------------------------------------------
@@ -98,10 +98,10 @@ def test_pair_reduction_matches_direct_solver():
     for _ in range(400):
         k = rng.choice((1, 2))
         width, npts = 3 * k, 2 * k + 1
-        f1 = _cell_frame(rand_cell(npts, width))
-        f2 = _cell_frame(rand_cell(npts, width))
-        f3 = _cell_frame(rand_cell(npts, width))
-        direct = _solve_triple(f1, f2, f3)
+        f1 = simplex_frame(rand_cell(npts, width))
+        f2 = simplex_frame(rand_cell(npts, width))
+        f3 = simplex_frame(rand_cell(npts, width))
+        direct = solve_triple(f1, f2, f3)
         reduction = _pair_reduction(f1, f2)
         if reduction is None:
             assert direct[0] == 0
