@@ -15,7 +15,7 @@ import argparse
 import sys
 
 from . import constructions, degree, formats, sweep
-from .geometry import DimensionMismatch, Rat, Vector, parse_rational
+from .geometry import DimensionMismatch, Vector, parse_rational
 from .model import validate_manifold, validate_ornament
 
 
@@ -137,7 +137,7 @@ def cmd_gen(args):
             ornament = constructions.make_trivial(args.k, targets, args.r)
         else:
             ornament = constructions.make_random_ornament(
-                args.k, args.r, args.seed, Rat(args.spread)
+                args.k, args.r, args.seed, parse_rational(args.spread)
             )
         if args.eps is not None:
             from .model import perturb_ornament

@@ -17,7 +17,10 @@ that clears all their denominators, and the ray by its own; "some s >= 0
 puts s*v in the box" does not change under positive scalings of the box
 or of v, so exactly the same triples reach a solve.  Each facet's share
 of the hull is computed once, and the shares of a facet pair are added
-once for all third facets.
+once for all third facets.  The solve itself stays on integers as well:
+it returns Cramer numerators over the determinant, and a candidate with a
+negative barycentric coordinate or ray scalar is dropped on their signs,
+so a rational solution is built only for the rare survivors.
 
 Degeneracies (singular systems that still touch the closed cells, boundary
 solutions, zero ray scalar) are detected exactly and reported as
@@ -35,6 +38,7 @@ from .geometry import (
     Rat,
     Vector,
     common_denominator,
+    cramer_outside,
     derive_seed,
     feasible_point,
     integer_scaled,
@@ -268,7 +272,7 @@ def mu_via_degree(o, v, sign_convention=None):
                     )
                     rhs.append(-(2 * base2[c] - base1[c] - base3[c]))
                 rho, rhs_int = integer_scaled(rhs)
-                sign, scaled = solve_integer(rows, rhs_int)
+                sign, numerators, det = solve_integer(rows, rhs_int)
                 if sign == 0:
                     if _ray_touches_closed_cells(o, (i1, i2, i3), ray):
                         raise NonGenericDirection(
@@ -279,11 +283,14 @@ def mu_via_degree(o, v, sign_convention=None):
                     [s for s, _ in e1] + [s for s, _ in e2]
                     + [s for s, _ in e3] + [ray_scale]
                 )
-                solution = [s * y / rho for s, y in zip(col_scales, scaled)]
+                # Outside some facet, or behind the ray's origin.
+                if cramer_outside(numerators, det, col_scales, rho, arities):
+                    continue
+                solution = [
+                    Rat(s * n, rho * det) for s, n in zip(col_scales, numerators)
+                ]
                 full = interior_barycentric(solution, arities)
                 ray_s = solution[-1]
-                if full is None or ray_s < 0:
-                    continue
                 if full == "closed" or ray_s == 0:
                     raise NonGenericDirection(
                         f"boundary preimage on facets {(i1, i2, i3)}"

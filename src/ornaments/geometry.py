@@ -1,21 +1,25 @@
 """Exact rational linear algebra and geometric predicates.
 
-Every scalar in this library is an arbitrary-precision rational
-(``fractions.Fraction``), so the predicates built on top (determinant
-sign, simplex membership, linear feasibility) are decided exactly rather
-than within a tolerance.  "Generic position" questions downstream thereby
-become decidable: a configuration is degenerate if and only if some matrix
-here is exactly singular or some solution lands exactly on a face.
+Every scalar in this library is exact: an arbitrary-precision rational
+(``fractions.Fraction``) or, inside the hot loops, an integer, so the
+predicates built on top (determinant sign, simplex membership, linear
+feasibility) are decided exactly rather than within a tolerance.  "Generic
+position" questions downstream thereby become decidable: a configuration
+is degenerate if and only if some matrix here is exactly singular or some
+solution lands exactly on a face.
 
 This module is the exact kernel of both invariant routes.  Square systems
 are solved by fraction-free Bareiss elimination on integer matrices whose
 columns were cleared of denominators by :func:`integer_scaled`; the same
-elimination loop also serves the sweep's partial pair reduction.  Both
-routes build their systems from the same affine frames of simplices and
-classify solutions with the same interior test.  Linear feasibility of
-mixed equality/inequality systems is decided by Gaussian elimination of
-the equalities followed by Fourier-Motzkin elimination of the survivors,
-with exact sample-point extraction for witnesses.
+elimination loop also serves the sweep's partial pair reduction.  The
+solver returns integer Cramer numerators over the integer determinant, and
+:func:`cramer_outside` rejects, from their signs alone, a solution that
+leaves some simplex, so rationals are built only for the few survivors and
+for witnesses.  Both routes build their systems from the same affine frames
+of simplices and classify survivors with the same interior test.  Linear
+feasibility of mixed equality/inequality systems is decided by Gaussian
+elimination of the equalities followed by Fourier-Motzkin elimination of
+the survivors, with exact sample-point extraction for witnesses.
 """
 
 from __future__ import annotations
@@ -182,29 +186,36 @@ def eliminate(aug, ncols):
 def solve_integer(rows, rhs=None):
     """Exact solve of a square integer system by Bareiss elimination.
 
-    Returns ``(sign, solution)`` with the determinant sign in {-1, 0, +1}
-    and a rational solution list (``None`` when singular or no ``rhs``).
-    The rows are consumed.
+    Returns ``(sign, numerators, det)``: the determinant sign in
+    {-1, 0, +1}, and integer Cramer numerators ``N`` over the Bareiss
+    determinant ``D`` (the determinant of the row-permuted matrix, nonzero
+    but of either sign), so that the solution is ``x_i = N_i / D``.  Both
+    are ``None`` when the system is singular or no ``rhs`` is given.  The
+    back-substitution is fraction-free: ``D * x_i`` is an integer by
+    Cramer's rule, so each step divides exactly by its pivot.  The rows are
+    consumed.
     """
     n = len(rows)
     if n == 0:
-        return 1, [] if rhs is not None else None
+        return (1, [], 1) if rhs is not None else (1, None, None)
     aug = rows if rhs is None else [row + [b] for row, b in zip(rows, rhs)]
     reduction = eliminate(aug, n)
     if reduction is None:
-        return 0, None
+        return 0, None, None
     # The last Bareiss pivot is the determinant of the row-permuted matrix.
     swap_sign, pivots = reduction
-    sign = swap_sign if pivots[-1] > 0 else -swap_sign
+    det = pivots[-1]
+    sign = swap_sign if det > 0 else -swap_sign
     if rhs is None:
-        return sign, None
-    solution = [Rat(0)] * n
+        return sign, None, None
+    numerators = [0] * n
     for i in range(n - 1, -1, -1):
-        acc = Rat(aug[i][n])
+        row = aug[i]
+        acc = det * row[n]
         for j in range(i + 1, n):
-            acc -= aug[i][j] * solution[j]
-        solution[i] = acc / aug[i][i]
-    return sign, solution
+            acc -= row[j] * numerators[j]
+        numerators[i] = acc // row[i]
+    return sign, numerators, det
 
 
 def common_denominator(values):
@@ -264,6 +275,36 @@ def interior_barycentric(solution, arities):
                 interior = False
         full.append(tuple(coords))
     return tuple(full) if interior else "closed"
+
+
+def cramer_outside(numerators, det, scales, rho, arities):
+    """Integer screen for :func:`interior_barycentric` on the solution
+    ``x_i = scales[i] * N_i / (rho * D)`` (positive ``scales`` and ``rho``,
+    nonzero ``D``), decided on signs without building a rational.
+
+    True exactly when some coordinate is strictly negative: a listed one,
+    when ``N_i * D < 0``, or a block's implied one, when
+    ``(rho * D - sum of scales * N over the block) * D < 0``.  Entries past
+    the blocks count as listed coordinates (say, a ray scalar that must not
+    be negative).  Zero coordinates pass, so a boundary solution still
+    reaches the rational classification.
+    """
+    if det < 0:
+        det = -det
+        numerators = [-n for n in numerators]
+    for n in numerators:
+        if n < 0:
+            return True
+    pos = 0
+    for arity in arities:
+        end = pos + arity - 1
+        implied = rho * det
+        for i in range(pos, end):
+            implied -= scales[i] * numerators[i]
+        if implied < 0:
+            return True
+        pos = end
+    return False
 
 
 def random_rational_perturbation(v, eps, seed,

@@ -27,6 +27,7 @@ from .geometry import (
     Rat,
     Vector,
     common_denominator,
+    cramer_outside,
     derive_seed,
     eliminate,
     feasible_point,
@@ -333,8 +334,13 @@ def _solve_triple_reduced(reduction, frame1, frame2, frame3):
     Equivalent to solving the whole block system
     ``[[E1, -E2, 0], [0, E2, -E3]]`` in component order, but reuses the
     eliminated pair block: only the (b, c) subsystem is solved per
-    candidate, and the a coordinates are back-substituted from the cached
-    triangular rows.
+    candidate.  Its integer Cramer solution is screened by
+    :func:`cramer_outside`; only when no b or c coordinate is negative are
+    the a coordinates back-substituted from the cached triangular rows and
+    the rational solution built.
+
+    Returns ``(sign, solution)``: ``(0, None)`` when singular, ``(sign,
+    None)`` when the screen puts the point outside cell 2 or cell 3.
     """
     tri_rows, con_rows, sign_fix, rho12 = reduction
     base1, e1 = frame1
@@ -356,11 +362,14 @@ def _solve_triple_reduced(reduction, frame1, frame2, frame3):
     for c in range(width):
         rows.append([u[c] for _, u in e2] + [-u[c] for _, u in e3])
         rhs.append(r23_int[c] * lift23)
-    sign_n, scaled = solve_integer(rows, rhs)
+    sign_n, numerators, det = solve_integer(rows, rhs)
     if sign_n == 0:
         return 0, None
-    yb = scaled[:d2]
-    yc = scaled[d2:]
+    sign = sign_fix * sign_n
+    bc_scales = [s for s, _ in e2] + [s for s, _ in e3]
+    if cramer_outside(numerators, det, bc_scales, rho, (d2 + 1, d3 + 1)):
+        return sign, None
+    yb = [Rat(n, det) for n in numerators[:d2]]
     # Back-substitute the a block from the cached triangular rows.
     ya = [Rat(0)] * d1
     for t in range(d1 - 1, -1, -1):
@@ -373,10 +382,9 @@ def _solve_triple_reduced(reduction, frame1, frame2, frame3):
         ya[t] = acc / row[t]
     solution = (
         [s * y / rho for (s, _), y in zip(e1, ya)]
-        + [s * y / rho for (s, _), y in zip(e2, yb)]
-        + [s * y / rho for (s, _), y in zip(e3, yc)]
+        + [Rat(s * n, rho * det) for s, n in zip(bc_scales, numerators)]
     )
-    return sign_fix * sign_n, solution
+    return sign, solution
 
 
 def detect_triple_points(track):
@@ -389,9 +397,10 @@ def detect_triple_points(track):
     scaled by one positive integer that clears every denominator of its
     images and times: scaling all cells alike by a positive factor scales
     every extent by it, so each overlap test, and with it the set of
-    triples that reach a solve, is unchanged.  The solves, the touching
-    tests and the witnesses use the rational points.  Raises
-    NonGenericTrack on any exactly-degenerate configuration.
+    triples that reach a solve, is unchanged.  A candidate whose integer
+    solve puts it outside cell 2 or cell 3 is dropped before any rational
+    is built; the touching tests and the witnesses use the rational points.
+    Raises NonGenericTrack on any exactly-degenerate configuration.
     """
     found = []
     nfacets = [len(dom.facets) for dom in track.domains]
@@ -458,6 +467,8 @@ def detect_triple_points(track):
                                         f"singular touching system at interval {j}"
                                     )
                                 continue
+                            if solution is None:
+                                continue  # outside cell 2 or cell 3
                             arities = [len(p) for p in points]
                             full = interior_barycentric(solution, arities)
                             if full is None:

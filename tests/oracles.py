@@ -148,8 +148,10 @@ def solve_triple(frame1, frame2, frame3):
         )
         rhs.append(base3[c] - base2[c])
     rho, rhs_int = integer_scaled(rhs)
-    sign, scaled = solve_integer(rows, rhs_int)
+    sign, numerators, det = solve_integer(rows, rhs_int)
     if sign == 0:
         return 0, None
     col_scales = [s for s, _ in e1] + [s for s, _ in e2] + [s for s, _ in e3]
-    return sign, [s * y / rho for s, y in zip(col_scales, scaled)]
+    return sign, [
+        Fraction(s * n, rho * det) for s, n in zip(col_scales, numerators)
+    ]

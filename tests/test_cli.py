@@ -8,6 +8,7 @@ from ornaments.constructions import make_borromean
 from ornaments.geometry import Rat, Vector
 from ornaments.model import Ornament, PLMap, TriangulatedManifold
 from ornaments.sweep import (
+    concat_tracks,
     default_trivial_targets,
     linear_track,
     reverse_track,
@@ -130,6 +131,17 @@ def test_malformed_rational_is_input_error(tmp_path, capsys):
     assert code == 1
     assert "3/0" in report["error"]
 
+
+
+@pytest.mark.parametrize("spread", ["1/0", "1.5", " 2"],
+                         ids=["zero-denominator", "float", "whitespace"])
+def test_gen_random_bad_spread_is_input_error(spread, tmp_path, capsys):
+    out = tmp_path / "random.json"
+    code, report = run(capsys, "gen", "random", "--spread", spread,
+                       "--out", str(out))
+    assert code == 1
+    assert repr(spread) in report["error"]
+    assert not out.exists()
 
 def test_missing_file_is_input_error(tmp_path, capsys):
     code, report = run(capsys, "mu", str(tmp_path / "nope.json"))
@@ -287,4 +299,39 @@ def test_mu_stdout_is_pinned(tmp_path, capsys):
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode("utf8")).hexdigest() == (
         PINNED_MU_STDOUT_SHA256
+    )
+
+
+#: sha256 of the stdout of ``ornaments sweep <track> --seed 0`` on the
+#: track built by ``_pinned_sweep_track``, recorded before the triple solves
+#: were screened on integer signs.  It holds two triple points of opposite
+#: sign, paired, so witnesses, times, signs and the pairing are all pinned.
+PINNED_SWEEP_STDOUT_SHA256 = (
+    "7ab3e4a239734cab06523ed18e204722410080a2c99ed0f015791239691ca639"
+)
+
+
+def _pinned_sweep_track():
+    """make_borromean(1) collapsed to three far targets, then spread out
+    again onto a small perturbation of itself."""
+    from ornaments.model import perturb_ornament
+
+    start = make_borromean(1)
+    domains = tuple(f.domain for f in start.components)
+    end = trivial_ornament(domains, start.m,
+                           default_trivial_targets(start, 0))
+    moved = perturb_ornament(start, Rat(1, 64), seed=2)
+    return concat_tracks(
+        linear_track(start, end, cuts=(Rat(1, 4), Rat(1, 2))),
+        linear_track(end, moved, cuts=(Rat(1, 2),)),
+    )
+
+
+def test_sweep_stdout_is_pinned(tmp_path, capsys):
+    path = tmp_path / "track.json"
+    path.write_text(formats.dumps_doc(formats.track_to_doc(_pinned_sweep_track())))
+    assert cli.main(["sweep", str(path), "--seed", "0"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf8")).hexdigest() == (
+        PINNED_SWEEP_STDOUT_SHA256
     )

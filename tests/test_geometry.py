@@ -1,13 +1,14 @@
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from ornaments.geometry import (
     Rat,
     Vector,
     bounding_box,
     box_intersection,
+    cramer_outside,
     derive_seed,
     feasible_point,
     format_rational,
@@ -48,10 +49,10 @@ def det_sign(rows):
 def solve(rows, rhs):
     """Solve integer rows against a rational right-hand side."""
     rho, rhs_int = integer_scaled(rhs)
-    sign, scaled = solve_integer([row[:] for row in rows], rhs_int)
+    sign, numerators, det = solve_integer([row[:] for row in rows], rhs_int)
     if sign == 0:
         return None
-    return [y / rho for y in scaled]
+    return [Rat(n, rho * det) for n in numerators]
 
 
 # --- determinant sign ---------------------------------------------------------
@@ -92,7 +93,7 @@ def test_solve_identity():
 
 
 def test_solve_zero_matrix_singular():
-    assert solve_integer([[0, 0], [0, 0]], [0, 0]) == (0, None)
+    assert solve_integer([[0, 0], [0, 0]], [0, 0]) == (0, None, None)
 
 
 def test_solve_recovers_constructed_solution():
@@ -128,15 +129,19 @@ def test_solve_integer_matches_rational_path():
         n = rng.randint(1, 5)
         rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
         rhs = [rng.randint(-9, 9) for _ in range(n)]
-        sign, x = solve_integer([r[:] for r in rows], rhs[:])
+        sign, numerators, det = solve_integer([r[:] for r in rows], rhs[:])
         # the homogeneous system has a unique solution iff nonsingular
         nonsingular = _solve_unique([(r, 0) for r in rows], n) is not None
         assert (sign != 0) == nonsingular
         if sign == 0:
             singular += 1
-            assert x is None
+            assert numerators is None and det is None
         else:
-            assert x == _solve_unique(list(zip(rows, rhs)), n)
+            assert all(type(v) is int for v in numerators)
+            assert type(det) is int and det != 0
+            assert [Rat(v, det) for v in numerators] == _solve_unique(
+                list(zip(rows, rhs)), n
+            )
     assert singular > 0  # the corpus exercises the singular branch
 
 
@@ -158,6 +163,58 @@ def test_barycentric_classification():
     assert interior_barycentric([Rat(3, 4), Rat(1, 2)], [3]) is None
     assert interior_barycentric([0, Rat(1, 2), third, -third], [3, 3]) is None
 
+
+@st.composite
+def cramer_data(draw):
+    """Integer Cramer data ``(N, D, scales, rho, arities)``: stacked blocks
+    of reduced coordinates, then zero or one trailing entry (a ray scalar).
+    ``D`` takes either sign; about half the blocks get an implied
+    coordinate of exactly zero, and small entries make listed zeros
+    common."""
+    small = st.integers(-6, 6)
+    positive = st.integers(1, 5)
+    arities = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
+    det = draw(small.filter(bool))
+    rho = draw(positive)
+    numerators, scales = [], []
+    for arity in arities:
+        block_n = draw(st.lists(small, min_size=arity - 1, max_size=arity - 1))
+        block_s = draw(st.lists(positive, min_size=arity - 1,
+                                max_size=arity - 1))
+        if arity > 1 and draw(st.booleans()):
+            # rho * D - sum(s * N) == 0: the implied coordinate is zero
+            block_s[-1] = 1
+            block_n[-1] = rho * det - sum(
+                a * b for a, b in zip(block_s[:-1], block_n[:-1])
+            )
+        numerators += block_n
+        scales += block_s
+    trailing = draw(st.integers(0, 1))
+    numerators += draw(st.lists(small, min_size=trailing, max_size=trailing))
+    scales += draw(st.lists(positive, min_size=trailing, max_size=trailing))
+    return numerators, det, scales, rho, arities
+
+
+@given(cramer_data())
+# interior with a negative determinant: every N_i * D > 0
+@example(([-1, -1], -4, [1, 1], 1, [3]))
+# a zero coordinate before a negative one, as in [0, 1/2, -1, ...]
+@example(([0, 1, -2, 1], 2, [1, 1, 1, 1], 1, [3, 3]))
+# implied zero with D < 0 ("closed", must pass); then the same with a
+# negative trailing ray scalar (outside)
+@example(([-2, -1], -3, [1, 1], 1, [3]))
+@example(([-2, -1, 1], -3, [1, 1, 1], 1, [3]))
+# a zero ray scalar passes
+@example(([1, 1, 0], 5, [1, 1, 7], 2, [3]))
+def test_cramer_screen_matches_interior_barycentric(data):
+    numerators, det, scales, rho, arities = data
+    solution = [Rat(s * n, rho * det) for s, n in zip(scales, numerators)]
+    listed = sum(a - 1 for a in arities)
+    expected = (
+        interior_barycentric(solution, arities) is None
+        or any(x < 0 for x in solution[listed:])
+    )
+    assert cramer_outside(numerators, det, scales, rho, arities) == expected
 
 # --- random_rational_perturbation -------------------------------------------
 

@@ -6,7 +6,12 @@ import pytest
 from ornaments import sweep
 from ornaments.constructions import make_random_ornament, make_trivial
 from ornaments.degree import mu_via_degree_auto
-from ornaments.geometry import Rat, Vector, simplex_frame
+from ornaments.geometry import (
+    Rat,
+    Vector,
+    interior_barycentric,
+    simplex_frame,
+)
 from ornaments.model import perturb_ornament, validate_ornament
 from ornaments.sweep import (
     HomotopyTrack,
@@ -86,30 +91,67 @@ def test_staircase_restricts_to_shared_faces():
 
 
 def test_pair_reduction_matches_direct_solver():
+    """The reduced solver agrees with the direct block solve: same
+    determinant sign; when its integer screen drops a candidate, the direct
+    solution is outside some cell; otherwise the same rational solution.
+
+    Random cells rarely meet, so part of the corpus is built around a
+    shared point (strictly inside cells 2 and 3, and inside cell 1 unless
+    cell 1 is drawn at random), which reaches the survivor branch."""
     rng = random.Random(12)
 
-    def rand_cell(npts, width):
-        return [
-            tuple(Rat(rng.randint(-30, 30), rng.randint(1, 7))
-                  for _ in range(width))
-            for _ in range(npts)
-        ]
+    def rand_point(width):
+        return tuple(Rat(rng.randint(-30, 30), rng.randint(1, 7))
+                     for _ in range(width))
 
-    for _ in range(400):
+    def rand_cell(npts, width):
+        return [rand_point(width) for _ in range(npts)]
+
+    def cell_around(point, npts):
+        # the last vertex is placed so that positive weights give point
+        weights = [rng.randint(1, 9) for _ in range(npts)]
+        total = sum(weights)
+        others = rand_cell(npts - 1, len(point))
+        last = tuple(
+            (x * total - sum(w * p[c] for w, p in zip(weights, others)))
+            / weights[-1]
+            for c, x in enumerate(point)
+        )
+        return others + [last]
+
+    branches = {"singular": 0, "screened": 0, "inside": 0, "outside": 0}
+    for trial in range(600):
         k = rng.choice((1, 2))
         width, npts = 3 * k, 2 * k + 1
-        f1 = simplex_frame(rand_cell(npts, width))
-        f2 = simplex_frame(rand_cell(npts, width))
-        f3 = simplex_frame(rand_cell(npts, width))
+        if trial < 400:
+            cells = [rand_cell(npts, width) for _ in range(3)]
+        else:
+            shared = rand_point(width)
+            cells = [cell_around(shared, npts) for _ in range(3)]
+            if rng.random() < 0.5:
+                cells[0] = rand_cell(npts, width)
+        f1, f2, f3 = (simplex_frame(c) for c in cells)
         direct = solve_triple(f1, f2, f3)
         reduction = _pair_reduction(f1, f2)
         if reduction is None:
             assert direct[0] == 0
+            branches["singular"] += 1
             continue
         reduced = _solve_triple_reduced(reduction, f1, f2, f3)
         assert direct[0] == reduced[0]
-        if direct[0] != 0:
+        if direct[0] == 0:
+            assert reduced[1] is None
+            branches["singular"] += 1
+            continue
+        full = interior_barycentric(direct[1], [npts] * 3)
+        if reduced[1] is None:
+            assert full is None
+            branches["screened"] += 1
+        else:
             assert direct[1] == reduced[1]
+            branches["inside" if full is not None else "outside"] += 1
+    # every branch but the singular one must be reached
+    assert branches["screened"] and branches["inside"] and branches["outside"]
 
 
 # --- tracks ---------------------------------------------------------------------
