@@ -11,15 +11,16 @@ solution lands exactly on a face.
 This module is the exact kernel of both invariant routes.  Square systems
 are solved by fraction-free Bareiss elimination on integer matrices whose
 columns were cleared of denominators by :func:`integer_scaled`; the same
-elimination loop also serves the sweep's partial pair reduction.  The
-solver returns integer Cramer numerators over the integer determinant, and
-:func:`cramer_outside` rejects, from their signs alone, a solution that
-leaves some simplex, so rationals are built only for the few survivors and
-for witnesses.  Both routes build their systems from the same affine frames
-of simplices and classify survivors with the same interior test.  Linear
-feasibility of mixed equality/inequality systems is decided by Gaussian
-elimination of the equalities followed by Fourier-Motzkin elimination of
-the survivors, with exact sample-point extraction for witnesses.
+elimination loop and back-substitution also serve the sweep's partial
+pair reductions.  The solver returns integer Cramer numerators over the
+integer determinant, and :func:`cramer_outside` rejects, from their signs
+alone, a solution that leaves some simplex, so rationals are built only
+for the few survivors and for witnesses.  Both routes build their
+systems from the same affine frames of simplices and classify survivors
+with the same interior test.  Linear feasibility of mixed
+equality/inequality systems is decided by Gaussian elimination of the
+equalities followed by Fourier-Motzkin elimination of the survivors, with
+exact sample-point extraction for witnesses.
 """
 
 from __future__ import annotations
@@ -192,8 +193,8 @@ def solve_integer(rows, rhs=None):
     but of either sign), so that the solution is ``x_i = N_i / D``.  Both
     are ``None`` when the system is singular or no ``rhs`` is given.  The
     back-substitution is fraction-free: ``D * x_i`` is an integer by
-    Cramer's rule, so each step divides exactly by its pivot.  The rows are
-    consumed.
+    Cramer's rule, so each step divides exactly by its pivot.  Without an
+    ``rhs`` the rows are consumed; with one they are left untouched.
     """
     n = len(rows)
     if n == 0:
@@ -208,14 +209,26 @@ def solve_integer(rows, rhs=None):
     sign = swap_sign if det > 0 else -swap_sign
     if rhs is None:
         return sign, None, None
+    return sign, back_substitute(aug, [row[n] for row in aug], det), det
+
+
+def back_substitute(rows, rhs, det):
+    """Integer numerators ``N_i = det * x_i`` of the solution of the
+    triangular system ``rows[i][i:n] . x[i:] = rhs[i]``, ``n = len(rhs)``,
+    left by :func:`eliminate`, where ``det`` is its last pivot (any later
+    columns of ``rows`` are ignored).  By Cramer's rule on the row-permuted
+    leading block every ``N_i`` is an integer when ``rhs`` is the
+    elimination's image of an integer column, so each step divides exactly.
+    """
+    n = len(rhs)
     numerators = [0] * n
     for i in range(n - 1, -1, -1):
-        row = aug[i]
-        acc = det * row[n]
+        row = rows[i]
+        acc = det * rhs[i]
         for j in range(i + 1, n):
             acc -= row[j] * numerators[j]
         numerators[i] = acc // row[i]
-    return sign, numerators, det
+    return numerators
 
 
 def common_denominator(values):

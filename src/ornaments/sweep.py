@@ -5,7 +5,12 @@ as its track: the map (x, t) -> (h_t(x), t) into R^m x I.  Each prism
 (facet x keyframe interval) is cut into simplices by the staircase
 triangulation over the globally sorted vertex order, which makes the track
 affine on every cell; a common point of three cells (one per component) is
-then one exact square linear solve away.  Strictly interior transverse
+then one exact square linear solve away.  That solve is reduced from both
+ends: the columns of cell 1 are eliminated once per (cell 1, cell 2) pair
+and those of cell 3 once per (cell 2, cell 3) pair in a keyframe interval,
+so each candidate triple costs one 2k x 2k integer solve in cell 2's
+coordinates plus back-substitution for the few that survive its sign
+screen.  Strictly interior transverse
 solutions are the signed triple points; their algebraic count over a
 homotopy to the trivial ornament is the invariant, and over an arbitrary
 homotopy it is the difference of the endpoint invariants.
@@ -26,6 +31,7 @@ from .geometry import (
     DimensionMismatch,
     Rat,
     Vector,
+    back_substitute,
     common_denominator,
     cramer_outside,
     derive_seed,
@@ -286,16 +292,26 @@ def _extents_meet3(a, b, c):
 
 
 def _pair_reduction(frame1, frame2):
-    """Eliminate cell 1's barycentric columns from the pair equations
-    ``E1 a - E2 b = base2 - base1`` by fraction-free steps on the top block
-    of the triple system; the result is reused for every third cell.
+    """Eliminate the first cell's barycentric columns from the pair
+    equations ``E1 x - E2 b = base2 - base1`` by fraction-free steps.
+
+    The argument order decides which cell is eliminated: the sweep calls
+    ``_pair_reduction(frame1, frame2)`` on the top block of the triple
+    system once per (cell 1, cell 2) pair, leaving a-free rows, and
+    ``_pair_reduction(frame3, frame2)`` on the bottom block negated,
+    ``E3 c - E2 b = base2 - base3``, once per (cell 2, cell 3) pair,
+    leaving c-free rows; :func:`_solve_from_pairs` joins the two.
 
     Returns ``None`` when the columns of E1 are dependent, in which case
-    the full triple system is singular for every third cell.  Otherwise
-    returns ``(tri_rows, con_rows, sign_fix, rho12)``: ``tri_rows`` the
-    triangular integer rows [a-cols | b-cols | rhs], ``con_rows`` the
-    a-free integer rows [b-cols | rhs], and ``sign_fix`` in {-1, +1} such
-    that det(full system) = sign_fix * det(reduced system).
+    every triple system containing the pair is singular.  Otherwise returns
+    ``(tri_rows, con_rows, con_rhs, sign_fix, rho)``: ``tri_rows`` the
+    triangular integer rows [x-cols | b-cols | rhs], ``con_rows`` the
+    x-free integer rows [b-cols] with right-hand sides ``con_rhs``,
+    ``rho`` the positive integer that scaled the right-hand side to
+    integers, and ``sign_fix`` in {-1, +1} such that, in any square system
+    whose other rows vanish on the x columns, det(with the pair block) =
+    sign_fix * det(with the x-free rows in its place), up to a positive
+    factor.
     """
     base1, e1 = frame1
     base2, e2 = frame2
@@ -324,66 +340,79 @@ def _pair_reduction(frame1, frame2):
             sign_fix = -sign_fix  # parity of the row rescalings
         previous = p
     tri_rows = aug[:d1]
-    con_rows = [row[d1:] for row in aug[d1:]]
-    return tri_rows, con_rows, sign_fix, rho12
+    con_rows = [row[d1:-1] for row in aug[d1:]]
+    con_rhs = [row[-1] for row in aug[d1:]]
+    return tri_rows, con_rows, con_rhs, sign_fix, rho12
 
 
-def _solve_triple_reduced(reduction, frame1, frame2, frame3):
-    """Finish a pair-reduced triple system for one candidate third cell.
-
-    Equivalent to solving the whole block system
-    ``[[E1, -E2, 0], [0, E2, -E3]]`` in component order, but reuses the
-    eliminated pair block: only the (b, c) subsystem is solved per
-    candidate.  Its integer Cramer solution is screened by
-    :func:`cramer_outside`; only when no b or c coordinate is negative are
-    the a coordinates back-substituted from the cached triangular rows and
-    the rational solution built.
-
-    Returns ``(sign, solution)``: ``(0, None)`` when singular, ``(sign,
-    None)`` when the screen puts the point outside cell 2 or cell 3.
-    """
-    tri_rows, con_rows, sign_fix, rho12 = reduction
-    base1, e1 = frame1
-    base2, e2 = frame2
-    base3, e3 = frame3
-    width = len(base1)
-    d1, d2, d3 = len(e1), len(e2), len(e3)
-    r23 = [base3[c] - base2[c] for c in range(width)]
-    rho23, r23_int = integer_scaled(r23)
-    rho = rho12 * (rho23 // gcd(rho12, rho23))
-    lift12 = rho // rho12
-    lift23 = rho // rho23
-    rows = []
+def _eliminated_block(tri_rows, numerators_b, det, lift):
+    """Numerators of the block a pair reduction eliminated, given the b
+    block ``numerators_b / det`` and the right-hand side lifted by
+    ``lift``; they lie over ``det`` times the reduction's last pivot, which
+    is returned with them."""
+    d = len(tri_rows)
+    pivot = tri_rows[-1][d - 1]
     rhs = []
-    zeros3 = [0] * d3
-    for row in con_rows:
-        rows.append(row[:d2] + zeros3)
-        rhs.append(row[d2] * lift12)
-    for c in range(width):
-        rows.append([u[c] for _, u in e2] + [-u[c] for _, u in e3])
-        rhs.append(r23_int[c] * lift23)
-    sign_n, numerators, det = solve_integer(rows, rhs)
+    for row in tri_rows:
+        acc = det * lift * row[-1]
+        for j, n in enumerate(numerators_b):
+            acc -= row[d + j] * n
+        rhs.append(acc)
+    return back_substitute(tri_rows, rhs, pivot), det * pivot
+
+
+def _solve_from_pairs(reduction12, reduction32, frame1, frame2, frame3):
+    """Solve the triple system ``[[E1, -E2, 0], [0, E2, -E3]]`` (component
+    order) from the reductions of its (cell 1, cell 2) and (cell 3, cell 2)
+    pairs.
+
+    The k a-free rows of the first and the k c-free rows of the second
+    form a square system in b alone, solved by one :func:`solve_integer`
+    call: 2k x 2k instead of the whole 4k x 4k system.  Its integer
+    Cramer solution is screened by :func:`cramer_outside`; c is
+    back-substituted from the cached (3, 2) triangular rows only for a b
+    that passes, and a from the (1, 2) rows only for a c that passes, and
+    only then is the rational solution built.
+
+    Returns ``(sign, solution)``: ``(0, None)`` when singular (either
+    reduction ``None`` included), ``(sign, None)`` when the screens put the
+    point outside cell 2 or cell 3.
+    """
+    if reduction12 is None or reduction32 is None:
+        return 0, None
+    tri12, con12, rhs12, fix12, rho12 = reduction12
+    tri32, con32, rhs32, fix32, rho32 = reduction32
+    rho = rho12 * (rho32 // gcd(rho12, rho32))
+    lift12 = rho // rho12
+    lift32 = rho // rho32
+    sign_n, numerators, det = solve_integer(
+        con12 + con32,
+        [r * lift12 for r in rhs12] + [r * lift32 for r in rhs32],
+    )
     if sign_n == 0:
         return 0, None
-    sign = sign_fix * sign_n
-    bc_scales = [s for s, _ in e2] + [s for s, _ in e3]
-    if cramer_outside(numerators, det, bc_scales, rho, (d2 + 1, d3 + 1)):
+    # With k = len(con12) = len(con32), det(full) = fix12 * fix32 * (-1)^k
+    # * det(reduced), up to a positive factor: the k con12 rows move below
+    # the 3k bottom rows, (-1)^(3k^2); the bottom rows are negated to the
+    # (3, 2) pair form, (-1)^(3k); the columns go to (c, b) order, (+1);
+    # the two k-row con blocks swap, (-1)^(k^2).
+    sign = fix12 * fix32 * sign_n
+    if len(con12) % 2:
+        sign = -sign
+    scales2 = [s for s, _ in frame2[1]]
+    if cramer_outside(numerators, det, scales2, rho, (len(scales2) + 1,)):
         return sign, None
-    yb = [Rat(n, det) for n in numerators[:d2]]
-    # Back-substitute the a block from the cached triangular rows.
-    ya = [Rat(0)] * d1
-    for t in range(d1 - 1, -1, -1):
-        row = tri_rows[t]
-        acc = Rat(row[-1] * lift12)
-        for j in range(t + 1, d1):
-            acc -= row[j] * ya[j]
-        for j in range(d2):
-            acc -= row[d1 + j] * yb[j]
-        ya[t] = acc / row[t]
-    solution = (
-        [s * y / rho for (s, _), y in zip(e1, ya)]
-        + [Rat(s * n, rho * det) for s, n in zip(bc_scales, numerators)]
-    )
+    scales3 = [s for s, _ in frame3[1]]
+    numerators_c, det_c = _eliminated_block(tri32, numerators, det, lift32)
+    if cramer_outside(numerators_c, det_c, scales3, rho, (len(scales3) + 1,)):
+        return sign, None
+    scales1 = [s for s, _ in frame1[1]]
+    numerators_a, det_a = _eliminated_block(tri12, numerators, det, lift12)
+    solution = []
+    for scales, block, d in ((scales1, numerators_a, det_a),
+                             (scales2, numerators, det),
+                             (scales3, numerators_c, det_c)):
+        solution.extend(Rat(s * n, rho * d) for s, n in zip(scales, block))
     return sign, solution
 
 
@@ -397,10 +426,16 @@ def detect_triple_points(track):
     scaled by one positive integer that clears every denominator of its
     images and times: scaling all cells alike by a positive factor scales
     every extent by it, so each overlap test, and with it the set of
-    triples that reach a solve, is unchanged.  A candidate whose integer
-    solve puts it outside cell 2 or cell 3 is dropped before any rational
-    is built; the touching tests and the witnesses use the rational points.
-    Raises NonGenericTrack on any exactly-degenerate configuration.
+    triples that reach a solve, is unchanged.  Each candidate is solved by
+    :func:`_solve_from_pairs` from the (cell 1, cell 2) reduction, made
+    once per pair, and the (cell 3, cell 2) reduction, made on first use
+    and cached for the rest of the keyframe interval.  A candidate whose
+    integer solve puts it outside cell 2 or cell 3 is dropped before any
+    rational is built; a singular one (a degenerate cell 1 or cell 3
+    included) goes to the exact touching test, which raises when the closed
+    cells meet.  The touching tests and the witnesses use the rational
+    points.  Raises NonGenericTrack on any exactly-degenerate
+    configuration.
     """
     found = []
     nfacets = [len(dom.facets) for dom in track.domains]
@@ -409,9 +444,11 @@ def detect_triple_points(track):
     for j in range(len(track.times) - 1):
         cells = []
         prism_extents = []
+        reductions32 = {}  # (cell 2, cell 3) serials -> _pair_reduction
         for ci in range(3):
             per_facet = []
             per_facet_ext = []
+            serial = 0
             for fi in range(nfacets[ci]):
                 cc = staircase_cells(track.domains[ci].facets[fi], ci, fi, j)
                 entries = []
@@ -420,7 +457,8 @@ def detect_triple_points(track):
                     int_pts = [int_frames[j + level][ci][v]
                                for v, level in cell.vertices]
                     entries.append((cell, pts, _extents(int_pts, pairs),
-                                    simplex_frame(pts)))
+                                    simplex_frame(pts), serial))
+                    serial += 1
                 per_facet.append(entries)
                 per_facet_ext.append(_extents_union([e[2] for e in entries]))
             cells.append(per_facet)
@@ -437,8 +475,8 @@ def detect_triple_points(track):
                 ]
                 if not third:
                     continue
-                for cell1, pts1, cx1, fr1 in cells[0][i1]:
-                    for cell2, pts2, cx2, fr2 in cells[1][i2]:
+                for cell1, pts1, cx1, fr1, _ in cells[0][i1]:
+                    for cell2, pts2, cx2, fr2, n2 in cells[1][i2]:
                         if not _extents_meet(cx1, cx2):
                             continue
                         candidates = [
@@ -449,15 +487,15 @@ def detect_triple_points(track):
                         ]
                         if not candidates:
                             continue
-                        reduction = _pair_reduction(fr1, fr2)
-                        for cell3, pts3, cx3, fr3 in candidates:
+                        reduction12 = _pair_reduction(fr1, fr2)
+                        for cell3, pts3, cx3, fr3, n3 in candidates:
                             points = (pts1, pts2, pts3)
-                            if reduction is None:
-                                sign, solution = 0, None
-                            else:
-                                sign, solution = _solve_triple_reduced(
-                                    reduction, fr1, fr2, fr3
-                                )
+                            key = (n2, n3)
+                            if key not in reductions32:
+                                reductions32[key] = _pair_reduction(fr3, fr2)
+                            sign, solution = _solve_from_pairs(
+                                reduction12, reductions32[key], fr1, fr2, fr3
+                            )
                             if sign == 0:
                                 eq_rows, nvars, _ = common_point_system(points)
                                 if feasible_point(
@@ -497,7 +535,14 @@ def detect_triple_points(track):
 
 def _refined_track(track, seed, attempt, eps=None):
     """Insert a midpoint keyframe into every interval of the original track
-    and jiggle the inserted frames; endpoints are never touched."""
+    and jiggle the inserted frames; endpoints are never touched.
+
+    Each inserted vertex is the average of its images at the two
+    neighbouring keyframes with every coordinate moved by less than
+    ``eps / 2 ** (4 + attempt % 8)``, seeded by ``(seed, attempt)``;
+    ``eps`` defaults to the span of the track's image coordinates, or 1 if
+    that is smaller.  The scale thus falls from eps/16 to eps/2048 over
+    attempts 0-7 and repeats every 8 attempts, with fresh seeds."""
     if eps is None:
         coords = [
             c for frame in track.images for comp in frame
@@ -532,8 +577,10 @@ def sweep_with_retries(track, seed=0, max_attempts=32, eps=None):
     """Detect triple points, refining the track on degeneracy.
 
     Returns ``(points, swept_track)`` where the track is either the input or
-    a refinement with midpoint keyframes jiggled by less than ``eps``
-    (halved per attempt; seeded; same endpoints)."""
+    a refinement with jiggled midpoint keyframes and the same endpoints (see
+    :func:`_refined_track`: every attempt refines the input track afresh,
+    and the jiggle scale cycles through eps/16 ... eps/2048 every 8
+    attempts)."""
     try:
         return detect_triple_points(track), track
     except NonGenericTrack:
@@ -581,8 +628,9 @@ def default_trivial_targets(o, seed=0):
 
 def straight_line_homotopy_to_trivial(o, targets, eps=None, seed=0):
     """Track of the straight-line homotopy collapsing each component to its
-    target point, refined (midpoint keyframes jiggled by at most the scale
-    set by ``eps``) until the sweep is generic; endpoints are exact."""
+    target point, refined (midpoint keyframes jiggled by less than ``eps /
+    16``, see :func:`_refined_track`) until the sweep is generic; endpoints
+    are exact."""
     domains = tuple(f.domain for f in o.components)
     end = trivial_ornament(domains, o.m, targets)
     track = linear_track(o, end, cuts=_COLLAPSE_CUTS)

@@ -1,0 +1,63 @@
+"""Pins of the work counters the benchmark reports.
+
+``perfbench/tracing.py`` measures each route by wrapping the modules' own
+bindings (``sweep.solve_integer``, ``degree.ray_meets_box``, ...).  These
+tests wrap the same bindings with ``monkeypatch`` and pin the counts on the
+benchmark's inputs, so a refactor that drops, adds or moves a counted call
+site fails here instead of silently moving a benchmark metric.
+"""
+
+import pytest
+
+from ornaments import constructions, degree, sweep
+
+
+class Tally:
+    """Counts the calls through one module binding and sums ``classify``
+    over their results (a bool counts the results it accepts)."""
+
+    def __init__(self, monkeypatch, module, name, classify):
+        self.calls = 0
+        self.hits = 0
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            result = original(*args, **kwargs)
+            self.calls += 1
+            self.hits += classify(result)
+            return result
+
+        monkeypatch.setattr(module, name, wrapper)
+
+
+def singular(result):
+    return result[0] == 0
+
+
+@pytest.fixture(scope="module")
+def borromean_k1_r3():
+    return constructions.make_borromean(1, r=3)
+
+
+def test_sweep_counters_borromean_k1_r3(borromean_k1_r3, monkeypatch):
+    solves = Tally(monkeypatch, sweep, "solve_integer", singular)
+    points = Tally(monkeypatch, sweep, "detect_triple_points", len)
+    assert sweep.mu_via_sweep(borromean_k1_r3, seed=0) == 1
+    assert (solves.calls, solves.hits) == (4906, 0)
+    assert (points.calls, points.hits) == (1, 1)
+
+
+def test_degree_counters_borromean_k1_r3(borromean_k1_r3, monkeypatch):
+    boxes = Tally(monkeypatch, degree, "ray_meets_box", lambda passed: passed)
+    solves = Tally(monkeypatch, degree, "solve_integer", singular)
+    value, _ = degree.mu_via_degree_auto(borromean_k1_r3, seed=0)
+    assert value == 1
+    assert (boxes.calls, boxes.hits) == (32768, 7)
+    assert solves.calls == 7
+
+
+def test_sweep_solves_borromean_k2(borromean_k2, monkeypatch):
+    """The k=2 count ``perfbench/run.py`` pins as ``sweep.solves``."""
+    solves = Tally(monkeypatch, sweep, "solve_integer", singular)
+    assert sweep.mu_via_sweep(borromean_k2, seed=0) == 1
+    assert (solves.calls, solves.hits) == (50090, 0)

@@ -31,7 +31,7 @@ from ornaments.sweep import (
     sweep_with_retries,
     trivial_ornament,
     _pair_reduction,
-    _solve_triple_reduced,
+    _solve_from_pairs,
 )
 
 from oracles import solve_triple
@@ -91,13 +91,18 @@ def test_staircase_restricts_to_shared_faces():
 
 
 def test_pair_reduction_matches_direct_solver():
-    """The reduced solver agrees with the direct block solve: same
-    determinant sign; when its integer screen drops a candidate, the direct
-    solution is outside some cell; otherwise the same rational solution.
+    """The two-sided reduced solver agrees with the direct block solve:
+    the same determinant sign; a screened candidate exactly when the direct
+    solution has a negative coordinate in cell 2 or cell 3; otherwise the
+    same rational solution.
 
     Random cells rarely meet, so part of the corpus is built around a
-    shared point (strictly inside cells 2 and 3, and inside cell 1 unless
-    cell 1 is drawn at random), which reaches the survivor branch."""
+    shared point (strictly inside the cells built around it): all three
+    cells, cells 2 and 3 with cell 1 random (reaching "a outside"), and
+    cells 1 and 2 with cell 3 random (reaching "b passes, c outside").
+    k = 3 checks the (-1)^k of the reduction for an odd k > 1, and cells
+    with a repeated vertex check the singular paths: a degenerate cell 1 or
+    cell 3 has no reduction, a degenerate cell 2 a singular b system."""
     rng = random.Random(12)
 
     def rand_point(width):
@@ -119,39 +124,64 @@ def test_pair_reduction_matches_direct_solver():
         )
         return others + [last]
 
-    branches = {"singular": 0, "screened": 0, "inside": 0, "outside": 0}
-    for trial in range(600):
-        k = rng.choice((1, 2))
+    def outside(block, npts):
+        return interior_barycentric(block, [npts]) is None
+
+    # k None: drawn from (1, 2) per trial
+    corpus = [(None, "random")] * 400 + [(None, "shared")] * 200
+    corpus += [(3, "random")] * 60 + [(3, "shared")] * 60
+    corpus += [(k, "cell 3 random") for k in (1, 2, 3) for _ in range(40)]
+    corpus += [(k, f"repeated {i}") for k in (1, 2, 3) for i in range(3)
+               for _ in range(3)]
+    branches = dict.fromkeys(
+        ("singular", "b screened", "c screened", "inside", "a outside"), 0
+    )
+    for k, kind in corpus:
+        if k is None:
+            k = rng.choice((1, 2))
         width, npts = 3 * k, 2 * k + 1
-        if trial < 400:
+        if kind == "random":
             cells = [rand_cell(npts, width) for _ in range(3)]
         else:
             shared = rand_point(width)
             cells = [cell_around(shared, npts) for _ in range(3)]
-            if rng.random() < 0.5:
+            if kind == "shared" and rng.random() < 0.5:
                 cells[0] = rand_cell(npts, width)
+            elif kind == "cell 3 random":
+                cells[2] = rand_cell(npts, width)
+            elif kind.startswith("repeated"):
+                cell = cells[int(kind[-1])]
+                a, b = rng.sample(range(npts), 2)
+                cell[a] = cell[b]
         f1, f2, f3 = (simplex_frame(c) for c in cells)
         direct = solve_triple(f1, f2, f3)
-        reduction = _pair_reduction(f1, f2)
-        if reduction is None:
+        reduction12 = _pair_reduction(f1, f2)
+        reduction32 = _pair_reduction(f3, f2)
+        if kind.startswith("repeated"):
             assert direct[0] == 0
-            branches["singular"] += 1
-            continue
-        reduced = _solve_triple_reduced(reduction, f1, f2, f3)
+        if kind == "repeated 0":
+            assert reduction12 is None
+        if kind == "repeated 2":
+            assert reduction32 is None
+        reduced = _solve_from_pairs(reduction12, reduction32, f1, f2, f3)
         assert direct[0] == reduced[0]
         if direct[0] == 0:
             assert reduced[1] is None
             branches["singular"] += 1
             continue
-        full = interior_barycentric(direct[1], [npts] * 3)
-        if reduced[1] is None:
-            assert full is None
-            branches["screened"] += 1
+        d = npts - 1
+        b_out = outside(direct[1][d:2 * d], npts)
+        c_out = outside(direct[1][2 * d:], npts)
+        assert (reduced[1] is None) == (b_out or c_out)
+        if b_out:
+            branches["b screened"] += 1
+        elif c_out:
+            branches["c screened"] += 1
         else:
             assert direct[1] == reduced[1]
-            branches["inside" if full is not None else "outside"] += 1
-    # every branch but the singular one must be reached
-    assert branches["screened"] and branches["inside"] and branches["outside"]
+            full = interior_barycentric(direct[1], [npts] * 3)
+            branches["inside" if full is not None else "a outside"] += 1
+    assert all(branches.values()), branches
 
 
 # --- tracks ---------------------------------------------------------------------
