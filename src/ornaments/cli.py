@@ -54,6 +54,18 @@ def _parse_targets(text, m):
     return targets
 
 
+def _manifold_error(doc, domains):
+    """Message naming the first component whose domain is not a closed
+    oriented pseudomanifold, and why; ``None`` when all three are."""
+    for i, domain in enumerate(domains):
+        report = validate_manifold(domain)
+        if not report.ok:
+            name = doc["components"][i]["name"]
+            return (f"$.components[{i}]: component {name!r} is not a closed "
+                    f"oriented pseudomanifold ({report.witness['reason']})")
+    return None
+
+
 def cmd_validate(args):
     try:
         doc = _load_doc(args.file)
@@ -87,6 +99,9 @@ def cmd_mu(args):
         ornament = formats.ornament_from_doc(doc)
     except formats.FormatError as exc:
         return _fail(str(exc))
+    error = _manifold_error(doc, [f.domain for f in ornament.components])
+    if error is not None:
+        return _fail(error)
     if not validate_ornament(ornament).ok:
         return _fail("input is not a valid ornament")
     try:
@@ -171,6 +186,9 @@ def cmd_sweep(args):
         track = formats.track_from_doc(doc)
     except formats.FormatError as exc:
         return _fail(str(exc))
+    error = _manifold_error(doc, track.domains)
+    if error is not None:
+        return _fail(error)
     start = track.endpoint(0)
     end = track.endpoint(1)
     if not validate_ornament(start).ok or not validate_ornament(end).ok:

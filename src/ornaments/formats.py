@@ -61,6 +61,7 @@ def _parse_component(raw, m, path):
     _expect(isinstance(raw, dict), path, "expected an object")
     for key in ("name", "dim", "vertices", "facets"):
         _expect(key in raw, path, f"missing field {key!r}")
+    _expect(isinstance(raw["name"], str), f"{path}.name", "expected a string")
     dim = raw["dim"]
     _expect(_is_int(dim) and dim >= 1, f"{path}.dim", "bad dimension")
     vertices = raw["vertices"]

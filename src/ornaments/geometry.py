@@ -18,9 +18,13 @@ alone, a solution that leaves some simplex, so rationals are built only
 for the few survivors and for witnesses.  Both routes build their
 systems from the same affine frames of simplices and classify survivors
 with the same interior test.  Linear feasibility of mixed
-equality/inequality systems is decided by Gaussian elimination of the
-equalities followed by Fourier-Motzkin elimination of the survivors, with
-exact sample-point extraction for witnesses.
+equality/inequality systems is decided rank first: the equalities, cleared
+of denominators row by row, go through the same elimination loop (skipping
+columns without a pivot), and an inconsistent system is rejected on
+integers alone.  Only a consistent one is brought to its reduced row
+echelon form, one rational per entry, and its inequalities to
+Fourier-Motzkin elimination, with exact sample-point extraction for
+witnesses.
 """
 
 from __future__ import annotations
@@ -132,35 +136,48 @@ class Vector:
         return all(c == 0 for c in self.coords)
 
 
-def eliminate(aug, ncols):
+def eliminate(aug, ncols, skip=False):
     """In-place fraction-free forward elimination of the first ``ncols``
     columns over all rows of the integer matrix ``aug``.
 
-    Returns ``(swap_sign, pivots)``: the sign of the row permutation applied
-    and the successive Bareiss pivots, which end up on the diagonal of the
-    now upper-triangular leading block; every entry below them is zeroed.
-    Returns ``None`` when some column has no pivot (the leading columns are
-    dependent).
+    Returns ``(swap_sign, pivots, pivot_cols)``: the sign of the row
+    permutation applied, the successive Bareiss pivots and the columns they
+    sit in.  Row ``r`` of the result has its pivot ``pivots[r]`` in column
+    ``pivot_cols[r]`` and zeros to its left; every entry below a pivot is
+    zeroed, and the rows past the last pivot are zero on the first
+    ``ncols`` columns.  A column with no pivot ends the elimination with
+    ``None`` (the leading columns are dependent) unless ``skip`` is set, in
+    which case it is passed over and the rank is ``len(pivots)``.  A row
+    past the rank is a nonzero multiple of an original row minus a
+    combination of the pivot rows, so a nonzero entry of it after the first
+    ``ncols`` columns (say, a right-hand side) means the system those
+    columns belong to is inconsistent.
     """
     nrows = len(aug)
     swap_sign = 1
     pivots = []
+    pivot_cols = []
     prev = 1
+    rank = 0
     for col in range(ncols):
+        if rank == nrows:
+            break
         piv = None
-        for r in range(col, nrows):
+        for r in range(rank, nrows):
             if aug[r][col]:
                 piv = r
                 break
         if piv is None:
+            if skip:
+                continue
             return None
-        if piv != col:
-            aug[col], aug[piv] = aug[piv], aug[col]
+        if piv != rank:
+            aug[rank], aug[piv] = aug[piv], aug[rank]
             swap_sign = -swap_sign
-        pivot = aug[col][col]
-        prow = aug[col]
+        prow = aug[rank]
+        pivot = prow[col]
         tail = prow[col + 1:]
-        for r in range(col + 1, nrows):
+        for r in range(rank + 1, nrows):
             row = aug[r]
             lead = row[col]
             if lead:
@@ -180,8 +197,12 @@ def eliminate(aug, ncols):
                     row[col + 1:] = [pivot * rc // prev for rc in row[col + 1:]]
             row[col] = 0
         pivots.append(pivot)
+        pivot_cols.append(col)
         prev = pivot
-    return swap_sign, pivots
+        rank += 1
+    if len(pivots) < ncols and not skip:
+        return None
+    return swap_sign, pivots, pivot_cols
 
 
 def solve_integer(rows, rhs=None):
@@ -204,7 +225,7 @@ def solve_integer(rows, rhs=None):
     if reduction is None:
         return 0, None, None
     # The last Bareiss pivot is the determinant of the row-permuted matrix.
-    swap_sign, pivots = reduction
+    swap_sign, pivots, _ = reduction
     det = pivots[-1]
     sign = swap_sign if det > 0 else -swap_sign
     if rhs is None:
@@ -233,10 +254,7 @@ def back_substitute(rows, rhs, det):
 
 def common_denominator(values):
     """Least positive integer whose product with every value is integral."""
-    scale = 1
-    for c in values:
-        scale = math.lcm(scale, c.denominator)
-    return scale
+    return math.lcm(*[c.denominator for c in values])
 
 
 def integer_scaled(coords, scale=None):
@@ -248,6 +266,8 @@ def integer_scaled(coords, scale=None):
     one must be a multiple of it (say, one scale shared by many lists)."""
     if scale is None:
         scale = common_denominator(coords)
+    if scale == 1:
+        return 1, [c.numerator for c in coords]
     return scale, [c.numerator * (scale // c.denominator) for c in coords]
 
 
@@ -348,45 +368,57 @@ def random_rational_perturbation(v, eps, seed,
 # Linear feasibility with exact witness extraction.
 # ---------------------------------------------------------------------------
 
-def feasible_point(eq_rows, le_rows, nvars):
+def feasible_point(eq_rows, le_rows, nvars, scales=None):
     """Decide a system of linear equalities and inequalities exactly.
 
     ``eq_rows`` is a list of ``(coeffs, rhs)`` meaning ``coeffs . x == rhs``
-    and ``le_rows`` the same with ``<=``.  Returns a satisfying point as a
-    list of rationals, or ``None`` when the system is infeasible.
+    and ``le_rows`` the same with ``<=``; entries are ints or Fractions.
+    Returns a satisfying point as a list of rationals, or ``None`` when the
+    system is infeasible.  Positive integer column ``scales``, when given,
+    mean that column ``j`` of every equality row holds ``scales[j]`` times
+    its coefficient (the rows are written in ``x[j] / scales[j]``), the way
+    :func:`integer_scaled` columns are; ``le_rows`` and the point are in x.
 
-    Equalities are removed first by Gaussian elimination; the projected
-    inequality system is then decided by Fourier-Motzkin elimination, whose
-    stages are replayed backwards to produce a concrete solution.
+    The equalities are decided first, by rank, on integers: each row is
+    cleared of denominators (a positive row scale keeps its solution set)
+    and :func:`eliminate` reduces them fraction-free, skipping columns
+    without a pivot.  A nonzero right-hand side past the rank means the
+    equalities are inconsistent, and ``None`` is returned without building
+    a rational.  Otherwise the reduced row echelon form of the equalities
+    in x is built from the integer echelon form by :func:`back_substitute`,
+    one rational per entry; it is unique, so it depends on neither kind of
+    scale.  The inequalities are then projected onto the free variables
+    and decided by Fourier-Motzkin elimination, whose stages are replayed
+    backwards to produce a concrete solution.
     """
-    rows = [[Rat(c) for c in coeffs] + [Rat(rhs)] for coeffs, rhs in eq_rows]
-    pivot_cols = []
-    rank = 0
-    for col in range(nvars):
-        piv = None
-        for i in range(rank, len(rows)):
-            if rows[i][col] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = 1 / rows[rank][col]
-        rows[rank] = [x * inv for x in rows[rank]]
-        prow = rows[rank]
-        for i in range(len(rows)):
-            if i != rank and rows[i][col] != 0:
-                f = rows[i][col]
-                rows[i] = [a - f * b for a, b in zip(rows[i], prow)]
-        pivot_cols.append(col)
-        rank += 1
-        if rank == len(rows):
-            break
-    for i in range(rank, len(rows)):
-        if rows[i][nvars] != 0:
+    aug = []
+    for coeffs, rhs in eq_rows:
+        row = list(coeffs)
+        row.append(rhs)
+        aug.append(integer_scaled(row)[1])
+    _, pivots, pivot_cols = eliminate(aug, nvars, skip=True)
+    rank = len(pivots)
+    for row in aug[rank:]:
+        if row[nvars]:
             return None  # 0 == nonzero
+    if scales is None:
+        scales = [1] * nvars
     pivot_set = set(pivot_cols)
     free_cols = [c for c in range(nvars) if c not in pivot_set]
+    # Row i of the reduced echelon form reads x[p] + sum_f rows[i][f] * x[f]
+    # = rows[i][nvars], p = pivot_cols[i], over the free columns f: the
+    # triangular pivot block solved against each free column and the
+    # right-hand side, with numerators over its determinant, the last
+    # pivot, and the column scales undone.
+    aug = aug[:rank]
+    echelon = [[row[c] for c in pivot_cols] for row in aug]
+    det = pivots[-1] if pivots else 1
+    rows = [[None] * (nvars + 1) for _ in range(rank)]
+    for col in free_cols + [nvars]:
+        below = det * scales[col] if col < nvars else det
+        numerators = back_substitute(echelon, [row[col] for row in aug], det)
+        for row, p, n in zip(rows, pivot_cols, numerators):
+            row[col] = Rat(n * scales[p], below)
     nfree = len(free_cols)
 
     # Substitute x_pivot = rows[i][-1] - sum_f rows[i][f] * y_f into each

@@ -5,7 +5,11 @@ into a common R^m whose three images share no point.  That no-common-point
 condition is decided exactly, facet triple by facet triple, as a linear
 feasibility question over the closed facets; a failure comes with an exact
 witness (the facet triple and barycentric coordinates of a common image
-point).
+point).  The vertex images are cleared of denominators once per
+validation, so the facet boxes are compared and the common-point rows are
+built on integers, and each box-surviving triple is decided by integer
+rank first (6k + 1 equations in 6k unknowns for three (2k - 1)-manifolds
+in R^(3k - 1), nearly always inconsistent).
 
 Manifolds are accepted at orientable-pseudomanifold strength: every
 codimension-1 face in exactly two facets, with coherently opposite induced
@@ -15,6 +19,7 @@ beyond that are checked.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .geometry import (
@@ -25,6 +30,7 @@ from .geometry import (
     box_intersection,
     derive_seed,
     feasible_point,
+    integer_scaled,
     random_rational_perturbation,
 )
 
@@ -251,14 +257,22 @@ class Ornament:
         return f"Ornament(m={self.m})"
 
 
-def common_point_system(point_lists):
+def common_point_system(point_lists, weights=None):
     """Equality rows for "the simplices spanned by the point lists share a
     point", in stacked full barycentric coordinates: consecutive lists
     agree coordinate by coordinate, and each list's weights sum to 1.
 
     Returns ``(eq_rows, nvars, offsets)`` where ``offsets[i]`` is the column
-    of the first barycentric coordinate of list ``i``.
+    of the first barycentric coordinate of list ``i``.  Every entry that is
+    not a point coordinate is an ``int``.  ``weights``, one positive
+    integer per point in the same nesting, give the rows in the variables
+    ``x / weight`` instead: each point is then its weight times the vertex
+    (homogeneous coordinates), and the weights take the place of the 1s.
+    Integer homogeneous points give integer rows, to be decided by
+    :func:`feasible_point` with the flattened weights as column scales.
     """
+    if weights is None:
+        weights = [[1] * len(pts) for pts in point_lists]
     width = len(point_lists[0][0])
     arities = [len(pts) for pts in point_lists]
     offsets = [0]
@@ -269,26 +283,25 @@ def common_point_system(point_lists):
     for left in range(len(point_lists) - 1):
         right = left + 1
         for c in range(width):
-            row = [Rat(0)] * nvars
+            row = [0] * nvars
             for a, p in enumerate(point_lists[left]):
                 row[offsets[left] + a] = p[c]
             for a, p in enumerate(point_lists[right]):
                 row[offsets[right] + a] = -p[c]
-            eq_rows.append((row, Rat(0)))
-    for i, arity in enumerate(arities):
-        row = [Rat(0)] * nvars
-        for a in range(arity):
-            row[offsets[i] + a] = Rat(1)
-        eq_rows.append((row, Rat(1)))
+            eq_rows.append((row, 0))
+    for i, ws in enumerate(weights):
+        row = [0] * nvars
+        row[offsets[i]:offsets[i] + len(ws)] = ws
+        eq_rows.append((row, 1))
     return eq_rows, nvars, offsets
 
 
 def _nonneg_rows(nvars):
     rows = []
     for i in range(nvars):
-        row = [Rat(0)] * nvars
-        row[i] = Rat(-1)
-        rows.append((row, Rat(0)))
+        row = [0] * nvars
+        row[i] = -1
+        rows.append((row, 0))
     return rows
 
 
@@ -300,11 +313,31 @@ def validate_ornament(o):
     problem; the ornament is valid iff every triple is infeasible.  The first
     feasible triple found is returned as a witness with exact barycentric
     coordinates of a common image point.
+
+    Each vertex image is first cleared of denominators once, to an integer
+    homogeneous point (its weight, the least positive integer making it
+    integral, times the vertex), so the equality rows are built on
+    integers in the barycentric coordinates divided by the weights, and
+    :func:`feasible_point` (given the weights as column scales) decides
+    nearly every triple by rank alone, on small integers; its witness is
+    in barycentric coordinates.  The boxes are integer too: all images
+    scaled by one common positive integer.
     """
-    f1, f2, f3 = o.components
-    boxes1 = [f1.facet_box(i) for i in range(len(f1.domain.facets))]
-    boxes2 = [f2.facet_box(i) for i in range(len(f2.domain.facets))]
-    boxes3 = [f3.facet_box(i) for i in range(len(f3.domain.facets))]
+    homogeneous = [
+        [integer_scaled(img.coords) for img in f.images] for f in o.components
+    ]
+    scale = math.lcm(*(w for comp in homogeneous for w, _ in comp))
+    facets = []  # per component, per facet: (weights, points, box)
+    for f, comp in zip(o.components, homogeneous):
+        boxed = [[x * (scale // w) for x in pt] for w, pt in comp]
+        facets.append([
+            ([comp[v][0] for v in facet], [comp[v][1] for v in facet],
+             bounding_box([boxed[v] for v in facet]))
+            for facet in f.domain.facets
+        ])
+    boxes1, boxes2, boxes3 = ([box for _, _, box in comp] for comp in facets)
+    nvars = sum(len(comp[0][0]) for comp in facets)
+    le_rows = _nonneg_rows(nvars)
     for i1, b1 in enumerate(boxes1):
         for i2, b2 in enumerate(boxes2):
             b12 = box_intersection(b1, b2)
@@ -313,11 +346,13 @@ def validate_ornament(o):
             for i3, b3 in enumerate(boxes3):
                 if box_intersection(b12, b3) is None:
                     continue
-                eq_rows, nvars, offsets = common_point_system([
-                    f.facet_points(i)
-                    for f, i in zip(o.components, (i1, i2, i3))
-                ])
-                point = feasible_point(eq_rows, _nonneg_rows(nvars), nvars)
+                chosen = [comp[i] for comp, i in zip(facets, (i1, i2, i3))]
+                weights = [ws for ws, _, _ in chosen]
+                eq_rows, nvars, offsets = common_point_system(
+                    [pts for _, pts, _ in chosen], weights
+                )
+                point = feasible_point(eq_rows, le_rows, nvars,
+                                       [w for ws in weights for w in ws])
                 if point is not None:
                     splits = [point[offsets[0]:offsets[1]],
                               point[offsets[1]:offsets[2]],

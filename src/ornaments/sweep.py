@@ -326,7 +326,7 @@ def _pair_reduction(frame1, frame2):
     reduction = eliminate(aug, d1)
     if reduction is None:
         return None
-    swap_sign, pivots = reduction
+    swap_sign, pivots, _ = reduction
     # Each fraction-free step multiplies the rows below the pivot by
     # (pivot / previous pivot); together with the swaps and the triangular
     # pivot block this fixes the determinant sign of the original system

@@ -7,7 +7,8 @@ routes share no code.  The rational ray-box test and sphere-map box are
 the references for the integer prefilter of the degree route.  The direct
 triple solve is the reference for the sweep's pair reduction: it solves
 the whole block system with the package's square solver, which the tests
-check separately against ``_solve_unique``.
+check separately against ``_solve_unique``.  The Gauss-Jordan feasibility
+routine is the reference for the package's rank-first ``feasible_point``.
 """
 
 from fractions import Fraction
@@ -47,6 +48,120 @@ def _solve_unique(rows, nvars):
     x = [Fraction(0)] * nvars
     for r, col in enumerate(pivots):
         x[col] = m[r][nvars]
+    return x
+
+
+def feasible_point_gauss_jordan(eq_rows, le_rows, nvars):
+    """Decide a system of linear equalities and inequalities exactly.
+
+    ``eq_rows`` is a list of ``(coeffs, rhs)`` meaning ``coeffs . x == rhs``
+    and ``le_rows`` the same with ``<=``.  Returns a satisfying point as a
+    list of rationals, or ``None`` when the system is infeasible.
+
+    Equalities are removed first by Gauss-Jordan elimination on
+    Fractions; the projected inequality system is then decided by
+    Fourier-Motzkin elimination, whose stages are replayed backwards to
+    produce a concrete solution.  This is the package's former
+    ``feasible_point``, kept as the reference for the rank-first integer
+    kernel that replaced it: both must return the same point.
+    """
+    rows = [[Fraction(c) for c in coeffs] + [Fraction(rhs)]
+            for coeffs, rhs in eq_rows]
+    pivot_cols = []
+    rank = 0
+    for col in range(nvars):
+        piv = None
+        for i in range(rank, len(rows)):
+            if rows[i][col] != 0:
+                piv = i
+                break
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        inv = 1 / rows[rank][col]
+        rows[rank] = [x * inv for x in rows[rank]]
+        prow = rows[rank]
+        for i in range(len(rows)):
+            if i != rank and rows[i][col] != 0:
+                f = rows[i][col]
+                rows[i] = [a - f * b for a, b in zip(rows[i], prow)]
+        pivot_cols.append(col)
+        rank += 1
+        if rank == len(rows):
+            break
+    for i in range(rank, len(rows)):
+        if rows[i][nvars] != 0:
+            return None  # 0 == nonzero
+    pivot_set = set(pivot_cols)
+    free_cols = [c for c in range(nvars) if c not in pivot_set]
+    nfree = len(free_cols)
+
+    # Substitute x_pivot = rows[i][-1] - sum_f rows[i][f] * y_f into each
+    # inequality, leaving a system purely over the free variables y.
+    ineqs = []
+    for coeffs, rhs in le_rows:
+        coeffs = [Fraction(c) for c in coeffs]
+        const = Fraction(rhs)
+        acc = [Fraction(0)] * nfree
+        for jf, f in enumerate(free_cols):
+            acc[jf] = coeffs[f]
+        for i, p in enumerate(pivot_cols):
+            cp = coeffs[p]
+            if cp != 0:
+                const -= cp * rows[i][nvars]
+                for jf, f in enumerate(free_cols):
+                    acc[jf] -= cp * rows[i][f]
+        ineqs.append((acc, const))
+
+    stages = []
+    system = ineqs
+    for j in range(nfree):
+        stages.append(system)
+        uppers, lowers, passthrough = [], [], []
+        for a, b in system:
+            c = a[j]
+            if c > 0:
+                uppers.append(([x / c for x in a], b / c))
+            elif c < 0:
+                lowers.append(([x / -c for x in a], b / -c))
+            else:
+                passthrough.append((a, b))
+        nxt = list(passthrough)
+        for al, bl in lowers:
+            for au, bu in uppers:
+                nxt.append(([x + y for x, y in zip(al, au)], bl + bu))
+        system = nxt
+    for a, b in system:
+        if b < 0:
+            return None
+    # Replay the stages backwards, fixing one free variable at a time.
+    y = [Fraction(0)] * nfree
+    for j in range(nfree - 1, -1, -1):
+        lo = hi = None
+        for a, b in stages[j]:
+            c = a[j]
+            if c == 0:
+                continue
+            val = (b - sum((a[jj] * y[jj] for jj in range(j + 1, nfree)), Fraction(0))) / c
+            if c > 0:
+                hi = val if hi is None else min(hi, val)
+            else:
+                lo = val if lo is None else max(lo, val)
+        if lo is None and hi is None:
+            y[j] = Fraction(0)
+        elif lo is None:
+            y[j] = hi - 1
+        elif hi is None:
+            y[j] = lo + 1
+        else:
+            y[j] = (lo + hi) / 2
+    x = [Fraction(0)] * nvars
+    for jf, f in enumerate(free_cols):
+        x[f] = y[jf]
+    for i, p in enumerate(pivot_cols):
+        x[p] = rows[i][nvars] - sum(
+            (rows[i][f] * y[jf] for jf, f in enumerate(free_cols)), Fraction(0)
+        )
     return x
 
 

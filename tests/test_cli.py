@@ -335,3 +335,77 @@ def test_sweep_stdout_is_pinned(tmp_path, capsys):
     assert hashlib.sha256(out.encode("utf8")).hexdigest() == (
         PINNED_SWEEP_STDOUT_SHA256
     )
+
+
+#: sha256 of the stdout of ``ornaments validate <doc>`` on the ornament
+#: built by ``_segment_meeting_ornament``, recorded while the equalities
+#: were still reduced by Gauss-Jordan elimination on Fractions.  Its first
+#: feasible facet triple meets in a segment, so the witness is not unique:
+#: it depends on the reduced echelon form and the Fourier-Motzkin replay.
+PINNED_VALIDATE_STDOUT_SHA256 = (
+    "25024c6484823b236ce73c1d398192337c7e5849e1df8fd72b23d72003f8cf26"
+)
+
+
+def _segment_meeting_ornament():
+    """Three triangles in the plane whose first edges overlap along the
+    segment from (1, 0) to (7/3, 0); the vertices have unlike
+    denominators."""
+    triangle = TriangulatedManifold(1, 3, [(0, 1), (1, 2), (2, 0)])
+
+    def loop(*points):
+        return PLMap(triangle, 2, [Vector(p) for p in points])
+
+    return Ornament([
+        loop([0, 0], [3, 0], [1, 2]),
+        loop([1, 0], [5, 0], [2, -3]),
+        loop([Rat(1, 2), 0], [Rat(7, 3), 0], [1, Rat(-5, 2)]),
+    ])
+
+
+def test_validate_stdout_is_pinned(tmp_path, capsys):
+    path = write_ornament(tmp_path, _segment_meeting_ornament())
+    assert cli.main(["validate", path]) == 0
+    out = capsys.readouterr().out
+    assert json.loads(out)["ornament"]["witness"]["facets"] == [0, 0, 0]
+    assert hashlib.sha256(out.encode("utf8")).hexdigest() == (
+        PINNED_VALIDATE_STDOUT_SHA256
+    )
+
+
+def _drop_a_facet(component):
+    del component["facets"][0]
+
+
+def _repeat_a_vertex(component):
+    facet = component["facets"][0]
+    facet[1] = facet[0]
+
+
+def _borromean_track_doc():
+    start = make_borromean(1)
+    domains = tuple(f.domain for f in start.components)
+    end = trivial_ornament(domains, start.m, default_trivial_targets(start, 0))
+    return formats.track_to_doc(linear_track(start, end))
+
+
+@pytest.mark.parametrize("corrupt, reason", [
+    pytest.param(_drop_a_facet, "ridge not shared by exactly two facets",
+                 id="open-arc"),
+    pytest.param(_repeat_a_vertex, "repeated vertex in facet",
+                 id="repeated-vertex"),
+])
+@pytest.mark.parametrize("command", ["mu", "sweep"])
+def test_non_manifold_component_is_input_error(command, corrupt, reason,
+                                               tmp_path, capsys):
+    if command == "mu":
+        doc = formats.ornament_to_doc(make_borromean(1))
+    else:
+        doc = _borromean_track_doc()
+    corrupt(doc["components"][1])
+    path = tmp_path / "doc.json"
+    path.write_text(formats.dumps_doc(doc))
+    code, report = run(capsys, command, str(path))
+    assert code == 1
+    assert report["error"].startswith("$.components[1]: component 'component2'")
+    assert reason in report["error"]

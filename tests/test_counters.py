@@ -1,15 +1,16 @@
 """Pins of the work counters the benchmark reports.
 
 ``perfbench/tracing.py`` measures each route by wrapping the modules' own
-bindings (``sweep.solve_integer``, ``degree.ray_meets_box``, ...).  These
-tests wrap the same bindings with ``monkeypatch`` and pin the counts on the
-benchmark's inputs, so a refactor that drops, adds or moves a counted call
-site fails here instead of silently moving a benchmark metric.
+bindings (``sweep.solve_integer``, ``degree.ray_meets_box``,
+``model.feasible_point``, ...).  These tests wrap the same bindings with
+``monkeypatch`` and pin the counts on the benchmark's inputs, so a refactor
+that drops, adds or moves a counted call site fails here instead of
+silently moving a benchmark metric.
 """
 
 import pytest
 
-from ornaments import constructions, degree, sweep
+from ornaments import constructions, degree, model, sweep
 
 
 class Tally:
@@ -32,6 +33,10 @@ class Tally:
 
 def singular(result):
     return result[0] == 0
+
+
+def found(result):
+    return result is not None
 
 
 @pytest.fixture(scope="module")
@@ -61,3 +66,20 @@ def test_sweep_solves_borromean_k2(borromean_k2, monkeypatch):
     solves = Tally(monkeypatch, sweep, "solve_integer", singular)
     assert sweep.mu_via_sweep(borromean_k2, seed=0) == 1
     assert (solves.calls, solves.hits) == (50090, 0)
+
+
+def test_validate_counters_borromean_k1_r3(borromean_k1_r3, monkeypatch):
+    lps = Tally(monkeypatch, model, "feasible_point", found)
+    boxes = Tally(monkeypatch, model, "box_intersection", found)
+    assert model.validate_ornament(borromean_k1_r3).ok
+    assert (lps.calls, lps.hits) == (0, 0)
+    assert (boxes.calls, boxes.hits) == (1280, 8)
+
+
+def test_validate_counters_borromean_k2(borromean_k2, monkeypatch):
+    """The k=2 count ``perfbench/run.py`` pins as ``model.lp_calls``."""
+    lps = Tally(monkeypatch, model, "feasible_point", found)
+    boxes = Tally(monkeypatch, model, "box_intersection", found)
+    assert model.validate_ornament(borromean_k2).ok
+    assert (lps.calls, lps.hits) == (3332, 0)
+    assert (boxes.calls, boxes.hits) == (4064, 3570)

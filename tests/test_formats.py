@@ -95,6 +95,16 @@ def test_booleans_are_not_integers(corrupt, where):
     assert str(err.value).startswith(where)
 
 
+@pytest.mark.parametrize("name", [5, None, ["a"]],
+                         ids=["int", "null", "list"])
+def test_component_name_must_be_a_string(name):
+    doc = formats.ornament_to_doc(small_ornament())
+    doc["components"][1]["name"] = name
+    with pytest.raises(formats.FormatError) as err:
+        formats.ornament_from_doc(doc)
+    assert str(err.value).startswith("$.components[1].name:")
+
+
 def test_wrong_component_count():
     doc = formats.ornament_to_doc(small_ornament())
     doc["components"] = doc["components"][:2]

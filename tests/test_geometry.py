@@ -23,6 +23,7 @@ from ornaments.geometry import (
 from oracles import (
     _solve_unique,
     brute_force_feasible,
+    feasible_point_gauss_jordan,
     ray_meets_box_by_division,
 )
 
@@ -339,6 +340,91 @@ def test_feasible_point_agrees_with_vertex_enumeration():
         theirs = brute_force_feasible(eq, le, nvars)
         assert ours == theirs
 
+
+
+def _random_entry(rng):
+    """An int or a Fraction, sometimes with a large denominator."""
+    kind = rng.randrange(4)
+    if kind == 0:
+        return 0
+    if kind == 1:
+        return rng.randint(-9, 9)
+    if kind == 2:
+        return Rat(rng.randint(-9, 9), rng.randint(1, 12))
+    return Rat(rng.randint(-2 ** 40, 2 ** 40), rng.randint(1, 2 ** 40))
+
+
+def _random_system(rng, shape):
+    """``(eq_rows, le_rows, nvars)`` of one of the shapes the rank-first
+    kernel must treat exactly like Gauss-Jordan elimination."""
+    nvars = rng.randint(1, 5)
+    point = [Rat(rng.randint(0, 6), rng.randint(1, 4)) for _ in range(nvars)]
+
+    def through_point(coeffs):
+        return coeffs, sum((c * x for c, x in zip(coeffs, point)), Rat(0))
+
+    if shape == "no-equalities":
+        eq = []
+    elif shape == "underdetermined":
+        eq = [([_random_entry(rng) for _ in range(nvars)], _random_entry(rng))
+              for _ in range(rng.randint(1, nvars))]
+    else:
+        # rank-deficient and overdetermined: more rows than unknowns, all
+        # combinations of fewer base rows, consistent around ``point``
+        base = [[_random_entry(rng) for _ in range(nvars)]
+                for _ in range(rng.randint(1, max(1, nvars - 1)))]
+        eq = []
+        for _ in range(nvars + rng.randint(1, 3)):
+            weights = [_random_entry(rng) for _ in base]
+            eq.append(through_point(
+                [sum((w * row[j] for w, row in zip(weights, base)), Rat(0))
+                 for j in range(nvars)]
+            ))
+        if shape == "zero-and-duplicate-rows":
+            eq.insert(rng.randrange(len(eq) + 1), ([0] * nvars, 0))
+            eq.insert(rng.randrange(len(eq) + 1), eq[rng.randrange(len(eq))])
+        elif shape == "inconsistent":
+            coeffs, rhs = eq[rng.randrange(len(eq))]
+            eq.insert(rng.randrange(len(eq) + 1),
+                      (coeffs, rhs + Rat(1, rng.randint(1, 2 ** 30))))
+        rng.shuffle(eq)
+    le = [([-1 if j == i else 0 for j in range(nvars)], 0)
+          for i in range(nvars)]
+    le += [([_random_entry(rng) for _ in range(nvars)],
+            rng.randint(-2, 12)) for _ in range(rng.randint(0, 3))]
+    return eq, le, nvars
+
+
+_SYSTEM_SHAPES = ["rank-deficient", "zero-and-duplicate-rows",
+                  "inconsistent", "underdetermined", "no-equalities"]
+
+
+def test_feasible_point_matches_gauss_jordan_oracle():
+    """The rank-first integer kernel returns the former Gauss-Jordan
+    routine's point, entry by entry, and ``None`` exactly when it does;
+    given column scales, it answers for the unscaled system."""
+    rng = random.Random(20)
+    branches = {"inconsistent": 0, "fm-infeasible": 0, "feasible": 0}
+    for trial in range(600):
+        eq, le, nvars = _random_system(rng, _SYSTEM_SHAPES[trial % 5])
+        expected = feasible_point_gauss_jordan(eq, le, nvars)
+        point = feasible_point(eq, le, nvars)
+        assert point == expected
+        if point is not None:
+            assert all(isinstance(c, Rat) for c in point)
+        scales = [rng.randint(1, 2 ** rng.randint(1, 20)) for _ in range(nvars)]
+        scaled = [([c * s for c, s in zip(coeffs, scales)], rhs)
+                  for coeffs, rhs in eq]
+        assert feasible_point(scaled, le, nvars, scales) == expected
+        if feasible_point(eq, [], nvars) is None:
+            assert feasible_point_gauss_jordan(eq, [], nvars) is None
+            assert expected is None
+            branches["inconsistent"] += 1
+        elif expected is None:
+            branches["fm-infeasible"] += 1
+        else:
+            branches["feasible"] += 1
+    assert min(branches.values()) >= 50, branches
 
 # --- boxes --------------------------------------------------------------------
 
