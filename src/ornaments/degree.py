@@ -10,17 +10,23 @@ triple finds the unique candidate preimage, which is counted when it is
 strictly interior with a positive ray scalar and signed by the determinant
 of the very matrix that was solved.
 
-Before any solve, a triple must pass a prefilter: the ray has to meet the
+Before any solve, a triple must pass a prefilter: the ray has to meet an
 interval hull of the map over the three facet boxes.  The prefilter runs
-on integers.  Every facet box is scaled by one common positive integer
-that clears all their denominators, and the ray by its own; "some s >= 0
-puts s*v in the box" does not change under positive scalings of the box
-or of v, so exactly the same triples reach a solve.  Each facet's share
-of the hull is computed once, and the shares of a facet pair are added
-once for all third facets.  The solve itself stays on integers as well:
-it returns Cramer numerators over the determinant, and a candidate with a
-negative barycentric coordinate or ray scalar is dropped on their signs,
-so a rational solution is built only for the rare survivors.
+on integers about 64 bits wide.  Every facet box is rounded outward onto
+one power-of-two grid (lower ends down, upper ends up), and the ray is
+cleared of denominators; "some s >= 0 puts s*v in the box" does not
+change under positive scalings of the box or of v, and the rounded hull
+contains the scaled exact one, so every triple whose exact hull meets the
+ray reaches a solve.  A triple let through by the rounding alone has
+closed cells that miss the ray, so its solve finds nothing: a singular
+system fails the touching test, and a nonsingular one has its solution
+outside some facet.  The answer, the witnesses and the retries are
+therefore those of the exact hull.  Each facet's share of the hull is
+computed once, and the shares of a facet pair are added once for all
+third facets.  The solve itself stays on integers as well: it returns
+Cramer numerators over the determinant, and a candidate with a negative
+barycentric coordinate or ray scalar is dropped on their signs, so a
+rational solution is built only for the rare survivors.
 
 Degeneracies (singular systems that still touch the closed cells, boundary
 solutions, zero ray scalar) are detected exactly and reported as
@@ -32,17 +38,18 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from operator import add
 
 from .geometry import (
     DimensionMismatch,
     Rat,
     Vector,
-    common_denominator,
     cramer_outside,
     derive_seed,
     feasible_point,
     integer_scaled,
     interior_barycentric,
+    outward_grid,
     ray_meets_box,
     simplex_frame,
     solve_integer,
@@ -135,28 +142,33 @@ def component_k(o):
 
 
 def _sphere_map_box_terms(o):
-    """Per component and facet, the facet's integer share of the interval
+    """Per component and facet, the facet's integer share of an interval
     hull of (2x-y-z, 2y-x-z) over the boxes of a facet triple.
 
-    All facet boxes are first scaled by one common positive integer, which
-    clears their denominators; the hull of a triple is then the sum of its
-    three shares, each a pair ``(mins, maxs)`` of integer lists, and is the
-    same positive multiple of the rational hull.
+    Every facet box is rounded outward onto one power-of-two grid
+    (:func:`outward_grid`: lower ends down, upper ends up), so it contains
+    ``2 ** shift`` times the exact box.  The hull of a triple is the sum of
+    its three shares, each a pair ``(mins, maxs)`` of integer lists built
+    from those rounded ends, and so contains ``2 ** shift`` times the exact
+    rational hull, with integers about 64 bits wide.
     """
     boxes = [
         [f.facet_box(i) for i in range(len(f.domain.facets))]
         for f in o.components
     ]
-    scale = common_denominator(
+    _, floors, ceils = outward_grid(
         c for per_facet in boxes for box in per_facet
         for side in box for c in side
     )
+    width = o.m
     terms = []
+    start = 0
     for which, per_facet in enumerate(boxes):
         shares = []
-        for box in per_facet:
-            lo = integer_scaled(box[0], scale)[1]
-            hi = integer_scaled(box[1], scale)[1]
+        for _ in per_facet:
+            lo = floors[start:start + width]
+            hi = ceils[start + width:start + 2 * width]
+            start += 2 * width
             if which == 0:
                 mins = [2 * a for a in lo] + [-b for b in hi]
                 maxs = [2 * b for b in hi] + [-a for a in lo]
@@ -241,13 +253,11 @@ def mu_via_degree(o, v, sign_convention=None):
     total = 0
     for i1, (mins1, maxs1) in enumerate(terms1):
         for i2, (mins2, maxs2) in enumerate(terms2):
-            mins12 = [a + b for a, b in zip(mins1, mins2)]
-            maxs12 = [a + b for a, b in zip(maxs1, maxs2)]
+            mins12 = list(map(add, mins1, mins2))
+            maxs12 = list(map(add, maxs1, maxs2))
             for i3, (mins3, maxs3) in enumerate(terms3):
-                box = (
-                    [a + b for a, b in zip(mins12, mins3)],
-                    [a + b for a, b in zip(maxs12, maxs3)],
-                )
+                # Lazy sums: the test reads each bound once and stops early.
+                box = (map(add, mins12, mins3), map(add, maxs12, maxs3))
                 if not ray_meets_box(ray_int, box):
                     continue
                 base1, e1 = frames[0][i1]

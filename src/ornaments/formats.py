@@ -197,7 +197,11 @@ def dumps_doc(doc):
 
 
 def loads_doc(text):
+    """Parse a JSON document; malformed or too deeply nested text raises
+    FormatError."""
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise FormatError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}")
+    except RecursionError:
+        raise FormatError("document is nested too deeply to parse")

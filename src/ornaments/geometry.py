@@ -271,6 +271,25 @@ def integer_scaled(coords, scale=None):
     return scale, [c.numerator * (scale // c.denominator) for c in coords]
 
 
+def outward_grid(values):
+    """``(shift, floors, ceils)``: the rationals (or integers) ``values``
+    rounded outward onto the grid of step ``2 ** -shift``, that is
+    ``floor(x * 2 ** shift)`` and ``ceil(x * 2 ** shift)`` for every x,
+    both exact when ``x * 2 ** shift`` is an integer.
+
+    One shift serves all values and puts the largest magnitude near 2**60,
+    so the integers stay about 64 bits wide whatever the denominators.
+    Intervals built from floors of lower and ceils of upper ends contain
+    ``2 ** shift`` times the exact ones: the grid serves prefilters that
+    only have to be conservative."""
+    ratios = [x.as_integer_ratio() for x in values]
+    top = max((abs(n) // d for n, d in ratios), default=0)
+    shift = max(0, 60 - top.bit_length())
+    floors = [(n << shift) // d for n, d in ratios]
+    ceils = [-((-n << shift) // d) for n, d in ratios]
+    return shift, floors, ceils
+
+
 def simplex_frame(points):
     """Base point (the last vertex) and the edge vectors of the other
     vertices relative to it, in listed order, each pre-scaled to an integer
@@ -521,8 +540,9 @@ def box_intersection(a, b):
 
 def ray_meets_box(direction, box):
     """Exact test whether some ``s >= 0`` puts ``s * direction`` in the
-    closed box ``(mins, maxs)`` (each ``min <= max``).  Used as a
-    conservative prefilter, so the closed version of the ray is intentional.
+    closed box ``(mins, maxs)`` (each ``min <= max``; any iterables, read
+    once in step with ``direction``).  Used as a conservative prefilter, so
+    the closed version of the ray is intentional.
 
     The running bounds on ``s`` are kept as unreduced fractions with
     positive denominators and compared by cross-multiplying, so the test

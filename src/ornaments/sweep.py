@@ -10,10 +10,14 @@ ends: the columns of cell 1 are eliminated once per (cell 1, cell 2) pair
 and those of cell 3 once per (cell 2, cell 3) pair in a keyframe interval,
 so each candidate triple costs one 2k x 2k integer solve in cell 2's
 coordinates plus back-substitution for the few that survive its sign
-screen.  Strictly interior transverse
-solutions are the signed triple points; their algebraic count over a
-homotopy to the trivial ornament is the invariant, and over an arbitrary
-homotopy it is the difference of the endpoint invariants.
+screen.  Before that, cell triples are prefiltered by their extents along
+the coordinates and the directions e_i +- e_j, computed on integers about
+64 bits wide: the track is rounded outward onto one power-of-two grid, so
+the extents contain the exact ones and no triple that can meet is cut.
+Strictly interior transverse solutions are the signed triple points; their
+algebraic count over a homotopy to the trivial ornament is the invariant,
+and over an arbitrary homotopy it is the difference of the endpoint
+invariants.
 
 Degenerate configurations (singular systems that still touch the closed
 cells, boundary solutions) raise NonGenericTrack; the retry protocol
@@ -32,13 +36,13 @@ from .geometry import (
     Rat,
     Vector,
     back_substitute,
-    common_denominator,
     cramer_outside,
     derive_seed,
     eliminate,
     feasible_point,
     integer_scaled,
     interior_barycentric,
+    outward_grid,
     random_rational_perturbation,
     simplex_frame,
     solve_integer,
@@ -202,22 +206,23 @@ _COLLAPSE_CUTS = (Rat(1, 8), Rat(1, 4), Rat(3, 8), Rat(1, 2), Rat(3, 4))
 
 
 def _integer_frames(track):
-    """Per keyframe, the images with the time appended, all multiplied by
-    the least positive integer that clears every denominator of the
-    track's images and times; integer tuples indexed like
-    ``track.images`` (compare :func:`cell_points`)."""
-    scale = common_denominator(
-        list(track.times)
-        + [c for frame in track.images for comp in frame
-           for img in comp for c in img]
+    """Per keyframe, each vertex image with the time appended, rounded
+    outward onto one power-of-two grid by :func:`outward_grid`: a pair
+    ``(floors, ceils)`` of integer tuples bracketing ``2 ** shift`` times
+    the point, indexed like ``track.images`` (compare
+    :func:`cell_points`)."""
+    width = track.m + 1
+    _, floors, ceils = outward_grid(
+        c for t, frame in zip(track.times, track.images) for comp in frame
+        for img in comp for c in img.coords + (t,)
     )
+    grid = iter([
+        (tuple(floors[i:i + width]), tuple(ceils[i:i + width]))
+        for i in range(0, len(floors), width)
+    ])
     return [
-        tuple(
-            tuple(tuple(integer_scaled(img.coords + (t,), scale)[1])
-                  for img in comp)
-            for comp in frame
-        )
-        for t, frame in zip(track.times, track.images)
+        tuple(tuple(next(grid) for _ in comp) for comp in frame)
+        for frame in track.images
     ]
 
 
@@ -233,23 +238,24 @@ def _extent_directions(width):
 
 
 def _extents(points, pairs):
-    """Exact min/max of the points along every coordinate and every
-    paired direction; a conservative separating-interval prefilter."""
-    width = len(points[0])
-    mins = []
-    maxs = []
-    for c in range(width):
-        vals = [p[c] for p in points]
-        mins.append(min(vals))
-        maxs.append(max(vals))
-    for i, j in pairs:
-        vals = [p[i] + p[j] for p in points]
-        mins.append(min(vals))
-        maxs.append(max(vals))
-        vals = [p[i] - p[j] for p in points]
-        mins.append(min(vals))
-        maxs.append(max(vals))
-    return mins, maxs
+    """Outward min/max along every coordinate and every paired direction
+    of grid points given as ``(floors, ceils)`` pairs: lower ends come from
+    floors, upper ends from ceils (``e_i - e_j`` pairs floor i with ceil
+    j), so the extents contain those of the exact points; a conservative
+    separating-interval prefilter."""
+    lows = []
+    highs = []
+    for lo, hi in points:
+        low = list(lo)
+        high = list(hi)
+        for i, j in pairs:
+            low.append(lo[i] + lo[j])
+            low.append(lo[i] - hi[j])
+            high.append(hi[i] + hi[j])
+            high.append(hi[i] - lo[j])
+        lows.append(low)
+        highs.append(high)
+    return [min(col) for col in zip(*lows)], [max(col) for col in zip(*highs)]
 
 
 def _extents_union(extent_list):
@@ -421,21 +427,24 @@ def detect_triple_points(track):
 
     Enumerates same-interval cell triples (a strictly interior common point
     has a strictly interior time, so cross-interval triples cannot
-    contribute), prefiltered by exact extents along the coordinates and
-    the directions e_i +- e_j.  The extents are computed on the track
-    scaled by one positive integer that clears every denominator of its
-    images and times: scaling all cells alike by a positive factor scales
-    every extent by it, so each overlap test, and with it the set of
-    triples that reach a solve, is unchanged.  Each candidate is solved by
-    :func:`_solve_from_pairs` from the (cell 1, cell 2) reduction, made
-    once per pair, and the (cell 3, cell 2) reduction, made on first use
-    and cached for the rest of the keyframe interval.  A candidate whose
-    integer solve puts it outside cell 2 or cell 3 is dropped before any
-    rational is built; a singular one (a degenerate cell 1 or cell 3
-    included) goes to the exact touching test, which raises when the closed
-    cells meet.  The touching tests and the witnesses use the rational
-    points.  Raises NonGenericTrack on any exactly-degenerate
-    configuration.
+    contribute), prefiltered by extents along the coordinates and the
+    directions e_i +- e_j.  The extents are computed on the grid points of
+    :func:`_integer_frames`, each vertex rounded outward onto one
+    power-of-two grid, so they contain ``2 ** shift`` times the exact
+    extents: every triple whose exact extents overlap reaches a solve.  A
+    triple let through by the rounding alone has closed cells that do not
+    meet, so a singular system fails the touching test and a nonsingular
+    one has its solution outside some cell; it can neither add a point nor
+    raise, and the points found are those of the exact prefilter.  Each
+    candidate is solved by :func:`_solve_from_pairs` from the (cell 1,
+    cell 2) reduction, made once per pair, and the (cell 3, cell 2)
+    reduction, made on first use and cached for the rest of the keyframe
+    interval.  A candidate whose integer solve puts it outside cell 2 or
+    cell 3 is dropped before any rational is built; a singular one (a
+    degenerate cell 1 or cell 3 included) goes to the exact touching test,
+    which raises when the closed cells meet.  The touching tests and the
+    witnesses use the rational points.  Raises NonGenericTrack on any
+    exactly-degenerate configuration.
     """
     found = []
     nfacets = [len(dom.facets) for dom in track.domains]

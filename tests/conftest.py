@@ -1,6 +1,13 @@
 import pytest
+from hypothesis import settings
 
 from ornaments import constructions
+
+# Property tests draw the same examples on every run, and no example is
+# failed for taking long: on a loaded machine the default 200 ms deadline
+# fails exact-arithmetic examples that are merely slow.
+settings.register_profile("tier1", deadline=None, derandomize=True)
+settings.load_profile("tier1")
 
 
 @pytest.fixture(scope="session")

@@ -8,9 +8,12 @@ the references for the integer prefilter of the degree route.  The direct
 triple solve is the reference for the sweep's pair reduction: it solves
 the whole block system with the package's square solver, which the tests
 check separately against ``_solve_unique``.  The Gauss-Jordan feasibility
-routine is the reference for the package's rank-first ``feasible_point``.
+routine is the reference for the package's rank-first ``feasible_point``,
+and the exact common-scale frames and extents are the references for the
+sweep's outward-rounded grid prefilter.
 """
 
+import math
 from fractions import Fraction
 from itertools import combinations
 
@@ -270,3 +273,47 @@ def solve_triple(frame1, frame2, frame3):
     return sign, [
         Fraction(s * n, rho * det) for s, n in zip(col_scales, numerators)
     ]
+
+
+def integer_frames_exact(track):
+    """Reference for the sweep's grid frames: per keyframe, the images with
+    the time appended, all multiplied by the least positive integer that
+    clears every denominator of the track's images and times; integer
+    tuples indexed like ``track.images``.  Exact, but on a long track the
+    common scale grows to thousands of bits."""
+    scale = 1
+    for t, frame in zip(track.times, track.images):
+        scale = math.lcm(scale, t.denominator)
+        for comp in frame:
+            for img in comp:
+                for c in img:
+                    scale = math.lcm(scale, c.denominator)
+    return [
+        tuple(
+            tuple(tuple(int(c * scale) for c in img.coords + (t,))
+                  for img in comp)
+            for comp in frame
+        )
+        for t, frame in zip(track.times, track.images)
+    ]
+
+
+def extents_exact(points, pairs):
+    """Reference for the sweep's grid extents: exact min/max of plain
+    points along every coordinate and every direction e_i + e_j and
+    e_i - e_j for ``(i, j)`` in ``pairs``, in the sweep's order."""
+    width = len(points[0])
+    mins = []
+    maxs = []
+    for c in range(width):
+        vals = [p[c] for p in points]
+        mins.append(min(vals))
+        maxs.append(max(vals))
+    for i, j in pairs:
+        vals = [p[i] + p[j] for p in points]
+        mins.append(min(vals))
+        maxs.append(max(vals))
+        vals = [p[i] - p[j] for p in points]
+        mins.append(min(vals))
+        maxs.append(max(vals))
+    return mins, maxs

@@ -148,6 +148,15 @@ def test_missing_file_is_input_error(tmp_path, capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("command", ["validate", "mu", "sweep"])
+def test_deeply_nested_document_is_input_error(command, tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200000)
+    code, report = run(capsys, command, str(path))
+    assert code == 1
+    assert report == {"error": "document is nested too deeply to parse"}
+
+
 def test_mu_dimension_mismatch_is_input_error(tmp_path, capsys):
     digon = TriangulatedManifold(1, 2, [(0, 1), (1, 0)])
 

@@ -68,6 +68,19 @@ def test_sweep_solves_borromean_k2(borromean_k2, monkeypatch):
     assert (solves.calls, solves.hits) == (50090, 0)
 
 
+def test_degree_counters_borromean_k2(borromean_k2, monkeypatch):
+    """The k=2 counts ``perfbench/run.py`` pins as ``degree.box_tests`` and
+    ``degree.box_pass``, with the solves behind them."""
+    boxes = Tally(monkeypatch, degree, "ray_meets_box", lambda passed: passed)
+    solves = Tally(monkeypatch, degree, "solve_integer", singular)
+    lps = Tally(monkeypatch, degree, "feasible_point", found)
+    value, _ = degree.mu_via_degree_auto(borromean_k2, seed=0)
+    assert value == 1
+    assert (boxes.calls, boxes.hits) == (4096, 3700)
+    assert (solves.calls, solves.hits) == (3700, 0)
+    assert lps.calls == 0
+
+
 def test_validate_counters_borromean_k1_r3(borromean_k1_r3, monkeypatch):
     lps = Tally(monkeypatch, model, "feasible_point", found)
     boxes = Tally(monkeypatch, model, "box_intersection", found)

@@ -188,3 +188,41 @@ def test_integer_prefilter_passes_the_rational_triples(make, monkeypatch):
     }
     assert {t for t, ok in zip(triples, passed) if ok} == rational
     assert 0 < len(rational) < len(triples)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: make_borromean(1, r=2),
+    lambda: make_random_ornament(1, 0, 1, 8),
+], ids=["borromean-r2", "random-seed1"])
+def test_grid_hull_contains_the_scaled_rational_hull(make, monkeypatch):
+    """The summed grid shares of every facet triple contain ``2 ** shift``
+    times its rational sphere-map hull, at most 4 grid units wider per side
+    (a doubled end and two single ends, each rounded by under one unit)."""
+    o = make()
+    live = degree.outward_grid
+    shifts = []
+
+    def grid(values):
+        shift, floors, ceils = live(values)
+        shifts.append(shift)
+        return shift, floors, ceils
+
+    monkeypatch.setattr(degree, "outward_grid", grid)
+    terms = degree._sphere_map_box_terms(o)
+    assert len(shifts) == 1 and shifts[0] > 0
+    unit = 2 ** shifts[0]
+    boxes = [
+        [f.facet_box(i) for i in range(len(f.domain.facets))]
+        for f in o.components
+    ]
+    for triple in product(*(range(len(b)) for b in boxes)):
+        shares = [terms[c][i] for c, i in enumerate(triple)]
+        mins = [sum(col) for col in zip(*(s[0] for s in shares))]
+        maxs = [sum(col) for col in zip(*(s[1] for s in shares))]
+        exact_mins, exact_maxs = sphere_map_box(
+            *(boxes[c][i] for c, i in enumerate(triple))
+        )
+        for lo, x in zip(mins, exact_mins):
+            assert 0 <= unit * x - lo <= 4
+        for hi, x in zip(maxs, exact_maxs):
+            assert 0 <= hi - unit * x <= 4

@@ -14,6 +14,7 @@ from ornaments.geometry import (
     format_rational,
     integer_scaled,
     interior_barycentric,
+    outward_grid,
     parse_rational,
     random_rational_perturbation,
     ray_meets_box,
@@ -492,3 +493,35 @@ def test_ray_meets_box_agrees_with_division(kind):
         )
 
     check()
+
+
+_GRID_VALUES = st.builds(
+    Rat,
+    st.one_of(st.integers(-2 ** 16, 2 ** 16), st.integers(-2 ** 90, 2 ** 90)),
+    st.one_of(st.integers(1, 2 ** 40), st.sampled_from([1, 2 ** 13, 2 ** 40])),
+)
+
+
+@given(st.lists(_GRID_VALUES, min_size=1, max_size=8))
+@example([Rat(-3, 2), Rat(5, 4), Rat(-1, 3), Rat(0)])
+@example([Rat(2 ** 70 + 1, 3), Rat(-1, 2 ** 40)])
+def test_outward_grid_brackets_every_value(values):
+    shift, floors, ceils = outward_grid(values)
+    top = max(abs(x.numerator) // x.denominator for x in values)
+    assert shift == max(0, 60 - top.bit_length())
+    unit = 2 ** shift
+    for x, lo, hi in zip(values, floors, ceils):
+        assert isinstance(lo, int) and isinstance(hi, int)
+        assert lo <= x * unit <= hi
+        assert hi - lo <= 1
+        if (x * unit).denominator == 1:
+            assert lo == hi == x * unit
+        if shift:
+            assert max(abs(lo), abs(hi)) <= 2 ** 60
+
+
+def test_outward_grid_keeps_integers_and_dyadics_exact():
+    shift, floors, ceils = outward_grid([Rat(-7, 8), Rat(3), Rat(5, 2 ** 14)])
+    assert shift == 58
+    assert floors == ceils == [-7 * 2 ** 55, 3 * 2 ** 58, 5 * 2 ** 44]
+    assert outward_grid([2 ** 64, -1]) == (0, [2 ** 64, -1], [2 ** 64, -1])

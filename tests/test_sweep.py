@@ -1,14 +1,18 @@
-import math
 import random
 
 import pytest
 
 from ornaments import sweep
-from ornaments.constructions import make_random_ornament, make_trivial
+from ornaments.constructions import (
+    make_borromean,
+    make_random_ornament,
+    make_trivial,
+)
 from ornaments.degree import mu_via_degree_auto
 from ornaments.geometry import (
     Rat,
     Vector,
+    derive_seed,
     interior_barycentric,
     simplex_frame,
 )
@@ -34,7 +38,7 @@ from ornaments.sweep import (
     _solve_from_pairs,
 )
 
-from oracles import solve_triple
+from oracles import extents_exact, integer_frames_exact, solve_triple
 
 
 # --- staircase triangulation ---------------------------------------------------
@@ -370,37 +374,84 @@ def test_default_targets_outside_and_distinct(borromean_k1):
         assert max(abs(c) for c in t) > radius
 
 
-def test_integer_extents_are_scaled_rational_extents(borromean_k1,
-                                                    monkeypatch):
-    """Each cell's extents, computed on the integer-scaled track, are the
-    common scale times the extents of its rational points."""
+@pytest.fixture(scope="module")
+def grid_tracks(borromean_k1):
+    """Two short tracks of ``make_borromean(1)`` (exact common scales of 92
+    and 112 bits), and the track that ``mu_via_sweep(make_borromean(1,
+    r=3), seed=0)`` sweeps (generic on the first attempt, so never
+    refined), whose exact common scale is a 3,725-bit integer."""
     moved = perturb_ornament(borromean_k1, Rat(1, 64), seed=2)
-    tracks = [
+    o = make_borromean(1, r=3)
+    targets = default_trivial_targets(o, derive_seed(0, "targets"))
+    end = trivial_ornament(tuple(f.domain for f in o.components), o.m, targets)
+    return [
         linear_track(borromean_k1, moved, cuts=(Rat(1, 3),)),
         sweep._refined_track(
             linear_track(borromean_k1, moved), seed=0, attempt=0
         ),
+        linear_track(o, end, cuts=sweep._COLLAPSE_CUTS),
     ]
-    live = sweep._extents
+
+
+def _solved_candidates(track, monkeypatch):
+    """The integer systems reaching ``sweep.solve_integer``, in order, and
+    the triple points, when sweeping ``track``."""
+    live = sweep.solve_integer
+    systems = []
+
+    def recording(rows, rhs=None):
+        systems.append(([list(row) for row in rows], list(rhs)))
+        return live(rows, rhs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(sweep, "solve_integer", recording)
+        points = detect_triple_points(track)
+    return systems, points
+
+
+def test_grid_prefilter_solves_the_exact_candidates(grid_tracks, monkeypatch):
+    """The outward-rounded grid prefilter sends exactly the candidates the
+    exact common-scale prefilter sends, in the same order, to the solver."""
+    for track in grid_tracks:
+        grid, grid_points = _solved_candidates(track, monkeypatch)
+        with monkeypatch.context() as exact:
+            exact.setattr(sweep, "_integer_frames", integer_frames_exact)
+            exact.setattr(sweep, "_extents", extents_exact)
+            reference, reference_points = _solved_candidates(
+                track, monkeypatch
+            )
+        assert grid == reference
+        assert grid_points == reference_points
+        assert grid
+
+
+def test_grid_extents_contain_the_scaled_rational_extents(grid_tracks,
+                                                          monkeypatch):
+    """Each cell's live extents contain ``2 ** shift`` times the exact
+    extents of its rational points, at most 2 grid units wider per side."""
+    live_grid = sweep.outward_grid
+    live_extents = sweep._extents
+    shifts = []
     recorded = []
 
-    def recording(points, pairs):
-        recorded.append((points, pairs))
-        return live(points, pairs)
+    def grid(values):
+        shift, floors, ceils = live_grid(values)
+        shifts.append(shift)
+        return shift, floors, ceils
 
-    monkeypatch.setattr(sweep, "_extents", recording)
-    for track in tracks:
-        scale = 1
-        for t in track.times:
-            scale = math.lcm(scale, t.denominator)
-        for frame in track.images:
-            for comp in frame:
-                for img in comp:
-                    for c in img:
-                        scale = math.lcm(scale, c.denominator)
-        assert scale > 1
+    def extents(points, pairs):
+        result = live_extents(points, pairs)
+        recorded.append((pairs, result))
+        return result
+
+    monkeypatch.setattr(sweep, "outward_grid", grid)
+    monkeypatch.setattr(sweep, "_extents", extents)
+    for track in grid_tracks:
+        shifts.clear()
         recorded.clear()
         detect_triple_points(track)
+        assert len(shifts) == 1 and shifts[0] > 0
+        unit = 2 ** shifts[0]
         expected = [
             cell_points(track, cell)
             for j in range(len(track.times) - 1)
@@ -409,11 +460,9 @@ def test_integer_extents_are_scaled_rational_extents(borromean_k1,
             for cell in staircase_cells(facet, ci, fi, j)
         ]
         assert len(recorded) == len(expected)
-        for (int_pts, pairs), pts in zip(recorded, expected):
-            assert [list(p) for p in int_pts] == [
-                [scale * c for c in p] for p in pts
-            ]
-            mins, maxs = live(pts, pairs)
-            assert live(int_pts, pairs) == (
-                [scale * x for x in mins], [scale * x for x in maxs]
-            )
+        for (pairs, (mins, maxs)), pts in zip(recorded, expected):
+            exact_mins, exact_maxs = extents_exact(pts, pairs)
+            for lo, x in zip(mins, exact_mins):
+                assert 0 <= unit * x - lo <= 2
+            for hi, x in zip(maxs, exact_maxs):
+                assert 0 <= hi - unit * x <= 2
