@@ -200,19 +200,6 @@ class PLMap:
             self._facet_boxes[i] = box
         return box
 
-    def point_at(self, facet_index, barycentric):
-        """Image of the point with the given (full) barycentric coordinates
-        on the given facet."""
-        facet = self.domain.facets[facet_index]
-        if len(barycentric) != len(facet):
-            raise DimensionMismatch("barycentric length does not match facet")
-        acc = [Rat(0)] * self.ambient_dim
-        for lam, v in zip(barycentric, facet):
-            img = self.images[v]
-            for c in range(self.ambient_dim):
-                acc[c] += Rat(lam) * img[c]
-        return Vector(acc)
-
     def __eq__(self, other):
         return (
             isinstance(other, PLMap)

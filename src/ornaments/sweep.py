@@ -10,10 +10,13 @@ ends: the columns of cell 1 are eliminated once per (cell 1, cell 2) pair
 and those of cell 3 once per (cell 2, cell 3) pair in a keyframe interval,
 so each candidate triple costs one 2k x 2k integer solve in cell 2's
 coordinates plus back-substitution for the few that survive its sign
-screen.  Before that, cell triples are prefiltered by their extents along
-the coordinates and the directions e_i +- e_j, computed on integers about
-64 bits wide: the track is rounded outward onto one power-of-two grid, so
-the extents contain the exact ones and no triple that can meet is cut.
+screen.  Before that, prism triples and then cell triples are prefiltered
+by their extents along the coordinates and the directions e_i +- e_j,
+computed on integers about 64 bits wide: the track is rounded outward onto
+one power-of-two grid, so the extents contain the exact ones and no triple
+that can meet is cut.  The set-up is lazy: a prism's cells are built only
+when a prism triple that passes reaches it, and a cell's rational points
+and simplex frame only when it enters a candidate triple.
 Strictly interior transverse solutions are the signed triple points; their
 algebraic count over a homotopy to the trivial ornament is the invariant,
 and over an arbitrary homotopy it is the difference of the endpoint
@@ -52,9 +55,11 @@ from .model import (
     PLMap,
     common_point_system,
     permutation_parity,
-    validate_ornament,
     _nonneg_rows,
 )
+# Not called here: perfbench/tracing.py times validation through this
+# binding, as it does through cli's and constructions'.
+from .model import validate_ornament  # noqa: F401
 
 # Orientation constant relating raw block-determinant signs to the signed
 # count, normalized so that a sweep from an ornament to the trivial one
@@ -190,12 +195,23 @@ def linear_track(start, end, cuts=()):
     if domains != tuple(f.domain for f in end.components):
         raise ValueError("endpoints must share their domain triangulations")
     times = [Rat(0)] + [Rat(t) for t in cuts] + [Rat(1)]
-    frames = []
-    for t in times:
+    first = tuple(f.images for f in start.components)
+    last = tuple(f.images for f in end.components)
+    # a + t (b - a) equals (1 - t) a + t b exactly; the steps b - a are
+    # shared by every interior keyframe.
+    steps = [
+        [(a.coords, tuple(y - x for x, y in zip(a.coords, b.coords)))
+         for a, b in zip(fs, fe)]
+        for fs, fe in zip(first, last)
+    ]
+    frames = [first]
+    for t in times[1:-1]:
         frames.append(tuple(
-            tuple((1 - t) * a + t * b for a, b in zip(fs.images, fe.images))
-            for fs, fe in zip(start.components, end.components)
+            tuple(Vector(tuple(x + t * s for x, s in zip(a, step)))
+                  for a, step in comp)
+            for comp in steps
         ))
+    frames.append(last)
     return HomotopyTrack(domains, start.m, times, frames)
 
 
@@ -256,18 +272,6 @@ def _extents(points, pairs):
         lows.append(low)
         highs.append(high)
     return [min(col) for col in zip(*lows)], [max(col) for col in zip(*highs)]
-
-
-def _extents_union(extent_list):
-    mins = list(extent_list[0][0])
-    maxs = list(extent_list[0][1])
-    for mn, mx in extent_list[1:]:
-        for i in range(len(mins)):
-            if mn[i] < mins[i]:
-                mins[i] = mn[i]
-            if mx[i] > maxs[i]:
-                maxs[i] = mx[i]
-    return mins, maxs
 
 
 def _extents_meet(a, b):
@@ -422,21 +426,150 @@ def _solve_from_pairs(reduction12, reduction32, frame1, frame2, frame3):
     return sign, solution
 
 
+class _SweepCell:
+    """A staircase cell of the sweep with its grid extents; its rational
+    points and simplex frame are built by :meth:`framed` on first use.
+    Hashed by identity, so it keys the (cell 2, cell 3) reductions."""
+
+    __slots__ = ("cell", "extents", "points", "frame")
+
+    def __init__(self, cell, extents):
+        self.cell = cell
+        self.extents = extents
+        self.points = None
+        self.frame = None
+
+    def framed(self, track):
+        """The cell's :func:`simplex_frame`, built on first use together
+        with :attr:`points` (see :func:`cell_points`)."""
+        if self.frame is None:
+            self.points = cell_points(track, self.cell)
+            self.frame = simplex_frame(self.points)
+        return self.frame
+
+
+def _interval_triple_points(track, j, grid, pairs):
+    """The signed triple points of keyframe interval ``j``, unsorted;
+    ``grid`` holds the :func:`_integer_frames` of keyframes j and j + 1.
+    See :func:`detect_triple_points`."""
+    found = []
+    prism_extents = [
+        [_extents([grid[level][ci][v] for level in (0, 1) for v in facet],
+                  pairs)
+         for facet in dom.facets]
+        for ci, dom in enumerate(track.domains)
+    ]
+    prism_cells = [[None] * len(dom.facets) for dom in track.domains]
+    reductions32 = {}  # (cell 2, cell 3) -> _pair_reduction
+
+    def cells_of(ci, fi):
+        entries = prism_cells[ci][fi]
+        if entries is None:
+            facet = track.domains[ci].facets[fi]
+            entries = prism_cells[ci][fi] = [
+                _SweepCell(cell, _extents(
+                    [grid[level][ci][v] for v, level in cell.vertices], pairs
+                ))
+                for cell in staircase_cells(facet, ci, fi, j)
+            ]
+        return entries
+
+    for i1, x1 in enumerate(prism_extents[0]):
+        for i2, x2 in enumerate(prism_extents[1]):
+            if not _extents_meet(x1, x2):
+                continue
+            third = [
+                i3 for i3, x3 in enumerate(prism_extents[2])
+                if _extents_meet3(x1, x2, x3)
+            ]
+            if not third:
+                continue
+            cells3 = [entry for i3 in third for entry in cells_of(2, i3)]
+            for entry1 in cells_of(0, i1):
+                cx1 = entry1.extents
+                for entry2 in cells_of(1, i2):
+                    cx2 = entry2.extents
+                    if not _extents_meet(cx1, cx2):
+                        continue
+                    candidates = [
+                        entry3 for entry3 in cells3
+                        if _extents_meet3(cx1, cx2, entry3.extents)
+                    ]
+                    if not candidates:
+                        continue
+                    fr1 = entry1.framed(track)
+                    fr2 = entry2.framed(track)
+                    reduction12 = _pair_reduction(fr1, fr2)
+                    for entry3 in candidates:
+                        fr3 = entry3.framed(track)
+                        key = (entry2, entry3)
+                        if key not in reductions32:
+                            reductions32[key] = _pair_reduction(fr3, fr2)
+                        sign, solution = _solve_from_pairs(
+                            reduction12, reductions32[key], fr1, fr2, fr3
+                        )
+                        points = (entry1.points, entry2.points, entry3.points)
+                        if sign == 0:
+                            eq_rows, nvars, _ = common_point_system(points)
+                            if feasible_point(
+                                eq_rows, _nonneg_rows(nvars), nvars
+                            ) is not None:
+                                raise NonGenericTrack(
+                                    f"singular touching system at interval {j}"
+                                )
+                            continue
+                        if solution is None:
+                            continue  # outside cell 2 or cell 3
+                        arities = [len(p) for p in points]
+                        full = interior_barycentric(solution, arities)
+                        if full is None:
+                            continue
+                        if full == "closed":
+                            raise NonGenericTrack(
+                                f"boundary solution at interval {j}"
+                            )
+                        t = sum(
+                            (lam * p[-1]
+                             for lam, p in zip(full[0], entry1.points)),
+                            Rat(0),
+                        )
+                        cell1, cell2, cell3 = (
+                            entry1.cell, entry2.cell, entry3.cell
+                        )
+                        sign = (GLOBAL_SWEEP_SIGN * cell1.sign
+                                * cell2.sign * cell3.sign * sign)
+                        found.append(SignedTriplePoint(
+                            cells=(cell1, cell2, cell3),
+                            barycentric=full,
+                            t=t,
+                            sign=sign,
+                        ))
+    return found
+
+
 def detect_triple_points(track):
     """All transverse common points of the three component tracks, signed.
 
     Enumerates same-interval cell triples (a strictly interior common point
     has a strictly interior time, so cross-interval triples cannot
     contribute), prefiltered by extents along the coordinates and the
-    directions e_i +- e_j.  The extents are computed on the grid points of
+    directions e_i +- e_j: first those of the prisms, then those of their
+    staircase cells.  The extents are computed on the grid points of
     :func:`_integer_frames`, each vertex rounded outward onto one
     power-of-two grid, so they contain ``2 ** shift`` times the exact
     extents: every triple whose exact extents overlap reaches a solve.  A
     triple let through by the rounding alone has closed cells that do not
     meet, so a singular system fails the touching test and a nonsingular
     one has its solution outside some cell; it can neither add a point nor
-    raise, and the points found are those of the exact prefilter.  Each
-    candidate is solved by :func:`_solve_from_pairs` from the (cell 1,
+    raise, and the points found are those of the exact prefilter.
+
+    The set-up is lazy.  A prism's extents come from its 2(d + 1) grid
+    vertices and equal the union of its cells' extents.  A prism's cells
+    and their extents are built when a prism triple that passes reaches
+    it, and a cell's rational points and simplex frame when it first
+    enters a candidate triple.
+
+    Each candidate is solved by :func:`_solve_from_pairs` from the (cell 1,
     cell 2) reduction, made once per pair, and the (cell 3, cell 2)
     reduction, made on first use and cached for the rest of the keyframe
     interval.  A candidate whose integer solve puts it outside cell 2 or
@@ -447,95 +580,12 @@ def detect_triple_points(track):
     exactly-degenerate configuration.
     """
     found = []
-    nfacets = [len(dom.facets) for dom in track.domains]
     pairs = _extent_directions(track.m + 1)
     int_frames = _integer_frames(track)
     for j in range(len(track.times) - 1):
-        cells = []
-        prism_extents = []
-        reductions32 = {}  # (cell 2, cell 3) serials -> _pair_reduction
-        for ci in range(3):
-            per_facet = []
-            per_facet_ext = []
-            serial = 0
-            for fi in range(nfacets[ci]):
-                cc = staircase_cells(track.domains[ci].facets[fi], ci, fi, j)
-                entries = []
-                for cell in cc:
-                    pts = cell_points(track, cell)
-                    int_pts = [int_frames[j + level][ci][v]
-                               for v, level in cell.vertices]
-                    entries.append((cell, pts, _extents(int_pts, pairs),
-                                    simplex_frame(pts), serial))
-                    serial += 1
-                per_facet.append(entries)
-                per_facet_ext.append(_extents_union([e[2] for e in entries]))
-            cells.append(per_facet)
-            prism_extents.append(per_facet_ext)
-        for i1 in range(nfacets[0]):
-            x1 = prism_extents[0][i1]
-            for i2 in range(nfacets[1]):
-                x2 = prism_extents[1][i2]
-                if not _extents_meet(x1, x2):
-                    continue
-                third = [
-                    i3 for i3 in range(nfacets[2])
-                    if _extents_meet3(x1, x2, prism_extents[2][i3])
-                ]
-                if not third:
-                    continue
-                for cell1, pts1, cx1, fr1, _ in cells[0][i1]:
-                    for cell2, pts2, cx2, fr2, n2 in cells[1][i2]:
-                        if not _extents_meet(cx1, cx2):
-                            continue
-                        candidates = [
-                            entry
-                            for i3 in third
-                            for entry in cells[2][i3]
-                            if _extents_meet3(cx1, cx2, entry[2])
-                        ]
-                        if not candidates:
-                            continue
-                        reduction12 = _pair_reduction(fr1, fr2)
-                        for cell3, pts3, cx3, fr3, n3 in candidates:
-                            points = (pts1, pts2, pts3)
-                            key = (n2, n3)
-                            if key not in reductions32:
-                                reductions32[key] = _pair_reduction(fr3, fr2)
-                            sign, solution = _solve_from_pairs(
-                                reduction12, reductions32[key], fr1, fr2, fr3
-                            )
-                            if sign == 0:
-                                eq_rows, nvars, _ = common_point_system(points)
-                                if feasible_point(
-                                    eq_rows, _nonneg_rows(nvars), nvars
-                                ) is not None:
-                                    raise NonGenericTrack(
-                                        f"singular touching system at interval {j}"
-                                    )
-                                continue
-                            if solution is None:
-                                continue  # outside cell 2 or cell 3
-                            arities = [len(p) for p in points]
-                            full = interior_barycentric(solution, arities)
-                            if full is None:
-                                continue
-                            if full == "closed":
-                                raise NonGenericTrack(
-                                    f"boundary solution at interval {j}"
-                                )
-                            t = sum(
-                                (lam * p[-1] for lam, p in zip(full[0], pts1)),
-                                Rat(0),
-                            )
-                            sign = (GLOBAL_SWEEP_SIGN * cell1.sign
-                                    * cell2.sign * cell3.sign * sign)
-                            found.append(SignedTriplePoint(
-                                cells=(cell1, cell2, cell3),
-                                barycentric=full,
-                                t=t,
-                                sign=sign,
-                            ))
+        found.extend(_interval_triple_points(
+            track, j, int_frames[j:j + 2], pairs
+        ))
     found.sort(key=lambda p: (p.t, tuple(
         (c.component, c.facet, c.interval, c.vertices) for c in p.cells
     )))
@@ -635,15 +685,21 @@ def default_trivial_targets(o, seed=0):
     ]
 
 
+def _collapse_track(o, targets):
+    """Straight-line track from ``o`` to the trivial ornament at
+    ``targets``, keyframed at :data:`_COLLAPSE_CUTS`."""
+    domains = tuple(f.domain for f in o.components)
+    end = trivial_ornament(domains, o.m, targets)
+    return linear_track(o, end, cuts=_COLLAPSE_CUTS)
+
+
 def straight_line_homotopy_to_trivial(o, targets, eps=None, seed=0):
     """Track of the straight-line homotopy collapsing each component to its
     target point, refined (midpoint keyframes jiggled by less than ``eps /
     16``, see :func:`_refined_track`) until the sweep is generic; endpoints
     are exact."""
-    domains = tuple(f.domain for f in o.components)
-    end = trivial_ornament(domains, o.m, targets)
-    track = linear_track(o, end, cuts=_COLLAPSE_CUTS)
-    _, swept = sweep_with_retries(track, seed=seed, eps=eps)
+    _, swept = sweep_with_retries(_collapse_track(o, targets), seed=seed,
+                                  eps=eps)
     return swept
 
 
@@ -651,9 +707,7 @@ def mu_via_sweep(o, seed=0):
     """The invariant as the algebraic triple-point count of a seeded
     homotopy to the trivial ornament."""
     targets = default_trivial_targets(o, derive_seed(seed, "targets"))
-    domains = tuple(f.domain for f in o.components)
-    end = trivial_ornament(domains, o.m, targets)
-    track = linear_track(o, end, cuts=_COLLAPSE_CUTS)
+    track = _collapse_track(o, targets)
     points, _ = sweep_with_retries(track, seed=derive_seed(seed, "sweep"))
     return sum(p.sign for p in points)
 
@@ -663,28 +717,6 @@ def relative_sweep(track, seed=0):
     equals invariant(start) - invariant(end)."""
     points, _ = sweep_with_retries(track, seed=seed)
     return sum(p.sign for p in points)
-
-
-def reverse_track(track):
-    """The same homotopy run backwards in time."""
-    n = len(track.times)
-    times = tuple(1 - track.times[n - 1 - j] for j in range(n))
-    frames = tuple(track.images[n - 1 - j] for j in range(n))
-    return HomotopyTrack(track.domains, track.m, times, frames)
-
-
-def concat_tracks(first, second):
-    """Concatenation at a shared middle ornament, reparameterized to [0, 1]."""
-    if first.domains != second.domains or first.m != second.m:
-        raise ValueError("tracks are not composable")
-    if first.images[-1] != second.images[0]:
-        raise ValueError("tracks do not share their middle keyframe")
-    times = [t / 2 for t in first.times]
-    frames = list(first.images)
-    for j in range(1, len(second.times)):
-        times.append(Rat(1, 2) + second.times[j] / 2)
-        frames.append(second.images[j])
-    return HomotopyTrack(first.domains, first.m, times, frames)
 
 
 def pair_opposite_signs(points):
@@ -707,16 +739,3 @@ def pair_opposite_signs(points):
             q = unpaired.pop(partner)
             pairs.append((p, q) if p.sign > 0 else (q, p))
     return pairs, unpaired
-
-
-def certify_ornament_homotopy(track):
-    """True when the track endpoints are valid and the sweep finds no triple
-    points at all, i.e. every level of the homotopy is an ornament."""
-    if not validate_ornament(track.endpoint(0)).ok:
-        return False
-    if not validate_ornament(track.endpoint(1)).ok:
-        return False
-    try:
-        return detect_triple_points(track) == []
-    except NonGenericTrack:
-        return False

@@ -10,14 +10,28 @@ the whole block system with the package's square solver, which the tests
 check separately against ``_solve_unique``.  The Gauss-Jordan feasibility
 routine is the reference for the package's rank-first ``feasible_point``,
 and the exact common-scale frames and extents are the references for the
-sweep's outward-rounded grid prefilter.
+sweep's outward-rounded grid prefilter; the union of cell extents is the
+reference for the sweep's prism extents.  The helpers at the end (image of
+a barycentric point, reversed and concatenated tracks, certification of an
+ornament homotopy) are used only by tests.
 """
 
 import math
 from fractions import Fraction
 from itertools import combinations
 
-from ornaments.geometry import integer_scaled, solve_integer
+from ornaments.geometry import (
+    DimensionMismatch,
+    Vector,
+    integer_scaled,
+    solve_integer,
+)
+from ornaments.model import validate_ornament
+from ornaments.sweep import (
+    HomotopyTrack,
+    NonGenericTrack,
+    detect_triple_points,
+)
 
 
 def _solve_unique(rows, nvars):
@@ -317,3 +331,66 @@ def extents_exact(points, pairs):
         mins.append(min(vals))
         maxs.append(max(vals))
     return mins, maxs
+
+
+def extents_union(extent_list):
+    """Reference for the sweep's prism extents: the union, entry by entry,
+    of ``(mins, maxs)`` extents."""
+    mins = list(extent_list[0][0])
+    maxs = list(extent_list[0][1])
+    for mn, mx in extent_list[1:]:
+        for i in range(len(mins)):
+            if mn[i] < mins[i]:
+                mins[i] = mn[i]
+            if mx[i] > maxs[i]:
+                maxs[i] = mx[i]
+    return mins, maxs
+
+
+def point_at(f, facet_index, barycentric):
+    """Image under the PL map ``f`` of the point with the given (full)
+    barycentric coordinates on the given facet."""
+    facet = f.domain.facets[facet_index]
+    if len(barycentric) != len(facet):
+        raise DimensionMismatch("barycentric length does not match facet")
+    acc = [Fraction(0)] * f.ambient_dim
+    for lam, v in zip(barycentric, facet):
+        img = f.images[v]
+        for c in range(f.ambient_dim):
+            acc[c] += Fraction(lam) * img[c]
+    return Vector(acc)
+
+
+def reverse_track(track):
+    """The same homotopy run backwards in time."""
+    n = len(track.times)
+    times = tuple(1 - track.times[n - 1 - j] for j in range(n))
+    frames = tuple(track.images[n - 1 - j] for j in range(n))
+    return HomotopyTrack(track.domains, track.m, times, frames)
+
+
+def concat_tracks(first, second):
+    """Concatenation at a shared middle ornament, reparameterized to [0, 1]."""
+    if first.domains != second.domains or first.m != second.m:
+        raise ValueError("tracks are not composable")
+    if first.images[-1] != second.images[0]:
+        raise ValueError("tracks do not share their middle keyframe")
+    times = [t / 2 for t in first.times]
+    frames = list(first.images)
+    for j in range(1, len(second.times)):
+        times.append(Fraction(1, 2) + second.times[j] / 2)
+        frames.append(second.images[j])
+    return HomotopyTrack(first.domains, first.m, times, frames)
+
+
+def certify_ornament_homotopy(track):
+    """True when the track endpoints are valid and the sweep finds no triple
+    points at all, i.e. every level of the homotopy is an ornament."""
+    if not validate_ornament(track.endpoint(0)).ok:
+        return False
+    if not validate_ornament(track.endpoint(1)).ok:
+        return False
+    try:
+        return detect_triple_points(track) == []
+    except NonGenericTrack:
+        return False

@@ -33,6 +33,8 @@ from ornaments.sweep import (
     trivial_ornament,
 )
 
+from oracles import point_at
+
 
 def verdict(number, description, ok):
     print(f"\n{'PASS' if ok else 'FAIL'} criterion {number}: {description}")
@@ -212,7 +214,7 @@ def audit_degree(o, seed_base):
             seed += 1
     for sol in solutions:
         pts = [
-            f.point_at(i, bary)
+            point_at(f, i, bary)
             for f, i, bary in zip(o.components, sol.facets, sol.barycentric)
         ]
         if unnormalized_sphere_map(*pts) != Vector([sol.s * c for c in v.v]):

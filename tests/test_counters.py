@@ -52,6 +52,39 @@ def test_sweep_counters_borromean_k1_r3(borromean_k1_r3, monkeypatch):
     assert (points.calls, points.hits) == (1, 1)
 
 
+def test_sweep_frames_borromean_k1_r3(borromean_k1_r3, monkeypatch):
+    """The sweep builds the cells of 43 of the track's 576 prisms, and a
+    simplex frame only for a cell that then enters a pair reduction, once
+    per cell (85 of the track's 1,152 cells); the work counters do not
+    move."""
+    live_frame = sweep.simplex_frame
+    live_reduction = sweep._pair_reduction
+    framed = []  # (points, frame) per simplex_frame call
+    reduced = set()
+
+    def frame(points):
+        result = live_frame(points)
+        framed.append((tuple(points), result))
+        return result
+
+    def reduction(frame_x, frame2):
+        reduced.update((id(frame_x), id(frame2)))
+        return live_reduction(frame_x, frame2)
+
+    monkeypatch.setattr(sweep, "simplex_frame", frame)
+    monkeypatch.setattr(sweep, "_pair_reduction", reduction)
+    prisms = Tally(monkeypatch, sweep, "staircase_cells", len)
+    solves = Tally(monkeypatch, sweep, "solve_integer", singular)
+    points = Tally(monkeypatch, sweep, "detect_triple_points", len)
+    assert sweep.mu_via_sweep(borromean_k1_r3, seed=0) == 1
+    assert (prisms.calls, prisms.hits) == (43, 86)
+    assert len(framed) == 85
+    assert len({pts for pts, _ in framed}) == len(framed)
+    assert all(id(result) in reduced for _, result in framed)
+    assert (solves.calls, solves.hits) == (4906, 0)
+    assert (points.calls, points.hits) == (1, 1)
+
+
 def test_degree_counters_borromean_k1_r3(borromean_k1_r3, monkeypatch):
     boxes = Tally(monkeypatch, degree, "ray_meets_box", lambda passed: passed)
     solves = Tally(monkeypatch, degree, "solve_integer", singular)

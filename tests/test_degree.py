@@ -22,7 +22,7 @@ from ornaments.degree import (
 from ornaments.geometry import DimensionMismatch, Rat, Vector, derive_seed
 from ornaments.model import validate_ornament
 
-from oracles import ray_meets_box_by_division, sphere_map_box
+from oracles import point_at, ray_meets_box_by_division, sphere_map_box
 
 
 def test_sphere_map_kills_diagonal():
@@ -96,7 +96,7 @@ def test_preimages_substitute_exactly(borromean_k1):
             continue
         for sol in solutions:
             pts = [
-                f.point_at(i, bary)
+                point_at(f, i, bary)
                 for f, i, bary in zip(
                     borromean_k1.components, sol.facets, sol.barycentric
                 )

@@ -14,7 +14,7 @@ from ornaments.model import (
 )
 from ornaments.degree import mu_via_degree_auto
 
-from oracles import brute_force_feasible
+from oracles import brute_force_feasible, point_at
 
 
 def triangle_boundary():
@@ -115,7 +115,7 @@ def test_concurrent_segments_invalid_with_exact_witness():
     facets = report.witness["facets"]
     barys = report.witness["barycentric"]
     points = [
-        f.point_at(i, [Rat(c) for c in bary])
+        point_at(f, i, [Rat(c) for c in bary])
         for f, i, bary in zip(o.components, facets, barys)
     ]
     assert points[0] == points[1] == points[2]

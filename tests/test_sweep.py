@@ -16,20 +16,17 @@ from ornaments.geometry import (
     interior_barycentric,
     simplex_frame,
 )
-from ornaments.model import perturb_ornament, validate_ornament
+from ornaments.model import Ornament, perturb_ornament, validate_ornament
 from ornaments.sweep import (
     HomotopyTrack,
     NonGenericTrack,
     cell_points,
-    certify_ornament_homotopy,
-    concat_tracks,
     default_trivial_targets,
     detect_triple_points,
     linear_track,
     mu_via_sweep,
     pair_opposite_signs,
     relative_sweep,
-    reverse_track,
     staircase_cells,
     straight_line_homotopy_to_trivial,
     sweep_with_retries,
@@ -38,7 +35,15 @@ from ornaments.sweep import (
     _solve_from_pairs,
 )
 
-from oracles import extents_exact, integer_frames_exact, solve_triple
+from oracles import (
+    certify_ornament_homotopy,
+    concat_tracks,
+    extents_exact,
+    extents_union,
+    integer_frames_exact,
+    reverse_track,
+    solve_triple,
+)
 
 
 # --- staircase triangulation ---------------------------------------------------
@@ -198,6 +203,33 @@ def test_linear_track_endpoints(borromean_k1):
     assert track.endpoint(0) == borromean_k1
     assert track.endpoint(1) == end
     assert len(track.times) == 4
+
+
+@pytest.mark.parametrize("cuts", [
+    (),
+    (Rat(1, 2),),
+    (Rat(1, 3), Rat(2, 3)),
+    (Rat(1, 1000), Rat(999, 1000)),
+    sweep._COLLAPSE_CUTS,
+])
+def test_linear_track_keyframes_follow_the_straight_line(borromean_k1, cuts):
+    """Every keyframe image is ``(1 - t) a + t b`` exactly, also when the
+    endpoints share some or all of their images."""
+    moved = perturb_ornament(borromean_k1, Rat(1, 64), seed=2)
+    partly = Ornament([moved.components[0], *borromean_k1.components[1:]])
+    domains = tuple(f.domain for f in borromean_k1.components)
+    collapsed = trivial_ornament(domains, borromean_k1.m,
+                                 default_trivial_targets(borromean_k1, 0))
+    for start, end in [(borromean_k1, moved), (borromean_k1, partly),
+                       (borromean_k1, collapsed), (collapsed, moved),
+                       (moved, moved)]:
+        track = linear_track(start, end, cuts=cuts)
+        assert track.times == (0,) + tuple(cuts) + (1,)
+        for t, frame in zip(track.times, track.images):
+            assert frame == tuple(
+                tuple((1 - t) * a + t * b for a, b in zip(fs.images, fe.images))
+                for fs, fe in zip(start.components, end.components)
+            )
 
 
 def test_track_time_validation(borromean_k1):
@@ -383,13 +415,12 @@ def grid_tracks(borromean_k1):
     moved = perturb_ornament(borromean_k1, Rat(1, 64), seed=2)
     o = make_borromean(1, r=3)
     targets = default_trivial_targets(o, derive_seed(0, "targets"))
-    end = trivial_ornament(tuple(f.domain for f in o.components), o.m, targets)
     return [
         linear_track(borromean_k1, moved, cuts=(Rat(1, 3),)),
         sweep._refined_track(
             linear_track(borromean_k1, moved), seed=0, attempt=0
         ),
-        linear_track(o, end, cuts=sweep._COLLAPSE_CUTS),
+        sweep._collapse_track(o, targets),
     ]
 
 
@@ -425,13 +456,16 @@ def test_grid_prefilter_solves_the_exact_candidates(grid_tracks, monkeypatch):
         assert grid
 
 
-def test_grid_extents_contain_the_scaled_rational_extents(grid_tracks,
-                                                          monkeypatch):
-    """Each cell's live extents contain ``2 ** shift`` times the exact
-    extents of its rational points, at most 2 grid units wider per side."""
+def _recorded_extents(track, monkeypatch):
+    """Sweep ``track`` and return the grid shift, the grid frames and every
+    ``_extents`` call as ``(pairs, vertices, extents)``, ``vertices``
+    naming each grid point passed by its ``(keyframe, component, vertex)``
+    in those frames (found by identity)."""
     live_grid = sweep.outward_grid
+    live_frames = sweep._integer_frames
     live_extents = sweep._extents
     shifts = []
+    built = []
     recorded = []
 
     def grid(values):
@@ -439,30 +473,81 @@ def test_grid_extents_contain_the_scaled_rational_extents(grid_tracks,
         shifts.append(shift)
         return shift, floors, ceils
 
-    def extents(points, pairs):
-        result = live_extents(points, pairs)
-        recorded.append((pairs, result))
+    def frames(track):
+        result = live_frames(track)
+        built.append(result)
         return result
 
-    monkeypatch.setattr(sweep, "outward_grid", grid)
-    monkeypatch.setattr(sweep, "_extents", extents)
-    for track in grid_tracks:
-        shifts.clear()
-        recorded.clear()
+    def extents(points, pairs):
+        result = live_extents(points, pairs)
+        recorded.append((pairs, list(points), result))
+        return result
+
+    with monkeypatch.context() as patch:
+        patch.setattr(sweep, "outward_grid", grid)
+        patch.setattr(sweep, "_integer_frames", frames)
+        patch.setattr(sweep, "_extents", extents)
         detect_triple_points(track)
-        assert len(shifts) == 1 and shifts[0] > 0
-        unit = 2 ** shifts[0]
-        expected = [
-            cell_points(track, cell)
-            for j in range(len(track.times) - 1)
-            for ci, dom in enumerate(track.domains)
-            for fi, facet in enumerate(dom.facets)
-            for cell in staircase_cells(facet, ci, fi, j)
-        ]
-        assert len(recorded) == len(expected)
-        for (pairs, (mins, maxs)), pts in zip(recorded, expected):
+    assert len(shifts) == 1 and len(built) == 1
+    where = {
+        id(point): (k, ci, v)
+        for k, frame in enumerate(built[0])
+        for ci, comp in enumerate(frame)
+        for v, point in enumerate(comp)
+    }
+    calls = [
+        (pairs, [where[id(point)] for point in points], result)
+        for pairs, points, result in recorded
+    ]
+    return shifts[0], built[0], calls
+
+
+def test_grid_extents_contain_the_scaled_rational_extents(grid_tracks,
+                                                          monkeypatch):
+    """Every extent the sweep computes, of a prism or of a cell, contains
+    ``2 ** shift`` times the exact extent of the same rational points, at
+    most 2 grid units wider per side."""
+    for track in grid_tracks:
+        shift, _, calls = _recorded_extents(track, monkeypatch)
+        assert shift > 0
+        unit = 2 ** shift
+        for pairs, vertices, (mins, maxs) in calls:
+            pts = [track.images[k][ci][v].coords + (track.times[k],)
+                   for k, ci, v in vertices]
             exact_mins, exact_maxs = extents_exact(pts, pairs)
             for lo, x in zip(mins, exact_mins):
                 assert 0 <= unit * x - lo <= 2
             for hi, x in zip(maxs, exact_maxs):
                 assert 0 <= hi - unit * x <= 2
+        # both kinds are checked: 2(d + 1) prism and d + 2 cell vertices
+        sizes = {len(facet) for dom in track.domains for facet in dom.facets}
+        assert {len(vertices) for _, vertices, _ in calls} == (
+            {2 * n for n in sizes} | {n + 1 for n in sizes}
+        )
+
+
+def test_prism_extents_are_the_union_of_cell_extents(grid_tracks,
+                                                     monkeypatch):
+    """The sweep computes the extents of every prism once, and they equal
+    the union of the extents of the prism's staircase cells."""
+    for track in grid_tracks:
+        _, frames, calls = _recorded_extents(track, monkeypatch)
+        prisms = {}
+        for pairs, vertices, extent in calls:
+            facet = frozenset(v for _, _, v in vertices)
+            if len(vertices) == 2 * len(facet):  # both levels of a facet
+                (ci,) = {c for _, c, _ in vertices}
+                key = (min(k for k, _, _ in vertices), ci, facet)
+                assert key not in prisms
+                prisms[key] = (pairs, extent)
+        for j in range(len(track.times) - 1):
+            for ci, dom in enumerate(track.domains):
+                for fi, facet in enumerate(dom.facets):
+                    pairs, extent = prisms.pop((j, ci, frozenset(facet)))
+                    cells = [
+                        sweep._extents([frames[j + level][ci][v]
+                                        for v, level in cell.vertices], pairs)
+                        for cell in staircase_cells(facet, ci, fi, j)
+                    ]
+                    assert extent == extents_union(cells)
+        assert not prisms
