@@ -12,6 +12,7 @@ flows from --seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from . import constructions, degree, formats, sweep
@@ -280,8 +281,15 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _parser():
+    """The :func:`build_parser` parser, built once per process: parsing
+    reads it and changes nothing in it."""
+    return build_parser()
+
+
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except ValueError as exc:

@@ -23,7 +23,10 @@ system fails the touching test, and a nonsingular one has its solution
 outside some facet.  The answer, the witnesses and the retries are
 therefore those of the exact hull.  Each facet's share of the hull is
 computed once, and the shares of a facet pair are added once for all
-third facets.  The solve itself stays on integers as well: it returns
+third facets; the third facet's share is added inside the ray test,
+coordinate by coordinate as it reads them, so no summed box is built for
+a triple.  A facet's simplex frame is built only when a triple containing
+it passes.  The solve itself stays on integers as well: it returns
 Cramer numerators over the determinant, and a candidate with a negative
 barycentric coordinate or ray scalar is dropped on their signs, so a
 rational solution is built only for the rare survivors.
@@ -240,29 +243,29 @@ def mu_via_degree(o, v, sign_convention=None):
     m = o.m
     if len(ray) != 2 * m:
         raise DimensionMismatch(f"ray must have length {2 * m}")
-    f1, f2, f3 = o.components
-    frames = [
-        [simplex_frame(f.facet_points(i)) for i in range(len(f.domain.facets))]
-        for f in o.components
-    ]
+    frames = [[None] * len(f.domain.facets) for f in o.components]
+
+    def frame(ci, fi):
+        if frames[ci][fi] is None:
+            frames[ci][fi] = simplex_frame(o.components[ci].facet_points(fi))
+        return frames[ci][fi]
+
     terms1, terms2, terms3 = _sphere_map_box_terms(o)
-    d = f1.domain.dim
+    d = o.components[0].domain.dim
     arities = (d + 1, d + 1, d + 1)
     ray_scale, ray_int = integer_scaled(ray.coords)
     solutions = []
     total = 0
     for i1, (mins1, maxs1) in enumerate(terms1):
         for i2, (mins2, maxs2) in enumerate(terms2):
-            mins12 = list(map(add, mins1, mins2))
-            maxs12 = list(map(add, maxs1, maxs2))
-            for i3, (mins3, maxs3) in enumerate(terms3):
-                # Lazy sums: the test reads each bound once and stops early.
-                box = (map(add, mins12, mins3), map(add, maxs12, maxs3))
-                if not ray_meets_box(ray_int, box):
+            hull12 = (list(map(add, mins1, mins2)),
+                      list(map(add, maxs1, maxs2)))
+            for i3, share3 in enumerate(terms3):
+                if not ray_meets_box(ray_int, hull12, share3):
                     continue
-                base1, e1 = frames[0][i1]
-                base2, e2 = frames[1][i2]
-                base3, e3 = frames[2][i3]
+                base1, e1 = frame(0, i1)
+                base2, e2 = frame(1, i2)
+                base3, e3 = frame(2, i3)
                 rows = []
                 rhs = []
                 for c in range(m):

@@ -88,7 +88,7 @@ class Vector:
     __slots__ = ("coords",)
 
     def __init__(self, coords):
-        self.coords = tuple(Rat(c) for c in coords)
+        self.coords = tuple(c if type(c) is Rat else Rat(c) for c in coords)
 
     def __len__(self):
         return len(self.coords)
@@ -230,20 +230,26 @@ def solve_integer(rows, rhs=None):
     sign = swap_sign if det > 0 else -swap_sign
     if rhs is None:
         return sign, None, None
-    return sign, back_substitute(aug, [row[n] for row in aug], det), det
+    return sign, back_substitute(aug, [row[n] for row in aug]), det
 
 
-def back_substitute(rows, rhs, det):
+def back_substitute(rows, rhs):
     """Integer numerators ``N_i = det * x_i`` of the solution of the
     triangular system ``rows[i][i:n] . x[i:] = rhs[i]``, ``n = len(rhs)``,
-    left by :func:`eliminate`, where ``det`` is its last pivot (any later
-    columns of ``rows`` are ignored).  By Cramer's rule on the row-permuted
-    leading block every ``N_i`` is an integer when ``rhs`` is the
-    elimination's image of an integer column, so each step divides exactly.
+    left by :func:`eliminate`, over ``det = rows[n - 1][n - 1]``, its last
+    pivot (any later columns of ``rows`` are ignored).  By Cramer's rule on
+    the row-permuted leading block every ``N_i`` is an integer when ``rhs``
+    is the elimination's image of an integer column, so each step divides
+    exactly; the last one, ``det * rhs[n - 1] / det``, is ``rhs[n - 1]``
+    itself.
     """
     n = len(rhs)
+    if n == 0:
+        return []
+    det = rows[n - 1][n - 1]
     numerators = [0] * n
-    for i in range(n - 1, -1, -1):
+    numerators[n - 1] = rhs[n - 1]
+    for i in range(n - 2, -1, -1):
         row = rows[i]
         acc = det * rhs[i]
         for j in range(i + 1, n):
@@ -435,7 +441,7 @@ def feasible_point(eq_rows, le_rows, nvars, scales=None):
     rows = [[None] * (nvars + 1) for _ in range(rank)]
     for col in free_cols + [nvars]:
         below = det * scales[col] if col < nvars else det
-        numerators = back_substitute(echelon, [row[col] for row in aug], det)
+        numerators = back_substitute(echelon, [row[col] for row in aug])
         for row, p, n in zip(rows, pivot_cols, numerators):
             row[col] = Rat(n * scales[p], below)
     nfree = len(free_cols)
@@ -538,11 +544,14 @@ def box_intersection(a, b):
     return mins, maxs
 
 
-def ray_meets_box(direction, box):
+def ray_meets_box(direction, box, share):
     """Exact test whether some ``s >= 0`` puts ``s * direction`` in the
-    closed box ``(mins, maxs)`` (each ``min <= max``; any iterables, read
-    once in step with ``direction``).  Used as a conservative prefilter, so
-    the closed version of the ray is intentional.
+    closed box ``(mins, maxs)`` that is the sum of two boxes, ``box`` and
+    ``share`` (each ``min <= max``): the ends are added coordinate by
+    coordinate as the test reads them, so a box summed from parts is never
+    built, and the test stops at the first coordinate that rules the ray
+    out.  Used as a conservative prefilter, so the closed version of the ray
+    is intentional.
 
     The running bounds on ``s`` are kept as unreduced fractions with
     positive denominators and compared by cross-multiplying, so the test
@@ -552,7 +561,10 @@ def ray_meets_box(direction, box):
     """
     lo_n, lo_d = 0, 1
     hi_n = hi_d = None  # +infinity
-    for d, mn, mx in zip(direction, box[0], box[1]):
+    for d, mn, mx, mn2, mx2 in zip(direction, box[0], box[1],
+                                   share[0], share[1]):
+        mn += mn2
+        mx += mx2
         if d == 0:
             if mn > 0 or mx < 0:
                 return False

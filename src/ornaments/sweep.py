@@ -10,13 +10,18 @@ ends: the columns of cell 1 are eliminated once per (cell 1, cell 2) pair
 and those of cell 3 once per (cell 2, cell 3) pair in a keyframe interval,
 so each candidate triple costs one 2k x 2k integer solve in cell 2's
 coordinates plus back-substitution for the few that survive its sign
-screen.  Before that, prism triples and then cell triples are prefiltered
-by their extents along the coordinates and the directions e_i +- e_j,
-computed on integers about 64 bits wide: the track is rounded outward onto
-one power-of-two grid, so the extents contain the exact ones and no triple
-that can meet is cut.  The set-up is lazy: a prism's cells are built only
-when a prism triple that passes reaches it, and a cell's rational points
-and simplex frame only when it enters a candidate triple.
+screen.  Each row the reductions leave is divided by its content (the gcd
+of its entries and right-hand side), which roughly halves the width of the
+integers that reach the solve.  Before that, prism triples and then cell
+triples are prefiltered by their extents along the coordinates and the
+directions e_i +- e_j, computed on integers about 64 bits wide: the track
+is rounded outward onto one power-of-two grid, so the extents contain the
+exact ones and no triple that can meet is cut.  Every grid vertex is
+expanded into its ends along those directions once, a keyframe at a time,
+and the extents of a prism or cell are the least and greatest of its
+vertices' ends.  The set-up is lazy: a prism's cells are built only when a
+prism triple that passes reaches it, and a cell's rational points and
+simplex frame only when it enters a candidate triple.
 Strictly interior transverse solutions are the signed triple points; their
 algebraic count over a homotopy to the trivial ornament is the invariant,
 and over an arbitrary homotopy it is the difference of the endpoint
@@ -253,25 +258,36 @@ def _extent_directions(width):
     return pairs
 
 
-def _extents(points, pairs):
-    """Outward min/max along every coordinate and every paired direction
-    of grid points given as ``(floors, ceils)`` pairs: lower ends come from
-    floors, upper ends from ceils (``e_i - e_j`` pairs floor i with ceil
-    j), so the extents contain those of the exact points; a conservative
-    separating-interval prefilter."""
-    lows = []
-    highs = []
-    for lo, hi in points:
-        low = list(lo)
-        high = list(hi)
-        for i, j in pairs:
-            low.append(lo[i] + lo[j])
-            low.append(lo[i] - hi[j])
-            high.append(hi[i] + hi[j])
-            high.append(hi[i] - lo[j])
-        lows.append(low)
-        highs.append(high)
-    return [min(col) for col in zip(*lows)], [max(col) for col in zip(*highs)]
+def _vertex_extents(point, pairs):
+    """Outward lower and upper ends along every coordinate and every paired
+    direction of one grid point given as a ``(floors, ceils)`` pair: lower
+    ends come from floors, upper ends from ceils (``e_i - e_j`` pairs floor
+    i with ceil j), so they bracket the exact point's values."""
+    lo, hi = point
+    low = list(lo)
+    high = list(hi)
+    for i, j in pairs:
+        low.append(lo[i] + lo[j])
+        low.append(lo[i] - hi[j])
+        high.append(hi[i] + hi[j])
+        high.append(hi[i] - lo[j])
+    return low, high
+
+
+def _hull(vertices):
+    """Extents of a cell or prism from its vertices' :func:`_vertex_extents`:
+    the least lower and the greatest upper end in every direction.  They
+    contain the exact extents; a conservative separating-interval
+    prefilter."""
+    return ([min(col) for col in zip(*[v[0] for v in vertices])],
+            [max(col) for col in zip(*[v[1] for v in vertices])])
+
+
+def _expanded_frame(frame, pairs):
+    """:func:`_vertex_extents` of every grid point of one keyframe of
+    :func:`_integer_frames`, indexed like it."""
+    return tuple(tuple(_vertex_extents(point, pairs) for point in comp)
+                 for comp in frame)
 
 
 def _extents_meet(a, b):
@@ -284,21 +300,12 @@ def _extents_meet(a, b):
     return True
 
 
-def _extents_meet3(a, b, c):
-    for i in range(len(a[0])):
-        lo = a[0][i]
-        if b[0][i] > lo:
-            lo = b[0][i]
-        if c[0][i] > lo:
-            lo = c[0][i]
-        hi = a[1][i]
-        if b[1][i] < hi:
-            hi = b[1][i]
-        if c[1][i] < hi:
-            hi = c[1][i]
-        if lo > hi:
-            return False
-    return True
+def _extents_common(a, b):
+    """The common part of two extents that meet (see :func:`_extents_meet`):
+    the three extents a, b and c meet exactly when
+    ``_extents_meet(_extents_common(a, b), c)``."""
+    return ([x if x > y else y for x, y in zip(a[0], b[0])],
+            [x if x < y else y for x, y in zip(a[1], b[1])])
 
 
 def _pair_reduction(frame1, frame2):
@@ -310,18 +317,21 @@ def _pair_reduction(frame1, frame2):
     system once per (cell 1, cell 2) pair, leaving a-free rows, and
     ``_pair_reduction(frame3, frame2)`` on the bottom block negated,
     ``E3 c - E2 b = base2 - base3``, once per (cell 2, cell 3) pair,
-    leaving c-free rows; :func:`_solve_from_pairs` joins the two.
+    leaving c-free rows; :func:`_solve_from_pairs` joins the two.  Each
+    x-free row is divided, with its right-hand side, by its positive gcd:
+    a positive row factor changes neither the solution nor any determinant
+    sign, and it keeps the joined system narrow.
 
     Returns ``None`` when the columns of E1 are dependent, in which case
     every triple system containing the pair is singular.  Otherwise returns
     ``(tri_rows, con_rows, con_rhs, sign_fix, rho)``: ``tri_rows`` the
     triangular integer rows [x-cols | b-cols | rhs], ``con_rows`` the
-    x-free integer rows [b-cols] with right-hand sides ``con_rhs``,
-    ``rho`` the positive integer that scaled the right-hand side to
-    integers, and ``sign_fix`` in {-1, +1} such that, in any square system
-    whose other rows vanish on the x columns, det(with the pair block) =
-    sign_fix * det(with the x-free rows in its place), up to a positive
-    factor.
+    x-free integer rows [b-cols] with right-hand sides ``con_rhs``, each
+    row primitive together with its right-hand side, ``rho`` the positive
+    integer that scaled the right-hand side to integers, and ``sign_fix``
+    in {-1, +1} such that, in any square system whose other rows vanish on
+    the x columns, det(with the pair block) = sign_fix * det(with the
+    x-free rows in its place), up to a positive factor.
     """
     base1, e1 = frame1
     base2, e2 = frame2
@@ -349,9 +359,16 @@ def _pair_reduction(frame1, frame2):
         if (p < 0) != (previous < 0) and (width - 1 - t) % 2 == 1:
             sign_fix = -sign_fix  # parity of the row rescalings
         previous = p
-    tri_rows = aug[:d1]
-    con_rows = [row[d1:-1] for row in aug[d1:]]
-    con_rhs = [row[-1] for row in aug[d1:]]
+    tri_rows = aug[:d1]  # left whole: _eliminated_block reads the pivots
+    con_rows = []
+    con_rhs = []
+    for row in aug[d1:]:
+        tail = row[d1:]
+        content = gcd(*tail)
+        if content > 1:
+            tail = [c // content for c in tail]
+        con_rows.append(tail[:-1])
+        con_rhs.append(tail[-1])
     return tri_rows, con_rows, con_rhs, sign_fix, rho12
 
 
@@ -361,20 +378,21 @@ def _eliminated_block(tri_rows, numerators_b, det, lift):
     ``lift``; they lie over ``det`` times the reduction's last pivot, which
     is returned with them."""
     d = len(tri_rows)
-    pivot = tri_rows[-1][d - 1]
+    top = det if lift == 1 else det * lift
     rhs = []
     for row in tri_rows:
-        acc = det * lift * row[-1]
+        acc = top * row[-1]
         for j, n in enumerate(numerators_b):
             acc -= row[d + j] * n
         rhs.append(acc)
-    return back_substitute(tri_rows, rhs, pivot), det * pivot
+    return back_substitute(tri_rows, rhs), det * tri_rows[-1][d - 1]
 
 
-def _solve_from_pairs(reduction12, reduction32, frame1, frame2, frame3):
+def _solve_from_pairs(reduction12, reduction32, scales):
     """Solve the triple system ``[[E1, -E2, 0], [0, E2, -E3]]`` (component
     order) from the reductions of its (cell 1, cell 2) and (cell 3, cell 2)
-    pairs.
+    pairs; ``scales`` holds the three cells' column scales, those of their
+    :func:`simplex_frame` edges.
 
     The k a-free rows of the first and the k c-free rows of the second
     form a square system in b alone, solved by one :func:`solve_integer`
@@ -392,13 +410,14 @@ def _solve_from_pairs(reduction12, reduction32, frame1, frame2, frame3):
         return 0, None
     tri12, con12, rhs12, fix12, rho12 = reduction12
     tri32, con32, rhs32, fix32, rho32 = reduction32
-    rho = rho12 * (rho32 // gcd(rho12, rho32))
+    rho = rho12 if rho12 == rho32 else rho12 * (rho32 // gcd(rho12, rho32))
     lift12 = rho // rho12
     lift32 = rho // rho32
-    sign_n, numerators, det = solve_integer(
-        con12 + con32,
-        [r * lift12 for r in rhs12] + [r * lift32 for r in rhs32],
-    )
+    if lift12 != 1:
+        rhs12 = [r * lift12 for r in rhs12]
+    if lift32 != 1:
+        rhs32 = [r * lift32 for r in rhs32]
+    sign_n, numerators, det = solve_integer(con12 + con32, rhs12 + rhs32)
     if sign_n == 0:
         return 0, None
     # With k = len(con12) = len(con32), det(full) = fix12 * fix32 * (-1)^k
@@ -409,53 +428,57 @@ def _solve_from_pairs(reduction12, reduction32, frame1, frame2, frame3):
     sign = fix12 * fix32 * sign_n
     if len(con12) % 2:
         sign = -sign
-    scales2 = [s for s, _ in frame2[1]]
+    scales1, scales2, scales3 = scales
     if cramer_outside(numerators, det, scales2, rho, (len(scales2) + 1,)):
         return sign, None
-    scales3 = [s for s, _ in frame3[1]]
     numerators_c, det_c = _eliminated_block(tri32, numerators, det, lift32)
     if cramer_outside(numerators_c, det_c, scales3, rho, (len(scales3) + 1,)):
         return sign, None
-    scales1 = [s for s, _ in frame1[1]]
     numerators_a, det_a = _eliminated_block(tri12, numerators, det, lift12)
     solution = []
-    for scales, block, d in ((scales1, numerators_a, det_a),
-                             (scales2, numerators, det),
-                             (scales3, numerators_c, det_c)):
-        solution.extend(Rat(s * n, rho * d) for s, n in zip(scales, block))
+    for block_scales, block, d in ((scales1, numerators_a, det_a),
+                                   (scales2, numerators, det),
+                                   (scales3, numerators_c, det_c)):
+        solution.extend(Rat(s * n, rho * d)
+                        for s, n in zip(block_scales, block))
     return sign, solution
 
 
 class _SweepCell:
     """A staircase cell of the sweep with its grid extents; its rational
-    points and simplex frame are built by :meth:`framed` on first use.
-    Hashed by identity, so it keys the (cell 2, cell 3) reductions."""
+    points, simplex frame and the frame's column scales are built by
+    :meth:`framed` on first use.  Hashed by identity, so it keys the
+    (cell 2, cell 3) reductions."""
 
-    __slots__ = ("cell", "extents", "points", "frame")
+    __slots__ = ("cell", "extents", "points", "frame", "scales")
 
     def __init__(self, cell, extents):
         self.cell = cell
         self.extents = extents
         self.points = None
         self.frame = None
+        self.scales = None
 
     def framed(self, track):
         """The cell's :func:`simplex_frame`, built on first use together
-        with :attr:`points` (see :func:`cell_points`)."""
+        with :attr:`points` (see :func:`cell_points`) and :attr:`scales`."""
         if self.frame is None:
             self.points = cell_points(track, self.cell)
             self.frame = simplex_frame(self.points)
+            self.scales = [s for s, _ in self.frame[1]]
         return self.frame
 
 
-def _interval_triple_points(track, j, grid, pairs):
+_UNSEEN = object()
+
+
+def _interval_triple_points(track, j, vertices):
     """The signed triple points of keyframe interval ``j``, unsorted;
-    ``grid`` holds the :func:`_integer_frames` of keyframes j and j + 1.
+    ``vertices`` holds the :func:`_expanded_frame` of keyframes j and j + 1.
     See :func:`detect_triple_points`."""
     found = []
     prism_extents = [
-        [_extents([grid[level][ci][v] for level in (0, 1) for v in facet],
-                  pairs)
+        [_hull([vertices[level][ci][v] for level in (0, 1) for v in facet])
          for facet in dom.facets]
         for ci, dom in enumerate(track.domains)
     ]
@@ -467,8 +490,8 @@ def _interval_triple_points(track, j, grid, pairs):
         if entries is None:
             facet = track.domains[ci].facets[fi]
             entries = prism_cells[ci][fi] = [
-                _SweepCell(cell, _extents(
-                    [grid[level][ci][v] for v, level in cell.vertices], pairs
+                _SweepCell(cell, _hull(
+                    [vertices[level][ci][v] for v, level in cell.vertices]
                 ))
                 for cell in staircase_cells(facet, ci, fi, j)
             ]
@@ -478,9 +501,10 @@ def _interval_triple_points(track, j, grid, pairs):
         for i2, x2 in enumerate(prism_extents[1]):
             if not _extents_meet(x1, x2):
                 continue
+            x12 = _extents_common(x1, x2)
             third = [
                 i3 for i3, x3 in enumerate(prism_extents[2])
-                if _extents_meet3(x1, x2, x3)
+                if _extents_meet(x12, x3)
             ]
             if not third:
                 continue
@@ -491,9 +515,10 @@ def _interval_triple_points(track, j, grid, pairs):
                     cx2 = entry2.extents
                     if not _extents_meet(cx1, cx2):
                         continue
+                    cx12 = _extents_common(cx1, cx2)
                     candidates = [
                         entry3 for entry3 in cells3
-                        if _extents_meet3(cx1, cx2, entry3.extents)
+                        if _extents_meet(cx12, entry3.extents)
                     ]
                     if not candidates:
                         continue
@@ -503,10 +528,14 @@ def _interval_triple_points(track, j, grid, pairs):
                     for entry3 in candidates:
                         fr3 = entry3.framed(track)
                         key = (entry2, entry3)
-                        if key not in reductions32:
-                            reductions32[key] = _pair_reduction(fr3, fr2)
+                        reduction32 = reductions32.get(key, _UNSEEN)
+                        if reduction32 is _UNSEEN:
+                            reduction32 = reductions32[key] = _pair_reduction(
+                                fr3, fr2
+                            )
                         sign, solution = _solve_from_pairs(
-                            reduction12, reductions32[key], fr1, fr2, fr3
+                            reduction12, reduction32,
+                            (entry1.scales, entry2.scales, entry3.scales),
                         )
                         points = (entry1.points, entry2.points, entry3.points)
                         if sign == 0:
@@ -563,29 +592,34 @@ def detect_triple_points(track):
     one has its solution outside some cell; it can neither add a point nor
     raise, and the points found are those of the exact prefilter.
 
-    The set-up is lazy.  A prism's extents come from its 2(d + 1) grid
-    vertices and equal the union of its cells' extents.  A prism's cells
-    and their extents are built when a prism triple that passes reaches
-    it, and a cell's rational points and simplex frame when it first
-    enters a candidate triple.
+    The set-up is lazy.  The grid vertices of keyframes j and j + 1 are
+    expanded by :func:`_vertex_extents` for interval j, those of j + 1
+    kept for the next, and the extents of a prism or cell are the
+    :func:`_hull` of its vertices' (its 2(d + 1) or d + 2 of them), so a
+    prism's equal the union of its cells'.  A prism's cells and their
+    extents are built when a prism triple that passes reaches it, and a
+    cell's rational points, simplex frame and column scales when it first
+    enters a candidate triple.  A pair of extents that meet is intersected
+    once and tested against each third one.
 
     Each candidate is solved by :func:`_solve_from_pairs` from the (cell 1,
     cell 2) reduction, made once per pair, and the (cell 3, cell 2)
     reduction, made on first use and cached for the rest of the keyframe
-    interval.  A candidate whose integer solve puts it outside cell 2 or
-    cell 3 is dropped before any rational is built; a singular one (a
-    degenerate cell 1 or cell 3 included) goes to the exact touching test,
-    which raises when the closed cells meet.  The touching tests and the
+    interval; the x-free rows of the reductions are primitive, which keeps
+    the joined 2k x 2k system narrow.  A candidate whose integer solve puts
+    it outside cell 2 or cell 3 is dropped before any rational is built; a
+    singular one (a degenerate cell 1 or cell 3 included) goes to the exact
+    touching test, which raises when the closed cells meet.  The touching tests and the
     witnesses use the rational points.  Raises NonGenericTrack on any
     exactly-degenerate configuration.
     """
     found = []
     pairs = _extent_directions(track.m + 1)
     int_frames = _integer_frames(track)
+    upper = _expanded_frame(int_frames[0], pairs)
     for j in range(len(track.times) - 1):
-        found.extend(_interval_triple_points(
-            track, j, int_frames[j:j + 2], pairs
-        ))
+        lower, upper = upper, _expanded_frame(int_frames[j + 1], pairs)
+        found.extend(_interval_triple_points(track, j, (lower, upper)))
     found.sort(key=lambda p: (p.t, tuple(
         (c.component, c.facet, c.interval, c.vertices) for c in p.cells
     )))

@@ -7,11 +7,13 @@ routes share no code.  The rational ray-box test and sphere-map box are
 the references for the integer prefilter of the degree route.  The direct
 triple solve is the reference for the sweep's pair reduction: it solves
 the whole block system with the package's square solver, which the tests
-check separately against ``_solve_unique``.  The Gauss-Jordan feasibility
-routine is the reference for the package's rank-first ``feasible_point``,
-and the exact common-scale frames and extents are the references for the
-sweep's outward-rounded grid prefilter; the union of cell extents is the
-reference for the sweep's prism extents.  The helpers at the end (image of
+check separately against ``_solve_unique``; the full back-substitution
+loop is the reference for the package's, which takes its last step from
+the last pivot.  The Gauss-Jordan feasibility routine is the reference
+for the package's rank-first ``feasible_point``, and the exact
+common-scale frames and extents are the references for the sweep's
+outward-rounded grid prefilter; the union of extents is the reference for
+the sweep's cell and prism extents.  The helpers at the end (image of
 a barycentric point, reversed and concatenated tracks, certification of an
 ornament homotopy) are used only by tests.
 """
@@ -212,6 +214,22 @@ def brute_force_feasible(eq_rows, le_rows, nvars):
     return False
 
 
+def back_substitute_full(rows, rhs, det):
+    """Reference for the package's ``back_substitute``: integer numerators
+    ``N_i = det * x_i`` of the triangular system ``rows[i][i:n] . x[i:] =
+    rhs[i]``, every one, the last included, found by the full
+    multiply-and-divide step.  This is the package's former loop."""
+    n = len(rhs)
+    numerators = [0] * n
+    for i in range(n - 1, -1, -1):
+        row = rows[i]
+        acc = det * rhs[i]
+        for j in range(i + 1, n):
+            acc -= row[j] * numerators[j]
+        numerators[i] = acc // row[i]
+    return numerators
+
+
 def ray_meets_box_by_division(direction, box):
     """Reference ray-box test: intersect the intervals ``[mn/d, mx/d]`` of
     admissible ray parameters by exact division.  Inputs are converted to
@@ -334,8 +352,8 @@ def extents_exact(points, pairs):
 
 
 def extents_union(extent_list):
-    """Reference for the sweep's prism extents: the union, entry by entry,
-    of ``(mins, maxs)`` extents."""
+    """Reference for the sweep's cell and prism extents: the union, entry
+    by entry, of ``(mins, maxs)`` extents (of vertices or of cells)."""
     mins = list(extent_list[0][0])
     maxs = list(extent_list[0][1])
     for mn, mx in extent_list[1:]:

@@ -78,6 +78,35 @@ def test_gen_unwritable_out_is_input_error(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_parser_is_built_once_per_process(tmp_path, capsys, monkeypatch):
+    """``main`` builds its parser on the first call only; a usage error in
+    between leaves it as it was, and later calls parse as a fresh one."""
+    built = []
+    live = cli.build_parser
+
+    def counting():
+        built.append(None)
+        return live()
+
+    monkeypatch.setattr(cli, "build_parser", counting)
+    cli._parser.cache_clear()
+    try:
+        out = tmp_path / "b.json"
+        code, report = run(capsys, "gen", "borromean", "--out", str(out))
+        assert code == 0 and report["status"] == "written"
+        with pytest.raises(SystemExit):
+            cli.main(["mu", str(out), "--method", "neither"])
+        code, report = run(capsys, "gen", "trivial", "--seed", "3",
+                           "--out", str(out))
+        assert code == 0 and report["kind"] == "trivial"
+        assert len(built) == 1
+        assert vars(cli._parser().parse_args(["sweep", "x"])) == vars(
+            live().parse_args(["sweep", "x"])
+        )
+    finally:
+        cli._parser.cache_clear()
+
+
 def test_gen_trivial_with_targets_has_mu_zero(tmp_path, capsys):
     out = tmp_path / "t.json"
     code, _ = run(capsys, "gen", "trivial", "--k", "1",

@@ -8,6 +8,9 @@ that drops, adds or moves a counted call site fails here instead of
 silently moving a benchmark metric.
 """
 
+from math import gcd
+from statistics import median
+
 import pytest
 
 from ornaments import constructions, degree, model, sweep
@@ -83,6 +86,36 @@ def test_sweep_frames_borromean_k1_r3(borromean_k1_r3, monkeypatch):
     assert all(id(result) in reduced for _, result in framed)
     assert (solves.calls, solves.hits) == (4906, 0)
     assert (points.calls, points.hits) == (1, 1)
+
+
+def test_sweep_system_width_borromean_k1_r3(borromean_k1_r3, monkeypatch):
+    """The pair reductions leave every x-free row primitive together with
+    its right-hand side, and the systems reaching ``sweep.solve_integer``
+    are at most 240 bits wide in the median, a system's width being that
+    of its widest coefficient (381 bits before the rows were reduced)."""
+    live_solve = sweep.solve_integer
+    live_reduction = sweep._pair_reduction
+    widths = []
+    rows_seen = []
+
+    def solve(rows, rhs=None):
+        widths.append(max(abs(c).bit_length() for row in rows for c in row))
+        return live_solve(rows, rhs)
+
+    def reduction(frame_x, frame2):
+        result = live_reduction(frame_x, frame2)
+        if result is not None:
+            _, con_rows, con_rhs, _, _ = result
+            rows_seen.extend(row + [r] for row, r in zip(con_rows, con_rhs))
+        return result
+
+    monkeypatch.setattr(sweep, "solve_integer", solve)
+    monkeypatch.setattr(sweep, "_pair_reduction", reduction)
+    assert sweep.mu_via_sweep(borromean_k1_r3, seed=0) == 1
+    assert len(widths) == 4906
+    assert median(widths) <= 240
+    assert rows_seen
+    assert all(gcd(*row) == 1 for row in rows_seen)
 
 
 def test_degree_counters_borromean_k1_r3(borromean_k1_r3, monkeypatch):

@@ -160,8 +160,8 @@ def test_integer_prefilter_passes_the_rational_triples(make, monkeypatch):
     live = degree.ray_meets_box
     passed = []
 
-    def recording(direction, box):
-        ok = live(direction, box)
+    def recording(direction, box, share):
+        ok = live(direction, box, share)
         passed.append(ok)
         return ok
 

@@ -6,10 +6,12 @@ from hypothesis import example, given, strategies as st
 from ornaments.geometry import (
     Rat,
     Vector,
+    back_substitute,
     bounding_box,
     box_intersection,
     cramer_outside,
     derive_seed,
+    eliminate,
     feasible_point,
     format_rational,
     integer_scaled,
@@ -23,6 +25,7 @@ from ornaments.geometry import (
 
 from oracles import (
     _solve_unique,
+    back_substitute_full,
     brute_force_feasible,
     feasible_point_gauss_jordan,
     ray_meets_box_by_division,
@@ -145,6 +148,27 @@ def test_solve_integer_matches_rational_path():
                 list(zip(rows, rhs)), n
             )
     assert singular > 0  # the corpus exercises the singular branch
+
+
+@given(st.integers(1, 5).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.lists(st.lists(st.integers(-2 ** 40, 2 ** 40), min_size=n + 2,
+                      max_size=n + 2), min_size=n, max_size=n),
+)))
+@example((2, [[0, 3, 1, 5], [2, 0, -7, 1]]))  # a row swap
+def test_back_substitute_matches_the_full_loop(case):
+    """The numerators over the last pivot, its last one read off the
+    right-hand side, equal the full loop's, on the eliminated system and
+    its extra column (the right-hand side) alike."""
+    n, rows = case
+    reduction = eliminate(rows, n)
+    if reduction is None:
+        return
+    det = reduction[1][-1]
+    for col in (n, n + 1):
+        rhs = [row[col] for row in rows]
+        assert back_substitute(rows, rhs) == back_substitute_full(rows, rhs,
+                                                                  det)
 
 
 # --- interior_barycentric -------------------------------------------------------
@@ -440,14 +464,20 @@ def test_bounding_box_and_overlap():
 
 def test_ray_meets_box():
     box = ((Rat(1), Rat(1)), (Rat(2), Rat(3)))
-    assert ray_meets_box(Vector([1, 1]), box)
-    assert ray_meets_box(Vector([1, 2]), box)
-    assert not ray_meets_box(Vector([-1, 1]), box)
-    assert not ray_meets_box(Vector([1, 4]), box)
+    zero = ((0, 0), (0, 0))
+    assert ray_meets_box(Vector([1, 1]), box, zero)
+    assert ray_meets_box(Vector([1, 2]), box, zero)
+    assert not ray_meets_box(Vector([-1, 1]), box, zero)
+    assert not ray_meets_box(Vector([1, 4]), box, zero)
     # zero coordinate: box must straddle that axis
-    assert not ray_meets_box(Vector([0, 1]), box)
+    assert not ray_meets_box(Vector([0, 1]), box, zero)
     straddling = ((Rat(-1), Rat(1)), (Rat(2), Rat(3)))
-    assert ray_meets_box(Vector([0, 1]), straddling)
+    assert ray_meets_box(Vector([0, 1]), straddling, zero)
+    # the tested box is the sum of the two parts: here ``straddling``
+    part = ((Rat(1), Rat(0)), (Rat(4), Rat(1)))
+    share = ((Rat(-2), Rat(1)), (Rat(-2), Rat(2)))
+    assert ray_meets_box(Vector([0, 1]), part, share)
+    assert not ray_meets_box(Vector([0, 1]), part, zero)
 
 
 # Ray-box test against the division-based reference: small and huge ints
@@ -464,13 +494,17 @@ _NUMBERS = {
 
 @st.composite
 def _ray_and_box(draw, kind):
-    """A direction (zero components likely) and a box whose per-coordinate
-    intervals are general, single points, or have an end at 0."""
+    """A direction (zero and negative components likely) and a box whose
+    per-coordinate intervals are general, single points, or have an end at
+    0, with the box split into two parts that sum to it: on each coordinate
+    one part is a single point, the other the rest."""
     numbers = _NUMBERS[kind]
     n = draw(st.integers(1, 5))
     direction = draw(st.lists(st.one_of(st.just(0), numbers),
                               min_size=n, max_size=n))
     mins, maxs = [], []
+    part = ([], [])
+    share = ([], [])
     for _ in range(n):
         shape = draw(st.sampled_from(["interval", "point", "face at 0"]))
         a = draw(numbers)
@@ -480,17 +514,26 @@ def _ray_and_box(draw, kind):
         lo, hi = min(a, b), max(a, b)
         mins.append(lo)
         maxs.append(hi)
-    return direction, (mins, maxs)
+        offset = draw(numbers)
+        point, rest = (part, share) if draw(st.booleans()) else (share, part)
+        point[0].append(offset)
+        point[1].append(offset)
+        rest[0].append(lo - offset)
+        rest[1].append(hi - offset)
+    return direction, (mins, maxs), part, share
 
 
 @pytest.mark.parametrize("kind", sorted(_NUMBERS))
 def test_ray_meets_box_agrees_with_division(kind):
+    """The two-part test answers for the summed box, whether the box comes
+    whole (with a zero share) or split."""
     @given(_ray_and_box(kind))
     def check(case):
-        direction, box = case
-        assert ray_meets_box(direction, box) == ray_meets_box_by_division(
-            direction, box
-        )
+        direction, box, part, share = case
+        expected = ray_meets_box_by_division(direction, box)
+        zero = ([0] * len(direction), [0] * len(direction))
+        assert ray_meets_box(direction, box, zero) == expected
+        assert ray_meets_box(direction, part, share) == expected
 
     check()
 

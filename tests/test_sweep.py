@@ -1,6 +1,8 @@
 import random
+from math import gcd, lcm
 
 import pytest
+from hypothesis import given, strategies as st
 
 from ornaments import sweep
 from ornaments.constructions import (
@@ -15,6 +17,7 @@ from ornaments.geometry import (
     derive_seed,
     interior_barycentric,
     simplex_frame,
+    solve_integer,
 )
 from ornaments.model import Ornament, perturb_ornament, validate_ornament
 from ornaments.sweep import (
@@ -99,6 +102,11 @@ def test_staircase_restricts_to_shared_faces():
         assert supported_cells(facet, face) == expected
 
 
+def column_scales(frame):
+    """The column scales of a :func:`simplex_frame`'s edges."""
+    return [s for s, _ in frame[1]]
+
+
 def test_pair_reduction_matches_direct_solver():
     """The two-sided reduced solver agrees with the direct block solve:
     the same determinant sign; a screened candidate exactly when the direct
@@ -172,7 +180,8 @@ def test_pair_reduction_matches_direct_solver():
             assert reduction12 is None
         if kind == "repeated 2":
             assert reduction32 is None
-        reduced = _solve_from_pairs(reduction12, reduction32, f1, f2, f3)
+        reduced = _solve_from_pairs(reduction12, reduction32,
+                                    [column_scales(f) for f in (f1, f2, f3)])
         assert direct[0] == reduced[0]
         if direct[0] == 0:
             assert reduced[1] is None
@@ -191,6 +200,61 @@ def test_pair_reduction_matches_direct_solver():
             full = interior_barycentric(direct[1], [npts] * 3)
             branches["inside" if full is not None else "a outside"] += 1
     assert all(branches.values()), branches
+
+
+@st.composite
+def _cell_triples(draw):
+    """Three cells of one k in (1, 2), each 2k + 1 rational points in
+    R^{3k}; a point is repeated now and then (a degenerate cell)."""
+    k = draw(st.integers(1, 2))
+    width, npts = 3 * k, 2 * k + 1
+    size = 3 * npts * width
+    numerators = draw(st.lists(st.integers(-30, 30), min_size=size,
+                               max_size=size))
+    denominators = draw(st.lists(st.integers(1, 7), min_size=size,
+                                 max_size=size))
+    coords = iter(map(Rat, numerators, denominators))
+    cells = [[tuple(next(coords) for _ in range(width)) for _ in range(npts)]
+             for _ in range(3)]
+    if draw(st.integers(0, 7)) == 0:
+        cell = cells[draw(st.integers(0, 2))]
+        cell[0] = cell[-1]
+    return cells
+
+
+@given(_cell_triples())
+def test_pair_reduction_rows_are_primitive(cells):
+    """Every x-free row of a pair reduction is primitive together with its
+    right-hand side, and the joined b system has the direct solver's
+    determinant sign and, when nonsingular, its Cramer solution."""
+    f1, f2, f3 = (simplex_frame(c) for c in cells)
+    direct_sign, direct = solve_triple(f1, f2, f3)
+    reduction12 = _pair_reduction(f1, f2)
+    reduction32 = _pair_reduction(f3, f2)
+    for reduction in (reduction12, reduction32):
+        if reduction is not None:
+            _, rows, rhs, _, _ = reduction
+            for row, r in zip(rows, rhs):
+                assert gcd(*row, r) in (0, 1)  # 0: an all-zero row
+    sign, _ = _solve_from_pairs(reduction12, reduction32,
+                                [column_scales(f) for f in (f1, f2, f3)])
+    assert sign == direct_sign
+    if reduction12 is None or reduction32 is None:
+        assert direct_sign == 0
+        return
+    _, con12, rhs12, _, rho12 = reduction12
+    _, con32, rhs32, _, rho32 = reduction32
+    rho = lcm(rho12, rho32)
+    lifted = ([r * (rho // rho12) for r in rhs12]
+              + [r * (rho // rho32) for r in rhs32])
+    sign_b, numerators, det = solve_integer(con12 + con32, lifted)
+    assert (sign_b == 0) == (direct_sign == 0)
+    if direct_sign:
+        d = len(f2[1])
+        assert [Rat(s * n, rho * det) for s, n in zip(column_scales(f2),
+                                                       numerators)] == (
+            direct[d:2 * d]
+        )
 
 
 # --- tracks ---------------------------------------------------------------------
@@ -447,7 +511,8 @@ def test_grid_prefilter_solves_the_exact_candidates(grid_tracks, monkeypatch):
         grid, grid_points = _solved_candidates(track, monkeypatch)
         with monkeypatch.context() as exact:
             exact.setattr(sweep, "_integer_frames", integer_frames_exact)
-            exact.setattr(sweep, "_extents", extents_exact)
+            exact.setattr(sweep, "_vertex_extents",
+                          lambda point, pairs: extents_exact([point], pairs))
             reference, reference_points = _solved_candidates(
                 track, monkeypatch
             )
@@ -457,16 +522,22 @@ def test_grid_prefilter_solves_the_exact_candidates(grid_tracks, monkeypatch):
 
 
 def _recorded_extents(track, monkeypatch):
-    """Sweep ``track`` and return the grid shift, the grid frames and every
-    ``_extents`` call as ``(pairs, vertices, extents)``, ``vertices``
-    naming each grid point passed by its ``(keyframe, component, vertex)``
-    in those frames (found by identity)."""
+    """Sweep ``track`` and return the grid shift, the per-vertex extents
+    and every extent of a cell or prism the sweep computes.
+
+    The per-vertex extents map ``(keyframe, component, vertex)`` to
+    ``(pairs, extents)``, one :func:`sweep._vertex_extents` call each (a
+    second call for one vertex fails); the cell and prism extents are the
+    :func:`sweep._hull` calls as ``(pairs, vertices, extents)``, naming
+    their vertices the same way (found by identity)."""
     live_grid = sweep.outward_grid
     live_frames = sweep._integer_frames
-    live_extents = sweep._extents
+    live_vertex = sweep._vertex_extents
+    live_hull = sweep._hull
     shifts = []
     built = []
-    recorded = []
+    expanded = []  # (point, pairs, result)
+    hulls = []  # (vertex results, result)
 
     def grid(values):
         shift, floors, ceils = live_grid(values)
@@ -478,15 +549,21 @@ def _recorded_extents(track, monkeypatch):
         built.append(result)
         return result
 
-    def extents(points, pairs):
-        result = live_extents(points, pairs)
-        recorded.append((pairs, list(points), result))
+    def vertex(point, pairs):
+        result = live_vertex(point, pairs)
+        expanded.append((point, pairs, result))
+        return result
+
+    def hull(vertices):
+        result = live_hull(vertices)
+        hulls.append((list(vertices), result))
         return result
 
     with monkeypatch.context() as patch:
         patch.setattr(sweep, "outward_grid", grid)
         patch.setattr(sweep, "_integer_frames", frames)
-        patch.setattr(sweep, "_extents", extents)
+        patch.setattr(sweep, "_vertex_extents", vertex)
+        patch.setattr(sweep, "_hull", hull)
         detect_triple_points(track)
     assert len(shifts) == 1 and len(built) == 1
     where = {
@@ -495,18 +572,28 @@ def _recorded_extents(track, monkeypatch):
         for ci, comp in enumerate(frame)
         for v, point in enumerate(comp)
     }
+    vertices = {}
+    named = {}
+    for point, pairs, result in expanded:
+        key = where[id(point)]
+        assert key not in vertices
+        vertices[key] = (pairs, result)
+        named[id(result)] = key
+    assert len(vertices) == len(where)
     calls = [
-        (pairs, [where[id(point)] for point in points], result)
-        for pairs, points, result in recorded
+        (vertices[named[id(parts[0])]][0],
+         [named[id(part)] for part in parts], result)
+        for parts, result in hulls
     ]
-    return shifts[0], built[0], calls
+    return shifts[0], vertices, calls
 
 
 def test_grid_extents_contain_the_scaled_rational_extents(grid_tracks,
                                                           monkeypatch):
     """Every extent the sweep computes, of a prism or of a cell, contains
     ``2 ** shift`` times the exact extent of the same rational points, at
-    most 2 grid units wider per side."""
+    most 2 grid units wider per side; it is computed from the extents of
+    its vertices, each expanded once per sweep."""
     for track in grid_tracks:
         shift, _, calls = _recorded_extents(track, monkeypatch)
         assert shift > 0
@@ -529,24 +616,25 @@ def test_grid_extents_contain_the_scaled_rational_extents(grid_tracks,
 def test_prism_extents_are_the_union_of_cell_extents(grid_tracks,
                                                      monkeypatch):
     """The sweep computes the extents of every prism once, and they equal
-    the union of the extents of the prism's staircase cells."""
+    the union of the extents of the prism's staircase cells, each the
+    union of its vertices' extents."""
     for track in grid_tracks:
-        _, frames, calls = _recorded_extents(track, monkeypatch)
+        _, vertices, calls = _recorded_extents(track, monkeypatch)
         prisms = {}
-        for pairs, vertices, extent in calls:
-            facet = frozenset(v for _, _, v in vertices)
-            if len(vertices) == 2 * len(facet):  # both levels of a facet
-                (ci,) = {c for _, c, _ in vertices}
-                key = (min(k for k, _, _ in vertices), ci, facet)
+        for _, names, extent in calls:
+            facet = frozenset(v for _, _, v in names)
+            if len(names) == 2 * len(facet):  # both levels of a facet
+                (ci,) = {c for _, c, _ in names}
+                key = (min(k for k, _, _ in names), ci, facet)
                 assert key not in prisms
-                prisms[key] = (pairs, extent)
+                prisms[key] = extent
         for j in range(len(track.times) - 1):
             for ci, dom in enumerate(track.domains):
                 for fi, facet in enumerate(dom.facets):
-                    pairs, extent = prisms.pop((j, ci, frozenset(facet)))
+                    extent = prisms.pop((j, ci, frozenset(facet)))
                     cells = [
-                        sweep._extents([frames[j + level][ci][v]
-                                        for v, level in cell.vertices], pairs)
+                        extents_union([vertices[(j + level, ci, v)][1]
+                                       for v, level in cell.vertices])
                         for cell in staircase_cells(facet, ci, fi, j)
                     ]
                     assert extent == extents_union(cells)
