@@ -25,7 +25,6 @@ from .degree import (
     NonGenericDirection,
     PreimageSolution,
     RayDirection,
-    SignConvention,
     degree_sign,
     mu_via_degree,
     mu_via_degree_auto,

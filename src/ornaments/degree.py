@@ -8,7 +8,16 @@ count preimages of a rational ray: for each facet triple the map is jointly
 affine in the stacked barycentric parameters, so one exact linear solve per
 triple finds the unique candidate preimage, which is counted when it is
 strictly interior with a positive ray scalar and signed by the determinant
-of the very matrix that was solved.
+of its system.  The system is solved as x - z = s*u and y - z = s*w, with
+u = (2 v_top + v_bot) / 3 and w = (v_top + 2 v_bot) / 3: the sphere-map
+rows are [[2, -1], [-1, 2]] (x) I times these rows, a factor of
+determinant 3^m > 0, so the solutions and the sign are the same.  Its two
+blocks are facet-pair equations sharing facet 3 and the ray column, so
+each triple is solved by the sweep's pair-reduced kernel from
+:mod:`ornaments.geometry`: the (facet 1, facet 3) and (facet 2, facet 3)
+reductions are made once per pair, then one 2k x 2k integer solve.
+A degenerate facet 1 or 2 has no reduction: its triples are singular,
+with no solve.
 
 Before any solve, a triple must pass a prefilter: the ray has to meet an
 interval hull of the map over the three facet boxes.  The prefilter runs
@@ -26,9 +35,8 @@ computed once, and the shares of a facet pair are added once for all
 third facets; the third facet's share is added inside the ray test,
 coordinate by coordinate as it reads them, so no summed box is built for
 a triple.  A facet's simplex frame is built only when a triple containing
-it passes.  The solve itself stays on integers as well: it returns
-Cramer numerators over the determinant, and a candidate with a negative
-barycentric coordinate or ray scalar is dropped on their signs, so a
+it passes.  A candidate with a negative coordinate in facet 2 or 3 or a
+negative ray scalar is dropped on the signs of the integer solve, so a
 rational solution is built only for the rare survivors.
 
 Degeneracies (singular systems that still touch the closed cells, boundary
@@ -45,19 +53,24 @@ from operator import add
 
 from .geometry import (
     DimensionMismatch,
-    Rat,
     Vector,
-    cramer_outside,
     derive_seed,
     feasible_point,
     integer_scaled,
     interior_barycentric,
     outward_grid,
+    pair_reduction,
     ray_meets_box,
     simplex_frame,
+    solve_from_pairs,
     solve_integer,
 )
-from .model import Ornament, TriangulatedManifold, _nonneg_rows
+from .model import (
+    Ornament,
+    TriangulatedManifold,
+    common_point_system,
+    _nonneg_rows,
+)
 
 
 def degree_sign(k):
@@ -72,13 +85,6 @@ def degree_sign(k):
     single choice, exercised by the test suite.
     """
     return -1 if k % 2 == 0 else 1
-
-
-@dataclass(frozen=True)
-class SignConvention:
-    """Global sign fixed by the one-time calibration in degree_sign."""
-
-    global_sign: int
 
 
 class NonGenericDirection(Exception):
@@ -186,44 +192,25 @@ def _sphere_map_box_terms(o):
     return terms
 
 
-def _ray_touches_closed_cells(o, facet_indices, v):
+def _ray_touches_closed_cells(o, facet_indices, u, w):
     """Feasibility of "the closed facet triple maps onto a point of the
-    closed ray": decides whether a singular system still matters."""
-    pts = [f.facet_points(i) for f, i in zip(o.components, facet_indices)]
-    arities = [len(p) for p in pts]
-    offsets = [0, arities[0], arities[0] + arities[1]]
-    n = sum(arities) + 1
-    m = o.m
-    rows = []
-    for c in range(m):
-        row = [Rat(0)] * n
-        for a, p in enumerate(pts[0]):
-            row[offsets[0] + a] = 2 * p[c]
-        for a, p in enumerate(pts[1]):
-            row[offsets[1] + a] = -p[c]
-        for a, p in enumerate(pts[2]):
-            row[offsets[2] + a] = -p[c]
-        row[n - 1] = -v[c]
-        rows.append((row, Rat(0)))
-    for c in range(m):
-        row = [Rat(0)] * n
-        for a, p in enumerate(pts[0]):
-            row[offsets[0] + a] = -p[c]
-        for a, p in enumerate(pts[1]):
-            row[offsets[1] + a] = 2 * p[c]
-        for a, p in enumerate(pts[2]):
-            row[offsets[2] + a] = -p[c]
-        row[n - 1] = -v[m + c]
-        rows.append((row, Rat(0)))
-    for i in range(3):
-        row = [Rat(0)] * n
-        for a in range(arities[i]):
-            row[offsets[i] + a] = Rat(1)
-        rows.append((row, Rat(1)))
-    return feasible_point(rows, _nonneg_rows(n), n) is not None
+    closed ray", in the form x - z = s*u, y - z = s*w with s >= 0 (see
+    :func:`mu_via_degree`): decides whether a singular system still
+    matters."""
+    pts1, pts2, pts3 = [
+        f.facet_points(i) for f, i in zip(o.components, facet_indices)
+    ]
+    eq_rows, nvars, _ = common_point_system([pts1, pts3, pts2])
+    # The rows read x - z = 0, then z - y = 0, then the weight sums; the
+    # ray column turns them into x - z - s*u = 0 and z - y + s*w = 0.
+    ray = [-c for c in u] + list(w) + [0, 0, 0]
+    for (row, _), c in zip(eq_rows, ray):
+        row.append(c)
+    nvars += 1
+    return feasible_point(eq_rows, _nonneg_rows(nvars), nvars) is not None
 
 
-def mu_via_degree(o, v, sign_convention=None):
+def mu_via_degree(o, v):
     """Signed count of ray preimages: the invariant plus its witnesses.
 
     Requires a valid ornament with the dimensions checked by
@@ -233,7 +220,7 @@ def mu_via_degree(o, v, sign_convention=None):
     scalar); the caller retries with a fresh seeded direction.
     """
     k = component_k(o)
-    convention = sign_convention or SignConvention(degree_sign(k))
+    global_sign = degree_sign(k)
     if isinstance(v, RayDirection):
         ray = v.v
     else:
@@ -243,17 +230,29 @@ def mu_via_degree(o, v, sign_convention=None):
     m = o.m
     if len(ray) != 2 * m:
         raise DimensionMismatch(f"ray must have length {2 * m}")
-    frames = [[None] * len(f.domain.facets) for f in o.components]
+    # u and w as integer columns over 3 * ray_scale (see the module doc).
+    ray_scale, ray_int = integer_scaled(ray.coords)
+    u = [2 * a + b for a, b in zip(ray_int[:m], ray_int[m:])]
+    w = [a + 2 * b for a, b in zip(ray_int[:m], ray_int[m:])]
+    frames = {}  # (component, facet) -> (simplex_frame, column scales)
+    reductions = {}  # (component 1 or 2, facet, facet 3) -> pair_reduction
 
     def frame(ci, fi):
-        if frames[ci][fi] is None:
-            frames[ci][fi] = simplex_frame(o.components[ci].facet_points(fi))
-        return frames[ci][fi]
+        if (ci, fi) not in frames:
+            fr = simplex_frame(o.components[ci].facet_points(fi))
+            frames[ci, fi] = fr, [s for s, _ in fr[1]]
+        return frames[ci, fi]
+
+    def reduction(ci, fi, i3):
+        if (ci, fi, i3) not in reductions:
+            reductions[ci, fi, i3] = pair_reduction(
+                frame(ci, fi)[0], frame(2, i3)[0], ((u, w)[ci],)
+            )
+        return reductions[ci, fi, i3]
 
     terms1, terms2, terms3 = _sphere_map_box_terms(o)
     d = o.components[0].domain.dim
     arities = (d + 1, d + 1, d + 1)
-    ray_scale, ray_int = integer_scaled(ray.coords)
     solutions = []
     total = 0
     for i1, (mins1, maxs1) in enumerate(terms1):
@@ -263,47 +262,28 @@ def mu_via_degree(o, v, sign_convention=None):
             for i3, share3 in enumerate(terms3):
                 if not ray_meets_box(ray_int, hull12, share3):
                     continue
-                base1, e1 = frame(0, i1)
-                base2, e2 = frame(1, i2)
-                base3, e3 = frame(2, i3)
-                rows = []
-                rhs = []
-                for c in range(m):
-                    rows.append(
-                        [2 * u[c] for _, u in e1]
-                        + [-u[c] for _, u in e2]
-                        + [-u[c] for _, u in e3]
-                        + [-ray_int[c]]
-                    )
-                    rhs.append(-(2 * base1[c] - base2[c] - base3[c]))
-                for c in range(m):
-                    rows.append(
-                        [-u[c] for _, u in e1]
-                        + [2 * u[c] for _, u in e2]
-                        + [-u[c] for _, u in e3]
-                        + [-ray_int[m + c]]
-                    )
-                    rhs.append(-(2 * base2[c] - base1[c] - base3[c]))
-                rho, rhs_int = integer_scaled(rhs)
-                sign, numerators, det = solve_integer(rows, rhs_int)
+                scales = (frame(0, i1)[1], frame(2, i3)[1] + [3 * ray_scale],
+                          frame(1, i2)[1])
+                sign, solution = solve_from_pairs(
+                    reduction(0, i1, i3), reduction(1, i2, i3), scales,
+                    solve_integer,
+                )
                 if sign == 0:
-                    if _ray_touches_closed_cells(o, (i1, i2, i3), ray):
+                    if _ray_touches_closed_cells(o, (i1, i2, i3), u, w):
                         raise NonGenericDirection(
                             f"singular system touching facets {(i1, i2, i3)}"
                         )
                     continue
-                col_scales = (
-                    [s for s, _ in e1] + [s for s, _ in e2]
-                    + [s for s, _ in e3] + [ray_scale]
+                if solution is None:
+                    continue  # outside facet 2 or 3, or behind the origin
+                # (a, (c, s), b) from the kernel; facet order is (a, b, c).
+                kept = solution[d:2 * d + 1]
+                full = interior_barycentric(
+                    solution[:d] + solution[2 * d + 1:] + kept, arities
                 )
-                # Outside some facet, or behind the ray's origin.
-                if cramer_outside(numerators, det, col_scales, rho, arities):
-                    continue
-                solution = [
-                    Rat(s * n, rho * det) for s, n in zip(col_scales, numerators)
-                ]
-                full = interior_barycentric(solution, arities)
-                ray_s = solution[-1]
+                if full is None:
+                    continue  # outside facet 1
+                ray_s = kept[-1]
                 if full == "closed" or ray_s == 0:
                     raise NonGenericDirection(
                         f"boundary preimage on facets {(i1, i2, i3)}"
@@ -313,9 +293,9 @@ def mu_via_degree(o, v, sign_convention=None):
                     facets=(i1, i2, i3),
                     barycentric=full,
                     s=ray_s,
-                    sign=convention.global_sign * sign,
+                    sign=global_sign * sign,
                 ))
-    return convention.global_sign * total, solutions
+    return global_sign * total, solutions
 
 
 def mu_via_degree_auto(o, seed=0, max_attempts=64):

@@ -10,14 +10,17 @@ solution lands exactly on a face.
 
 This module is the exact kernel of both invariant routes.  Square systems
 are solved by fraction-free Bareiss elimination on integer matrices whose
-columns were cleared of denominators by :func:`integer_scaled`; the same
-elimination loop and back-substitution also serve the sweep's partial
-pair reductions.  The solver returns integer Cramer numerators over the
-integer determinant, and :func:`cramer_outside` rejects, from their signs
-alone, a solution that leaves some simplex, so rationals are built only
-for the few survivors and for witnesses.  Both routes build their
-systems from the same affine frames of simplices and classify survivors
-with the same interior test.  Linear feasibility of mixed
+columns were cleared of denominators by :func:`integer_scaled`.  Both
+routes solve their triple systems with one pair-reduced kernel built on
+the same elimination loop and back-substitution: :func:`pair_reduction`
+eliminates one simplex of a pair once per pair, and
+:func:`solve_from_pairs` joins two reductions that share a kept simplex
+into one 2k x 2k solve per triple.  The solver returns integer Cramer
+numerators over the integer determinant, and :func:`cramer_outside`
+rejects, from their signs alone, a solution that leaves some simplex, so
+rationals are built only for the few survivors and for witnesses.  Both
+routes build their systems from the same affine frames of simplices and
+classify survivors with the same interior test.  Linear feasibility of mixed
 equality/inequality systems is decided rank first: the equalities, cleared
 of denominators row by row, go through the same elimination loop (skipping
 columns without a pivot), and an inconsistent system is rejected on
@@ -363,6 +366,149 @@ def cramer_outside(numerators, det, scales, rho, arities):
             return True
         pos = end
     return False
+
+
+# ---------------------------------------------------------------------------
+# The pair-reduced triple kernel of both routes.
+# ---------------------------------------------------------------------------
+
+def pair_reduction(frame_x, frame_kept, extra=()):
+    """Eliminate the first simplex's edge columns from the pair equations
+    ``E_x x - E_kept b - U s = base_kept - base_x`` by fraction-free steps,
+    ``U`` holding the integer columns ``extra`` (say, a ray's) beside the
+    kept simplex's edges; the frames are :func:`simplex_frame` results.
+    Each x-free row is divided, with its right-hand side, by its positive
+    gcd: that changes neither the solution nor any determinant sign, and it
+    keeps the joined system of :func:`solve_from_pairs` narrow.
+
+    Returns ``None`` when the columns of E_x are dependent, in which case
+    every triple system containing the pair is singular.  Otherwise returns
+    ``(tri_rows, con_rows, con_rhs, sign_fix, rho)``: ``tri_rows`` the
+    triangular integer rows [x-cols | kept cols | rhs], ``con_rows`` the
+    x-free integer rows [kept cols] with right-hand sides ``con_rhs``,
+    ``rho`` the positive integer that scaled the right-hand side to
+    integers, and ``sign_fix`` in {-1, +1} such that, in any square system
+    whose other rows vanish on the x columns, det(with the pair block on
+    top) = sign_fix * det(with the x columns dropped and the x-free rows in
+    the block's place), up to a positive factor.
+    """
+    base_x, ex = frame_x
+    base_kept, ekept = frame_kept
+    width = len(base_x)
+    d = len(ex)
+    rho, r_int = integer_scaled([k - x for k, x in zip(base_kept, base_x)])
+    aug = []
+    for c in range(width):
+        aug.append([u[c] for _, u in ex] + [-u[c] for _, u in ekept]
+                   + [-col[c] for col in extra] + [r_int[c]])
+    reduction = eliminate(aug, d)
+    if reduction is None:
+        return None
+    swap_sign, pivots, _ = reduction
+    # Each fraction-free step multiplies the rows below the pivot by
+    # (pivot / previous pivot); together with the swaps and the triangular
+    # pivot block this fixes the determinant sign of the original system
+    # relative to the reduced one.
+    sign_fix = swap_sign
+    previous = 1
+    for t, p in enumerate(pivots):
+        if p < 0:
+            sign_fix = -sign_fix  # the pivot itself, from det of the block
+        if (p < 0) != (previous < 0) and (width - 1 - t) % 2 == 1:
+            sign_fix = -sign_fix  # parity of the row rescalings
+        previous = p
+    tri_rows = aug[:d]  # left whole: _eliminated_block reads the pivots
+    con_rows = []
+    con_rhs = []
+    for row in aug[d:]:
+        tail = row[d:]
+        content = math.gcd(*tail)
+        if content > 1:
+            tail = [c // content for c in tail]
+        con_rows.append(tail[:-1])
+        con_rhs.append(tail[-1])
+    return tri_rows, con_rows, con_rhs, sign_fix, rho
+
+
+def _eliminated_block(tri_rows, numerators_kept, det, lift):
+    """Numerators of the block a pair reduction eliminated, given the kept
+    block ``numerators_kept / det`` and the right-hand side lifted by
+    ``lift``; they lie over ``det`` times the reduction's last pivot, which
+    is returned with them."""
+    d = len(tri_rows)
+    top = det if lift == 1 else det * lift
+    rhs = []
+    for row in tri_rows:
+        acc = top * row[-1]
+        for j, n in enumerate(numerators_kept):
+            acc -= row[d + j] * n
+        rhs.append(acc)
+    return back_substitute(tri_rows, rhs), det * tri_rows[-1][d - 1]
+
+
+def solve_from_pairs(reduction_a, reduction_b, scales, solve):
+    """Solve a triple system from the :func:`pair_reduction` of its two row
+    blocks, which share the kept columns; ``scales`` holds the column
+    scales of the blocks (a, kept, b), the kept ones including those of the
+    extra columns.  ``solve`` is the caller's own binding of
+    :func:`solve_integer`, so that whoever counts a route's solves sees
+    this one.
+
+    The k x-free rows of each reduction form one square system on the kept
+    columns.  Its integer Cramer solution is screened by
+    :func:`cramer_outside` (the kept simplex has the arity of the
+    eliminated ones, and the extra columns count as coordinates that must
+    not be negative); b is back-substituted only for a kept block that
+    passes, a only for a b that passes, and only then are rationals built.
+
+    Sign: det(triple) = fix_a * fix_b * (-1)^k * det(joined), up to a
+    positive factor.  With pair blocks of n rows, moving the bottom block
+    above a's k con rows costs (-1)^(n k), and swapping the two con blocks
+    into joined order (-1)^(k^2) = (-1)^k.  The sweep (n = 3k, 2k edges
+    per cell) solves [[E1, -E2, 0], [0, E2, -E3]]: its bottom block is the
+    (3, 2) pair block negated, (-1)^(3k), with its two 2k-column blocks
+    swapped, +1, and (-1)^(3k + 3k^2) = +1.  The degree route (n = 3k - 1,
+    2k - 1 edges per facet) solves [[E1, 0, -E3, -u], [0, E2, -E3, -w]]:
+    its blocks are the (1, 3) and (2, 3) pair blocks as they stand, with
+    no negation or reordering, and (-1)^((3k - 1) k) = +1.
+
+    Returns ``(sign, solution)``, the solution in the order (a, kept, b):
+    ``(0, None)`` when singular (a ``None`` reduction included, with no
+    call to ``solve``), ``(sign, None)`` when a screen drops it.  An a
+    outside its simplex is left to the caller.
+    """
+    if reduction_a is None or reduction_b is None:
+        return 0, None
+    tri_a, con_a, rhs_a, fix_a, rho_a = reduction_a
+    tri_b, con_b, rhs_b, fix_b, rho_b = reduction_b
+    rho = rho_a if rho_a == rho_b else math.lcm(rho_a, rho_b)
+    lift_a = rho // rho_a
+    lift_b = rho // rho_b
+    if lift_a != 1:
+        rhs_a = [r * lift_a for r in rhs_a]
+    if lift_b != 1:
+        rhs_b = [r * lift_b for r in rhs_b]
+    sign_n, numerators, det = solve(con_a + con_b, rhs_a + rhs_b)
+    if sign_n == 0:
+        return 0, None
+    sign = fix_a * fix_b * sign_n
+    if len(con_a) % 2:
+        sign = -sign
+    scales_a, scales_kept, scales_b = scales
+    arity = (len(tri_b) + 1,)
+    if cramer_outside(numerators, det, scales_kept, rho, arity):
+        return sign, None
+    numerators_b, det_b = _eliminated_block(tri_b, numerators, det, lift_b)
+    if cramer_outside(numerators_b, det_b, scales_b, rho, arity):
+        return sign, None
+    numerators_a, det_a = _eliminated_block(tri_a, numerators, det, lift_a)
+    solution = []
+    for block_scales, block, d in ((scales_a, numerators_a, det_a),
+                                   (scales_kept, numerators, det),
+                                   (scales_b, numerators_b, det_b)):
+        solution.extend(Rat(s * n, rho * d)
+                        for s, n in zip(block_scales, block))
+    return sign, solution
 
 
 def random_rational_perturbation(v, eps, seed,

@@ -6,17 +6,18 @@ as its track: the map (x, t) -> (h_t(x), t) into R^m x I.  Each prism
 triangulation over the globally sorted vertex order, which makes the track
 affine on every cell; a common point of three cells (one per component) is
 then one exact square linear solve away.  That solve is reduced from both
-ends: the columns of cell 1 are eliminated once per (cell 1, cell 2) pair
-and those of cell 3 once per (cell 2, cell 3) pair in a keyframe interval,
-so each candidate triple costs one 2k x 2k integer solve in cell 2's
-coordinates plus back-substitution for the few that survive its sign
-screen.  Each row the reductions leave is divided by its content (the gcd
-of its entries and right-hand side), which roughly halves the width of the
-integers that reach the solve.  Before that, prism triples and then cell
-triples are prefiltered by their extents along the coordinates and the
-directions e_i +- e_j, computed on integers about 64 bits wide: the track
-is rounded outward onto one power-of-two grid, so the extents contain the
-exact ones and no triple that can meet is cut.  Every grid vertex is
+ends by the pair-reduced kernel of :mod:`ornaments.geometry`, which the
+degree route shares: the columns of cell 1 are eliminated once per
+(cell 1, cell 2) pair and those of cell 3 once per (cell 2, cell 3) pair
+in a keyframe interval, so each candidate triple costs one 2k x 2k integer
+solve in cell 2's coordinates plus back-substitution for the few that
+survive its sign screen.  Each row the reductions leave is divided by its
+content (the gcd of its entries and right-hand side), which roughly halves
+the width of the integers that reach the solve.  Before that, prism
+triples and then cell triples are prefiltered by their extents along the
+coordinates and the directions e_i +- e_j, computed on integers about 64
+bits wide: the track is rounded outward onto one power-of-two grid, so the
+extents contain the exact ones and no triple that can meet is cut.  Every grid vertex is
 expanded into its ends along those directions once, a keyframe at a time,
 and the extents of a prism or cell are the least and greatest of its
 vertices' ends.  The set-up is lazy: a prism's cells are built only when a
@@ -37,22 +38,19 @@ untouched.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
 
 from .geometry import (
     DimensionMismatch,
     Rat,
     Vector,
-    back_substitute,
-    cramer_outside,
     derive_seed,
-    eliminate,
     feasible_point,
-    integer_scaled,
     interior_barycentric,
     outward_grid,
+    pair_reduction,
     random_rational_perturbation,
     simplex_frame,
+    solve_from_pairs,
     solve_integer,
 )
 from .model import (
@@ -308,142 +306,6 @@ def _extents_common(a, b):
             [x if x < y else y for x, y in zip(a[1], b[1])])
 
 
-def _pair_reduction(frame1, frame2):
-    """Eliminate the first cell's barycentric columns from the pair
-    equations ``E1 x - E2 b = base2 - base1`` by fraction-free steps.
-
-    The argument order decides which cell is eliminated: the sweep calls
-    ``_pair_reduction(frame1, frame2)`` on the top block of the triple
-    system once per (cell 1, cell 2) pair, leaving a-free rows, and
-    ``_pair_reduction(frame3, frame2)`` on the bottom block negated,
-    ``E3 c - E2 b = base2 - base3``, once per (cell 2, cell 3) pair,
-    leaving c-free rows; :func:`_solve_from_pairs` joins the two.  Each
-    x-free row is divided, with its right-hand side, by its positive gcd:
-    a positive row factor changes neither the solution nor any determinant
-    sign, and it keeps the joined system narrow.
-
-    Returns ``None`` when the columns of E1 are dependent, in which case
-    every triple system containing the pair is singular.  Otherwise returns
-    ``(tri_rows, con_rows, con_rhs, sign_fix, rho)``: ``tri_rows`` the
-    triangular integer rows [x-cols | b-cols | rhs], ``con_rows`` the
-    x-free integer rows [b-cols] with right-hand sides ``con_rhs``, each
-    row primitive together with its right-hand side, ``rho`` the positive
-    integer that scaled the right-hand side to integers, and ``sign_fix``
-    in {-1, +1} such that, in any square system whose other rows vanish on
-    the x columns, det(with the pair block) = sign_fix * det(with the
-    x-free rows in its place), up to a positive factor.
-    """
-    base1, e1 = frame1
-    base2, e2 = frame2
-    width = len(base1)
-    d1 = len(e1)
-    r12 = [base2[c] - base1[c] for c in range(width)]
-    rho12, r12_int = integer_scaled(r12)
-    aug = []
-    for c in range(width):
-        aug.append([u[c] for _, u in e1] + [-u[c] for _, u in e2]
-                   + [r12_int[c]])
-    reduction = eliminate(aug, d1)
-    if reduction is None:
-        return None
-    swap_sign, pivots, _ = reduction
-    # Each fraction-free step multiplies the rows below the pivot by
-    # (pivot / previous pivot); together with the swaps and the triangular
-    # pivot block this fixes the determinant sign of the original system
-    # relative to the reduced one.
-    sign_fix = swap_sign
-    previous = 1
-    for t, p in enumerate(pivots):
-        if p < 0:
-            sign_fix = -sign_fix  # the pivot itself, from det of the block
-        if (p < 0) != (previous < 0) and (width - 1 - t) % 2 == 1:
-            sign_fix = -sign_fix  # parity of the row rescalings
-        previous = p
-    tri_rows = aug[:d1]  # left whole: _eliminated_block reads the pivots
-    con_rows = []
-    con_rhs = []
-    for row in aug[d1:]:
-        tail = row[d1:]
-        content = gcd(*tail)
-        if content > 1:
-            tail = [c // content for c in tail]
-        con_rows.append(tail[:-1])
-        con_rhs.append(tail[-1])
-    return tri_rows, con_rows, con_rhs, sign_fix, rho12
-
-
-def _eliminated_block(tri_rows, numerators_b, det, lift):
-    """Numerators of the block a pair reduction eliminated, given the b
-    block ``numerators_b / det`` and the right-hand side lifted by
-    ``lift``; they lie over ``det`` times the reduction's last pivot, which
-    is returned with them."""
-    d = len(tri_rows)
-    top = det if lift == 1 else det * lift
-    rhs = []
-    for row in tri_rows:
-        acc = top * row[-1]
-        for j, n in enumerate(numerators_b):
-            acc -= row[d + j] * n
-        rhs.append(acc)
-    return back_substitute(tri_rows, rhs), det * tri_rows[-1][d - 1]
-
-
-def _solve_from_pairs(reduction12, reduction32, scales):
-    """Solve the triple system ``[[E1, -E2, 0], [0, E2, -E3]]`` (component
-    order) from the reductions of its (cell 1, cell 2) and (cell 3, cell 2)
-    pairs; ``scales`` holds the three cells' column scales, those of their
-    :func:`simplex_frame` edges.
-
-    The k a-free rows of the first and the k c-free rows of the second
-    form a square system in b alone, solved by one :func:`solve_integer`
-    call: 2k x 2k instead of the whole 4k x 4k system.  Its integer
-    Cramer solution is screened by :func:`cramer_outside`; c is
-    back-substituted from the cached (3, 2) triangular rows only for a b
-    that passes, and a from the (1, 2) rows only for a c that passes, and
-    only then is the rational solution built.
-
-    Returns ``(sign, solution)``: ``(0, None)`` when singular (either
-    reduction ``None`` included), ``(sign, None)`` when the screens put the
-    point outside cell 2 or cell 3.
-    """
-    if reduction12 is None or reduction32 is None:
-        return 0, None
-    tri12, con12, rhs12, fix12, rho12 = reduction12
-    tri32, con32, rhs32, fix32, rho32 = reduction32
-    rho = rho12 if rho12 == rho32 else rho12 * (rho32 // gcd(rho12, rho32))
-    lift12 = rho // rho12
-    lift32 = rho // rho32
-    if lift12 != 1:
-        rhs12 = [r * lift12 for r in rhs12]
-    if lift32 != 1:
-        rhs32 = [r * lift32 for r in rhs32]
-    sign_n, numerators, det = solve_integer(con12 + con32, rhs12 + rhs32)
-    if sign_n == 0:
-        return 0, None
-    # With k = len(con12) = len(con32), det(full) = fix12 * fix32 * (-1)^k
-    # * det(reduced), up to a positive factor: the k con12 rows move below
-    # the 3k bottom rows, (-1)^(3k^2); the bottom rows are negated to the
-    # (3, 2) pair form, (-1)^(3k); the columns go to (c, b) order, (+1);
-    # the two k-row con blocks swap, (-1)^(k^2).
-    sign = fix12 * fix32 * sign_n
-    if len(con12) % 2:
-        sign = -sign
-    scales1, scales2, scales3 = scales
-    if cramer_outside(numerators, det, scales2, rho, (len(scales2) + 1,)):
-        return sign, None
-    numerators_c, det_c = _eliminated_block(tri32, numerators, det, lift32)
-    if cramer_outside(numerators_c, det_c, scales3, rho, (len(scales3) + 1,)):
-        return sign, None
-    numerators_a, det_a = _eliminated_block(tri12, numerators, det, lift12)
-    solution = []
-    for block_scales, block, d in ((scales1, numerators_a, det_a),
-                                   (scales2, numerators, det),
-                                   (scales3, numerators_c, det_c)):
-        solution.extend(Rat(s * n, rho * d)
-                        for s, n in zip(block_scales, block))
-    return sign, solution
-
-
 class _SweepCell:
     """A staircase cell of the sweep with its grid extents; its rational
     points, simplex frame and the frame's column scales are built by
@@ -483,7 +345,7 @@ def _interval_triple_points(track, j, vertices):
         for ci, dom in enumerate(track.domains)
     ]
     prism_cells = [[None] * len(dom.facets) for dom in track.domains]
-    reductions32 = {}  # (cell 2, cell 3) -> _pair_reduction
+    reductions32 = {}  # (cell 2, cell 3) -> pair_reduction
 
     def cells_of(ci, fi):
         entries = prism_cells[ci][fi]
@@ -524,18 +386,19 @@ def _interval_triple_points(track, j, vertices):
                         continue
                     fr1 = entry1.framed(track)
                     fr2 = entry2.framed(track)
-                    reduction12 = _pair_reduction(fr1, fr2)
+                    reduction12 = pair_reduction(fr1, fr2)
                     for entry3 in candidates:
                         fr3 = entry3.framed(track)
                         key = (entry2, entry3)
                         reduction32 = reductions32.get(key, _UNSEEN)
                         if reduction32 is _UNSEEN:
-                            reduction32 = reductions32[key] = _pair_reduction(
+                            reduction32 = reductions32[key] = pair_reduction(
                                 fr3, fr2
                             )
-                        sign, solution = _solve_from_pairs(
+                        sign, solution = solve_from_pairs(
                             reduction12, reduction32,
                             (entry1.scales, entry2.scales, entry3.scales),
+                            solve_integer,
                         )
                         points = (entry1.points, entry2.points, entry3.points)
                         if sign == 0:
@@ -602,7 +465,7 @@ def detect_triple_points(track):
     enters a candidate triple.  A pair of extents that meet is intersected
     once and tested against each third one.
 
-    Each candidate is solved by :func:`_solve_from_pairs` from the (cell 1,
+    Each candidate is solved by :func:`solve_from_pairs` from the (cell 1,
     cell 2) reduction, made once per pair, and the (cell 3, cell 2)
     reduction, made on first use and cached for the rest of the keyframe
     interval; the x-free rows of the reductions are primitive, which keeps

@@ -5,11 +5,12 @@ vertices of the constraint polyhedron with its own little Gaussian
 elimination instead of calling anything from the package, so the two
 routes share no code.  The rational ray-box test and sphere-map box are
 the references for the integer prefilter of the degree route.  The direct
-triple solve is the reference for the sweep's pair reduction: it solves
-the whole block system with the package's square solver, which the tests
-check separately against ``_solve_unique``; the full back-substitution
-loop is the reference for the package's, which takes its last step from
-the last pivot.  The Gauss-Jordan feasibility routine is the reference
+triple solve is the reference for the pair-reduced kernel as the sweep
+uses it, and the direct ray solve for the kernel as the degree route uses
+it: each solves the whole block system (4k x 4k, and 2m x 2m) with the
+package's square solver, which the tests check separately against
+``_solve_unique``; the full back-substitution loop is the reference for
+the package's, which takes its last step from the last pivot.  The Gauss-Jordan feasibility routine is the reference
 for the package's rank-first ``feasible_point``, and the exact
 common-scale frames and extents are the references for the sweep's
 outward-rounded grid prefilter; the union of extents is the reference for
@@ -302,6 +303,45 @@ def solve_triple(frame1, frame2, frame3):
     if sign == 0:
         return 0, None
     col_scales = [s for s, _ in e1] + [s for s, _ in e2] + [s for s, _ in e3]
+    return sign, [
+        Fraction(s * n, rho * det) for s, n in zip(col_scales, numerators)
+    ]
+
+
+def solve_ray_triple(frame1, frame2, frame3, ray):
+    """Solve "the facet triple maps onto the ray" directly, as the full
+    2m x 2m system in the reduced barycentric coordinates of the three
+    facets and the ray scalar s.
+
+    Returns ``(det_sign, solution)`` for the rows
+    ``[[2 E1, -E2, -E3, -v_top], [-E1, 2 E2, -E3, -v_bot]]`` with the
+    right-hand side ``-(2 base1 - base2 - base3), -(2 base2 - base1 -
+    base3)``, assembled from ``ornaments.geometry.simplex_frame`` frames
+    and the rational ray ``v``; the solution lists the three blocks in
+    facet order, then s.  The degree route's pair-reduced kernel must agree
+    with it exactly.
+    """
+    base1, e1 = frame1
+    base2, e2 = frame2
+    base3, e3 = frame3
+    m = len(base1)
+    ray_scale, ray_int = integer_scaled(ray)
+    rows = []
+    rhs = []
+    for c in range(m):
+        rows.append([2 * u[c] for _, u in e1] + [-u[c] for _, u in e2]
+                    + [-u[c] for _, u in e3] + [-ray_int[c]])
+        rhs.append(-(2 * base1[c] - base2[c] - base3[c]))
+    for c in range(m):
+        rows.append([-u[c] for _, u in e1] + [2 * u[c] for _, u in e2]
+                    + [-u[c] for _, u in e3] + [-ray_int[m + c]])
+        rhs.append(-(2 * base2[c] - base1[c] - base3[c]))
+    rho, rhs_int = integer_scaled(rhs)
+    sign, numerators, det = solve_integer(rows, rhs_int)
+    if sign == 0:
+        return 0, None
+    col_scales = ([s for s, _ in e1] + [s for s, _ in e2]
+                  + [s for s, _ in e3] + [ray_scale])
     return sign, [
         Fraction(s * n, rho * det) for s, n in zip(col_scales, numerators)
     ]

@@ -61,7 +61,7 @@ def test_sweep_frames_borromean_k1_r3(borromean_k1_r3, monkeypatch):
     per cell (85 of the track's 1,152 cells); the work counters do not
     move."""
     live_frame = sweep.simplex_frame
-    live_reduction = sweep._pair_reduction
+    live_reduction = sweep.pair_reduction
     framed = []  # (points, frame) per simplex_frame call
     reduced = set()
 
@@ -75,7 +75,7 @@ def test_sweep_frames_borromean_k1_r3(borromean_k1_r3, monkeypatch):
         return live_reduction(frame_x, frame2)
 
     monkeypatch.setattr(sweep, "simplex_frame", frame)
-    monkeypatch.setattr(sweep, "_pair_reduction", reduction)
+    monkeypatch.setattr(sweep, "pair_reduction", reduction)
     prisms = Tally(monkeypatch, sweep, "staircase_cells", len)
     solves = Tally(monkeypatch, sweep, "solve_integer", singular)
     points = Tally(monkeypatch, sweep, "detect_triple_points", len)
@@ -94,7 +94,7 @@ def test_sweep_system_width_borromean_k1_r3(borromean_k1_r3, monkeypatch):
     are at most 240 bits wide in the median, a system's width being that
     of its widest coefficient (381 bits before the rows were reduced)."""
     live_solve = sweep.solve_integer
-    live_reduction = sweep._pair_reduction
+    live_reduction = sweep.pair_reduction
     widths = []
     rows_seen = []
 
@@ -110,7 +110,7 @@ def test_sweep_system_width_borromean_k1_r3(borromean_k1_r3, monkeypatch):
         return result
 
     monkeypatch.setattr(sweep, "solve_integer", solve)
-    monkeypatch.setattr(sweep, "_pair_reduction", reduction)
+    monkeypatch.setattr(sweep, "pair_reduction", reduction)
     assert sweep.mu_via_sweep(borromean_k1_r3, seed=0) == 1
     assert len(widths) == 4906
     assert median(widths) <= 240
@@ -145,6 +145,25 @@ def test_degree_counters_borromean_k2(borromean_k2, monkeypatch):
     assert (boxes.calls, boxes.hits) == (4096, 3700)
     assert (solves.calls, solves.hits) == (3700, 0)
     assert lps.calls == 0
+
+
+def test_degree_system_size_borromean_k2(borromean_k2, monkeypatch):
+    """Each of the 3,700 systems reaching ``degree.solve_integer`` at k=2 is
+    the 2k x 2k system joined from two facet-pair reductions, 4 x 4, not
+    the whole 2m x 2m triple system (10 x 10), and none is singular."""
+    live_solve = degree.solve_integer
+    shapes = []
+
+    def solve(rows, rhs=None):
+        result = live_solve(rows, rhs)
+        shapes.append((len(rows), len(rows[0]), len(rhs), result[0] != 0))
+        return result
+
+    monkeypatch.setattr(degree, "solve_integer", solve)
+    value, _ = degree.mu_via_degree_auto(borromean_k2, seed=0)
+    assert value == 1
+    assert len(shapes) == 3700
+    assert set(shapes) == {(4, 4, 4, True)}
 
 
 def test_validate_counters_borromean_k1_r3(borromean_k1_r3, monkeypatch):

@@ -1,3 +1,4 @@
+import random
 from itertools import product
 
 import pytest
@@ -11,7 +12,6 @@ from ornaments.constructions import (
 from ornaments.degree import (
     NonGenericDirection,
     RayDirection,
-    SignConvention,
     component_k,
     mu_via_degree,
     mu_via_degree_auto,
@@ -19,10 +19,31 @@ from ornaments.degree import (
     reverse_component_orientation,
     unnormalized_sphere_map,
 )
-from ornaments.geometry import DimensionMismatch, Rat, Vector, derive_seed
-from ornaments.model import validate_ornament
+from ornaments.geometry import (
+    DimensionMismatch,
+    Rat,
+    Vector,
+    derive_seed,
+    integer_scaled,
+    interior_barycentric,
+    pair_reduction,
+    simplex_frame,
+    solve_from_pairs,
+    solve_integer,
+)
+from ornaments.model import (
+    Ornament,
+    PLMap,
+    TriangulatedManifold,
+    validate_ornament,
+)
 
-from oracles import point_at, ray_meets_box_by_division, sphere_map_box
+from oracles import (
+    point_at,
+    ray_meets_box_by_division,
+    solve_ray_triple,
+    sphere_map_box,
+)
 
 
 def test_sphere_map_kills_diagonal():
@@ -123,13 +144,185 @@ def test_non_generic_direction_detected(borromean_k1):
         mu_via_degree(borromean_k1, RayDirection(target))
 
 
-def test_sign_convention_override(borromean_k1):
-    v = ray_direction(borromean_k1.m, 0)
-    base, _ = mu_via_degree(borromean_k1, v)
-    flipped, _ = mu_via_degree(
-        borromean_k1, v, sign_convention=SignConvention(global_sign=-1)
+def square_ornament(third):
+    """A k=1 ornament of three squares in the plane, each a 4-cycle.
+
+    Components 1 and 2 are tilted squares crossing at X = (0, 0) (facet 1
+    of component 1 and facet 0 of component 2) and at C = (-2, 0) (facets 0
+    and 1); ``third`` lists the vertices of component 3, which misses both.
+    """
+    domain = TriangulatedManifold(1, 4, [(0, 1), (1, 2), (2, 3), (3, 0)])
+    return Ornament([
+        PLMap(domain, 2, [(-3, 1), (-1, -1), (1, 1), (-1, 3)]),
+        PLMap(domain, 2, [(1, -1), (-1, 1), (-3, -1), (-1, -3)]),
+        PLMap(domain, 2, third),
+    ])
+
+
+#: The ray (p - q, p - q) sends x = y to z = x + s * (q - p): from X and C
+#: along (2, 1), the direction of the squares' facets 0 and 2 of component 3.
+_PARALLEL_RAY = RayDirection(Vector([-2, -1, -2, -1]))
+
+
+def count_singular(monkeypatch):
+    """Counts of the singular solves through ``degree.solve_integer`` and of
+    the touching tests through ``degree.feasible_point``, as a dict."""
+    counts = {"singular": 0, "lp": 0}
+    live_solve = degree.solve_integer
+    live_feasible = degree.feasible_point
+
+    def solve(rows, rhs=None):
+        result = live_solve(rows, rhs)
+        counts["singular"] += result[0] == 0
+        return result
+
+    def feasible(*args):
+        counts["lp"] += 1
+        return live_feasible(*args)
+
+    monkeypatch.setattr(degree, "solve_integer", solve)
+    monkeypatch.setattr(degree, "feasible_point", feasible)
+    return counts
+
+
+def test_singular_touching_system_is_reported(monkeypatch):
+    """Facet 0 of component 3, from p = (2, 1) to q = (4, 2), lies on the
+    ray from X: the columns of facet 3 and of the ray are parallel, so the
+    triple system is singular, and the closed facets still reach the ray
+    (x = y = X, z on [p, q] at s in [1, 2]).  The regular preimages from C
+    come first in the enumeration; the singular triple then raises."""
+    o = square_ornament([(2, 1), (4, 2), (3, 4), (1, 3)])
+    assert validate_ornament(o).ok
+    counts = count_singular(monkeypatch)
+    with pytest.raises(NonGenericDirection,
+                       match=r"singular system touching facets \(1, 0, 0\)"):
+        mu_via_degree(o, _PARALLEL_RAY)
+    assert counts["singular"] == counts["lp"] > 0
+
+
+def test_singular_system_that_misses_is_skipped(monkeypatch):
+    """With component 3 moved off the lines of the ray through X and C, its
+    facets 0 and 2 give singular systems whose closed facets miss the ray:
+    each is skipped after its touching test, and the four transverse
+    preimages (along (2, 1) from X and from C) count to the sweep's value."""
+    o = square_ornament([(3, 1), (5, 2), (4, 4), (2, 3)])
+    assert validate_ornament(o).ok
+    counts = count_singular(monkeypatch)
+    mu, solutions = mu_via_degree(o, _PARALLEL_RAY)
+    assert counts["singular"] == counts["lp"] > 0
+    assert len(solutions) == 4
+    assert all(sol.s > 0 for sol in solutions)
+    assert mu == sum(sol.sign for sol in solutions) == 0
+    from ornaments.sweep import mu_via_sweep
+
+    assert mu_via_sweep(o, seed=0) == 0
+
+
+def test_kernel_matches_full_ray_system():
+    """The pair-reduced kernel, used as the degree route uses it (the rows
+    x - z = s*u and y - z = s*w, reduced per (facet 1, facet 3) and (facet
+    2, facet 3) pair), agrees with the direct 2m x 2m solve of the sphere
+    map rows: the same determinant sign; a screened candidate exactly when
+    the direct solution has a negative coordinate in facet 2 or facet 3 or
+    a negative ray scalar; otherwise the same rational solution.
+
+    Random facets rarely meet a ray, so part of the corpus is built around
+    points x, y, z with the ray through their image, scaled by s = +1 or
+    -1, each facet holding its point inside or outside: every screen is
+    then reached at every k.  Facets with a repeated vertex check the
+    singular paths (a degenerate facet 1 or 2 has no reduction), and so
+    does a ray (e, e) along an edge e of facet 3, whose columns then
+    repeat one of facet 3's."""
+    rng = random.Random(13)
+
+    def rand_point(m):
+        return [Rat(rng.randint(-30, 30), rng.randint(1, 7))
+                for _ in range(m)]
+
+    def facet_around(point, npts, inside):
+        # weights sum to at least 1; one negative weight puts point outside
+        weights = [rng.randint(2, 9) for _ in range(npts)]
+        if not inside:
+            weights[rng.randrange(npts - 1)] = -1
+        total = sum(weights)
+        others = [rand_point(len(point)) for _ in range(npts - 1)]
+        last = [
+            (x * total - sum(w * p[c] for w, p in zip(weights, others)))
+            / weights[-1]
+            for c, x in enumerate(point)
+        ]
+        return others + [last]
+
+    def column_scales(frame):
+        return [s for s, _ in frame[1]]
+
+    def outside(block):
+        return interior_barycentric(block, [len(block) + 1]) is None
+
+    corpus = [(k, kind) for k in (1, 2, 3)
+              for kind, count in (("random", 30), ("shared", 60),
+                                  ("degenerate 0", 3), ("degenerate 1", 3),
+                                  ("degenerate 2", 3), ("parallel", 5))
+              for _ in range(count)]
+    branches = dict.fromkeys(
+        ("singular", "kept screened", "b screened", "inside", "a outside"), 0
     )
-    assert flipped == -base
+    for k, kind in corpus:
+        m, npts = 3 * k - 1, 2 * k
+        d = npts - 1
+        if kind == "shared":
+            x, y, z = (rand_point(m) for _ in range(3))
+            facets = [facet_around(p, npts, rng.random() < 0.7)
+                      for p in (x, y, z)]
+            ray = list(unnormalized_sphere_map(Vector(x), Vector(y),
+                                               Vector(z)))
+            if rng.random() < 0.2:
+                ray = [-c for c in ray]
+        else:
+            facets = [[rand_point(m) for _ in range(npts)] for _ in range(3)]
+            ray = rand_point(2 * m)
+        if kind.startswith("degenerate"):
+            facet = facets[int(kind[-1])]
+            facet[0] = facet[-1]
+        if kind == "parallel":
+            j = rng.randrange(d)
+            edge = [a - b for a, b in zip(facets[2][j], facets[2][-1])]
+            ray = edge + edge
+        f1, f2, f3 = (simplex_frame([Vector(p) for p in f]) for f in facets)
+        ray_scale, ray_int = integer_scaled(ray)
+        u = [2 * a + b for a, b in zip(ray_int[:m], ray_int[m:])]
+        w = [a + 2 * b for a, b in zip(ray_int[:m], ray_int[m:])]
+        reduction13 = pair_reduction(f1, f3, (u,))
+        reduction23 = pair_reduction(f2, f3, (w,))
+        if kind == "degenerate 0":
+            assert reduction13 is None
+        if kind == "degenerate 1":
+            assert reduction23 is None
+        scales = (column_scales(f1), column_scales(f3) + [3 * ray_scale],
+                  column_scales(f2))
+        sign, solution = solve_from_pairs(reduction13, reduction23, scales,
+                                          solve_integer)
+        direct_sign, direct = solve_ray_triple(f1, f2, f3, ray)
+        assert sign == direct_sign
+        if direct_sign == 0:
+            assert kind != "shared" and solution is None
+            branches["singular"] += 1
+            continue
+        assert not kind.startswith("degenerate") and kind != "parallel"
+        b, c, s = direct[d:2 * d], direct[2 * d:3 * d], direct[-1]
+        kept_out = outside(c) or s < 0
+        b_out = outside(b)
+        assert (solution is None) == (kept_out or b_out)
+        if kept_out:
+            branches["kept screened"] += 1
+        elif b_out:
+            branches["b screened"] += 1
+        else:
+            assert (solution[:d] + solution[2 * d + 1:]
+                    + solution[d:2 * d + 1]) == direct
+            full = interior_barycentric(direct, [npts] * 3)
+            branches["inside" if full is not None else "a outside"] += 1
+    assert all(branches.values()), branches
 
 
 def test_ray_direction_seeded_and_nonzero():

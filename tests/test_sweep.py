@@ -16,7 +16,9 @@ from ornaments.geometry import (
     Vector,
     derive_seed,
     interior_barycentric,
+    pair_reduction,
     simplex_frame,
+    solve_from_pairs,
     solve_integer,
 )
 from ornaments.model import Ornament, perturb_ornament, validate_ornament
@@ -34,8 +36,6 @@ from ornaments.sweep import (
     straight_line_homotopy_to_trivial,
     sweep_with_retries,
     trivial_ornament,
-    _pair_reduction,
-    _solve_from_pairs,
 )
 
 from oracles import (
@@ -172,16 +172,17 @@ def test_pair_reduction_matches_direct_solver():
                 cell[a] = cell[b]
         f1, f2, f3 = (simplex_frame(c) for c in cells)
         direct = solve_triple(f1, f2, f3)
-        reduction12 = _pair_reduction(f1, f2)
-        reduction32 = _pair_reduction(f3, f2)
+        reduction12 = pair_reduction(f1, f2)
+        reduction32 = pair_reduction(f3, f2)
         if kind.startswith("repeated"):
             assert direct[0] == 0
         if kind == "repeated 0":
             assert reduction12 is None
         if kind == "repeated 2":
             assert reduction32 is None
-        reduced = _solve_from_pairs(reduction12, reduction32,
-                                    [column_scales(f) for f in (f1, f2, f3)])
+        reduced = solve_from_pairs(reduction12, reduction32,
+                                   [column_scales(f) for f in (f1, f2, f3)],
+                                   solve_integer)
         assert direct[0] == reduced[0]
         if direct[0] == 0:
             assert reduced[1] is None
@@ -229,15 +230,16 @@ def test_pair_reduction_rows_are_primitive(cells):
     determinant sign and, when nonsingular, its Cramer solution."""
     f1, f2, f3 = (simplex_frame(c) for c in cells)
     direct_sign, direct = solve_triple(f1, f2, f3)
-    reduction12 = _pair_reduction(f1, f2)
-    reduction32 = _pair_reduction(f3, f2)
+    reduction12 = pair_reduction(f1, f2)
+    reduction32 = pair_reduction(f3, f2)
     for reduction in (reduction12, reduction32):
         if reduction is not None:
             _, rows, rhs, _, _ = reduction
             for row, r in zip(rows, rhs):
                 assert gcd(*row, r) in (0, 1)  # 0: an all-zero row
-    sign, _ = _solve_from_pairs(reduction12, reduction32,
-                                [column_scales(f) for f in (f1, f2, f3)])
+    sign, _ = solve_from_pairs(reduction12, reduction32,
+                               [column_scales(f) for f in (f1, f2, f3)],
+                               solve_integer)
     assert sign == direct_sign
     if reduction12 is None or reduction32 is None:
         assert direct_sign == 0
