@@ -15,7 +15,9 @@ determinant 3^m > 0, so the solutions and the sign are the same.  Its two
 blocks are facet-pair equations sharing facet 3 and the ray column, so
 each triple is solved by the sweep's pair-reduced kernel from
 :mod:`ornaments.geometry`: the (facet 1, facet 3) and (facet 2, facet 3)
-reductions are made once per pair, then one 2k x 2k integer solve.
+reductions are made once per pair, each an integer product with the row
+operations that facet 1's or facet 2's frame records once, then one
+2k x 2k integer solve.
 A degenerate facet 1 or 2 has no reduction: its triples are singular,
 with no solve.
 
@@ -234,19 +236,18 @@ def mu_via_degree(o, v):
     ray_scale, ray_int = integer_scaled(ray.coords)
     u = [2 * a + b for a, b in zip(ray_int[:m], ray_int[m:])]
     w = [a + 2 * b for a, b in zip(ray_int[:m], ray_int[m:])]
-    frames = {}  # (component, facet) -> (simplex_frame, column scales)
+    frames = {}  # (component, facet) -> simplex_frame
     reductions = {}  # (component 1 or 2, facet, facet 3) -> pair_reduction
 
     def frame(ci, fi):
         if (ci, fi) not in frames:
-            fr = simplex_frame(o.components[ci].facet_points(fi))
-            frames[ci, fi] = fr, [s for s, _ in fr[1]]
+            frames[ci, fi] = simplex_frame(o.components[ci].facet_points(fi))
         return frames[ci, fi]
 
     def reduction(ci, fi, i3):
         if (ci, fi, i3) not in reductions:
             reductions[ci, fi, i3] = pair_reduction(
-                frame(ci, fi)[0], frame(2, i3)[0], ((u, w)[ci],)
+                frame(ci, fi), frame(2, i3), ((u, w)[ci],)
             )
         return reductions[ci, fi, i3]
 
@@ -262,8 +263,9 @@ def mu_via_degree(o, v):
             for i3, share3 in enumerate(terms3):
                 if not ray_meets_box(ray_int, hull12, share3):
                     continue
-                scales = (frame(0, i1)[1], frame(2, i3)[1] + [3 * ray_scale],
-                          frame(1, i2)[1])
+                scales = (frame(0, i1).scales,
+                          frame(2, i3).scales + [3 * ray_scale],
+                          frame(1, i2).scales)
                 sign, solution = solve_from_pairs(
                     reduction(0, i1, i3), reduction(1, i2, i3), scales,
                     solve_integer,

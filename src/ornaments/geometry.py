@@ -10,24 +10,28 @@ solution lands exactly on a face.
 
 This module is the exact kernel of both invariant routes.  Square systems
 are solved by fraction-free Bareiss elimination on integer matrices whose
-columns were cleared of denominators by :func:`integer_scaled`.  Both
-routes solve their triple systems with one pair-reduced kernel built on
-the same elimination loop and back-substitution: :func:`pair_reduction`
-eliminates one simplex of a pair once per pair, and
-:func:`solve_from_pairs` joins two reductions that share a kept simplex
-into one 2k x 2k solve per triple.  The solver returns integer Cramer
-numerators over the integer determinant, and :func:`cramer_outside`
-rejects, from their signs alone, a solution that leaves some simplex, so
-rationals are built only for the few survivors and for witnesses.  Both
-routes build their systems from the same affine frames of simplices and
-classify survivors with the same interior test.  Linear feasibility of mixed
-equality/inequality systems is decided rank first: the equalities, cleared
-of denominators row by row, go through the same elimination loop (skipping
-columns without a pivot), and an inconsistent system is rejected on
-integers alone.  Only a consistent one is brought to its reduced row
-echelon form, one rational per entry, and its inequalities to
-Fourier-Motzkin elimination, with exact sample-point extraction for
-witnesses.
+columns were cleared of denominators by :func:`integer_scaled`; the one
+elimination loop, :func:`eliminate`, serves every caller.  Both routes
+solve their triple systems with one pair-reduced kernel built on that
+loop and on back-substitution.  A :class:`SimplexFrame` holds a simplex's
+base point and edges as integers, and records the elimination of its
+edges once, as row operations (:func:`edge_elimination`), the first time
+it is the eliminated side of a pair.  :func:`pair_reduction` then
+eliminates one simplex of a pair by one integer product of those row
+operations with the other simplex's edges and the difference of the two
+integer base points, and :func:`solve_from_pairs` joins two reductions
+that share a kept simplex into one 2k x 2k solve per triple.  The solver
+returns integer Cramer numerators over the integer determinant, and
+:func:`cramer_outside` rejects, from their signs alone, a solution that
+leaves some simplex, so rationals are built only for the few survivors
+and for witnesses.  Both routes classify survivors with the same interior
+test.  Linear feasibility of mixed equality/inequality systems is decided
+rank first: the equalities, cleared of denominators row by row, go
+through the same elimination loop (skipping columns without a pivot), and
+an inconsistent system is rejected on integers alone.  Only a consistent
+one is brought to its reduced row echelon form, one rational per entry,
+and its inequalities to Fourier-Motzkin elimination, with exact
+sample-point extraction for witnesses.
 """
 
 from __future__ import annotations
@@ -37,6 +41,7 @@ import random
 import re
 
 from fractions import Fraction as Rat
+from operator import mul
 
 #: Default bound on the denominator factor introduced by seeded perturbations.
 DEFAULT_DENOMINATOR_LIMIT = 2 ** 16
@@ -155,6 +160,14 @@ def eliminate(aug, ncols, skip=False):
     combination of the pivot rows, so a nonzero entry of it after the first
     ``ncols`` columns (say, a right-hand side) means the system those
     columns belong to is inconsistent.
+
+    Each step is a linear map on the rows whose coefficients (pivot, lead,
+    previous pivot) come from the eliminated columns alone, so the later
+    columns only ride along: eliminating ``[A | -I]`` records, in the
+    identity's place, the negated row operations that map any further
+    column ``c`` to its image (see :func:`edge_elimination`).  The rows are
+    updated entry by entry, and a row with a zero lead is left as it is
+    when the pivot equals the previous one (its factor is 1).
     """
     nrows = len(aug)
     swap_sign = 1
@@ -179,26 +192,25 @@ def eliminate(aug, ncols, skip=False):
             swap_sign = -swap_sign
         prow = aug[rank]
         pivot = prow[col]
-        tail = prow[col + 1:]
+        rest = range(col + 1, len(prow))
         for r in range(rank + 1, nrows):
             row = aug[r]
             lead = row[col]
             if lead:
+                row[col] = 0
                 if prev == 1:
-                    row[col + 1:] = [
-                        pivot * rc - lead * pc for rc, pc in zip(row[col + 1:], tail)
-                    ]
+                    for c in rest:
+                        row[c] = pivot * row[c] - lead * prow[c]
                 else:
-                    row[col + 1:] = [
-                        (pivot * rc - lead * pc) // prev
-                        for rc, pc in zip(row[col + 1:], tail)
-                    ]
-            else:
+                    for c in rest:
+                        row[c] = (pivot * row[c] - lead * prow[c]) // prev
+            elif pivot != prev:
                 if prev == 1:
-                    row[col + 1:] = [pivot * rc for rc in row[col + 1:]]
+                    for c in rest:
+                        row[c] *= pivot
                 else:
-                    row[col + 1:] = [pivot * rc // prev for rc in row[col + 1:]]
-            row[col] = 0
+                    for c in rest:
+                        row[c] = row[c] * pivot // prev
         pivots.append(pivot)
         pivot_cols.append(col)
         prev = pivot
@@ -299,17 +311,49 @@ def outward_grid(values):
     return shift, floors, ceils
 
 
+class SimplexFrame:
+    """The reusable half of every linear system in which a simplex takes
+    part, built by :func:`simplex_frame`: its rational ``base`` point (the
+    last vertex), the same point cleared of denominators, ``base_int =
+    (scale, ints)``, and the edge vectors of the other vertices relative to
+    it, in listed order, as integer ``columns`` with their column
+    ``scales`` (``scales[j] * edge j = columns[j]``).
+
+    :meth:`elimination` builds the :func:`edge_elimination` of the columns
+    on first use and keeps it, so a simplex eliminated in many pair
+    reductions is eliminated once."""
+
+    __slots__ = ("base", "base_int", "columns", "scales", "_elimination")
+
+    def __init__(self, base, columns, scales):
+        self.base = base
+        self.base_int = integer_scaled(base)
+        self.columns = columns
+        self.scales = scales
+        self._elimination = _UNBUILT
+
+    def elimination(self):
+        """:func:`edge_elimination` of the columns, built once."""
+        if self._elimination is _UNBUILT:
+            self._elimination = edge_elimination(self.columns, len(self.base))
+        return self._elimination
+
+
+_UNBUILT = object()
+
+
 def simplex_frame(points):
-    """Base point (the last vertex) and the edge vectors of the other
-    vertices relative to it, in listed order, each pre-scaled to an integer
-    column ``(scale, ints)`` by :func:`integer_scaled`: the reusable half of
-    every linear system in which the simplex takes part."""
+    """The :class:`SimplexFrame` of a simplex given by its vertices: the
+    last one is the base, and each edge to another vertex is pre-scaled to
+    an integer column by :func:`integer_scaled`."""
     base = points[-1]
-    edges = [
-        integer_scaled(tuple(x - b for x, b in zip(p, base)))
-        for p in points[:-1]
-    ]
-    return base, edges
+    columns = []
+    scales = []
+    for p in points[:-1]:
+        scale, ints = integer_scaled(tuple(x - b for x, b in zip(p, base)))
+        columns.append(ints)
+        scales.append(scale)
+    return SimplexFrame(base, columns, scales)
 
 
 def interior_barycentric(solution, arities):
@@ -372,35 +416,29 @@ def cramer_outside(numerators, det, scales, rho, arities):
 # The pair-reduced triple kernel of both routes.
 # ---------------------------------------------------------------------------
 
-def pair_reduction(frame_x, frame_kept, extra=()):
-    """Eliminate the first simplex's edge columns from the pair equations
-    ``E_x x - E_kept b - U s = base_kept - base_x`` by fraction-free steps,
-    ``U`` holding the integer columns ``extra`` (say, a ray's) beside the
-    kept simplex's edges; the frames are :func:`simplex_frame` results.
-    Each x-free row is divided, with its right-hand side, by its positive
-    gcd: that changes neither the solution nor any determinant sign, and it
-    keeps the joined system of :func:`solve_from_pairs` narrow.
+def edge_elimination(columns, width):
+    """The fraction-free elimination of the integer columns ``E`` (each of
+    length ``width``), recorded so that it can be applied to any further
+    columns: :func:`eliminate` on ``[E | -I]``.
 
-    Returns ``None`` when the columns of E_x are dependent, in which case
-    every triple system containing the pair is singular.  Otherwise returns
-    ``(tri_rows, con_rows, con_rhs, sign_fix, rho)``: ``tri_rows`` the
-    triangular integer rows [x-cols | kept cols | rhs], ``con_rows`` the
-    x-free integer rows [kept cols] with right-hand sides ``con_rhs``,
-    ``rho`` the positive integer that scaled the right-hand side to
-    integers, and ``sign_fix`` in {-1, +1} such that, in any square system
-    whose other rows vanish on the x columns, det(with the pair block on
-    top) = sign_fix * det(with the x columns dropped and the x-free rows in
-    the block's place), up to a positive factor.
+    Returns ``None`` when the columns are dependent.  Otherwise returns
+    ``(tri_x, ops, sign_fix)``: ``tri_x`` the triangular rows of the
+    eliminated ``E``, one per column (row ``i`` has ``i`` leading zeros
+    and the pivot on the diagonal); ``ops`` the ``width`` rows that ``-I``
+    became, the negated row operations, so that, since the steps read only
+    ``E``, the elimination of ``[E | C]`` leaves ``-ops`` times ``C``
+    beside ``E`` for any integer ``C``; and ``sign_fix`` in {-1, +1} such
+    that, in any square system whose rows past these vanish on ``E``'s
+    columns, det(with these rows on top) = sign_fix * det(with ``E``'s
+    columns dropped and the rows past the pivots in their place), up to a
+    positive factor.
     """
-    base_x, ex = frame_x
-    base_kept, ekept = frame_kept
-    width = len(base_x)
-    d = len(ex)
-    rho, r_int = integer_scaled([k - x for k, x in zip(base_kept, base_x)])
+    d = len(columns)
     aug = []
     for c in range(width):
-        aug.append([u[c] for _, u in ex] + [-u[c] for _, u in ekept]
-                   + [-col[c] for col in extra] + [r_int[c]])
+        row = [u[c] for u in columns] + [0] * width
+        row[d + c] = -1
+        aug.append(row)
     reduction = eliminate(aug, d)
     if reduction is None:
         return None
@@ -417,16 +455,69 @@ def pair_reduction(frame_x, frame_kept, extra=()):
         if (p < 0) != (previous < 0) and (width - 1 - t) % 2 == 1:
             sign_fix = -sign_fix  # parity of the row rescalings
         previous = p
-    tri_rows = aug[:d]  # left whole: _eliminated_block reads the pivots
+    return [row[:d] for row in aug[:d]], [row[d:] for row in aug], sign_fix
+
+
+def pair_reduction(frame_x, frame_kept, extra=()):
+    """Eliminate the first simplex's edge columns from the pair equations
+    ``E_x x - E_kept b - U s = base_kept - base_x`` by fraction-free steps,
+    ``U`` holding the integer columns ``extra`` (say, a ray's) beside the
+    kept simplex's edges; the frames are :class:`SimplexFrame` objects.
+
+    The steps read only ``E_x``, so they are ``frame_x``'s
+    :meth:`~SimplexFrame.elimination`, made once per frame, and the
+    reduction is one integer product: its negated row operations times
+    ``[E_kept | U | base_x - base_kept]``, the last column the difference
+    of the integer base points over their least common scale, divided by
+    its content together with that scale.  Each x-free row is divided, with
+    its right-hand side, by its positive gcd: that changes neither the
+    solution nor any determinant sign, and it keeps the joined system of
+    :func:`solve_from_pairs` narrow.
+
+    Returns ``None`` when the columns of E_x are dependent, in which case
+    every triple system containing the pair is singular.  Otherwise returns
+    ``(tri_rows, con_rows, con_rhs, sign_fix, rho)``: ``tri_rows`` the
+    triangular integer rows [x-cols | kept cols | rhs], ``con_rows`` the
+    x-free integer rows [kept cols] with right-hand sides ``con_rhs``,
+    ``rho`` the least positive integer that scales the right-hand side to
+    integers, and ``sign_fix`` in {-1, +1} such that, in any square system
+    whose other rows vanish on the x columns, det(with the pair block on
+    top) = sign_fix * det(with the x columns dropped and the x-free rows in
+    the block's place), up to a positive factor.
+    """
+    elimination = frame_x.elimination()
+    if elimination is None:
+        return None
+    tri_x, ops, sign_fix = elimination
+    scale_x, base_x = frame_x.base_int
+    scale_k, base_k = frame_kept.base_int
+    if scale_x == scale_k:
+        rho = scale_x
+        offset = [x - k for x, k in zip(base_x, base_k)]
+    else:
+        rho = math.lcm(scale_x, scale_k)
+        lift_x = rho // scale_x
+        lift_k = rho // scale_k
+        offset = [x * lift_x - k * lift_k for x, k in zip(base_x, base_k)]
+    content = math.gcd(rho, *offset)
+    if content > 1:
+        rho //= content
+        offset = [c // content for c in offset]
+    columns = frame_kept.columns + list(extra)
+    columns.append(offset)
+    tri_rows = [
+        x_row + [sum(map(mul, op, col)) for col in columns]
+        for x_row, op in zip(tri_x, ops)
+    ]
     con_rows = []
     con_rhs = []
-    for row in aug[d:]:
-        tail = row[d:]
+    for op in ops[len(tri_x):]:
+        tail = [sum(map(mul, op, col)) for col in columns]
         content = math.gcd(*tail)
         if content > 1:
             tail = [c // content for c in tail]
-        con_rows.append(tail[:-1])
-        con_rhs.append(tail[-1])
+        con_rhs.append(tail.pop())
+        con_rows.append(tail)
     return tri_rows, con_rows, con_rhs, sign_fix, rho
 
 

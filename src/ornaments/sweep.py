@@ -9,11 +9,13 @@ then one exact square linear solve away.  That solve is reduced from both
 ends by the pair-reduced kernel of :mod:`ornaments.geometry`, which the
 degree route shares: the columns of cell 1 are eliminated once per
 (cell 1, cell 2) pair and those of cell 3 once per (cell 2, cell 3) pair
-in a keyframe interval, so each candidate triple costs one 2k x 2k integer
-solve in cell 2's coordinates plus back-substitution for the few that
-survive its sign screen.  Each row the reductions leave is divided by its
-content (the gcd of its entries and right-hand side), which roughly halves
-the width of the integers that reach the solve.  Before that, prism
+in a keyframe interval, each pair by one integer product with row
+operations that a cell's frame records once, so each candidate triple
+costs one 2k x 2k integer solve in cell 2's coordinates plus
+back-substitution for the few that survive its sign screen.  Each row the
+reductions leave is divided by its content (the gcd of its entries and
+right-hand side), which roughly halves the width of the integers that
+reach the solve.  Before that, prism
 triples and then cell triples are prefiltered by their extents along the
 coordinates and the directions e_i +- e_j, computed on integers about 64
 bits wide: the track is rounded outward onto one power-of-two grid, so the
@@ -38,6 +40,7 @@ untouched.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import le
 
 from .geometry import (
     DimensionMismatch,
@@ -289,13 +292,7 @@ def _expanded_frame(frame, pairs):
 
 
 def _extents_meet(a, b):
-    for lo, hi in zip(a[0], b[1]):
-        if lo > hi:
-            return False
-    for lo, hi in zip(b[0], a[1]):
-        if lo > hi:
-            return False
-    return True
+    return all(map(le, a[0], b[1])) and all(map(le, b[0], a[1]))
 
 
 def _extents_common(a, b):
@@ -308,26 +305,23 @@ def _extents_common(a, b):
 
 class _SweepCell:
     """A staircase cell of the sweep with its grid extents; its rational
-    points, simplex frame and the frame's column scales are built by
-    :meth:`framed` on first use.  Hashed by identity, so it keys the
-    (cell 2, cell 3) reductions."""
+    points and simplex frame are built by :meth:`framed` on first use.
+    Hashed by identity, so it keys the (cell 2, cell 3) reductions."""
 
-    __slots__ = ("cell", "extents", "points", "frame", "scales")
+    __slots__ = ("cell", "extents", "points", "frame")
 
     def __init__(self, cell, extents):
         self.cell = cell
         self.extents = extents
         self.points = None
         self.frame = None
-        self.scales = None
 
     def framed(self, track):
         """The cell's :func:`simplex_frame`, built on first use together
-        with :attr:`points` (see :func:`cell_points`) and :attr:`scales`."""
+        with :attr:`points` (see :func:`cell_points`)."""
         if self.frame is None:
             self.points = cell_points(track, self.cell)
             self.frame = simplex_frame(self.points)
-            self.scales = [s for s, _ in self.frame[1]]
         return self.frame
 
 
@@ -397,12 +391,13 @@ def _interval_triple_points(track, j, vertices):
                             )
                         sign, solution = solve_from_pairs(
                             reduction12, reduction32,
-                            (entry1.scales, entry2.scales, entry3.scales),
+                            (fr1.scales, fr2.scales, fr3.scales),
                             solve_integer,
                         )
-                        points = (entry1.points, entry2.points, entry3.points)
                         if sign == 0:
-                            eq_rows, nvars, _ = common_point_system(points)
+                            eq_rows, nvars, _ = common_point_system(
+                                (entry1.points, entry2.points, entry3.points)
+                            )
                             if feasible_point(
                                 eq_rows, _nonneg_rows(nvars), nvars
                             ) is not None:
@@ -412,7 +407,8 @@ def _interval_triple_points(track, j, vertices):
                             continue
                         if solution is None:
                             continue  # outside cell 2 or cell 3
-                        arities = [len(p) for p in points]
+                        arities = [len(entry.points)
+                                   for entry in (entry1, entry2, entry3)]
                         full = interior_barycentric(solution, arities)
                         if full is None:
                             continue
@@ -461,19 +457,21 @@ def detect_triple_points(track):
     :func:`_hull` of its vertices' (its 2(d + 1) or d + 2 of them), so a
     prism's equal the union of its cells'.  A prism's cells and their
     extents are built when a prism triple that passes reaches it, and a
-    cell's rational points, simplex frame and column scales when it first
-    enters a candidate triple.  A pair of extents that meet is intersected
-    once and tested against each third one.
+    cell's rational points and simplex frame (which carries its column
+    scales) when it first enters a candidate triple.  A pair of extents
+    that meet is intersected once and tested against each third one.
 
     Each candidate is solved by :func:`solve_from_pairs` from the (cell 1,
     cell 2) reduction, made once per pair, and the (cell 3, cell 2)
     reduction, made on first use and cached for the rest of the keyframe
-    interval; the x-free rows of the reductions are primitive, which keeps
-    the joined 2k x 2k system narrow.  A candidate whose integer solve puts
-    it outside cell 2 or cell 3 is dropped before any rational is built; a
-    singular one (a degenerate cell 1 or cell 3 included) goes to the exact
-    touching test, which raises when the closed cells meet.  The touching tests and the
-    witnesses use the rational points.  Raises NonGenericTrack on any
+    interval.  A cell's edges are eliminated once, by its frame, however
+    many reductions eliminate it; the x-free rows of the reductions are
+    primitive, which keeps the joined 2k x 2k system narrow.  A candidate
+    whose integer solve puts it outside cell 2 or cell 3 is dropped before
+    any rational is built; a singular one (a degenerate cell 1 or cell 3
+    included) goes to the exact touching test, which raises when the closed
+    cells meet.  The touching tests and the witnesses use the rational
+    points.  Raises NonGenericTrack on any
     exactly-degenerate configuration.
     """
     found = []

@@ -9,9 +9,14 @@ triple solve is the reference for the pair-reduced kernel as the sweep
 uses it, and the direct ray solve for the kernel as the degree route uses
 it: each solves the whole block system (4k x 4k, and 2m x 2m) with the
 package's square solver, which the tests check separately against
-``_solve_unique``; the full back-substitution loop is the reference for
-the package's, which takes its last step from the last pivot.  The Gauss-Jordan feasibility routine is the reference
-for the package's rank-first ``feasible_point``, and the exact
+``_solve_unique``.  The direct pair reduction, which writes out the whole
+pair block and clears a rational right-hand side, is the reference for
+the package's, an integer product with a frame's cached row operations;
+the slicing elimination loop is the reference for the package's, which
+updates entry by entry; the full back-substitution loop is the reference
+for the package's, which takes its last step from the last pivot.  The
+Gauss-Jordan feasibility routine is the reference for the package's
+rank-first ``feasible_point``, and the exact
 common-scale frames and extents are the references for the sweep's
 outward-rounded grid prefilter; the union of extents is the reference for
 the sweep's cell and prism extents.  The helpers at the end (image of
@@ -271,6 +276,103 @@ def sphere_map_box(b1, b2, b3):
     return tuple(mins), tuple(maxs)
 
 
+def eliminate_sliced(aug, ncols, skip=False):
+    """Reference for ``ornaments.geometry.eliminate``: the same
+    fraction-free forward elimination, which must give the same result and
+    leave the same rows, written with slices and with every row below the
+    pivot rewritten, a zero lead's included."""
+    nrows = len(aug)
+    swap_sign = 1
+    pivots = []
+    pivot_cols = []
+    prev = 1
+    rank = 0
+    for col in range(ncols):
+        if rank == nrows:
+            break
+        piv = None
+        for r in range(rank, nrows):
+            if aug[r][col]:
+                piv = r
+                break
+        if piv is None:
+            if skip:
+                continue
+            return None
+        if piv != rank:
+            aug[rank], aug[piv] = aug[piv], aug[rank]
+            swap_sign = -swap_sign
+        prow = aug[rank]
+        pivot = prow[col]
+        tail = prow[col + 1:]
+        for r in range(rank + 1, nrows):
+            row = aug[r]
+            lead = row[col]
+            if lead:
+                if prev == 1:
+                    row[col + 1:] = [
+                        pivot * rc - lead * pc for rc, pc in zip(row[col + 1:], tail)
+                    ]
+                else:
+                    row[col + 1:] = [
+                        (pivot * rc - lead * pc) // prev
+                        for rc, pc in zip(row[col + 1:], tail)
+                    ]
+            else:
+                if prev == 1:
+                    row[col + 1:] = [pivot * rc for rc in row[col + 1:]]
+                else:
+                    row[col + 1:] = [pivot * rc // prev for rc in row[col + 1:]]
+            row[col] = 0
+        pivots.append(pivot)
+        pivot_cols.append(col)
+        prev = pivot
+        rank += 1
+    if len(pivots) < ncols and not skip:
+        return None
+    return swap_sign, pivots, pivot_cols
+
+
+def pair_reduction_direct(frame_x, frame_kept, extra=()):
+    """Reference for ``ornaments.geometry.pair_reduction``: the whole pair
+    block ``[E_x | -E_kept | -extra | r]`` written out, its right-hand side
+    ``r = base_kept - base_x`` formed on rationals and cleared by
+    ``integer_scaled``, and eliminated by :func:`eliminate_sliced`; the
+    same tuple, or ``None`` for dependent edges."""
+    width = len(frame_x.base)
+    d = len(frame_x.columns)
+    rho, r_int = integer_scaled(
+        [k - x for k, x in zip(frame_kept.base, frame_x.base)]
+    )
+    aug = []
+    for c in range(width):
+        aug.append([u[c] for u in frame_x.columns]
+                   + [-u[c] for u in frame_kept.columns]
+                   + [-col[c] for col in extra] + [r_int[c]])
+    reduction = eliminate_sliced(aug, d)
+    if reduction is None:
+        return None
+    swap_sign, pivots, _ = reduction
+    sign_fix = swap_sign
+    previous = 1
+    for t, p in enumerate(pivots):
+        if p < 0:
+            sign_fix = -sign_fix
+        if (p < 0) != (previous < 0) and (width - 1 - t) % 2 == 1:
+            sign_fix = -sign_fix
+        previous = p
+    con_rows = []
+    con_rhs = []
+    for row in aug[d:]:
+        tail = row[d:]
+        content = math.gcd(*tail)
+        if content > 1:
+            tail = [c // content for c in tail]
+        con_rows.append(tail[:-1])
+        con_rhs.append(tail[-1])
+    return aug[:d], con_rows, con_rhs, sign_fix, rho
+
+
 def solve_triple(frame1, frame2, frame3):
     """Solve "the three affine cells meet" in the reduced barycentric
     coordinates of the three cells (last vertex of each eliminated).
@@ -280,9 +382,9 @@ def solve_triple(frame1, frame2, frame3):
     frames built by ``ornaments.geometry.simplex_frame``.  The sweep's
     pair-reduction route must agree with it exactly.
     """
-    base1, e1 = frame1
-    base2, e2 = frame2
-    base3, e3 = frame3
+    base1, e1 = frame1.base, frame1.columns
+    base2, e2 = frame2.base, frame2.columns
+    base3, e3 = frame3.base, frame3.columns
     width = len(base1)
     zeros1 = [0] * len(e1)
     zeros3 = [0] * len(e3)
@@ -290,19 +392,19 @@ def solve_triple(frame1, frame2, frame3):
     rhs = []
     for c in range(width):
         rows.append(
-            [u[c] for _, u in e1] + [-u[c] for _, u in e2] + zeros3
+            [u[c] for u in e1] + [-u[c] for u in e2] + zeros3
         )
         rhs.append(base2[c] - base1[c])
     for c in range(width):
         rows.append(
-            zeros1 + [u[c] for _, u in e2] + [-u[c] for _, u in e3]
+            zeros1 + [u[c] for u in e2] + [-u[c] for u in e3]
         )
         rhs.append(base3[c] - base2[c])
     rho, rhs_int = integer_scaled(rhs)
     sign, numerators, det = solve_integer(rows, rhs_int)
     if sign == 0:
         return 0, None
-    col_scales = [s for s, _ in e1] + [s for s, _ in e2] + [s for s, _ in e3]
+    col_scales = frame1.scales + frame2.scales + frame3.scales
     return sign, [
         Fraction(s * n, rho * det) for s, n in zip(col_scales, numerators)
     ]
@@ -321,27 +423,26 @@ def solve_ray_triple(frame1, frame2, frame3, ray):
     facet order, then s.  The degree route's pair-reduced kernel must agree
     with it exactly.
     """
-    base1, e1 = frame1
-    base2, e2 = frame2
-    base3, e3 = frame3
+    base1, e1 = frame1.base, frame1.columns
+    base2, e2 = frame2.base, frame2.columns
+    base3, e3 = frame3.base, frame3.columns
     m = len(base1)
     ray_scale, ray_int = integer_scaled(ray)
     rows = []
     rhs = []
     for c in range(m):
-        rows.append([2 * u[c] for _, u in e1] + [-u[c] for _, u in e2]
-                    + [-u[c] for _, u in e3] + [-ray_int[c]])
+        rows.append([2 * u[c] for u in e1] + [-u[c] for u in e2]
+                    + [-u[c] for u in e3] + [-ray_int[c]])
         rhs.append(-(2 * base1[c] - base2[c] - base3[c]))
     for c in range(m):
-        rows.append([-u[c] for _, u in e1] + [2 * u[c] for _, u in e2]
-                    + [-u[c] for _, u in e3] + [-ray_int[m + c]])
+        rows.append([-u[c] for u in e1] + [2 * u[c] for u in e2]
+                    + [-u[c] for u in e3] + [-ray_int[m + c]])
         rhs.append(-(2 * base2[c] - base1[c] - base3[c]))
     rho, rhs_int = integer_scaled(rhs)
     sign, numerators, det = solve_integer(rows, rhs_int)
     if sign == 0:
         return 0, None
-    col_scales = ([s for s, _ in e1] + [s for s, _ in e2]
-                  + [s for s, _ in e3] + [ray_scale])
+    col_scales = frame1.scales + frame2.scales + frame3.scales + [ray_scale]
     return sign, [
         Fraction(s * n, rho * det) for s, n in zip(col_scales, numerators)
     ]

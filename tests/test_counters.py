@@ -13,7 +13,7 @@ from statistics import median
 
 import pytest
 
-from ornaments import constructions, degree, model, sweep
+from ornaments import constructions, degree, geometry, model, sweep
 
 
 class Tally:
@@ -58,12 +58,17 @@ def test_sweep_counters_borromean_k1_r3(borromean_k1_r3, monkeypatch):
 def test_sweep_frames_borromean_k1_r3(borromean_k1_r3, monkeypatch):
     """The sweep builds the cells of 43 of the track's 576 prisms, and a
     simplex frame only for a cell that then enters a pair reduction, once
-    per cell (85 of the track's 1,152 cells); the work counters do not
-    move."""
+    per cell (85 of the track's 1,152 cells).  A frame's edge elimination
+    is built at most once, and only for a frame that enters a reduction on
+    the eliminated side (62 of the 85 frames, for 923 reductions); the
+    work counters do not move."""
     live_frame = sweep.simplex_frame
     live_reduction = sweep.pair_reduction
+    live_elimination = geometry.edge_elimination
     framed = []  # (points, frame) per simplex_frame call
     reduced = set()
+    eliminated = set()  # the columns of every frame reduced as frame_x
+    built = []  # the columns of each edge elimination built
 
     def frame(points):
         result = live_frame(points)
@@ -72,10 +77,16 @@ def test_sweep_frames_borromean_k1_r3(borromean_k1_r3, monkeypatch):
 
     def reduction(frame_x, frame2):
         reduced.update((id(frame_x), id(frame2)))
+        eliminated.add(id(frame_x.columns))
         return live_reduction(frame_x, frame2)
+
+    def elimination(columns, width):
+        built.append(id(columns))
+        return live_elimination(columns, width)
 
     monkeypatch.setattr(sweep, "simplex_frame", frame)
     monkeypatch.setattr(sweep, "pair_reduction", reduction)
+    monkeypatch.setattr(geometry, "edge_elimination", elimination)
     prisms = Tally(monkeypatch, sweep, "staircase_cells", len)
     solves = Tally(monkeypatch, sweep, "solve_integer", singular)
     points = Tally(monkeypatch, sweep, "detect_triple_points", len)
@@ -84,6 +95,8 @@ def test_sweep_frames_borromean_k1_r3(borromean_k1_r3, monkeypatch):
     assert len(framed) == 85
     assert len({pts for pts, _ in framed}) == len(framed)
     assert all(id(result) in reduced for _, result in framed)
+    assert len(built) == len(set(built)) == 62  # framed keeps ids unique
+    assert set(built) == eliminated
     assert (solves.calls, solves.hits) == (4906, 0)
     assert (points.calls, points.hits) == (1, 1)
 

@@ -253,9 +253,6 @@ def test_kernel_matches_full_ray_system():
         ]
         return others + [last]
 
-    def column_scales(frame):
-        return [s for s, _ in frame[1]]
-
     def outside(block):
         return interior_barycentric(block, [len(block) + 1]) is None
 
@@ -298,8 +295,7 @@ def test_kernel_matches_full_ray_system():
             assert reduction13 is None
         if kind == "degenerate 1":
             assert reduction23 is None
-        scales = (column_scales(f1), column_scales(f3) + [3 * ray_scale],
-                  column_scales(f2))
+        scales = (f1.scales, f3.scales + [3 * ray_scale], f2.scales)
         sign, solution = solve_from_pairs(reduction13, reduction23, scales,
                                           solve_integer)
         direct_sign, direct = solve_ray_triple(f1, f2, f3, ray)

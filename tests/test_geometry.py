@@ -17,9 +17,11 @@ from ornaments.geometry import (
     integer_scaled,
     interior_barycentric,
     outward_grid,
+    pair_reduction,
     parse_rational,
     random_rational_perturbation,
     ray_meets_box,
+    simplex_frame,
     solve_integer,
 )
 
@@ -27,7 +29,9 @@ from oracles import (
     _solve_unique,
     back_substitute_full,
     brute_force_feasible,
+    eliminate_sliced,
     feasible_point_gauss_jordan,
+    pair_reduction_direct,
     ray_meets_box_by_division,
 )
 
@@ -169,6 +173,99 @@ def test_back_substitute_matches_the_full_loop(case):
         rhs = [row[col] for row in rows]
         assert back_substitute(rows, rhs) == back_substitute_full(rows, rhs,
                                                                   det)
+
+
+# --- eliminate and the pair reduction --------------------------------------
+
+# Zeros and units often, so that pivotless columns, forced swaps and pivots
+# equal to the previous one occur; otherwise entries up to ~400 bits.
+_ENTRIES = st.one_of(st.sampled_from([0, 0, 0, 1, -1, 2]),
+                     st.integers(-2 ** 400, 2 ** 400))
+
+
+@st.composite
+def _elimination_cases(draw):
+    """``(rows, ncols, skip)``: 1-8 integer rows of a width of 1-20, of
+    which the first ``ncols`` columns are eliminated."""
+    width = draw(st.integers(1, 20))
+    nrows = draw(st.integers(1, 8))
+    rows = draw(st.lists(st.lists(_ENTRIES, min_size=width, max_size=width),
+                         min_size=nrows, max_size=nrows))
+    return rows, draw(st.integers(1, width)), draw(st.booleans())
+
+
+@given(_elimination_cases())
+@example(([[0, 1, 2], [0, 3, 4]], 2, True))  # a pivotless column, skipped
+@example(([[0, 1, 2], [0, 3, 4]], 2, False))  # ... or ending it
+@example(([[0, 1, 5], [3, 0, 7]], 2, False))  # a forced swap
+@example(([[1, 2, 3], [0, 4, 5]], 2, False))  # zero lead, pivot 1 = previous
+@example(([[2, 0, 5], [0, 1, 7], [0, 0, 3]], 3, False))  # zero lead, 2 = 2
+@example(([[3, 1, 4, 1], [6, 2, 8, 5]], 3, True))  # rank below the rows
+@example(([[2 ** 400, -1], [2 ** 399 + 1, 2 ** 400]], 1, False))
+def test_eliminate_matches_the_slicing_loop(case):
+    """The entry-by-entry loop returns the slicing loop's ``(swap_sign,
+    pivots, pivot_cols)`` (or ``None``) and leaves the same rows."""
+    rows, ncols, skip = case
+    fast = [row[:] for row in rows]
+    sliced = [row[:] for row in rows]
+    assert eliminate(fast, ncols, skip) == eliminate_sliced(sliced, ncols,
+                                                            skip)
+    assert fast == sliced
+
+
+@st.composite
+def _frame_pairs(draw):
+    """``(points_x, points_kept, extra)`` for :func:`pair_reduction`: two
+    simplices of the sweep's shape (2k + 1 points in R^{3k}) or the degree
+    route's (2k points in R^{3k - 1}), k in 1-3, and 0-2 extra integer
+    columns.  The coordinates are rationals with mixed denominators, or
+    integers (equal base scales); the kept base may be the eliminated one
+    (rho = 1), and the eliminated edges may be dependent."""
+    k = draw(st.integers(1, 3))
+    width, npts = draw(st.sampled_from([(3 * k, 2 * k + 1),
+                                        (3 * k - 1, 2 * k)]))
+    integral = draw(st.booleans())
+    denominators = st.just(1) if integral else st.integers(1, 12)
+
+    def point():
+        return tuple(Rat(n, q) for n, q in zip(
+            draw(st.lists(st.integers(-40, 40), min_size=width,
+                          max_size=width)),
+            draw(st.lists(denominators, min_size=width, max_size=width)),
+        ))
+
+    points_x = [point() for _ in range(npts)]
+    points_kept = [point() for _ in range(npts)]
+    shape = draw(st.sampled_from(["general", "same base", "dependent"]))
+    if shape == "same base":
+        points_kept[-1] = points_x[-1]
+    elif shape == "dependent":
+        points_x[0] = points_x[-1 if npts == 2 else 1]
+    extra = draw(st.lists(
+        st.lists(st.integers(-2 ** 64, 2 ** 64), min_size=width,
+                 max_size=width),
+        max_size=2,
+    ))
+    return points_x, points_kept, extra
+
+
+@given(_frame_pairs())
+def test_pair_reduction_matches_the_direct_reduction(case):
+    """The integer product with the cached row operations gives the direct
+    reduction's tuple, both on first use of the eliminated frame and on
+    reuse against a second kept frame."""
+    points_x, points_kept, extra = case
+    frame_x = simplex_frame(points_x)
+    reductions = []
+    for points in (points_kept, points_kept[::-1]):
+        frame_kept = simplex_frame(points)
+        reductions.append(pair_reduction(frame_x, frame_kept, extra))
+        assert reductions[-1] == pair_reduction_direct(frame_x, frame_kept,
+                                                       extra)
+    if len(set(points_x)) < len(points_x):
+        assert reductions == [None, None]
+    elif points_kept[-1] == points_x[-1]:
+        assert reductions[0][4] == 1
 
 
 # --- interior_barycentric -------------------------------------------------------

@@ -102,11 +102,6 @@ def test_staircase_restricts_to_shared_faces():
         assert supported_cells(facet, face) == expected
 
 
-def column_scales(frame):
-    """The column scales of a :func:`simplex_frame`'s edges."""
-    return [s for s, _ in frame[1]]
-
-
 def test_pair_reduction_matches_direct_solver():
     """The two-sided reduced solver agrees with the direct block solve:
     the same determinant sign; a screened candidate exactly when the direct
@@ -181,7 +176,7 @@ def test_pair_reduction_matches_direct_solver():
         if kind == "repeated 2":
             assert reduction32 is None
         reduced = solve_from_pairs(reduction12, reduction32,
-                                   [column_scales(f) for f in (f1, f2, f3)],
+                                   [f.scales for f in (f1, f2, f3)],
                                    solve_integer)
         assert direct[0] == reduced[0]
         if direct[0] == 0:
@@ -238,7 +233,7 @@ def test_pair_reduction_rows_are_primitive(cells):
             for row, r in zip(rows, rhs):
                 assert gcd(*row, r) in (0, 1)  # 0: an all-zero row
     sign, _ = solve_from_pairs(reduction12, reduction32,
-                               [column_scales(f) for f in (f1, f2, f3)],
+                               [f.scales for f in (f1, f2, f3)],
                                solve_integer)
     assert sign == direct_sign
     if reduction12 is None or reduction32 is None:
@@ -252,8 +247,8 @@ def test_pair_reduction_rows_are_primitive(cells):
     sign_b, numerators, det = solve_integer(con12 + con32, lifted)
     assert (sign_b == 0) == (direct_sign == 0)
     if direct_sign:
-        d = len(f2[1])
-        assert [Rat(s * n, rho * det) for s, n in zip(column_scales(f2),
+        d = len(f2.columns)
+        assert [Rat(s * n, rho * det) for s, n in zip(f2.scales,
                                                        numerators)] == (
             direct[d:2 * d]
         )
