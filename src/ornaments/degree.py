@@ -37,9 +37,11 @@ computed once, and the shares of a facet pair are added once for all
 third facets; the third facet's share is added inside the ray test,
 coordinate by coordinate as it reads them, so no summed box is built for
 a triple.  A facet's simplex frame is built only when a triple containing
-it passes.  A candidate with a negative coordinate in facet 2 or 3 or a
-negative ray scalar is dropped on the signs of the integer solve, so a
-rational solution is built only for the rare survivors.
+it passes.  The kernel decides each candidate on the signs of the integer
+solve: outside some facet or behind the origin (dropped), on a facet's
+boundary or at a zero ray scalar (degenerate), or strictly interior with a
+positive ray scalar (counted); rationals are built only for the counted
+preimages, the witnesses.
 
 Degeneracies (singular systems that still touch the closed cells, boundary
 solutions, zero ray scalar) are detected exactly and reported as
@@ -59,7 +61,6 @@ from .geometry import (
     derive_seed,
     feasible_point,
     integer_scaled,
-    interior_barycentric,
     outward_grid,
     pair_reduction,
     ray_meets_box,
@@ -67,12 +68,7 @@ from .geometry import (
     solve_from_pairs,
     solve_integer,
 )
-from .model import (
-    Ornament,
-    TriangulatedManifold,
-    common_point_system,
-    _nonneg_rows,
-)
+from .model import Ornament, TriangulatedManifold, common_point_system
 
 
 def degree_sign(k):
@@ -209,7 +205,7 @@ def _ray_touches_closed_cells(o, facet_indices, u, w):
     for (row, _), c in zip(eq_rows, ray):
         row.append(c)
     nvars += 1
-    return feasible_point(eq_rows, _nonneg_rows(nvars), nvars) is not None
+    return feasible_point(eq_rows, nvars) is not None
 
 
 def mu_via_degree(o, v):
@@ -236,6 +232,7 @@ def mu_via_degree(o, v):
     ray_scale, ray_int = integer_scaled(ray.coords)
     u = [2 * a + b for a, b in zip(ray_int[:m], ray_int[m:])]
     w = [a + 2 * b for a, b in zip(ray_int[:m], ray_int[m:])]
+    ray_columns = (((u, 3 * ray_scale),), ((w, 3 * ray_scale),))
     frames = {}  # (component, facet) -> simplex_frame
     reductions = {}  # (component 1 or 2, facet, facet 3) -> pair_reduction
 
@@ -247,13 +244,11 @@ def mu_via_degree(o, v):
     def reduction(ci, fi, i3):
         if (ci, fi, i3) not in reductions:
             reductions[ci, fi, i3] = pair_reduction(
-                frame(ci, fi), frame(2, i3), ((u, w)[ci],)
+                frame(ci, fi), frame(2, i3), ray_columns[ci]
             )
         return reductions[ci, fi, i3]
 
     terms1, terms2, terms3 = _sphere_map_box_terms(o)
-    d = o.components[0].domain.dim
-    arities = (d + 1, d + 1, d + 1)
     solutions = []
     total = 0
     for i1, (mins1, maxs1) in enumerate(terms1):
@@ -263,12 +258,8 @@ def mu_via_degree(o, v):
             for i3, share3 in enumerate(terms3):
                 if not ray_meets_box(ray_int, hull12, share3):
                     continue
-                scales = (frame(0, i1).scales,
-                          frame(2, i3).scales + [3 * ray_scale],
-                          frame(1, i2).scales)
-                sign, solution = solve_from_pairs(
-                    reduction(0, i1, i3), reduction(1, i2, i3), scales,
-                    solve_integer,
+                sign, verdict = solve_from_pairs(
+                    reduction(0, i1, i3), reduction(1, i2, i3), solve_integer
                 )
                 if sign == 0:
                     if _ray_touches_closed_cells(o, (i1, i2, i3), u, w):
@@ -276,24 +267,18 @@ def mu_via_degree(o, v):
                             f"singular system touching facets {(i1, i2, i3)}"
                         )
                     continue
-                if solution is None:
-                    continue  # outside facet 2 or 3, or behind the origin
-                # (a, (c, s), b) from the kernel; facet order is (a, b, c).
-                kept = solution[d:2 * d + 1]
-                full = interior_barycentric(
-                    solution[:d] + solution[2 * d + 1:] + kept, arities
-                )
-                if full is None:
-                    continue  # outside facet 1
-                ray_s = kept[-1]
-                if full == "closed" or ray_s == 0:
+                if verdict is None:
+                    continue  # outside some facet, or behind the origin
+                if verdict == "closed":
                     raise NonGenericDirection(
                         f"boundary preimage on facets {(i1, i2, i3)}"
                     )
+                # (facet 1, facet 3, facet 2, [s]) from the kernel.
+                full1, full3, full2, (ray_s,) = verdict
                 total += sign
                 solutions.append(PreimageSolution(
                     facets=(i1, i2, i3),
-                    barycentric=full,
+                    barycentric=(full1, full2, full3),
                     s=ray_s,
                     sign=global_sign * sign,
                 ))

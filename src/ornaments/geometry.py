@@ -12,25 +12,25 @@ This module is the exact kernel of both invariant routes.  Square systems
 are solved by fraction-free Bareiss elimination on integer matrices whose
 columns were cleared of denominators by :func:`integer_scaled`; the one
 elimination loop, :func:`eliminate`, serves every caller.  Both routes
-solve their triple systems with one pair-reduced kernel built on that
-loop and on back-substitution.  A :class:`SimplexFrame` holds a simplex's
-base point and edges as integers, and records the elimination of its
-edges once, as row operations (:func:`edge_elimination`), the first time
-it is the eliminated side of a pair.  :func:`pair_reduction` then
-eliminates one simplex of a pair by one integer product of those row
-operations with the other simplex's edges and the difference of the two
-integer base points, and :func:`solve_from_pairs` joins two reductions
-that share a kept simplex into one 2k x 2k solve per triple.  The solver
-returns integer Cramer numerators over the integer determinant, and
-:func:`cramer_outside` rejects, from their signs alone, a solution that
-leaves some simplex, so rationals are built only for the few survivors
-and for witnesses.  Both routes classify survivors with the same interior
-test.  Linear feasibility of mixed equality/inequality systems is decided
-rank first: the equalities, cleared of denominators row by row, go
-through the same elimination loop (skipping columns without a pivot), and
-an inconsistent system is rejected on integers alone.  Only a consistent
-one is brought to its reduced row echelon form, one rational per entry,
-and its inequalities to Fourier-Motzkin elimination, with exact
+decide their triples with one pair-reduced kernel built on that loop and
+on back-substitution.  A :class:`SimplexFrame` holds a simplex's base
+point and edges as integers, and records the elimination of its edges
+once, as row operations (:func:`edge_elimination`), the first time it is
+the eliminated side of a pair.  :func:`pair_reduction` then eliminates one
+simplex of a pair by one integer product of those row operations with the
+other simplex's edges and the difference of the two integer base points,
+and carries the column scales of both blocks.  :func:`solve_from_pairs`
+joins two reductions that share a kept simplex into one 2k x 2k solve per
+triple and returns the triple's verdict: singular, outside, on a boundary,
+or strictly interior.  Every verdict is read off integer Cramer numerators
+over the integer determinant by one classifier, :func:`cramer_status`, so
+rationals are built only for interior points, the witnesses.  Linear
+feasibility is asked in one form, "A x = b, x >= 0", and decided rank
+first: the equalities, cleared of denominators row by row, go through the
+same elimination loop (skipping columns without a pivot), and an
+inconsistent system is rejected on integers alone.  Only a consistent one
+is brought to its reduced row echelon form, one rational per entry, and
+its sign constraints to Fourier-Motzkin elimination, with exact
 sample-point extraction for witnesses.
 """
 
@@ -220,22 +220,21 @@ def eliminate(aug, ncols, skip=False):
     return swap_sign, pivots, pivot_cols
 
 
-def solve_integer(rows, rhs=None):
+def solve_integer(rows, rhs):
     """Exact solve of a square integer system by Bareiss elimination.
 
     Returns ``(sign, numerators, det)``: the determinant sign in
     {-1, 0, +1}, and integer Cramer numerators ``N`` over the Bareiss
     determinant ``D`` (the determinant of the row-permuted matrix, nonzero
     but of either sign), so that the solution is ``x_i = N_i / D``.  Both
-    are ``None`` when the system is singular or no ``rhs`` is given.  The
-    back-substitution is fraction-free: ``D * x_i`` is an integer by
-    Cramer's rule, so each step divides exactly by its pivot.  Without an
-    ``rhs`` the rows are consumed; with one they are left untouched.
+    are ``None`` when the system is singular.  The back-substitution is
+    fraction-free: ``D * x_i`` is an integer by Cramer's rule, so each step
+    divides exactly by its pivot.  The rows are left untouched.
     """
     n = len(rows)
     if n == 0:
-        return (1, [], 1) if rhs is not None else (1, None, None)
-    aug = rows if rhs is None else [row + [b] for row, b in zip(rows, rhs)]
+        return 1, [], 1
+    aug = [row + [b] for row, b in zip(rows, rhs)]
     reduction = eliminate(aug, n)
     if reduction is None:
         return 0, None, None
@@ -243,8 +242,6 @@ def solve_integer(rows, rhs=None):
     swap_sign, pivots, _ = reduction
     det = pivots[-1]
     sign = swap_sign if det > 0 else -swap_sign
-    if rhs is None:
-        return sign, None, None
     return sign, back_substitute(aug, [row[n] for row in aug]), det
 
 
@@ -313,21 +310,20 @@ def outward_grid(values):
 
 class SimplexFrame:
     """The reusable half of every linear system in which a simplex takes
-    part, built by :func:`simplex_frame`: its rational ``base`` point (the
-    last vertex), the same point cleared of denominators, ``base_int =
-    (scale, ints)``, and the edge vectors of the other vertices relative to
-    it, in listed order, as integer ``columns`` with their column
-    ``scales`` (``scales[j] * edge j = columns[j]``).
+    part, built by :func:`simplex_frame`: its base point (the last vertex)
+    cleared of denominators, ``base_int = (scale, ints)``, and the edge
+    vectors of the other vertices relative to it, in listed order, as
+    integer ``columns`` with their column ``scales`` (``scales[j] * edge j
+    = columns[j]``).
 
     :meth:`elimination` builds the :func:`edge_elimination` of the columns
     on first use and keeps it, so a simplex eliminated in many pair
     reductions is eliminated once."""
 
-    __slots__ = ("base", "base_int", "columns", "scales", "_elimination")
+    __slots__ = ("base_int", "columns", "scales", "_elimination")
 
-    def __init__(self, base, columns, scales):
-        self.base = base
-        self.base_int = integer_scaled(base)
+    def __init__(self, base_int, columns, scales):
+        self.base_int = base_int
         self.columns = columns
         self.scales = scales
         self._elimination = _UNBUILT
@@ -335,7 +331,8 @@ class SimplexFrame:
     def elimination(self):
         """:func:`edge_elimination` of the columns, built once."""
         if self._elimination is _UNBUILT:
-            self._elimination = edge_elimination(self.columns, len(self.base))
+            self._elimination = edge_elimination(self.columns,
+                                                 len(self.base_int[1]))
         return self._elimination
 
 
@@ -353,63 +350,39 @@ def simplex_frame(points):
         scale, ints = integer_scaled(tuple(x - b for x, b in zip(p, base)))
         columns.append(ints)
         scales.append(scale)
-    return SimplexFrame(base, columns, scales)
+    return SimplexFrame(integer_scaled(base), columns, scales)
 
 
-def interior_barycentric(solution, arities):
-    """Classify stacked reduced barycentric coordinates, one block of
-    ``arity - 1`` per simplex (the last vertex's coordinate is implied;
-    entries past the blocks are ignored).
+def cramer_status(numerators, det, scales, rho, arity):
+    """Where the solution ``x_i = scales[i] * N_i / (rho * D)`` (positive
+    ``scales`` and ``rho``, nonzero ``D``) lies relative to one simplex,
+    decided on integer signs without building a rational: its first
+    ``arity - 1`` entries are the simplex's reduced barycentric coordinates
+    (the last vertex's is implied), and any entries past them are further
+    coordinates that must not be negative (say, a ray scalar).
 
-    Returns the full coordinates, one tuple per simplex, when the point is
-    strictly interior to every simplex; ``"closed"`` when it lies in every
-    closed simplex but on some boundary; ``None`` when it is outside some
-    closed simplex.
-    """
-    full = []
-    interior = True
-    pos = 0
-    for arity in arities:
-        coords = list(solution[pos:pos + arity - 1])
-        pos += arity - 1
-        coords.append(1 - sum(coords, Rat(0)))
-        for c in coords:
-            if c < 0:
-                return None
-            if c == 0:
-                interior = False
-        full.append(tuple(coords))
-    return tuple(full) if interior else "closed"
-
-
-def cramer_outside(numerators, det, scales, rho, arities):
-    """Integer screen for :func:`interior_barycentric` on the solution
-    ``x_i = scales[i] * N_i / (rho * D)`` (positive ``scales`` and ``rho``,
-    nonzero ``D``), decided on signs without building a rational.
-
-    True exactly when some coordinate is strictly negative: a listed one,
-    when ``N_i * D < 0``, or a block's implied one, when
-    ``(rho * D - sum of scales * N over the block) * D < 0``.  Entries past
-    the blocks count as listed coordinates (say, a ray scalar that must not
-    be negative).  Zero coordinates pass, so a boundary solution still
-    reaches the rational classification.
+    Returns ``None`` when some coordinate is negative: a listed one, when
+    ``N_i * D < 0``, or the implied one, when ``(rho * D - sum of scales *
+    N over the block) * D < 0``; ``False`` when none is negative but some
+    is zero (the point is on the closed simplex's boundary); ``True`` when
+    every coordinate is positive.  A negative listed entry returns at once,
+    before the implied coordinate is formed.
     """
     if det < 0:
         det = -det
         numerators = [-n for n in numerators]
+    interior = True
     for n in numerators:
         if n < 0:
-            return True
-    pos = 0
-    for arity in arities:
-        end = pos + arity - 1
-        implied = rho * det
-        for i in range(pos, end):
-            implied -= scales[i] * numerators[i]
-        if implied < 0:
-            return True
-        pos = end
-    return False
+            return None
+        if not n:
+            interior = False
+    implied = rho * det
+    for i in range(arity - 1):
+        implied -= scales[i] * numerators[i]
+    if implied < 0:
+        return None
+    return interior and implied > 0
 
 
 # ---------------------------------------------------------------------------
@@ -460,9 +433,11 @@ def edge_elimination(columns, width):
 
 def pair_reduction(frame_x, frame_kept, extra=()):
     """Eliminate the first simplex's edge columns from the pair equations
-    ``E_x x - E_kept b - U s = base_kept - base_x`` by fraction-free steps,
-    ``U`` holding the integer columns ``extra`` (say, a ray's) beside the
-    kept simplex's edges; the frames are :class:`SimplexFrame` objects.
+    ``E_x x - E_kept b - U s = base_kept - base_x`` by fraction-free steps;
+    the frames are :class:`SimplexFrame` objects, and ``extra`` holds
+    ``(column, scale)`` pairs, integer columns ``U`` (say, a ray's) beside
+    the kept simplex's edges with the positive scales that turn their
+    solutions into ``s``.
 
     The steps read only ``E_x``, so they are ``frame_x``'s
     :meth:`~SimplexFrame.elimination`, made once per frame, and the
@@ -476,14 +451,16 @@ def pair_reduction(frame_x, frame_kept, extra=()):
 
     Returns ``None`` when the columns of E_x are dependent, in which case
     every triple system containing the pair is singular.  Otherwise returns
-    ``(tri_rows, con_rows, con_rhs, sign_fix, rho)``: ``tri_rows`` the
-    triangular integer rows [x-cols | kept cols | rhs], ``con_rows`` the
-    x-free integer rows [kept cols] with right-hand sides ``con_rhs``,
-    ``rho`` the least positive integer that scales the right-hand side to
-    integers, and ``sign_fix`` in {-1, +1} such that, in any square system
-    whose other rows vanish on the x columns, det(with the pair block on
-    top) = sign_fix * det(with the x columns dropped and the x-free rows in
-    the block's place), up to a positive factor.
+    ``(tri_rows, con_rows, con_rhs, sign_fix, rho, scales_x, scales_kept)``:
+    ``tri_rows`` the triangular integer rows [x-cols | kept cols | rhs],
+    ``con_rows`` the x-free integer rows [kept cols] with right-hand sides
+    ``con_rhs``, ``rho`` the least positive integer that scales the
+    right-hand side to integers, ``sign_fix`` in {-1, +1} such that, in any
+    square system whose other rows vanish on the x columns, det(with the
+    pair block on top) = sign_fix * det(with the x columns dropped and the
+    x-free rows in the block's place), up to a positive factor, and the
+    column scales of the eliminated block and of the kept one, the extra
+    columns' included.
     """
     elimination = frame_x.elimination()
     if elimination is None:
@@ -503,7 +480,7 @@ def pair_reduction(frame_x, frame_kept, extra=()):
     if content > 1:
         rho //= content
         offset = [c // content for c in offset]
-    columns = frame_kept.columns + list(extra)
+    columns = frame_kept.columns + [column for column, _ in extra]
     columns.append(offset)
     tri_rows = [
         x_row + [sum(map(mul, op, col)) for col in columns]
@@ -518,7 +495,9 @@ def pair_reduction(frame_x, frame_kept, extra=()):
             tail = [c // content for c in tail]
         con_rhs.append(tail.pop())
         con_rows.append(tail)
-    return tri_rows, con_rows, con_rhs, sign_fix, rho
+    scales_kept = frame_kept.scales + [scale for _, scale in extra]
+    return (tri_rows, con_rows, con_rhs, sign_fix, rho, frame_x.scales,
+            scales_kept)
 
 
 def _eliminated_block(tri_rows, numerators_kept, det, lift):
@@ -537,20 +516,31 @@ def _eliminated_block(tri_rows, numerators_kept, det, lift):
     return back_substitute(tri_rows, rhs), det * tri_rows[-1][d - 1]
 
 
-def solve_from_pairs(reduction_a, reduction_b, scales, solve):
-    """Solve a triple system from the :func:`pair_reduction` of its two row
-    blocks, which share the kept columns; ``scales`` holds the column
-    scales of the blocks (a, kept, b), the kept ones including those of the
-    extra columns.  ``solve`` is the caller's own binding of
-    :func:`solve_integer`, so that whoever counts a route's solves sees
-    this one.
+def _full_coordinates(numerators, det, scales, rho, arity):
+    """The rational coordinates of a block that :func:`cramer_status` found
+    interior: the simplex's full barycentric tuple, the implied last
+    coordinate included, and the list of the entries past it."""
+    below = rho * det
+    coords = [Rat(s * n, below) for s, n in zip(scales, numerators)]
+    listed = coords[:arity - 1]
+    listed.append(1 - sum(listed, Rat(0)))
+    return tuple(listed), coords[arity - 1:]
+
+
+def solve_from_pairs(reduction_a, reduction_b, solve):
+    """Decide a triple from the :func:`pair_reduction` of its two row
+    blocks, which share the kept columns and their scales.  ``solve`` is the
+    caller's own binding of :func:`solve_integer`, so that whoever counts a
+    route's solves sees this one.
 
     The k x-free rows of each reduction form one square system on the kept
-    columns.  Its integer Cramer solution is screened by
-    :func:`cramer_outside` (the kept simplex has the arity of the
-    eliminated ones, and the extra columns count as coordinates that must
-    not be negative); b is back-substituted only for a kept block that
-    passes, a only for a b that passes, and only then are rationals built.
+    columns.  Its integer Cramer solution is classified by
+    :func:`cramer_status`, with the kept simplex of the eliminated ones'
+    arity and the extra columns as coordinates that must not be negative;
+    b is back-substituted and classified only for a kept block that is not
+    outside, and a only for a b that is not outside.  Every verdict is
+    reached on integers, and rationals are built only for a strictly
+    interior point, the witness.
 
     Sign: det(triple) = fix_a * fix_b * (-1)^k * det(joined), up to a
     positive factor.  With pair blocks of n rows, moving the bottom block
@@ -563,15 +553,19 @@ def solve_from_pairs(reduction_a, reduction_b, scales, solve):
     its blocks are the (1, 3) and (2, 3) pair blocks as they stand, with
     no negation or reordering, and (-1)^((3k - 1) k) = +1.
 
-    Returns ``(sign, solution)``, the solution in the order (a, kept, b):
-    ``(0, None)`` when singular (a ``None`` reduction included, with no
-    call to ``solve``), ``(sign, None)`` when a screen drops it.  An a
-    outside its simplex is left to the caller.
+    Returns ``(sign, verdict)``: ``(0, None)`` when singular (a ``None``
+    reduction included, with no call to ``solve``); ``(sign, None)`` when
+    the point is outside some closed simplex or an extra coordinate is
+    negative; ``(sign, "closed")`` when it lies in every closed simplex but
+    some coordinate, an extra one included, is zero; and ``(sign, (full_a,
+    full_kept, full_b, extras))`` when it is strictly interior, with the
+    full barycentric tuples of the three simplices and the list of the
+    extra coordinates.
     """
     if reduction_a is None or reduction_b is None:
         return 0, None
-    tri_a, con_a, rhs_a, fix_a, rho_a = reduction_a
-    tri_b, con_b, rhs_b, fix_b, rho_b = reduction_b
+    tri_a, con_a, rhs_a, fix_a, rho_a, scales_a, scales_kept = reduction_a
+    tri_b, con_b, rhs_b, fix_b, rho_b, scales_b, _ = reduction_b
     rho = rho_a if rho_a == rho_b else math.lcm(rho_a, rho_b)
     lift_a = rho // rho_a
     lift_b = rho // rho_b
@@ -585,21 +579,25 @@ def solve_from_pairs(reduction_a, reduction_b, scales, solve):
     sign = fix_a * fix_b * sign_n
     if len(con_a) % 2:
         sign = -sign
-    scales_a, scales_kept, scales_b = scales
-    arity = (len(tri_b) + 1,)
-    if cramer_outside(numerators, det, scales_kept, rho, arity):
+    arity = len(tri_b) + 1
+    interior = cramer_status(numerators, det, scales_kept, rho, arity)
+    if interior is None:
         return sign, None
     numerators_b, det_b = _eliminated_block(tri_b, numerators, det, lift_b)
-    if cramer_outside(numerators_b, det_b, scales_b, rho, arity):
+    interior_b = cramer_status(numerators_b, det_b, scales_b, rho, arity)
+    if interior_b is None:
         return sign, None
     numerators_a, det_a = _eliminated_block(tri_a, numerators, det, lift_a)
-    solution = []
-    for block_scales, block, d in ((scales_a, numerators_a, det_a),
-                                   (scales_kept, numerators, det),
-                                   (scales_b, numerators_b, det_b)):
-        solution.extend(Rat(s * n, rho * d)
-                        for s, n in zip(block_scales, block))
-    return sign, solution
+    interior_a = cramer_status(numerators_a, det_a, scales_a, rho, arity)
+    if interior_a is None:
+        return sign, None
+    if not (interior and interior_b and interior_a):
+        return sign, "closed"
+    full_a, _ = _full_coordinates(numerators_a, det_a, scales_a, rho, arity)
+    full_kept, extras = _full_coordinates(numerators, det, scales_kept, rho,
+                                          arity)
+    full_b, _ = _full_coordinates(numerators_b, det_b, scales_b, rho, arity)
+    return sign, (full_a, full_kept, full_b, extras)
 
 
 def random_rational_perturbation(v, eps, seed,
@@ -630,16 +628,16 @@ def random_rational_perturbation(v, eps, seed,
 # Linear feasibility with exact witness extraction.
 # ---------------------------------------------------------------------------
 
-def feasible_point(eq_rows, le_rows, nvars, scales=None):
-    """Decide a system of linear equalities and inequalities exactly.
+def feasible_point(eq_rows, nvars, scales=None):
+    """Decide "A x = b, x >= 0" exactly.
 
-    ``eq_rows`` is a list of ``(coeffs, rhs)`` meaning ``coeffs . x == rhs``
-    and ``le_rows`` the same with ``<=``; entries are ints or Fractions.
-    Returns a satisfying point as a list of rationals, or ``None`` when the
-    system is infeasible.  Positive integer column ``scales``, when given,
-    mean that column ``j`` of every equality row holds ``scales[j]`` times
-    its coefficient (the rows are written in ``x[j] / scales[j]``), the way
-    :func:`integer_scaled` columns are; ``le_rows`` and the point are in x.
+    ``eq_rows`` is a list of ``(coeffs, rhs)`` meaning ``coeffs . x ==
+    rhs``; entries are ints or Fractions.  Returns a point satisfying the
+    equalities with every coordinate nonnegative, as a list of rationals,
+    or ``None`` when there is none.  Positive integer column ``scales``,
+    when given, mean that column ``j`` of every row holds ``scales[j]``
+    times its coefficient (the rows are written in ``x[j] / scales[j]``),
+    the way :func:`integer_scaled` columns are; the point is in x.
 
     The equalities are decided first, by rank, on integers: each row is
     cleared of denominators (a positive row scale keeps its solution set)
@@ -649,9 +647,11 @@ def feasible_point(eq_rows, le_rows, nvars, scales=None):
     a rational.  Otherwise the reduced row echelon form of the equalities
     in x is built from the integer echelon form by :func:`back_substitute`,
     one rational per entry; it is unique, so it depends on neither kind of
-    scale.  The inequalities are then projected onto the free variables
-    and decided by Fourier-Motzkin elimination, whose stages are replayed
-    backwards to produce a concrete solution.
+    scale.  The sign constraints, written in the free variables, are one
+    row per variable: a pivot variable's is its echelon row and a free
+    one's is its own sign.  They are decided by Fourier-Motzkin
+    elimination, whose stages are replayed backwards to produce a concrete
+    solution.
     """
     aug = []
     for coeffs, rhs in eq_rows:
@@ -683,22 +683,20 @@ def feasible_point(eq_rows, le_rows, nvars, scales=None):
             row[col] = Rat(n * scales[p], below)
     nfree = len(free_cols)
 
-    # Substitute x_pivot = rows[i][-1] - sum_f rows[i][f] * y_f into each
-    # inequality, leaving a system purely over the free variables y.
+    # x >= 0 over the free variables y, one row per variable in variable
+    # order: x[p] = rows[i][-1] - sum_f rows[i][f] * y_f >= 0 reads
+    # sum_f rows[i][f] * y_f <= rows[i][-1], and a free x[f] = y_f reads
+    # -y_f <= 0.
+    pivot_rows = dict(zip(pivot_cols, rows))
     ineqs = []
-    for coeffs, rhs in le_rows:
-        coeffs = [Rat(c) for c in coeffs]
-        const = Rat(rhs)
-        acc = [Rat(0)] * nfree
-        for jf, f in enumerate(free_cols):
-            acc[jf] = coeffs[f]
-        for i, p in enumerate(pivot_cols):
-            cp = coeffs[p]
-            if cp != 0:
-                const -= cp * rows[i][nvars]
-                for jf, f in enumerate(free_cols):
-                    acc[jf] -= cp * rows[i][f]
-        ineqs.append((acc, const))
+    for v in range(nvars):
+        row = pivot_rows.get(v)
+        if row is None:
+            acc = [Rat(0)] * nfree
+            acc[free_cols.index(v)] = Rat(-1)
+            ineqs.append((acc, Rat(0)))
+        else:
+            ineqs.append(([row[f] for f in free_cols], row[nvars]))
 
     stages = []
     system = ineqs

@@ -283,15 +283,6 @@ def common_point_system(point_lists, weights=None):
     return eq_rows, nvars, offsets
 
 
-def _nonneg_rows(nvars):
-    rows = []
-    for i in range(nvars):
-        row = [0] * nvars
-        row[i] = -1
-        rows.append((row, 0))
-    return rows
-
-
 def validate_ornament(o):
     """Decide the no-common-point condition exactly, over closed facets.
 
@@ -323,8 +314,6 @@ def validate_ornament(o):
             for facet in f.domain.facets
         ])
     boxes1, boxes2, boxes3 = ([box for _, _, box in comp] for comp in facets)
-    nvars = sum(len(comp[0][0]) for comp in facets)
-    le_rows = _nonneg_rows(nvars)
     for i1, b1 in enumerate(boxes1):
         for i2, b2 in enumerate(boxes2):
             b12 = box_intersection(b1, b2)
@@ -338,7 +327,7 @@ def validate_ornament(o):
                 eq_rows, nvars, offsets = common_point_system(
                     [pts for _, pts, _ in chosen], weights
                 )
-                point = feasible_point(eq_rows, le_rows, nvars,
+                point = feasible_point(eq_rows, nvars,
                                        [w for ws in weights for w in ws])
                 if point is not None:
                     splits = [point[offsets[0]:offsets[1]],

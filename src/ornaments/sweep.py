@@ -11,8 +11,11 @@ degree route shares: the columns of cell 1 are eliminated once per
 (cell 1, cell 2) pair and those of cell 3 once per (cell 2, cell 3) pair
 in a keyframe interval, each pair by one integer product with row
 operations that a cell's frame records once, so each candidate triple
-costs one 2k x 2k integer solve in cell 2's coordinates plus
-back-substitution for the few that survive its sign screen.  Each row the
+costs one 2k x 2k integer solve in cell 2's coordinates, plus
+back-substitution for a cell 3 and a cell 1 that the signs have not yet
+ruled out.  The kernel returns the candidate's verdict (singular,
+outside, on a boundary, or strictly interior) decided on integers, and
+builds rationals only for a triple point's witness.  Each row the
 reductions leave is divided by its content (the gcd of its entries and
 right-hand side), which roughly halves the width of the integers that
 reach the solve.  Before that, prism
@@ -48,7 +51,6 @@ from .geometry import (
     Vector,
     derive_seed,
     feasible_point,
-    interior_barycentric,
     outward_grid,
     pair_reduction,
     random_rational_perturbation,
@@ -56,13 +58,7 @@ from .geometry import (
     solve_from_pairs,
     solve_integer,
 )
-from .model import (
-    Ornament,
-    PLMap,
-    common_point_system,
-    permutation_parity,
-    _nonneg_rows,
-)
+from .model import Ornament, PLMap, common_point_system, permutation_parity
 # Not called here: perfbench/tracing.py times validation through this
 # binding, as it does through cli's and constructions'.
 from .model import validate_ornament  # noqa: F401
@@ -389,33 +385,25 @@ def _interval_triple_points(track, j, vertices):
                             reduction32 = reductions32[key] = pair_reduction(
                                 fr3, fr2
                             )
-                        sign, solution = solve_from_pairs(
-                            reduction12, reduction32,
-                            (fr1.scales, fr2.scales, fr3.scales),
-                            solve_integer,
+                        sign, verdict = solve_from_pairs(
+                            reduction12, reduction32, solve_integer
                         )
                         if sign == 0:
                             eq_rows, nvars, _ = common_point_system(
                                 (entry1.points, entry2.points, entry3.points)
                             )
-                            if feasible_point(
-                                eq_rows, _nonneg_rows(nvars), nvars
-                            ) is not None:
+                            if feasible_point(eq_rows, nvars) is not None:
                                 raise NonGenericTrack(
                                     f"singular touching system at interval {j}"
                                 )
                             continue
-                        if solution is None:
-                            continue  # outside cell 2 or cell 3
-                        arities = [len(entry.points)
-                                   for entry in (entry1, entry2, entry3)]
-                        full = interior_barycentric(solution, arities)
-                        if full is None:
-                            continue
-                        if full == "closed":
+                        if verdict is None:
+                            continue  # outside some cell
+                        if verdict == "closed":
                             raise NonGenericTrack(
                                 f"boundary solution at interval {j}"
                             )
+                        full = verdict[:3]
                         t = sum(
                             (lam * p[-1]
                              for lam, p in zip(full[0], entry1.points)),
@@ -466,13 +454,13 @@ def detect_triple_points(track):
     reduction, made on first use and cached for the rest of the keyframe
     interval.  A cell's edges are eliminated once, by its frame, however
     many reductions eliminate it; the x-free rows of the reductions are
-    primitive, which keeps the joined 2k x 2k system narrow.  A candidate
-    whose integer solve puts it outside cell 2 or cell 3 is dropped before
-    any rational is built; a singular one (a degenerate cell 1 or cell 3
-    included) goes to the exact touching test, which raises when the closed
-    cells meet.  The touching tests and the witnesses use the rational
-    points.  Raises NonGenericTrack on any
-    exactly-degenerate configuration.
+    primitive, which keeps the joined 2k x 2k system narrow.  The kernel
+    decides each candidate on integers: one outside some cell is dropped
+    and one on a cell's boundary raises, both before any rational is built;
+    a singular one (a degenerate cell 1 or cell 3 included) goes to the
+    exact touching test, which raises when the closed cells meet.  The
+    touching tests and the witnesses use the rational points.  Raises
+    NonGenericTrack on any exactly-degenerate configuration.
     """
     found = []
     pairs = _extent_directions(track.m + 1)

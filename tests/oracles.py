@@ -15,8 +15,10 @@ the package's, an integer product with a frame's cached row operations;
 the slicing elimination loop is the reference for the package's, which
 updates entry by entry; the full back-substitution loop is the reference
 for the package's, which takes its last step from the last pivot.  The
-Gauss-Jordan feasibility routine is the reference for the package's
-rank-first ``feasible_point``, and the exact
+rational barycentric classifier is the reference for the kernel's integer
+verdicts.  The Gauss-Jordan feasibility routine, with general
+inequalities, is the reference for the package's rank-first
+``feasible_point`` on "A x = b, x >= 0", and the exact
 common-scale frames and extents are the references for the sweep's
 outward-rounded grid prefilter; the union of extents is the reference for
 the sweep's cell and prism extents.  The helpers at the end (image of
@@ -40,6 +42,50 @@ from ornaments.sweep import (
     NonGenericTrack,
     detect_triple_points,
 )
+
+
+def nonneg_rows(nvars):
+    """The inequality rows ``-x_i <= 0`` of "x >= 0", in variable order."""
+    rows = []
+    for i in range(nvars):
+        row = [0] * nvars
+        row[i] = -1
+        rows.append((row, 0))
+    return rows
+
+
+def frame_base(frame):
+    """The rational base point of a ``SimplexFrame``, from its integer
+    ``base_int = (scale, ints)``."""
+    scale, ints = frame.base_int
+    return [Fraction(c, scale) for c in ints]
+
+
+def interior_barycentric(solution, arities):
+    """Classify stacked reduced barycentric coordinates, one block of
+    ``arity - 1`` per simplex (the last vertex's coordinate is implied;
+    entries past the blocks are ignored).
+
+    Returns the full coordinates, one tuple per simplex, when the point is
+    strictly interior to every simplex; ``"closed"`` when it lies in every
+    closed simplex but on some boundary; ``None`` when it is outside some
+    closed simplex.  The package's former classifier, kept as the reference
+    for ``ornaments.geometry.cramer_status`` and the kernel's verdicts.
+    """
+    full = []
+    interior = True
+    pos = 0
+    for arity in arities:
+        coords = list(solution[pos:pos + arity - 1])
+        pos += arity - 1
+        coords.append(1 - sum(coords, Fraction(0)))
+        for c in coords:
+            if c < 0:
+                return None
+            if c == 0:
+                interior = False
+        full.append(tuple(coords))
+    return tuple(full) if interior else "closed"
 
 
 def _solve_unique(rows, nvars):
@@ -338,17 +384,19 @@ def pair_reduction_direct(frame_x, frame_kept, extra=()):
     block ``[E_x | -E_kept | -extra | r]`` written out, its right-hand side
     ``r = base_kept - base_x`` formed on rationals and cleared by
     ``integer_scaled``, and eliminated by :func:`eliminate_sliced`; the
-    same tuple, or ``None`` for dependent edges."""
-    width = len(frame_x.base)
+    same tuple, or ``None`` for dependent edges.  ``extra`` holds
+    ``(column, scale)`` pairs."""
+    base_x = frame_base(frame_x)
+    width = len(base_x)
     d = len(frame_x.columns)
     rho, r_int = integer_scaled(
-        [k - x for k, x in zip(frame_kept.base, frame_x.base)]
+        [k - x for k, x in zip(frame_base(frame_kept), base_x)]
     )
     aug = []
     for c in range(width):
         aug.append([u[c] for u in frame_x.columns]
                    + [-u[c] for u in frame_kept.columns]
-                   + [-col[c] for col in extra] + [r_int[c]])
+                   + [-col[c] for col, _ in extra] + [r_int[c]])
     reduction = eliminate_sliced(aug, d)
     if reduction is None:
         return None
@@ -370,7 +418,9 @@ def pair_reduction_direct(frame_x, frame_kept, extra=()):
             tail = [c // content for c in tail]
         con_rows.append(tail[:-1])
         con_rhs.append(tail[-1])
-    return aug[:d], con_rows, con_rhs, sign_fix, rho
+    scales_kept = frame_kept.scales + [scale for _, scale in extra]
+    return (aug[:d], con_rows, con_rhs, sign_fix, rho, frame_x.scales,
+            scales_kept)
 
 
 def solve_triple(frame1, frame2, frame3):
@@ -382,9 +432,9 @@ def solve_triple(frame1, frame2, frame3):
     frames built by ``ornaments.geometry.simplex_frame``.  The sweep's
     pair-reduction route must agree with it exactly.
     """
-    base1, e1 = frame1.base, frame1.columns
-    base2, e2 = frame2.base, frame2.columns
-    base3, e3 = frame3.base, frame3.columns
+    base1, e1 = frame_base(frame1), frame1.columns
+    base2, e2 = frame_base(frame2), frame2.columns
+    base3, e3 = frame_base(frame3), frame3.columns
     width = len(base1)
     zeros1 = [0] * len(e1)
     zeros3 = [0] * len(e3)
@@ -423,9 +473,9 @@ def solve_ray_triple(frame1, frame2, frame3, ray):
     facet order, then s.  The degree route's pair-reduced kernel must agree
     with it exactly.
     """
-    base1, e1 = frame1.base, frame1.columns
-    base2, e2 = frame2.base, frame2.columns
-    base3, e3 = frame3.base, frame3.columns
+    base1, e1 = frame_base(frame1), frame1.columns
+    base2, e2 = frame_base(frame2), frame2.columns
+    base3, e3 = frame_base(frame3), frame3.columns
     m = len(base1)
     ray_scale, ray_int = integer_scaled(ray)
     rows = []

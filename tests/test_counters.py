@@ -118,7 +118,7 @@ def test_sweep_system_width_borromean_k1_r3(borromean_k1_r3, monkeypatch):
     def reduction(frame_x, frame2):
         result = live_reduction(frame_x, frame2)
         if result is not None:
-            _, con_rows, con_rhs, _, _ = result
+            _, con_rows, con_rhs, *_ = result
             rows_seen.extend(row + [r] for row, r in zip(con_rows, con_rhs))
         return result
 

@@ -25,7 +25,6 @@ from ornaments.geometry import (
     Vector,
     derive_seed,
     integer_scaled,
-    interior_barycentric,
     pair_reduction,
     simplex_frame,
     solve_from_pairs,
@@ -39,6 +38,7 @@ from ornaments.model import (
 )
 
 from oracles import (
+    interior_barycentric,
     point_at,
     ray_meets_box_by_division,
     solve_ray_triple,
@@ -171,7 +171,7 @@ def count_singular(monkeypatch):
     live_solve = degree.solve_integer
     live_feasible = degree.feasible_point
 
-    def solve(rows, rhs=None):
+    def solve(rows, rhs):
         result = live_solve(rows, rhs)
         counts["singular"] += result[0] == 0
         return result
@@ -222,28 +222,34 @@ def test_kernel_matches_full_ray_system():
     """The pair-reduced kernel, used as the degree route uses it (the rows
     x - z = s*u and y - z = s*w, reduced per (facet 1, facet 3) and (facet
     2, facet 3) pair), agrees with the direct 2m x 2m solve of the sphere
-    map rows: the same determinant sign; a screened candidate exactly when
-    the direct solution has a negative coordinate in facet 2 or facet 3 or
-    a negative ray scalar; otherwise the same rational solution.
+    map rows classified by the reference classifier: the same determinant
+    sign; ``None`` exactly when the direct solution is outside some facet
+    or has a negative ray scalar; ``"closed"`` exactly when it is in every
+    closed facet with a zero coordinate or a zero ray scalar; otherwise the
+    same full coordinates and ray scalar.
 
     Random facets rarely meet a ray, so part of the corpus is built around
     points x, y, z with the ray through their image, scaled by s = +1 or
-    -1, each facet holding its point inside or outside: every screen is
-    then reached at every k.  Facets with a repeated vertex check the
-    singular paths (a degenerate facet 1 or 2 has no reduction), and so
-    does a ray (e, e) along an edge e of facet 3, whose columns then
-    repeat one of facet 3's."""
+    -1, each facet holding its point inside or outside: every outcome is
+    then reached at every k.  A facet holding its point on a face (one
+    weight 0), or x = y = z (s = 0), reaches "closed".  Facets with a
+    repeated vertex check the singular paths (a degenerate facet 1 or 2
+    has no reduction), and so does a ray (e, e) along an edge e of facet
+    3, whose columns then repeat one of facet 3's."""
     rng = random.Random(13)
 
     def rand_point(m):
         return [Rat(rng.randint(-30, 30), rng.randint(1, 7))
                 for _ in range(m)]
 
-    def facet_around(point, npts, inside):
-        # weights sum to at least 1; one negative weight puts point outside
+    def facet_around(point, npts, inside, zero=None):
+        # weights sum to at least 1; one negative weight puts point
+        # outside, and a zero at index ``zero`` on a face
         weights = [rng.randint(2, 9) for _ in range(npts)]
         if not inside:
             weights[rng.randrange(npts - 1)] = -1
+        if zero is not None:
+            weights[zero] = 0
         total = sum(weights)
         others = [rand_point(len(point)) for _ in range(npts - 1)]
         last = [
@@ -258,22 +264,33 @@ def test_kernel_matches_full_ray_system():
 
     corpus = [(k, kind) for k in (1, 2, 3)
               for kind, count in (("random", 30), ("shared", 60),
+                                  ("boundary", 10), ("zero s", 5),
                                   ("degenerate 0", 3), ("degenerate 1", 3),
                                   ("degenerate 2", 3), ("parallel", 5))
               for _ in range(count)]
     branches = dict.fromkeys(
-        ("singular", "kept screened", "b screened", "inside", "a outside"), 0
+        ("singular", "kept outside", "b outside", "a outside", "closed",
+         "inside"), 0
     )
     for k, kind in corpus:
         m, npts = 3 * k - 1, 2 * k
         d = npts - 1
-        if kind == "shared":
+        if kind in ("shared", "boundary", "zero s"):
             x, y, z = (rand_point(m) for _ in range(3))
-            facets = [facet_around(p, npts, rng.random() < 0.7)
+            if kind == "zero s":
+                y = z = x
+            facets = [facet_around(p, npts, kind != "shared"
+                                   or rng.random() < 0.7)
                       for p in (x, y, z)]
+            if kind == "boundary":
+                which = rng.randrange(3)
+                facets[which] = facet_around((x, y, z)[which], npts, True,
+                                             rng.randrange(npts - 1))
             ray = list(unnormalized_sphere_map(Vector(x), Vector(y),
                                                Vector(z)))
-            if rng.random() < 0.2:
+            if kind == "zero s":
+                ray = rand_point(2 * m)
+            elif kind == "shared" and rng.random() < 0.2:
                 ray = [-c for c in ray]
         else:
             facets = [[rand_point(m) for _ in range(npts)] for _ in range(3)]
@@ -289,35 +306,37 @@ def test_kernel_matches_full_ray_system():
         ray_scale, ray_int = integer_scaled(ray)
         u = [2 * a + b for a, b in zip(ray_int[:m], ray_int[m:])]
         w = [a + 2 * b for a, b in zip(ray_int[:m], ray_int[m:])]
-        reduction13 = pair_reduction(f1, f3, (u,))
-        reduction23 = pair_reduction(f2, f3, (w,))
+        reduction13 = pair_reduction(f1, f3, ((u, 3 * ray_scale),))
+        reduction23 = pair_reduction(f2, f3, ((w, 3 * ray_scale),))
         if kind == "degenerate 0":
             assert reduction13 is None
         if kind == "degenerate 1":
             assert reduction23 is None
-        scales = (f1.scales, f3.scales + [3 * ray_scale], f2.scales)
-        sign, solution = solve_from_pairs(reduction13, reduction23, scales,
-                                          solve_integer)
+        sign, verdict = solve_from_pairs(reduction13, reduction23,
+                                         solve_integer)
         direct_sign, direct = solve_ray_triple(f1, f2, f3, ray)
         assert sign == direct_sign
         if direct_sign == 0:
-            assert kind != "shared" and solution is None
+            assert kind not in ("shared", "boundary") and verdict is None
             branches["singular"] += 1
             continue
         assert not kind.startswith("degenerate") and kind != "parallel"
         b, c, s = direct[d:2 * d], direct[2 * d:3 * d], direct[-1]
-        kept_out = outside(c) or s < 0
-        b_out = outside(b)
-        assert (solution is None) == (kept_out or b_out)
-        if kept_out:
-            branches["kept screened"] += 1
-        elif b_out:
-            branches["b screened"] += 1
+        full = interior_barycentric(direct, [npts] * 3)
+        if full is None or s < 0:
+            assert verdict is None
+            if outside(c) or s < 0:
+                branches["kept outside"] += 1
+            elif outside(b):
+                branches["b outside"] += 1
+            else:
+                branches["a outside"] += 1
+        elif full == "closed" or s == 0:
+            assert kind in ("boundary", "zero s") and verdict == "closed"
+            branches["closed"] += 1
         else:
-            assert (solution[:d] + solution[2 * d + 1:]
-                    + solution[d:2 * d + 1]) == direct
-            full = interior_barycentric(direct, [npts] * 3)
-            branches["inside" if full is not None else "a outside"] += 1
+            assert verdict == (full[0], full[2], full[1], [s])
+            branches["inside"] += 1
     assert all(branches.values()), branches
 
 

@@ -9,13 +9,12 @@ from ornaments.geometry import (
     back_substitute,
     bounding_box,
     box_intersection,
-    cramer_outside,
+    cramer_status,
     derive_seed,
     eliminate,
     feasible_point,
     format_rational,
     integer_scaled,
-    interior_barycentric,
     outward_grid,
     pair_reduction,
     parse_rational,
@@ -31,6 +30,8 @@ from oracles import (
     brute_force_feasible,
     eliminate_sliced,
     feasible_point_gauss_jordan,
+    interior_barycentric,
+    nonneg_rows,
     pair_reduction_direct,
     ray_meets_box_by_division,
 )
@@ -51,8 +52,9 @@ def matmul(a, b):
 
 
 def det_sign(rows):
-    """Determinant sign through the solver; the rows are copied first."""
-    return solve_integer([row[:] for row in rows])[0]
+    """Determinant sign through the solver, against a zero right-hand
+    side."""
+    return solve_integer(rows, [0] * len(rows))[0]
 
 
 def solve(rows, rhs):
@@ -218,7 +220,7 @@ def _frame_pairs(draw):
     """``(points_x, points_kept, extra)`` for :func:`pair_reduction`: two
     simplices of the sweep's shape (2k + 1 points in R^{3k}) or the degree
     route's (2k points in R^{3k - 1}), k in 1-3, and 0-2 extra integer
-    columns.  The coordinates are rationals with mixed denominators, or
+    columns with their positive scales.  The coordinates are rationals with mixed denominators, or
     integers (equal base scales); the kept base may be the eliminated one
     (rho = 1), and the eliminated edges may be dependent."""
     k = draw(st.integers(1, 3))
@@ -242,8 +244,9 @@ def _frame_pairs(draw):
     elif shape == "dependent":
         points_x[0] = points_x[-1 if npts == 2 else 1]
     extra = draw(st.lists(
-        st.lists(st.integers(-2 ** 64, 2 ** 64), min_size=width,
-                 max_size=width),
+        st.tuples(st.lists(st.integers(-2 ** 64, 2 ** 64), min_size=width,
+                           max_size=width),
+                  st.integers(1, 2 ** 20)),
         max_size=2,
     ))
     return points_x, points_kept, extra
@@ -264,13 +267,20 @@ def test_pair_reduction_matches_the_direct_reduction(case):
                                                        extra)
     if len(set(points_x)) < len(points_x):
         assert reductions == [None, None]
-    elif points_kept[-1] == points_x[-1]:
+        return
+    if points_kept[-1] == points_x[-1]:
         assert reductions[0][4] == 1
+    scales_x, scales_kept = reductions[0][5:]
+    assert scales_x == frame_x.scales
+    assert scales_kept == simplex_frame(points_kept).scales + [
+        scale for _, scale in extra
+    ]
 
 
-# --- interior_barycentric -------------------------------------------------------
+# --- the barycentric verdict --------------------------------------------------
 
 def test_barycentric_classification():
+    """The reference classifier of ``tests/oracles.py``."""
     third = Rat(1, 3)
     # two triangles' reduced coordinates, a trailing entry ignored
     assert interior_barycentric([third, third, Rat(1, 4), Rat(1, 2), -5],
@@ -288,56 +298,71 @@ def test_barycentric_classification():
 
 
 @st.composite
-def cramer_data(draw):
-    """Integer Cramer data ``(N, D, scales, rho, arities)``: stacked blocks
-    of reduced coordinates, then zero or one trailing entry (a ray scalar).
-    ``D`` takes either sign; about half the blocks get an implied
-    coordinate of exactly zero, and small entries make listed zeros
-    common."""
+def cramer_block(draw):
+    """Integer Cramer data ``(N, D, scales, rho, arity)`` of one simplex of
+    arity 2-7, then zero to two extra entries (say, a ray scalar).  ``D``
+    takes either sign; about half the blocks get an implied coordinate of
+    exactly zero, and small entries make zero listed and extra entries
+    common, negative ones too."""
     small = st.integers(-6, 6)
     positive = st.integers(1, 5)
-    arities = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
+    arity = draw(st.integers(2, 7))
     det = draw(small.filter(bool))
     rho = draw(positive)
-    numerators, scales = [], []
-    for arity in arities:
-        block_n = draw(st.lists(small, min_size=arity - 1, max_size=arity - 1))
-        block_s = draw(st.lists(positive, min_size=arity - 1,
-                                max_size=arity - 1))
-        if arity > 1 and draw(st.booleans()):
-            # rho * D - sum(s * N) == 0: the implied coordinate is zero
-            block_s[-1] = 1
-            block_n[-1] = rho * det - sum(
-                a * b for a, b in zip(block_s[:-1], block_n[:-1])
-            )
-        numerators += block_n
-        scales += block_s
-    trailing = draw(st.integers(0, 1))
-    numerators += draw(st.lists(small, min_size=trailing, max_size=trailing))
-    scales += draw(st.lists(positive, min_size=trailing, max_size=trailing))
-    return numerators, det, scales, rho, arities
+    numerators = draw(st.lists(small, min_size=arity - 1,
+                               max_size=arity - 1))
+    scales = draw(st.lists(positive, min_size=arity - 1, max_size=arity - 1))
+    if draw(st.booleans()):
+        # rho * D - sum(s * N) == 0: the implied coordinate is zero
+        scales[-1] = 1
+        numerators[-1] = rho * det - sum(
+            a * b for a, b in zip(scales[:-1], numerators[:-1])
+        )
+    extras = draw(st.integers(0, 2))
+    numerators += draw(st.lists(small, min_size=extras, max_size=extras))
+    scales += draw(st.lists(positive, min_size=extras, max_size=extras))
+    return numerators, det, scales, rho, arity
 
 
-@given(cramer_data())
+@given(cramer_block())
 # interior with a negative determinant: every N_i * D > 0
-@example(([-1, -1], -4, [1, 1], 1, [3]))
-# a zero coordinate before a negative one, as in [0, 1/2, -1, ...]
-@example(([0, 1, -2, 1], 2, [1, 1, 1, 1], 1, [3, 3]))
-# implied zero with D < 0 ("closed", must pass); then the same with a
-# negative trailing ray scalar (outside)
-@example(([-2, -1], -3, [1, 1], 1, [3]))
-@example(([-2, -1, 1], -3, [1, 1, 1], 1, [3]))
-# a zero ray scalar passes
-@example(([1, 1, 0], 5, [1, 1, 7], 2, [3]))
-def test_cramer_screen_matches_interior_barycentric(data):
-    numerators, det, scales, rho, arities = data
+@example(([-1, -1], -4, [1, 1], 1, 3))
+# a zero coordinate before a negative one
+@example(([0, -2, 1], 2, [1, 1, 1], 1, 4))
+# implied zero with D < 0 ("closed"); then the same with a negative extra
+# (outside) and with a zero one ("closed")
+@example(([-2, -1], -3, [1, 1], 1, 3))
+@example(([-2, -1, 1], -3, [1, 1, 1], 1, 3))
+@example(([-2, -1, 0], -3, [1, 1, 1], 1, 3))
+# a zero extra on an interior block is "closed"; a negative one is outside
+@example(([1, 1, 0], 5, [1, 1, 7], 2, 3))
+@example(([1, 1, -1], 5, [1, 1, 7], 2, 3))
+def test_cramer_status_matches_interior_barycentric(data):
+    """The integer verdict equals the rational classifier's on the solution
+    ``scales * N / (rho * D)``, with the extra entries as coordinates that
+    must not be negative: ``None`` outside, ``False`` on the boundary,
+    ``True`` interior."""
+    numerators, det, scales, rho, arity = data
     solution = [Rat(s * n, rho * det) for s, n in zip(scales, numerators)]
-    listed = sum(a - 1 for a in arities)
-    expected = (
-        interior_barycentric(solution, arities) is None
-        or any(x < 0 for x in solution[listed:])
-    )
-    assert cramer_outside(numerators, det, scales, rho, arities) == expected
+    extras = solution[arity - 1:]
+    full = interior_barycentric(solution, [arity])
+    if full is None or any(x < 0 for x in extras):
+        expected = None
+    else:
+        expected = full != "closed" and all(extras)
+    assert cramer_status(numerators, det, scales, rho, arity) is expected
+
+
+def test_cramer_status_stops_at_the_first_negative_entry():
+    """A negative listed entry decides the verdict before the implied
+    coordinate is formed, so the scales of the block are never read."""
+    class Unread:
+        def __getitem__(self, i):
+            raise AssertionError("a scale was read")
+
+    assert cramer_status([3, -1, 2], 5, Unread(), 1, 4) is None
+    assert cramer_status([3, 1, 2], -5, Unread(), 1, 4) is None
+
 
 # --- random_rational_perturbation -------------------------------------------
 
@@ -412,56 +437,57 @@ def test_derive_seed_stable_and_sensitive():
 # --- feasibility --------------------------------------------------------------
 
 def test_feasible_point_simple_cases():
-    # x >= 0, x <= -1 is infeasible
-    assert feasible_point([], [([-1], 0), ([1], -1)], 1) is None
-    # x + y == 1, x,y >= 0 is feasible
-    point = feasible_point([([1, 1], 1)], [([-1, 0], 0), ([0, -1], 0)], 2)
+    # x + y == 1, x, y >= 0 is feasible
+    point = feasible_point([([1, 1], 1)], 2)
     assert point is not None
     x, y = point
     assert x + y == 1 and x >= 0 and y >= 0
+    # x + y == -1 has no nonnegative solution
+    assert feasible_point([([1, 1], -1)], 2) is None
+    # x - y == -1 has one, with y >= 1
+    x, y = feasible_point([([1, -1], -1)], 2)
+    assert x - y == -1 and x >= 0 and y >= 0
+    # no equalities: the origin's orthant is never empty
+    assert feasible_point([], 3) is not None
 
 
 def test_feasible_point_inconsistent_equalities():
-    assert feasible_point([([1, 1], 1), ([2, 2], 3)], [], 2) is None
+    assert feasible_point([([1, 1], 1), ([2, 2], 3)], 2) is None
 
 
 def test_feasible_point_satisfies_all_constraints():
     rng = random.Random(6)
-    for _ in range(60):
-        nvars = rng.randint(1, 4)
+    found = 0
+    for _ in range(200):
+        nvars = rng.randint(1, 5)
         eq = [([rng.randint(-3, 3) for _ in range(nvars)], rng.randint(-3, 3))
-              for _ in range(rng.randint(0, 2))]
-        le = [([rng.randint(-3, 3) for _ in range(nvars)], rng.randint(-2, 4))
-              for _ in range(rng.randint(1, 5))]
-        point = feasible_point(eq, le, nvars)
+              for _ in range(rng.randint(0, 3))]
+        point = feasible_point(eq, nvars)
         if point is None:
             continue
+        found += 1
         for coeffs, rhs in eq:
             assert sum((c * v for c, v in zip(coeffs, point)), Rat(0)) == rhs
-        for coeffs, rhs in le:
-            assert sum((c * v for c, v in zip(coeffs, point)), Rat(0)) <= rhs
+        assert all(v >= 0 for v in point)
+    assert found >= 50
 
 
 def test_feasible_point_agrees_with_vertex_enumeration():
-    # bounded systems only (the oracle enumerates polytope vertices)
+    # the oracle enumerates polytope vertices, so a bounding equality
+    # (the coordinates sum to at most 4, with a slack variable) keeps the
+    # systems bounded
     rng = random.Random(7)
-    box = lambda n: [
-        tuple(([1 if j == i else 0 for j in range(n)], 2)) for i in range(n)
-    ] + [
-        tuple(([-1 if j == i else 0 for j in range(n)], 2)) for i in range(n)
-    ]
-    for _ in range(40):
+    outcomes = {True: 0, False: 0}
+    for _ in range(80):
         nvars = rng.randint(1, 3)
-        eq = [([rng.randint(-2, 2) for _ in range(nvars)], rng.randint(-2, 2))
-              for _ in range(rng.randint(0, 2))]
-        le = box(nvars) + [
-            ([rng.randint(-2, 2) for _ in range(nvars)], rng.randint(-2, 2))
-            for _ in range(rng.randint(0, 3))
-        ]
-        ours = feasible_point(eq, le, nvars) is not None
-        theirs = brute_force_feasible(eq, le, nvars)
+        eq = [([rng.randint(-2, 2) for _ in range(nvars)] + [0],
+               rng.randint(-2, 2)) for _ in range(rng.randint(0, 2))]
+        eq.append(([1] * (nvars + 1), 4))
+        ours = feasible_point(eq, nvars + 1) is not None
+        theirs = brute_force_feasible(eq, nonneg_rows(nvars + 1), nvars + 1)
         assert ours == theirs
-
+        outcomes[ours] += 1
+    assert min(outcomes.values()) >= 10, outcomes
 
 
 def _random_entry(rng):
@@ -477,8 +503,8 @@ def _random_entry(rng):
 
 
 def _random_system(rng, shape):
-    """``(eq_rows, le_rows, nvars)`` of one of the shapes the rank-first
-    kernel must treat exactly like Gauss-Jordan elimination."""
+    """``(eq_rows, nvars)`` of one of the shapes the rank-first kernel must
+    treat exactly like Gauss-Jordan elimination."""
     nvars = rng.randint(1, 5)
     point = [Rat(rng.randint(0, 6), rng.randint(1, 4)) for _ in range(nvars)]
 
@@ -510,11 +536,7 @@ def _random_system(rng, shape):
             eq.insert(rng.randrange(len(eq) + 1),
                       (coeffs, rhs + Rat(1, rng.randint(1, 2 ** 30))))
         rng.shuffle(eq)
-    le = [([-1 if j == i else 0 for j in range(nvars)], 0)
-          for i in range(nvars)]
-    le += [([_random_entry(rng) for _ in range(nvars)],
-            rng.randint(-2, 12)) for _ in range(rng.randint(0, 3))]
-    return eq, le, nvars
+    return eq, nvars
 
 
 _SYSTEM_SHAPES = ["rank-deficient", "zero-and-duplicate-rows",
@@ -522,24 +544,23 @@ _SYSTEM_SHAPES = ["rank-deficient", "zero-and-duplicate-rows",
 
 
 def test_feasible_point_matches_gauss_jordan_oracle():
-    """The rank-first integer kernel returns the former Gauss-Jordan
-    routine's point, entry by entry, and ``None`` exactly when it does;
-    given column scales, it answers for the unscaled system."""
+    """The rank-first integer kernel returns the Gauss-Jordan routine's
+    point on "A x = b, x >= 0", entry by entry, and ``None`` exactly when
+    it does; given column scales, it answers for the unscaled system."""
     rng = random.Random(20)
     branches = {"inconsistent": 0, "fm-infeasible": 0, "feasible": 0}
     for trial in range(600):
-        eq, le, nvars = _random_system(rng, _SYSTEM_SHAPES[trial % 5])
-        expected = feasible_point_gauss_jordan(eq, le, nvars)
-        point = feasible_point(eq, le, nvars)
+        eq, nvars = _random_system(rng, _SYSTEM_SHAPES[trial % 5])
+        expected = feasible_point_gauss_jordan(eq, nonneg_rows(nvars), nvars)
+        point = feasible_point(eq, nvars)
         assert point == expected
         if point is not None:
             assert all(isinstance(c, Rat) for c in point)
         scales = [rng.randint(1, 2 ** rng.randint(1, 20)) for _ in range(nvars)]
         scaled = [([c * s for c, s in zip(coeffs, scales)], rhs)
                   for coeffs, rhs in eq]
-        assert feasible_point(scaled, le, nvars, scales) == expected
-        if feasible_point(eq, [], nvars) is None:
-            assert feasible_point_gauss_jordan(eq, [], nvars) is None
+        assert feasible_point(scaled, nvars, scales) == expected
+        if feasible_point_gauss_jordan(eq, [], nvars) is None:
             assert expected is None
             branches["inconsistent"] += 1
         elif expected is None:

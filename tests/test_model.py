@@ -14,7 +14,7 @@ from ornaments.model import (
 )
 from ornaments.degree import mu_via_degree_auto
 
-from oracles import brute_force_feasible, point_at
+from oracles import brute_force_feasible, nonneg_rows, point_at
 
 
 def triangle_boundary():
@@ -162,7 +162,6 @@ def test_feasibility_matches_brute_force_on_facet_triples():
     # exhaustive vertex enumeration as the independent route
     from ornaments.constructions import make_random_ornament
     from ornaments.geometry import feasible_point
-    from ornaments.model import _nonneg_rows
 
     rng = random.Random(9)
     for seed in (0, 1, 2):
@@ -174,8 +173,8 @@ def test_feasibility_matches_brute_force_on_facet_triples():
             eq_rows, nvars, _ = common_point_system([
                 f.facet_points(i) for f, i in zip(o.components, idx)
             ])
-            ours = feasible_point(eq_rows, _nonneg_rows(nvars), nvars) is not None
-            theirs = brute_force_feasible(eq_rows, _nonneg_rows(nvars), nvars)
+            ours = feasible_point(eq_rows, nvars) is not None
+            theirs = brute_force_feasible(eq_rows, nonneg_rows(nvars), nvars)
             assert ours == theirs
 
 

@@ -15,7 +15,6 @@ from ornaments.geometry import (
     Rat,
     Vector,
     derive_seed,
-    interior_barycentric,
     pair_reduction,
     simplex_frame,
     solve_from_pairs,
@@ -44,6 +43,7 @@ from oracles import (
     extents_exact,
     extents_union,
     integer_frames_exact,
+    interior_barycentric,
     reverse_track,
     solve_triple,
 )
@@ -103,15 +103,16 @@ def test_staircase_restricts_to_shared_faces():
 
 
 def test_pair_reduction_matches_direct_solver():
-    """The two-sided reduced solver agrees with the direct block solve:
-    the same determinant sign; a screened candidate exactly when the direct
-    solution has a negative coordinate in cell 2 or cell 3; otherwise the
-    same rational solution.
+    """The two-sided kernel's verdict agrees with the direct block solve,
+    classified by the reference classifier: the same determinant sign, and
+    ``None``, ``"closed"`` or the full coordinates exactly when
+    ``interior_barycentric`` of the direct solution gives them.
 
     Random cells rarely meet, so part of the corpus is built around a
     shared point (strictly inside the cells built around it): all three
     cells, cells 2 and 3 with cell 1 random (reaching "a outside"), and
-    cells 1 and 2 with cell 3 random (reaching "b passes, c outside").
+    cells 1 and 2 with cell 3 random (reaching "b outside").  Putting the
+    shared point on a face of one cell (one weight 0) reaches "closed".
     k = 3 checks the (-1)^k of the reduction for an odd k > 1, and cells
     with a repeated vertex check the singular paths: a degenerate cell 1 or
     cell 3 has no reduction, a degenerate cell 2 a singular b system."""
@@ -124,9 +125,12 @@ def test_pair_reduction_matches_direct_solver():
     def rand_cell(npts, width):
         return [rand_point(width) for _ in range(npts)]
 
-    def cell_around(point, npts):
-        # the last vertex is placed so that positive weights give point
+    def cell_around(point, npts, zero=None):
+        # the last vertex is placed so that the weights give point; they
+        # are positive, but for a zero at index ``zero``
         weights = [rng.randint(1, 9) for _ in range(npts)]
+        if zero is not None:
+            weights[zero] = 0
         total = sum(weights)
         others = rand_cell(npts - 1, len(point))
         last = tuple(
@@ -143,10 +147,12 @@ def test_pair_reduction_matches_direct_solver():
     corpus = [(None, "random")] * 400 + [(None, "shared")] * 200
     corpus += [(3, "random")] * 60 + [(3, "shared")] * 60
     corpus += [(k, "cell 3 random") for k in (1, 2, 3) for _ in range(40)]
+    corpus += [(k, "boundary") for k in (1, 2, 3) for _ in range(20)]
     corpus += [(k, f"repeated {i}") for k in (1, 2, 3) for i in range(3)
                for _ in range(3)]
     branches = dict.fromkeys(
-        ("singular", "b screened", "c screened", "inside", "a outside"), 0
+        ("singular", "kept outside", "b outside", "a outside", "closed",
+         "inside"), 0
     )
     for k, kind in corpus:
         if k is None:
@@ -161,6 +167,10 @@ def test_pair_reduction_matches_direct_solver():
                 cells[0] = rand_cell(npts, width)
             elif kind == "cell 3 random":
                 cells[2] = rand_cell(npts, width)
+            elif kind == "boundary":
+                cells[rng.randrange(3)] = cell_around(
+                    shared, npts, rng.randrange(npts - 1)
+                )
             elif kind.startswith("repeated"):
                 cell = cells[int(kind[-1])]
                 a, b = rng.sample(range(npts), 2)
@@ -175,26 +185,29 @@ def test_pair_reduction_matches_direct_solver():
             assert reduction12 is None
         if kind == "repeated 2":
             assert reduction32 is None
-        reduced = solve_from_pairs(reduction12, reduction32,
-                                   [f.scales for f in (f1, f2, f3)],
-                                   solve_integer)
-        assert direct[0] == reduced[0]
-        if direct[0] == 0:
-            assert reduced[1] is None
+        sign, verdict = solve_from_pairs(reduction12, reduction32,
+                                         solve_integer)
+        assert sign == direct[0]
+        if sign == 0:
+            assert verdict is None
             branches["singular"] += 1
             continue
-        d = npts - 1
-        b_out = outside(direct[1][d:2 * d], npts)
-        c_out = outside(direct[1][2 * d:], npts)
-        assert (reduced[1] is None) == (b_out or c_out)
-        if b_out:
-            branches["b screened"] += 1
-        elif c_out:
-            branches["c screened"] += 1
+        full = interior_barycentric(direct[1], [npts] * 3)
+        if full is None:
+            assert verdict is None
+            d = npts - 1
+            if outside(direct[1][d:2 * d], npts):
+                branches["kept outside"] += 1
+            elif outside(direct[1][2 * d:], npts):
+                branches["b outside"] += 1
+            else:
+                branches["a outside"] += 1
+        elif full == "closed":
+            assert kind == "boundary" and verdict == "closed"
+            branches["closed"] += 1
         else:
-            assert direct[1] == reduced[1]
-            full = interior_barycentric(direct[1], [npts] * 3)
-            branches["inside" if full is not None else "a outside"] += 1
+            assert verdict == full + ([],)
+            branches["inside"] += 1
     assert all(branches.values()), branches
 
 
@@ -229,18 +242,16 @@ def test_pair_reduction_rows_are_primitive(cells):
     reduction32 = pair_reduction(f3, f2)
     for reduction in (reduction12, reduction32):
         if reduction is not None:
-            _, rows, rhs, _, _ = reduction
+            _, rows, rhs, *_ = reduction
             for row, r in zip(rows, rhs):
                 assert gcd(*row, r) in (0, 1)  # 0: an all-zero row
-    sign, _ = solve_from_pairs(reduction12, reduction32,
-                               [f.scales for f in (f1, f2, f3)],
-                               solve_integer)
+    sign, _ = solve_from_pairs(reduction12, reduction32, solve_integer)
     assert sign == direct_sign
     if reduction12 is None or reduction32 is None:
         assert direct_sign == 0
         return
-    _, con12, rhs12, _, rho12 = reduction12
-    _, con32, rhs32, _, rho32 = reduction32
+    _, con12, rhs12, _, rho12, *_ = reduction12
+    _, con32, rhs32, _, rho32, *_ = reduction32
     rho = lcm(rho12, rho32)
     lifted = ([r * (rho // rho12) for r in rhs12]
               + [r * (rho // rho32) for r in rhs32])
@@ -491,7 +502,7 @@ def _solved_candidates(track, monkeypatch):
     live = sweep.solve_integer
     systems = []
 
-    def recording(rows, rhs=None):
+    def recording(rows, rhs):
         systems.append(([list(row) for row in rows], list(rhs)))
         return live(rows, rhs)
 
