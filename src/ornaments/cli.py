@@ -161,8 +161,10 @@ def cmd_gen(args):
             ornament = perturb_ornament(
                 ornament, parse_rational(args.eps), seed=args.seed
             )
-    except (ValueError, RuntimeError) as exc:
+    except ValueError as exc:
         return _fail(str(exc))
+    except RuntimeError as exc:  # retries exhausted
+        return _fail(str(exc), status=2)
     report = validate_ornament(ornament)
     if not report.ok:
         return _fail("generated ornament failed validation", status=2)

@@ -23,8 +23,9 @@ with no solve.
 
 Before any solve, a triple must pass a prefilter: the ray has to meet an
 interval hull of the map over the three facet boxes.  The prefilter runs
-on integers about 64 bits wide.  Every facet box is rounded outward onto
-one power-of-two grid (lower ends down, upper ends up), and the ray is
+on integers alone.  Every facet box is rounded outward onto one
+power-of-two grid (lower ends down, upper ends up), so each facet's share
+of the hull is made of integers about 64 bits wide, and the ray is
 cleared of denominators; "some s >= 0 puts s*v in the box" does not
 change under positive scalings of the box or of v, and the rounded hull
 contains the scaled exact one, so every triple whose exact hull meets the
@@ -32,16 +33,23 @@ ray reaches a solve.  A triple let through by the rounding alone has
 closed cells that miss the ray, so its solve finds nothing: a singular
 system fails the touching test, and a nonsingular one has its solution
 outside some facet.  The answer, the witnesses and the retries are
-therefore those of the exact hull.  Each facet's share of the hull is
-computed once, and the shares of a facet pair are added once for all
-third facets; the third facet's share is added inside the ray test,
-coordinate by coordinate as it reads them, so no summed box is built for
-a triple.  A facet's simplex frame is built only when a triple containing
-it passes.  The kernel decides each candidate on the signs of the integer
-solve: outside some facet or behind the origin (dropped), on a facet's
-boundary or at a zero ray scalar (degenerate), or strictly interior with a
-positive ray scalar (counted); rationals are built only for the counted
-preimages, the witnesses.
+therefore those of the exact hull.  Each share is normalised by the ray
+once per direction (:func:`normalise_by_ray`: coordinate c scaled by
+L / |v_c|, L the lcm of the nonzero |v_c|, and negated when v_c < 0), so
+that the ray becomes the diagonal and meets a box exactly when the
+greatest of 0 and its lower ends is at most its least upper end;
+coordinates with v_c = 0 stay as they are and must hold 0.  Normalising
+is linear, so the shares of a facet pair are added once for all third
+facets, and the third facet's share is added inside the ray test,
+coordinate by coordinate as it reads them: each of the per-triple tests
+adds and compares integers, with no product, and no summed box is built
+for a triple.  The normalised ends are wider than the shares, at most
+17 (2m - 1) bits more for a seeded ray.  A facet's simplex frame is built
+only when a triple containing it passes.  The kernel decides each
+candidate on the signs of the integer solve: outside some facet or behind
+the origin (dropped), on a facet's boundary or at a zero ray scalar
+(degenerate), or strictly interior with a positive ray scalar (counted);
+rationals are built only for the counted preimages, the witnesses.
 
 Degeneracies (singular systems that still touch the closed cells, boundary
 solutions, zero ray scalar) are detected exactly and reported as
@@ -61,6 +69,7 @@ from .geometry import (
     derive_seed,
     feasible_point,
     integer_scaled,
+    normalise_by_ray,
     outward_grid,
     pair_reduction,
     ray_meets_box,
@@ -248,7 +257,11 @@ def mu_via_degree(o, v):
             )
         return reductions[ci, fi, i3]
 
-    terms1, terms2, terms3 = _sphere_map_box_terms(o)
+    terms1, terms2, terms3 = (
+        [normalise_by_ray(ray_int, share) for share in shares]
+        for shares in _sphere_map_box_terms(o)
+    )
+    scaled = len(ray_int) - ray_int.count(0)
     solutions = []
     total = 0
     for i1, (mins1, maxs1) in enumerate(terms1):
@@ -256,7 +269,7 @@ def mu_via_degree(o, v):
             hull12 = (list(map(add, mins1, mins2)),
                       list(map(add, maxs1, maxs2)))
             for i3, share3 in enumerate(terms3):
-                if not ray_meets_box(ray_int, hull12, share3):
+                if not ray_meets_box(hull12, share3, scaled):
                     continue
                 sign, verdict = solve_from_pairs(
                     reduction(0, i1, i3), reduction(1, i2, i3), solve_integer

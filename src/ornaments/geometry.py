@@ -19,19 +19,21 @@ once, as row operations (:func:`edge_elimination`), the first time it is
 the eliminated side of a pair.  :func:`pair_reduction` then eliminates one
 simplex of a pair by one integer product of those row operations with the
 other simplex's edges and the difference of the two integer base points,
-and carries the column scales of both blocks.  :func:`solve_from_pairs`
-joins two reductions that share a kept simplex into one 2k x 2k solve per
-triple and returns the triple's verdict: singular, outside, on a boundary,
-or strictly interior.  Every verdict is read off integer Cramer numerators
-over the integer determinant by one classifier, :func:`cramer_status`, so
-rationals are built only for interior points, the witnesses.  Linear
-feasibility is asked in one form, "A x = b, x >= 0", and decided rank
-first: the equalities, cleared of denominators row by row, go through the
-same elimination loop (skipping columns without a pivot), and an
-inconsistent system is rejected on integers alone.  Only a consistent one
-is brought to its reduced row echelon form, one rational per entry, and
-its sign constraints to Fourier-Motzkin elimination, with exact
-sample-point extraction for witnesses.
+and carries the column scales of both blocks; its triangular rows, read
+only to back-substitute a candidate, are formed on first use.
+:func:`solve_from_pairs` joins two reductions that share a kept simplex
+into one 2k x 2k solve per triple and returns the triple's verdict:
+singular, outside, on a boundary, or strictly interior.  Every verdict is
+read off integer Cramer numerators over the integer determinant by one
+classifier, :func:`cramer_status`, so rationals are built only for
+interior points, the witnesses.  Linear feasibility is asked in one form,
+"A x = b, x >= 0", and decided rank first: the equalities, cleared of
+denominators row by row, go through the same elimination loop (skipping
+columns without a pivot), and an inconsistent system is rejected on
+integers alone.  Only a consistent one is brought to its reduced row
+echelon form, one rational per entry, and its sign constraints to
+Fourier-Motzkin elimination, with exact sample-point extraction for
+witnesses.
 """
 
 from __future__ import annotations
@@ -431,6 +433,49 @@ def edge_elimination(columns, width):
     return [row[:d] for row in aug[:d]], [row[d:] for row in aug], sign_fix
 
 
+class PairReduction:
+    """One simplex of a pair eliminated from the pair's equations, built by
+    :func:`pair_reduction`: the x-free integer rows ``con_rows`` on the
+    kept columns with their right-hand sides ``con_rhs``, the least
+    positive integer ``rho`` that scales the right-hand side to integers,
+    ``sign_fix`` in {-1, +1} such that, in any square system whose other
+    rows vanish on the x columns, det(with the pair block on top) =
+    sign_fix * det(with the x columns dropped and the x-free rows in the
+    block's place), up to a positive factor, and the column scales of the
+    eliminated block, ``scales_x``, and of the kept one, ``scales_kept``,
+    the extra columns' included.
+
+    :meth:`triangular` forms the triangular rows on first use and keeps
+    them: only a candidate whose kept block is not outside is
+    back-substituted, so most reductions never need them."""
+
+    __slots__ = ("con_rows", "con_rhs", "sign_fix", "rho", "scales_x",
+                 "scales_kept", "_tri_x", "_ops", "_columns", "_triangular")
+
+    def __init__(self, con_rows, con_rhs, sign_fix, rho, scales_x,
+                 scales_kept, tri_x, ops, columns):
+        self.con_rows = con_rows
+        self.con_rhs = con_rhs
+        self.sign_fix = sign_fix
+        self.rho = rho
+        self.scales_x = scales_x
+        self.scales_kept = scales_kept
+        self._tri_x = tri_x
+        self._ops = ops
+        self._columns = columns
+        self._triangular = None
+
+    def triangular(self):
+        """The triangular integer rows [x cols | kept cols | rhs], one per
+        eliminated column, built once."""
+        if self._triangular is None:
+            self._triangular = [
+                x_row + [sum(map(mul, op, col)) for col in self._columns]
+                for x_row, op in zip(self._tri_x, self._ops)
+            ]
+        return self._triangular
+
+
 def pair_reduction(frame_x, frame_kept, extra=()):
     """Eliminate the first simplex's edge columns from the pair equations
     ``E_x x - E_kept b - U s = base_kept - base_x`` by fraction-free steps;
@@ -447,20 +492,13 @@ def pair_reduction(frame_x, frame_kept, extra=()):
     its content together with that scale.  Each x-free row is divided, with
     its right-hand side, by its positive gcd: that changes neither the
     solution nor any determinant sign, and it keeps the joined system of
-    :func:`solve_from_pairs` narrow.
+    :func:`solve_from_pairs` narrow.  The triangular rows are the same
+    product on the first operations, formed by
+    :meth:`PairReduction.triangular` when first asked for.
 
     Returns ``None`` when the columns of E_x are dependent, in which case
-    every triple system containing the pair is singular.  Otherwise returns
-    ``(tri_rows, con_rows, con_rhs, sign_fix, rho, scales_x, scales_kept)``:
-    ``tri_rows`` the triangular integer rows [x-cols | kept cols | rhs],
-    ``con_rows`` the x-free integer rows [kept cols] with right-hand sides
-    ``con_rhs``, ``rho`` the least positive integer that scales the
-    right-hand side to integers, ``sign_fix`` in {-1, +1} such that, in any
-    square system whose other rows vanish on the x columns, det(with the
-    pair block on top) = sign_fix * det(with the x columns dropped and the
-    x-free rows in the block's place), up to a positive factor, and the
-    column scales of the eliminated block and of the kept one, the extra
-    columns' included.
+    every triple system containing the pair is singular, and otherwise the
+    :class:`PairReduction`.
     """
     elimination = frame_x.elimination()
     if elimination is None:
@@ -482,10 +520,6 @@ def pair_reduction(frame_x, frame_kept, extra=()):
         offset = [c // content for c in offset]
     columns = frame_kept.columns + [column for column, _ in extra]
     columns.append(offset)
-    tri_rows = [
-        x_row + [sum(map(mul, op, col)) for col in columns]
-        for x_row, op in zip(tri_x, ops)
-    ]
     con_rows = []
     con_rhs = []
     for op in ops[len(tri_x):]:
@@ -496,15 +530,16 @@ def pair_reduction(frame_x, frame_kept, extra=()):
         con_rhs.append(tail.pop())
         con_rows.append(tail)
     scales_kept = frame_kept.scales + [scale for _, scale in extra]
-    return (tri_rows, con_rows, con_rhs, sign_fix, rho, frame_x.scales,
-            scales_kept)
+    return PairReduction(con_rows, con_rhs, sign_fix, rho, frame_x.scales,
+                         scales_kept, tri_x, ops, columns)
 
 
-def _eliminated_block(tri_rows, numerators_kept, det, lift):
+def _eliminated_block(reduction, numerators_kept, det, lift):
     """Numerators of the block a pair reduction eliminated, given the kept
     block ``numerators_kept / det`` and the right-hand side lifted by
     ``lift``; they lie over ``det`` times the reduction's last pivot, which
     is returned with them."""
+    tri_rows = reduction.triangular()
     d = len(tri_rows)
     top = det if lift == 1 else det * lift
     rhs = []
@@ -564,8 +599,10 @@ def solve_from_pairs(reduction_a, reduction_b, solve):
     """
     if reduction_a is None or reduction_b is None:
         return 0, None
-    tri_a, con_a, rhs_a, fix_a, rho_a, scales_a, scales_kept = reduction_a
-    tri_b, con_b, rhs_b, fix_b, rho_b, scales_b, _ = reduction_b
+    rho_a = reduction_a.rho
+    rho_b = reduction_b.rho
+    rhs_a = reduction_a.con_rhs
+    rhs_b = reduction_b.con_rhs
     rho = rho_a if rho_a == rho_b else math.lcm(rho_a, rho_b)
     lift_a = rho // rho_a
     lift_b = rho // rho_b
@@ -573,21 +610,28 @@ def solve_from_pairs(reduction_a, reduction_b, solve):
         rhs_a = [r * lift_a for r in rhs_a]
     if lift_b != 1:
         rhs_b = [r * lift_b for r in rhs_b]
-    sign_n, numerators, det = solve(con_a + con_b, rhs_a + rhs_b)
+    con_a = reduction_a.con_rows
+    sign_n, numerators, det = solve(con_a + reduction_b.con_rows,
+                                    rhs_a + rhs_b)
     if sign_n == 0:
         return 0, None
-    sign = fix_a * fix_b * sign_n
+    sign = reduction_a.sign_fix * reduction_b.sign_fix * sign_n
     if len(con_a) % 2:
         sign = -sign
-    arity = len(tri_b) + 1
+    scales_a = reduction_a.scales_x
+    scales_b = reduction_b.scales_x
+    scales_kept = reduction_a.scales_kept
+    arity = len(scales_b) + 1
     interior = cramer_status(numerators, det, scales_kept, rho, arity)
     if interior is None:
         return sign, None
-    numerators_b, det_b = _eliminated_block(tri_b, numerators, det, lift_b)
+    numerators_b, det_b = _eliminated_block(reduction_b, numerators, det,
+                                            lift_b)
     interior_b = cramer_status(numerators_b, det_b, scales_b, rho, arity)
     if interior_b is None:
         return sign, None
-    numerators_a, det_a = _eliminated_block(tri_a, numerators, det, lift_a)
+    numerators_a, det_a = _eliminated_block(reduction_a, numerators, det,
+                                            lift_a)
     interior_a = cramer_status(numerators_a, det_a, scales_a, rho, arity)
     if interior_a is None:
         return sign, None
@@ -779,38 +823,74 @@ def box_intersection(a, b):
     return mins, maxs
 
 
-def ray_meets_box(direction, box, share):
-    """Exact test whether some ``s >= 0`` puts ``s * direction`` in the
-    closed box ``(mins, maxs)`` that is the sum of two boxes, ``box`` and
-    ``share`` (each ``min <= max``): the ends are added coordinate by
-    coordinate as the test reads them, so a box summed from parts is never
-    built, and the test stops at the first coordinate that rules the ray
-    out.  Used as a conservative prefilter, so the closed version of the ray
-    is intentional.
+def normalise_by_ray(direction, box):
+    """The box ``(mins, maxs)`` in the coordinates :func:`ray_meets_box`
+    reads for the ray spanned by the nonzero integer ``direction``.
 
-    The running bounds on ``s`` are kept as unreduced fractions with
-    positive denominators and compared by cross-multiplying, so the test
-    never divides: on integer inputs it runs on integers alone.  A positive
-    scale of the box or of the direction leaves the answer unchanged, which
-    lets callers clear denominators once and pass integers.
+    With L the least common multiple of the nonzero ``|d_c|``, coordinate
+    c of a nonzero ``d_c`` is multiplied by ``L / |d_c|``, and negated with
+    its ends swapped when ``d_c < 0``: then ``s * d_c`` lies in the
+    coordinate's interval exactly when ``t = s * L`` lies in the new one.
+    These coordinates come first, in their order, and those of a zero
+    ``d_c`` follow as they are.  The map is exact, divides nothing and is
+    linear, so the normalised sum of boxes is the sum of the normalised
+    boxes: a box normalised once per direction serves every sum it enters.
     """
-    lo_n, lo_d = 0, 1
-    hi_n = hi_d = None  # +infinity
-    for d, mn, mx, mn2, mx2 in zip(direction, box[0], box[1],
-                                   share[0], share[1]):
-        mn += mn2
-        mx += mx2
-        if d == 0:
-            if mn > 0 or mx < 0:
+    scale = math.lcm(*[d for d in direction if d])
+    mins = []
+    maxs = []
+    for d, mn, mx in zip(direction, box[0], box[1]):
+        if d > 0:
+            factor = scale // d
+            mins.append(mn * factor)
+            maxs.append(mx * factor)
+        elif d < 0:
+            factor = scale // d
+            mins.append(mx * factor)
+            maxs.append(mn * factor)
+    for d, mn, mx in zip(direction, box[0], box[1]):
+        if not d:
+            mins.append(mn)
+            maxs.append(mx)
+    return mins, maxs
+
+
+def ray_meets_box(box, share, scaled):
+    """Exact test whether the closed ray meets the closed box that is the
+    sum of two boxes, ``box`` and ``share`` (each ``min <= max``), both
+    given by :func:`normalise_by_ray` for that ray, whose direction has
+    ``scaled`` nonzero entries (at least one).  Used as a conservative
+    prefilter, so the closed version of the ray is intentional.
+
+    In normalised coordinates the ray is the diagonal ``t * (1, ..., 1)``,
+    ``t >= 0``, on the first ``scaled`` coordinates and 0 on the rest, so
+    it meets the box exactly when the greatest of 0 and the lower ends is
+    at most the least upper end, and every other interval holds 0.  The
+    ends are added coordinate by coordinate as the test reads them, so a
+    box summed from parts is never built; a running low and high are kept
+    with additions and comparisons alone, and the test stops at the first
+    coordinate that rules the ray out.
+    """
+    mins, maxs = box
+    mins2, maxs2 = share
+    low = mins[0] + mins2[0]
+    if low < 0:
+        low = 0
+    high = maxs[0] + maxs2[0]
+    if high < low:
+        return False
+    for c in range(1, scaled):
+        mn = mins[c] + mins2[c]
+        if mn > low:
+            if mn > high:
                 return False
-            continue
-        if d < 0:
-            d, mn, mx = -d, -mx, -mn
-        # s ranges over [mn / d, mx / d] on this coordinate.
-        if mn * lo_d > lo_n * d:
-            lo_n, lo_d = mn, d
-        if hi_d is None or mx * hi_d < hi_n * d:
-            hi_n, hi_d = mx, d
-        if hi_n * lo_d < lo_n * hi_d:
+            low = mn
+        mx = maxs[c] + maxs2[c]
+        if mx < high:
+            if mx < low:
+                return False
+            high = mx
+    for c in range(scaled, len(mins)):
+        if mins[c] + mins2[c] > 0 or maxs[c] + maxs2[c] < 0:
             return False
     return True

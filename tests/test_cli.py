@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from ornaments import cli, degree, formats, sweep
+from ornaments import cli, constructions, degree, formats, sweep
 from ornaments.constructions import make_borromean
 from ornaments.geometry import Rat, Vector
 from ornaments.model import Ornament, PLMap, TriangulatedManifold
@@ -299,15 +299,30 @@ def _never_generic_track(*args, **kwargs):
     raise sweep.NonGenericTrack("every track is degenerate")
 
 
+class _NeverValid:
+    ok = False
+
+
+def _never_valid(*args, **kwargs):
+    return _NeverValid()
+
+
 @pytest.mark.parametrize("command, patch", [
     ("mu-degree", (degree, "mu_via_degree", _never_generic_direction)),
     ("mu-sweep", (sweep, "detect_triple_points", _never_generic_track)),
     ("sweep", (sweep, "detect_triple_points", _never_generic_track)),
     ("sweep", (degree, "mu_via_degree", _never_generic_direction)),
-], ids=["mu-degree", "mu-sweep", "sweep-track", "sweep-endpoints"])
+    ("gen-eps", (sweep, "detect_triple_points", _never_generic_track)),
+    ("gen-random", (constructions, "validate_ornament", _never_valid)),
+], ids=["mu-degree", "mu-sweep", "sweep-track", "sweep-endpoints", "gen-eps",
+        "gen-random"])
 def test_retry_exhaustion_exits_two_with_json_error(
         command, patch, tmp_path, capsys, monkeypatch, borromean_k1):
-    if command == "sweep":
+    if command == "gen-eps":
+        argv = ["gen", "random", "--k", "1", "--seed", "3", "--eps", "1/16"]
+    elif command == "gen-random":
+        argv = ["gen", "random", "--k", "1", "--seed", "3"]
+    elif command == "sweep":
         track = linear_track(borromean_k1, borromean_k1)
         path = tmp_path / "still.json"
         path.write_text(formats.dumps_doc(formats.track_to_doc(track)))

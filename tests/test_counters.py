@@ -8,6 +8,7 @@ that drops, adds or moves a counted call site fails here instead of
 silently moving a benchmark metric.
 """
 
+from collections import Counter
 from math import gcd
 from statistics import median
 
@@ -118,8 +119,8 @@ def test_sweep_system_width_borromean_k1_r3(borromean_k1_r3, monkeypatch):
     def reduction(frame_x, frame2):
         result = live_reduction(frame_x, frame2)
         if result is not None:
-            _, con_rows, con_rhs, *_ = result
-            rows_seen.extend(row + [r] for row, r in zip(con_rows, con_rhs))
+            rows_seen.extend(row + [r] for row, r in zip(result.con_rows,
+                                                          result.con_rhs))
         return result
 
     monkeypatch.setattr(sweep, "solve_integer", solve)
@@ -138,6 +139,72 @@ def test_degree_counters_borromean_k1_r3(borromean_k1_r3, monkeypatch):
     assert value == 1
     assert (boxes.calls, boxes.hits) == (32768, 7)
     assert solves.calls == 7
+
+
+def test_sweep_triangular_rows_borromean_k1_r3(borromean_k1_r3, monkeypatch):
+    """Of the sweep's 923 pair reductions, only the 66 whose eliminated
+    block is back-substituted form their triangular rows, once each; the
+    work counters do not move."""
+    live_reduction = sweep.pair_reduction
+    live_triangular = geometry.PairReduction.triangular
+    reductions = []
+    built = {}  # id of a reduction -> ids of the rows each request returned
+
+    def reduction(frame_x, frame2):
+        result = live_reduction(frame_x, frame2)
+        reductions.append(result)
+        return result
+
+    def triangular(self):
+        rows = live_triangular(self)
+        built.setdefault(id(self), set()).add(id(rows))
+        return rows
+
+    monkeypatch.setattr(sweep, "pair_reduction", reduction)
+    monkeypatch.setattr(geometry.PairReduction, "triangular", triangular)
+    solves = Tally(monkeypatch, sweep, "solve_integer", singular)
+    assert sweep.mu_via_sweep(borromean_k1_r3, seed=0) == 1
+    assert len(reductions) == 923 and None not in reductions
+    assert len(built) == 66
+    assert all(len(rows) == 1 for rows in built.values())
+    assert (solves.calls, solves.hits) == (4906, 0)
+
+
+def normalised_shares(ornament, monkeypatch):
+    """Runs the degree route on ``ornament`` with ``degree.normalise_by_ray``
+    wrapped: the number of calls per direction, and the bit length of the
+    widest normalised end."""
+    live = degree.normalise_by_ray
+    calls = Counter()
+    widths = []
+
+    def normalise(direction, box):
+        result = live(direction, box)
+        calls[tuple(direction)] += 1
+        widths.append(max(abs(c).bit_length() for side in result
+                          for c in side))
+        return result
+
+    monkeypatch.setattr(degree, "normalise_by_ray", normalise)
+    value, _ = degree.mu_via_degree_auto(ornament, seed=0)
+    assert value == 1
+    return calls, max(widths)
+
+
+@pytest.mark.parametrize("fixture, facets", [
+    ("borromean_k1_r3", 96),
+    ("borromean_k2", 48),
+])
+def test_degree_normalises_each_share_once(fixture, facets, request,
+                                           monkeypatch):
+    """The degree route normalises each facet's hull share once per ray
+    direction, not once per triple (32,768 and 4,096 of those), and every
+    normalised end is at most 61 + 17 (2m - 1) bits wide: a grid share of
+    at most 61 bits times the other 2m - 1 entries of a 17-bit ray."""
+    ornament = request.getfixturevalue(fixture)
+    calls, widest = normalised_shares(ornament, monkeypatch)
+    assert set(calls.values()) == {facets}
+    assert widest <= 61 + 17 * (2 * ornament.m - 1)
 
 
 def test_sweep_solves_borromean_k2(borromean_k2, monkeypatch):

@@ -363,17 +363,39 @@ def test_agreement_on_random_corpus():
 ], ids=["borromean-r1", "random-seed1", "random-seed2"])
 def test_integer_prefilter_passes_the_rational_triples(make, monkeypatch):
     """The live integer prefilter lets through exactly the facet triples
-    whose rational sphere-map box meets the ray."""
+    whose rational sphere-map box meets the ray: for the first generic
+    seeded direction, and for explicit directions with negative entries
+    and a zero entry, whose coordinate the test reads apart, unscaled."""
     o = make()
     live = degree.ray_meets_box
     passed = []
+    scaled_counts = set()
 
-    def recording(direction, box, share):
-        ok = live(direction, box, share)
+    def recording(box, share, scaled):
+        ok = live(box, share, scaled)
         passed.append(ok)
+        scaled_counts.add(scaled)
         return ok
 
     monkeypatch.setattr(degree, "ray_meets_box", recording)
+    boxes = [
+        [f.facet_box(i) for i in range(len(f.domain.facets))]
+        for f in o.components
+    ]
+    triples = list(product(*(range(len(b)) for b in boxes)))
+
+    def check(direction):
+        assert len(passed) == len(triples)
+        rational = {
+            t for t in triples
+            if ray_meets_box_by_division(
+                direction,
+                sphere_map_box(*(boxes[c][i] for c, i in enumerate(t))),
+            )
+        }
+        assert {t for t, ok in zip(triples, passed) if ok} == rational
+        assert 0 < len(rational) < len(triples)
+
     for attempt in range(64):
         v = ray_direction(o.m, derive_seed(0, "ray", attempt))
         passed.clear()
@@ -382,20 +404,13 @@ def test_integer_prefilter_passes_the_rational_triples(make, monkeypatch):
         except NonGenericDirection:
             continue
         break
-    boxes = [
-        [f.facet_box(i) for i in range(len(f.domain.facets))]
-        for f in o.components
-    ]
-    triples = list(product(*(range(len(b)) for b in boxes)))
-    assert len(passed) == len(triples)
-    rational = {
-        t for t in triples
-        if ray_meets_box_by_division(
-            v.v, sphere_map_box(*(boxes[c][i] for c, i in enumerate(t)))
-        )
-    }
-    assert {t for t, ok in zip(triples, passed) if ok} == rational
-    assert 0 < len(rational) < len(triples)
+    check(v.v)
+    for direction in ([0, 3, -5, 2], [-7, 2, 0, 1]):
+        passed.clear()
+        scaled_counts.clear()
+        mu_via_degree(o, direction)
+        check(direction)
+        assert scaled_counts == {3}
 
 
 @pytest.mark.parametrize("make", [

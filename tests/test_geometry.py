@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from ornaments.geometry import (
     Rat,
@@ -15,6 +15,7 @@ from ornaments.geometry import (
     feasible_point,
     format_rational,
     integer_scaled,
+    normalise_by_ray,
     outward_grid,
     pair_reduction,
     parse_rational,
@@ -252,27 +253,39 @@ def _frame_pairs(draw):
     return points_x, points_kept, extra
 
 
+def _reduction_tuple(reduction):
+    """A :class:`PairReduction` in the direct reduction's tuple form, its
+    triangular rows built."""
+    if reduction is None:
+        return None
+    return (reduction.triangular(), reduction.con_rows, reduction.con_rhs,
+            reduction.sign_fix, reduction.rho, reduction.scales_x,
+            reduction.scales_kept)
+
+
 @given(_frame_pairs())
 def test_pair_reduction_matches_the_direct_reduction(case):
     """The integer product with the cached row operations gives the direct
-    reduction's tuple, both on first use of the eliminated frame and on
-    reuse against a second kept frame."""
+    reduction's tuple, triangular rows included once built, both on first
+    use of the eliminated frame and on reuse against a second kept frame;
+    a second request returns the rows already built."""
     points_x, points_kept, extra = case
     frame_x = simplex_frame(points_x)
     reductions = []
     for points in (points_kept, points_kept[::-1]):
         frame_kept = simplex_frame(points)
         reductions.append(pair_reduction(frame_x, frame_kept, extra))
-        assert reductions[-1] == pair_reduction_direct(frame_x, frame_kept,
-                                                       extra)
+        assert _reduction_tuple(reductions[-1]) == pair_reduction_direct(
+            frame_x, frame_kept, extra)
     if len(set(points_x)) < len(points_x):
         assert reductions == [None, None]
         return
+    reduction = reductions[0]
+    assert reduction.triangular() is reduction.triangular()
     if points_kept[-1] == points_x[-1]:
-        assert reductions[0][4] == 1
-    scales_x, scales_kept = reductions[0][5:]
-    assert scales_x == frame_x.scales
-    assert scales_kept == simplex_frame(points_kept).scales + [
+        assert reduction.rho == 1
+    assert reduction.scales_x == frame_x.scales
+    assert reduction.scales_kept == simplex_frame(points_kept).scales + [
         scale for _, scale in extra
     ]
 
@@ -580,22 +593,51 @@ def test_bounding_box_and_overlap():
     assert box_intersection(box, far) is None
 
 
+def _meets(direction, box, share):
+    """The ray test as the degree route runs it: the direction cleared of
+    denominators, each part normalised for it, the parts summed inside the
+    test."""
+    _, ints = integer_scaled([Rat(d) for d in direction])
+    return ray_meets_box(normalise_by_ray(ints, box),
+                         normalise_by_ray(ints, share),
+                         len(ints) - ints.count(0))
+
+
+def test_normalise_by_ray():
+    """lcm(2, 3) = 6: the first coordinate is scaled by 3, the second by 2
+    and negated with its ends swapped, and the zero one moves last, as it
+    is."""
+    box = ([1, 1, -1], [2, 4, 5])
+    assert normalise_by_ray([2, -3, 0], box) == ([3, -8, -1], [6, -2, 5])
+    assert normalise_by_ray([0, 4, 0], box) == ([1, 1, -1], [4, 2, 5])
+    assert normalise_by_ray([-1], ([Rat(1, 2)], [Rat(3, 4)])) == (
+        [Rat(-3, 4)], [Rat(-1, 2)])
+
+
 def test_ray_meets_box():
     box = ((Rat(1), Rat(1)), (Rat(2), Rat(3)))
     zero = ((0, 0), (0, 0))
-    assert ray_meets_box(Vector([1, 1]), box, zero)
-    assert ray_meets_box(Vector([1, 2]), box, zero)
-    assert not ray_meets_box(Vector([-1, 1]), box, zero)
-    assert not ray_meets_box(Vector([1, 4]), box, zero)
+    assert _meets([1, 1], box, zero)
+    assert _meets([1, 2], box, zero)
+    assert not _meets([-1, 1], box, zero)
+    assert not _meets([1, 4], box, zero)
     # zero coordinate: box must straddle that axis
-    assert not ray_meets_box(Vector([0, 1]), box, zero)
+    assert not _meets([0, 1], box, zero)
     straddling = ((Rat(-1), Rat(1)), (Rat(2), Rat(3)))
-    assert ray_meets_box(Vector([0, 1]), straddling, zero)
+    assert _meets([0, 1], straddling, zero)
+    assert _meets([1, 0], ((1, -1), (2, 1)), zero)
+    assert not _meets([1, 0], ((1, -1), (2, -1)), zero)
     # the tested box is the sum of the two parts: here ``straddling``
     part = ((Rat(1), Rat(0)), (Rat(4), Rat(1)))
     share = ((Rat(-2), Rat(1)), (Rat(-2), Rat(2)))
-    assert ray_meets_box(Vector([0, 1]), part, share)
-    assert not ray_meets_box(Vector([0, 1]), part, zero)
+    assert _meets([0, 1], part, share)
+    assert not _meets([0, 1], part, zero)
+    # the closed ray: its origin, and a box it only touches
+    assert _meets([3, -5], ((0, 0), (1, 1)), zero)
+    assert _meets([1, 1], ((2, -7), (9, 2)), zero)
+    assert not _meets([1, 1], ((2, -7), (9, 1)), zero)
+    assert _meets([1, 1], ((0, 3), (3, 5)), zero)
+    assert not _meets([1, 1], ((0, 4), (3, 5)), zero)
 
 
 # Ray-box test against the division-based reference: small and huge ints
@@ -643,15 +685,29 @@ def _ray_and_box(draw, kind):
 
 @pytest.mark.parametrize("kind", sorted(_NUMBERS))
 def test_ray_meets_box_agrees_with_division(kind):
-    """The two-part test answers for the summed box, whether the box comes
-    whole (with a zero share) or split."""
-    @given(_ray_and_box(kind))
-    def check(case):
+    """On boxes normalised for the direction cleared of denominators, the
+    two-part test answers for the summed box, whether the box comes whole
+    (with a zero share) or split; the parts' normalised boxes sum to the
+    box's, and a positive multiple of the direction gets the same
+    answer."""
+    @given(_ray_and_box(kind), st.integers(1, 2 ** 40))
+    def check(case, factor):
         direction, box, part, share = case
+        assume(any(direction))
         expected = ray_meets_box_by_division(direction, box)
+        _, ints = integer_scaled([Rat(d) for d in direction])
         zero = ([0] * len(direction), [0] * len(direction))
-        assert ray_meets_box(direction, box, zero) == expected
-        assert ray_meets_box(direction, part, share) == expected
+        for d in (ints, [factor * c for c in ints]):
+            scaled = len(d) - d.count(0)
+            whole = normalise_by_ray(d, box)
+            part_d = normalise_by_ray(d, part)
+            share_d = normalise_by_ray(d, share)
+            assert whole == tuple(
+                [a + b for a, b in zip(p, q)] for p, q in zip(part_d, share_d)
+            )
+            assert ray_meets_box(whole, normalise_by_ray(d, zero),
+                                 scaled) == expected
+            assert ray_meets_box(part_d, share_d, scaled) == expected
 
     check()
 

@@ -242,20 +242,18 @@ def test_pair_reduction_rows_are_primitive(cells):
     reduction32 = pair_reduction(f3, f2)
     for reduction in (reduction12, reduction32):
         if reduction is not None:
-            _, rows, rhs, *_ = reduction
-            for row, r in zip(rows, rhs):
+            for row, r in zip(reduction.con_rows, reduction.con_rhs):
                 assert gcd(*row, r) in (0, 1)  # 0: an all-zero row
     sign, _ = solve_from_pairs(reduction12, reduction32, solve_integer)
     assert sign == direct_sign
     if reduction12 is None or reduction32 is None:
         assert direct_sign == 0
         return
-    _, con12, rhs12, _, rho12, *_ = reduction12
-    _, con32, rhs32, _, rho32, *_ = reduction32
-    rho = lcm(rho12, rho32)
-    lifted = ([r * (rho // rho12) for r in rhs12]
-              + [r * (rho // rho32) for r in rhs32])
-    sign_b, numerators, det = solve_integer(con12 + con32, lifted)
+    rho = lcm(reduction12.rho, reduction32.rho)
+    lifted = ([r * (rho // reduction12.rho) for r in reduction12.con_rhs]
+              + [r * (rho // reduction32.rho) for r in reduction32.con_rhs])
+    sign_b, numerators, det = solve_integer(
+        reduction12.con_rows + reduction32.con_rows, lifted)
     assert (sign_b == 0) == (direct_sign == 0)
     if direct_sign:
         d = len(f2.columns)
