@@ -17,7 +17,8 @@ each triple is solved by the sweep's pair-reduced kernel from
 :mod:`ornaments.geometry`: the (facet 1, facet 3) and (facet 2, facet 3)
 reductions are made once per pair, each an integer product with the row
 operations that facet 1's or facet 2's frame records once, then one
-2k x 2k integer solve.
+2k x 2k integer solve, expanded over the k x k minors that each
+reduction forms once.
 A degenerate facet 1 or 2 has no reduction: its triples are singular,
 with no solve.
 
@@ -75,8 +76,8 @@ from .geometry import (
     ray_meets_box,
     simplex_frame,
     solve_from_pairs,
-    solve_integer,
 )
+from .laplace import solve_integer
 from .model import Ornament, TriangulatedManifold, common_point_system
 
 

@@ -8,8 +8,8 @@ position" questions downstream thereby become decidable: a configuration
 is degenerate if and only if some matrix here is exactly singular or some
 solution lands exactly on a face.
 
-This module is the exact kernel of both invariant routes.  Square systems
-are solved by fraction-free Bareiss elimination on integer matrices whose
+This module is the exact kernel of both invariant routes.  Linear systems
+are reduced by fraction-free Bareiss elimination on integer matrices whose
 columns were cleared of denominators by :func:`integer_scaled`; the one
 elimination loop, :func:`eliminate`, serves every caller.  Both routes
 decide their triples with one pair-reduced kernel built on that loop and
@@ -19,11 +19,13 @@ once, as row operations (:func:`edge_elimination`), the first time it is
 the eliminated side of a pair.  :func:`pair_reduction` then eliminates one
 simplex of a pair by one integer product of those row operations with the
 other simplex's edges and the difference of the two integer base points,
-and carries the column scales of both blocks; its triangular rows, read
-only to back-substitute a candidate, are formed on first use.
+and carries the column scales of both blocks; its k x k minors, read by
+every candidate it enters, and its triangular rows, read only to
+back-substitute a candidate, are formed on first use.
 :func:`solve_from_pairs` joins two reductions that share a kept simplex
-into one 2k x 2k solve per triple and returns the triple's verdict:
-singular, outside, on a boundary, or strictly interior.  Every verdict is
+into one 2k x 2k solve per triple, a Laplace expansion over their minors
+(:mod:`ornaments.laplace`), and returns the triple's verdict: singular,
+outside, on a boundary, or strictly interior.  Every verdict is
 read off integer Cramer numerators over the integer determinant by one
 classifier, :func:`cramer_status`, so rationals are built only for
 interior points, the witnesses.  Linear feasibility is asked in one form,
@@ -44,6 +46,8 @@ import re
 
 from fractions import Fraction as Rat
 from operator import mul
+
+from .laplace import block_minors
 
 #: Default bound on the denominator factor introduced by seeded perturbations.
 DEFAULT_DENOMINATOR_LIMIT = 2 ** 16
@@ -220,31 +224,6 @@ def eliminate(aug, ncols, skip=False):
     if len(pivots) < ncols and not skip:
         return None
     return swap_sign, pivots, pivot_cols
-
-
-def solve_integer(rows, rhs):
-    """Exact solve of a square integer system by Bareiss elimination.
-
-    Returns ``(sign, numerators, det)``: the determinant sign in
-    {-1, 0, +1}, and integer Cramer numerators ``N`` over the Bareiss
-    determinant ``D`` (the determinant of the row-permuted matrix, nonzero
-    but of either sign), so that the solution is ``x_i = N_i / D``.  Both
-    are ``None`` when the system is singular.  The back-substitution is
-    fraction-free: ``D * x_i`` is an integer by Cramer's rule, so each step
-    divides exactly by its pivot.  The rows are left untouched.
-    """
-    n = len(rows)
-    if n == 0:
-        return 1, [], 1
-    aug = [row + [b] for row, b in zip(rows, rhs)]
-    reduction = eliminate(aug, n)
-    if reduction is None:
-        return 0, None, None
-    # The last Bareiss pivot is the determinant of the row-permuted matrix.
-    swap_sign, pivots, _ = reduction
-    det = pivots[-1]
-    sign = swap_sign if det > 0 else -swap_sign
-    return sign, back_substitute(aug, [row[n] for row in aug]), det
 
 
 def back_substitute(rows, rhs):
@@ -445,12 +424,14 @@ class PairReduction:
     eliminated block, ``scales_x``, and of the kept one, ``scales_kept``,
     the extra columns' included.
 
-    :meth:`triangular` forms the triangular rows on first use and keeps
-    them: only a candidate whose kept block is not outside is
-    back-substituted, so most reductions never need them."""
+    :meth:`minors`, read by every candidate the reduction enters, and
+    :meth:`triangular`, read only when a candidate's kept block is not
+    outside (most reductions never need them), are formed on first use
+    and kept."""
 
     __slots__ = ("con_rows", "con_rhs", "sign_fix", "rho", "scales_x",
-                 "scales_kept", "_tri_x", "_ops", "_columns", "_triangular")
+                 "scales_kept", "_tri_x", "_ops", "_columns", "_triangular",
+                 "_minors", "_signed_minors")
 
     def __init__(self, con_rows, con_rhs, sign_fix, rho, scales_x,
                  scales_kept, tri_x, ops, columns):
@@ -464,6 +445,23 @@ class PairReduction:
         self._ops = ops
         self._columns = columns
         self._triangular = None
+        self._minors = None
+        self._signed_minors = None
+
+    def minors(self):
+        """:func:`~ornaments.laplace.block_minors` of the x-free block
+        ``[con_rows | con_rhs]``, built once."""
+        if self._minors is None:
+            self._minors = block_minors(self.con_rows, self.con_rhs)
+        return self._minors
+
+    def signed_minors(self):
+        """:meth:`minors` followed by their negatives, the form the upper
+        block of a joined solve is read in; built once."""
+        if self._signed_minors is None:
+            minors = self.minors()
+            self._signed_minors = minors + [-m for m in minors]
+        return self._signed_minors
 
     def triangular(self):
         """The triangular integer rows [x cols | kept cols | rhs], one per
@@ -529,7 +527,9 @@ def pair_reduction(frame_x, frame_kept, extra=()):
             tail = [c // content for c in tail]
         con_rhs.append(tail.pop())
         con_rows.append(tail)
-    scales_kept = frame_kept.scales + [scale for _, scale in extra]
+    scales_kept = frame_kept.scales  # shared: no reduction writes it
+    if extra:
+        scales_kept = scales_kept + [scale for _, scale in extra]
     return PairReduction(con_rows, con_rhs, sign_fix, rho, frame_x.scales,
                          scales_kept, tri_x, ops, columns)
 
@@ -565,11 +565,13 @@ def _full_coordinates(numerators, det, scales, rho, arity):
 def solve_from_pairs(reduction_a, reduction_b, solve):
     """Decide a triple from the :func:`pair_reduction` of its two row
     blocks, which share the kept columns and their scales.  ``solve`` is the
-    caller's own binding of :func:`solve_integer`, so that whoever counts a
-    route's solves sees this one.
+    caller's own binding of :func:`~ornaments.laplace.solve_integer`, so
+    that whoever counts a route's solves sees this one.
 
     The k x-free rows of each reduction form one square system on the kept
-    columns.  Its integer Cramer solution is classified by
+    columns; ``solve`` is given the two reductions and the lifts of their
+    right-hand sides to the lcm of their ``rho``.  Its integer Cramer
+    solution is classified by
     :func:`cramer_status`, with the kept simplex of the eliminated ones'
     arity and the extra columns as coordinates that must not be negative;
     b is back-substituted and classified only for a kept block that is not
@@ -601,22 +603,14 @@ def solve_from_pairs(reduction_a, reduction_b, solve):
         return 0, None
     rho_a = reduction_a.rho
     rho_b = reduction_b.rho
-    rhs_a = reduction_a.con_rhs
-    rhs_b = reduction_b.con_rhs
     rho = rho_a if rho_a == rho_b else math.lcm(rho_a, rho_b)
     lift_a = rho // rho_a
     lift_b = rho // rho_b
-    if lift_a != 1:
-        rhs_a = [r * lift_a for r in rhs_a]
-    if lift_b != 1:
-        rhs_b = [r * lift_b for r in rhs_b]
-    con_a = reduction_a.con_rows
-    sign_n, numerators, det = solve(con_a + reduction_b.con_rows,
-                                    rhs_a + rhs_b)
+    sign_n, numerators, det = solve(reduction_a, reduction_b, lift_a, lift_b)
     if sign_n == 0:
         return 0, None
     sign = reduction_a.sign_fix * reduction_b.sign_fix * sign_n
-    if len(con_a) % 2:
+    if len(reduction_a.con_rows) % 2:
         sign = -sign
     scales_a = reduction_a.scales_x
     scales_b = reduction_b.scales_x

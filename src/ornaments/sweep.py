@@ -13,9 +13,13 @@ in a keyframe interval, each pair by one integer product with row
 operations that a cell's frame records once, so each candidate triple
 costs one 2k x 2k integer solve in cell 2's coordinates, plus
 back-substitution for a cell 3 and a cell 1 that the signs have not yet
-ruled out.  The kernel returns the candidate's verdict (singular,
-outside, on a boundary, or strictly interior) decided on integers, and
-builds rationals only for a triple point's witness.  Each row the
+ruled out.  The solve is a Laplace expansion over the k x k minors of the
+two reductions' x-free rows, which each reduction forms once, the first
+time a candidate reads them; the (cell 2, cell 3) reductions, and their
+minors, are kept until the keyframe interval is done.  The kernel returns
+the candidate's verdict (singular, outside, on a boundary, or strictly
+interior) decided on integers, and builds rationals only for a triple
+point's witness.  Each row the
 reductions leave is divided by its content (the gcd of its entries and
 right-hand side), which roughly halves the width of the integers that
 reach the solve.  Before that, prism
@@ -56,8 +60,8 @@ from .geometry import (
     random_rational_perturbation,
     simplex_frame,
     solve_from_pairs,
-    solve_integer,
 )
+from .laplace import solve_integer
 from .model import Ornament, PLMap, common_point_system, permutation_parity
 # Not called here: perfbench/tracing.py times validation through this
 # binding, as it does through cli's and constructions'.

@@ -8,10 +8,14 @@ the references for the integer prefilter of the degree route.  The direct
 triple solve is the reference for the pair-reduced kernel as the sweep
 uses it, and the direct ray solve for the kernel as the degree route uses
 it: each solves the whole block system (4k x 4k, and 2m x 2m) with the
-package's square solver, which the tests check separately against
-``_solve_unique``.  The direct pair reduction, which writes out the whole
-pair block and clears a rational right-hand side, is the reference for
-the package's, an integer product with a frame's cached row operations;
+Bareiss square solve, the package's former generic solver, which the
+tests check separately against ``_solve_unique``.  That solve, on the
+system :func:`joined_system` writes out, is also the reference for the
+package's joined solve, which expands over cached minors, and the Leibniz
+determinant is the reference for that expansion's term tables.  The
+direct pair reduction, which writes out the whole pair block and clears a
+rational right-hand side, is the reference for the package's, an integer
+product with a frame's cached row operations;
 the slicing elimination loop is the reference for the package's, which
 updates entry by entry; the full back-substitution loop is the reference
 for the package's, which takes its last step from the last pivot.  The
@@ -28,13 +32,14 @@ ornament homotopy) are used only by tests.
 
 import math
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 
 from ornaments.geometry import (
     DimensionMismatch,
     Vector,
+    back_substitute,
+    eliminate,
     integer_scaled,
-    solve_integer,
 )
 from ornaments.model import validate_ornament
 from ornaments.sweep import (
@@ -266,6 +271,58 @@ def brute_force_feasible(eq_rows, le_rows, nvars):
     return False
 
 
+def solve_bareiss(rows, rhs):
+    """Reference square solve for the package's joined ``solve_integer``:
+    Bareiss elimination of ``[rows | rhs]`` and fraction-free
+    back-substitution, the package's former generic solver.
+
+    Returns ``(sign, numerators, det)``: the determinant sign in
+    {-1, 0, +1}, and integer Cramer numerators ``N`` over the Bareiss
+    determinant ``D`` (the determinant of the row-permuted matrix, nonzero
+    but of either sign), so that the solution is ``x_i = N_i / D``.  Both
+    are ``None`` when the system is singular.  The rows are left
+    untouched."""
+    n = len(rows)
+    if n == 0:
+        return 1, [], 1
+    aug = [list(row) + [b] for row, b in zip(rows, rhs)]
+    reduction = eliminate(aug, n)
+    if reduction is None:
+        return 0, None, None
+    # The last Bareiss pivot is the determinant of the row-permuted matrix.
+    swap_sign, pivots, _ = reduction
+    det = pivots[-1]
+    sign = swap_sign if det > 0 else -swap_sign
+    return sign, back_substitute(aug, [row[n] for row in aug]), det
+
+
+def joined_system(reduction_a, reduction_b, lift_a, lift_b):
+    """``(rows, rhs)``: the 2k x 2k integer system that the package's
+    ``solve_integer(reduction_a, reduction_b, lift_a, lift_b)`` solves, the
+    x-free rows of the two pair reductions, a's on top, with their
+    right-hand sides lifted."""
+    rows = [list(row) for row in reduction_a.con_rows + reduction_b.con_rows]
+    rhs = ([r * lift_a for r in reduction_a.con_rhs]
+           + [r * lift_b for r in reduction_b.con_rhs])
+    return rows, rhs
+
+
+def det_leibniz(rows):
+    """Brute-force determinant of a square integer matrix: the Leibniz sum
+    over all permutations, each signed by its inversions.  The reference
+    for the signed term tables of the package's joined solve."""
+    n = len(rows)
+    total = 0
+    for perm in permutations(range(n)):
+        inversions = sum(perm[i] > perm[j]
+                         for i in range(n) for j in range(i + 1, n))
+        term = -1 if inversions % 2 else 1
+        for row, col in zip(rows, perm):
+            term *= row[col]
+        total += term
+    return total
+
+
 def back_substitute_full(rows, rhs, det):
     """Reference for the package's ``back_substitute``: integer numerators
     ``N_i = det * x_i`` of the triangular system ``rows[i][i:n] . x[i:] =
@@ -451,7 +508,7 @@ def solve_triple(frame1, frame2, frame3):
         )
         rhs.append(base3[c] - base2[c])
     rho, rhs_int = integer_scaled(rhs)
-    sign, numerators, det = solve_integer(rows, rhs_int)
+    sign, numerators, det = solve_bareiss(rows, rhs_int)
     if sign == 0:
         return 0, None
     col_scales = frame1.scales + frame2.scales + frame3.scales
@@ -489,7 +546,7 @@ def solve_ray_triple(frame1, frame2, frame3, ray):
                     + [-u[c] for u in e3] + [-ray_int[m + c]])
         rhs.append(-(2 * base2[c] - base1[c] - base3[c]))
     rho, rhs_int = integer_scaled(rhs)
-    sign, numerators, det = solve_integer(rows, rhs_int)
+    sign, numerators, det = solve_bareiss(rows, rhs_int)
     if sign == 0:
         return 0, None
     col_scales = frame1.scales + frame2.scales + frame3.scales + [ray_scale]

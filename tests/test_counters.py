@@ -8,13 +8,29 @@ that drops, adds or moves a counted call site fails here instead of
 silently moving a benchmark metric.
 """
 
+import ast
 from collections import Counter
 from math import gcd
+from pathlib import Path
 from statistics import median
 
 import pytest
 
-from ornaments import constructions, degree, geometry, model, sweep
+from ornaments import constructions, degree, geometry, laplace, model, sweep
+
+from oracles import joined_system
+
+#: The k=2 counts that ``perfbench/run.py`` records as
+#: ``K2_REFERENCE_COUNTS`` and checks on every traced k=2 run; the k=2
+#: tests below pin them, and a guard keeps the two copies equal.
+K2_REFERENCE_COUNTS = {
+    "model.lp_calls": 3332,
+    "degree.box_tests": 4096,
+    "degree.box_pass": 3700,
+    "sweep.solves": 50090,
+}
+
+RUN_SCRIPT = Path(__file__).resolve().parent.parent / "perfbench" / "run.py"
 
 
 class Tally:
@@ -112,9 +128,10 @@ def test_sweep_system_width_borromean_k1_r3(borromean_k1_r3, monkeypatch):
     widths = []
     rows_seen = []
 
-    def solve(rows, rhs=None):
+    def solve(*args):
+        rows, _ = joined_system(*args)
         widths.append(max(abs(c).bit_length() for row in rows for c in row))
-        return live_solve(rows, rhs)
+        return live_solve(*args)
 
     def reduction(frame_x, frame2):
         result = live_reduction(frame_x, frame2)
@@ -170,6 +187,56 @@ def test_sweep_triangular_rows_borromean_k1_r3(borromean_k1_r3, monkeypatch):
     assert (solves.calls, solves.hits) == (4906, 0)
 
 
+def test_sweep_minors_borromean_k1_r3(borromean_k1_r3, monkeypatch):
+    """Each of the sweep's 923 pair reductions expands its minors once,
+    however many of the 4,906 joined solves read them; only the 484
+    (cell 1, cell 2) reductions, block a of every solve, keep a signed
+    copy, once each; and the term table of k=1 is built once.  The work
+    counters do not move."""
+    live_reduction = sweep.pair_reduction
+    live_minors = geometry.PairReduction.minors
+    live_signed = geometry.PairReduction.signed_minors
+    live_terms = laplace._signed_terms
+    reductions = []
+    returned = {"minors": {}, "signed": {}}  # kind -> id -> lists returned
+    tables = []
+
+    def reduction(frame_x, frame2):
+        result = live_reduction(frame_x, frame2)
+        reductions.append(result)
+        return result
+
+    def recording(kind, live):
+        def method(self):
+            values = live(self)
+            returned[kind].setdefault(id(self), []).append(values)
+            return values
+        return method
+
+    def terms(k):
+        tables.append(k)
+        return live_terms(k)
+
+    monkeypatch.setattr(sweep, "pair_reduction", reduction)
+    monkeypatch.setattr(geometry.PairReduction, "minors",
+                        recording("minors", live_minors))
+    monkeypatch.setattr(geometry.PairReduction, "signed_minors",
+                        recording("signed", live_signed))
+    monkeypatch.setattr(laplace, "_signed_terms", terms)
+    monkeypatch.setattr(laplace, "_TERM_TABLES", {})
+    solves = Tally(monkeypatch, sweep, "solve_integer", singular)
+    assert sweep.mu_via_sweep(borromean_k1_r3, seed=0) == 1
+    assert len(reductions) == 923 and None not in reductions
+    assert len(returned["minors"]) == 923
+    assert len(returned["signed"]) == 484
+    for kind in returned.values():
+        assert all(values is seen[0] for seen in kind.values()
+                   for values in seen)
+    assert sum(map(len, returned["signed"].values())) == 4906
+    assert tables == [1]
+    assert (solves.calls, solves.hits) == (4906, 0)
+
+
 def normalised_shares(ornament, monkeypatch):
     """Runs the degree route on ``ornament`` with ``degree.normalise_by_ray``
     wrapped: the number of calls per direction, and the bit length of the
@@ -211,7 +278,8 @@ def test_sweep_solves_borromean_k2(borromean_k2, monkeypatch):
     """The k=2 count ``perfbench/run.py`` pins as ``sweep.solves``."""
     solves = Tally(monkeypatch, sweep, "solve_integer", singular)
     assert sweep.mu_via_sweep(borromean_k2, seed=0) == 1
-    assert (solves.calls, solves.hits) == (50090, 0)
+    assert (solves.calls, solves.hits) == (
+        K2_REFERENCE_COUNTS["sweep.solves"], 0)
 
 
 def test_degree_counters_borromean_k2(borromean_k2, monkeypatch):
@@ -222,7 +290,9 @@ def test_degree_counters_borromean_k2(borromean_k2, monkeypatch):
     lps = Tally(monkeypatch, degree, "feasible_point", found)
     value, _ = degree.mu_via_degree_auto(borromean_k2, seed=0)
     assert value == 1
-    assert (boxes.calls, boxes.hits) == (4096, 3700)
+    assert (boxes.calls, boxes.hits) == (
+        K2_REFERENCE_COUNTS["degree.box_tests"],
+        K2_REFERENCE_COUNTS["degree.box_pass"])
     assert (solves.calls, solves.hits) == (3700, 0)
     assert lps.calls == 0
 
@@ -234,8 +304,9 @@ def test_degree_system_size_borromean_k2(borromean_k2, monkeypatch):
     live_solve = degree.solve_integer
     shapes = []
 
-    def solve(rows, rhs=None):
-        result = live_solve(rows, rhs)
+    def solve(*args):
+        result = live_solve(*args)
+        rows, rhs = joined_system(*args)
         shapes.append((len(rows), len(rows[0]), len(rhs), result[0] != 0))
         return result
 
@@ -259,5 +330,20 @@ def test_validate_counters_borromean_k2(borromean_k2, monkeypatch):
     lps = Tally(monkeypatch, model, "feasible_point", found)
     boxes = Tally(monkeypatch, model, "box_intersection", found)
     assert model.validate_ornament(borromean_k2).ok
-    assert (lps.calls, lps.hits) == (3332, 0)
+    assert (lps.calls, lps.hits) == (K2_REFERENCE_COUNTS["model.lp_calls"], 0)
     assert (boxes.calls, boxes.hits) == (4064, 3570)
+
+
+def test_benchmark_pins_the_tested_k2_counts():
+    """``perfbench/run.py`` checks each traced k=2 run against its own
+    ``K2_REFERENCE_COUNTS``; read without running or importing the script,
+    they are the counts the k=2 tests here pin."""
+    tree = ast.parse(RUN_SCRIPT.read_text(), filename=str(RUN_SCRIPT))
+    recorded = [
+        ast.literal_eval(node.value) for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(target, ast.Name)
+                and target.id == "K2_REFERENCE_COUNTS"
+                for target in node.targets)
+    ]
+    assert recorded == [K2_REFERENCE_COUNTS]

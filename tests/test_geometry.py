@@ -1,9 +1,11 @@
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import assume, example, given, strategies as st
 
 from ornaments.geometry import (
+    PairReduction,
     Rat,
     Vector,
     back_substitute,
@@ -22,19 +24,22 @@ from ornaments.geometry import (
     random_rational_perturbation,
     ray_meets_box,
     simplex_frame,
-    solve_integer,
 )
+from ornaments.laplace import solve_integer
 
 from oracles import (
     _solve_unique,
     back_substitute_full,
     brute_force_feasible,
+    det_leibniz,
     eliminate_sliced,
     feasible_point_gauss_jordan,
     interior_barycentric,
+    joined_system,
     nonneg_rows,
     pair_reduction_direct,
     ray_meets_box_by_division,
+    solve_bareiss,
 )
 
 
@@ -53,15 +58,15 @@ def matmul(a, b):
 
 
 def det_sign(rows):
-    """Determinant sign through the solver, against a zero right-hand
-    side."""
-    return solve_integer(rows, [0] * len(rows))[0]
+    """Determinant sign through the reference square solve, against a zero
+    right-hand side."""
+    return solve_bareiss(rows, [0] * len(rows))[0]
 
 
 def solve(rows, rhs):
     """Solve integer rows against a rational right-hand side."""
     rho, rhs_int = integer_scaled(rhs)
-    sign, numerators, det = solve_integer([row[:] for row in rows], rhs_int)
+    sign, numerators, det = solve_bareiss([row[:] for row in rows], rhs_int)
     if sign == 0:
         return None
     return [Rat(n, rho * det) for n in numerators]
@@ -97,7 +102,7 @@ def test_det_sign_multiplicative():
         assert det_sign(matmul(a, b)) == det_sign(a) * det_sign(b)
 
 
-# --- solve_integer ------------------------------------------------------------
+# --- the reference square solve -----------------------------------------------
 
 def test_solve_identity():
     x = [Rat(1, 3), Rat(-2), Rat(7, 5)]
@@ -105,7 +110,7 @@ def test_solve_identity():
 
 
 def test_solve_zero_matrix_singular():
-    assert solve_integer([[0, 0], [0, 0]], [0, 0]) == (0, None, None)
+    assert solve_bareiss([[0, 0], [0, 0]], [0, 0]) == (0, None, None)
 
 
 def test_solve_recovers_constructed_solution():
@@ -141,7 +146,7 @@ def test_solve_integer_matches_rational_path():
         n = rng.randint(1, 5)
         rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
         rhs = [rng.randint(-9, 9) for _ in range(n)]
-        sign, numerators, det = solve_integer([r[:] for r in rows], rhs[:])
+        sign, numerators, det = solve_bareiss([r[:] for r in rows], rhs[:])
         # the homogeneous system has a unique solution iff nonsingular
         nonsingular = _solve_unique([(r, 0) for r in rows], n) is not None
         assert (sign != 0) == nonsingular
@@ -288,6 +293,107 @@ def test_pair_reduction_matches_the_direct_reduction(case):
     assert reduction.scales_kept == simplex_frame(points_kept).scales + [
         scale for _, scale in extra
     ]
+
+
+# --- the joined solve ---------------------------------------------------------
+
+def _block(rows):
+    """A :class:`PairReduction` holding only the x-free block ``rows``
+    (each row its 2k kept entries and then its right-hand side), which is
+    all the joined solve reads."""
+    return PairReduction([row[:-1] for row in rows], [row[-1] for row in rows],
+                         1, 1, [], [], [], [], [])
+
+
+@st.composite
+def _joined_cases(draw):
+    """``(k, rows, lift_a, lift_b)``: the 2k rows (2k + 1 entries each, the
+    right-hand side last) of two blocks of k rows, k in 1-3, and the lifts
+    of their right-hand sides.  Besides random rows, a row of block b may
+    repeat one of block a (a singular system whatever the lifts), a kept
+    column may be zero, or the entries may be 0 and +-1 only, mostly 0, so
+    that many minors vanish, some of them in systems that are still
+    regular."""
+    k = draw(st.integers(1, 3))
+    n = 2 * k
+    kind = draw(st.sampled_from(["random", "repeated row", "zero column",
+                                 "sparse"]))
+    entries = (st.sampled_from([0, 0, 0, 1, -1]) if kind == "sparse"
+               else _ENTRIES)
+    rows = draw(st.lists(st.lists(entries, min_size=n + 1, max_size=n + 1),
+                         min_size=n, max_size=n))
+    if kind == "repeated row":
+        repeated = rows[draw(st.integers(0, k - 1))]
+        rows[draw(st.integers(k, n - 1))] = repeated[:]
+    elif kind == "zero column":
+        column = draw(st.integers(0, n - 1))
+        for row in rows:
+            row[column] = 0
+    lifts = st.one_of(st.just(1), st.integers(2, 2 ** 64))
+    return k, rows, draw(lifts), draw(lifts)
+
+
+@given(_joined_cases())
+@example((1, [[2, 3, 5], [4, 6, 7]], 1, 1))  # proportional rows, zero det
+@example((1, [[0, 3, 5], [0, 6, 7]], 3, 2))  # a zero column
+@example((1, [[1, 0, 5], [0, 1, 7]], 2, 1))  # zero minors, regular
+@example((2, [[1, 2, 3, 4, 5], [0, 1, 0, 1, 0],
+              [1, 2, 3, 4, 6], [2, 0, 1, 0, 1]], 1, 4))  # a row repeated
+@example((2, [[1, 0, 0, 0, 1], [0, 1, 0, 0, 2],
+              [0, 0, 1, 0, 3], [0, 0, 0, 1, 4]], 5, 3))  # the identity
+def test_joined_solve_matches_the_reference_solve(case):
+    """The expansion over cached minors has the reference square solve's
+    determinant sign on the joined, lifted system, is singular exactly when
+    it is, and otherwise gives its Cramer solution, over a determinant of
+    the same magnitude."""
+    k, rows, lift_a, lift_b = case
+    reduction_a, reduction_b = _block(rows[:k]), _block(rows[k:])
+    sign, numerators, det = solve_integer(reduction_a, reduction_b,
+                                          lift_a, lift_b)
+    ref_sign, ref_numerators, ref_det = solve_bareiss(
+        *joined_system(reduction_a, reduction_b, lift_a, lift_b))
+    assert sign == ref_sign
+    if sign == 0:
+        assert numerators is None and det is None and ref_det is None
+        return
+    assert abs(det) == abs(ref_det)
+    assert [n * ref_det for n in numerators] == [
+        n * det for n in ref_numerators]
+    assert reduction_a.signed_minors() is reduction_a.signed_minors()
+    assert reduction_b.minors() is reduction_b.minors()
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_term_tables_match_leibniz(k):
+    """On random blocks, each cached minor is the Leibniz determinant of
+    its column set, and the joined determinant and every Cramer numerator
+    (the lifted right-hand side in the column's place) are the Leibniz
+    determinants of the joined system, sign included."""
+    rng = random.Random(k)
+    n = 2 * k
+    for _ in range(4):
+        rows = rand_rows(rng, n, n + 1)
+        lift_a, lift_b = rng.randint(1, 9), rng.randint(1, 9)
+        reduction_a, reduction_b = _block(rows[:k]), _block(rows[k:])
+        for reduction, block in ((reduction_a, rows[:k]),
+                                 (reduction_b, rows[k:])):
+            expected = [det_leibniz([[row[c] for c in cols] for row in block])
+                        for cols in combinations(range(n + 1), k)]
+            assert reduction.minors() == expected
+            assert reduction.signed_minors() == expected + [-m for m in
+                                                             expected]
+        joined, rhs = joined_system(reduction_a, reduction_b, lift_a, lift_b)
+        cramer = [
+            det_leibniz([row[:i] + [r] + row[i + 1:]
+                         for row, r in zip(joined, rhs)])
+            for i in range(n)
+        ]
+        det = det_leibniz(joined)
+        result = solve_integer(reduction_a, reduction_b, lift_a, lift_b)
+        if det:
+            assert result == ((det > 0) - (det < 0), cramer, det)
+        else:
+            assert result == (0, None, None)
 
 
 # --- the barycentric verdict --------------------------------------------------

@@ -18,8 +18,8 @@ from ornaments.geometry import (
     pair_reduction,
     simplex_frame,
     solve_from_pairs,
-    solve_integer,
 )
+from ornaments.laplace import solve_integer
 from ornaments.model import Ornament, perturb_ornament, validate_ornament
 from ornaments.sweep import (
     HomotopyTrack,
@@ -44,7 +44,9 @@ from oracles import (
     extents_union,
     integer_frames_exact,
     interior_barycentric,
+    joined_system,
     reverse_track,
+    solve_bareiss,
     solve_triple,
 )
 
@@ -250,11 +252,11 @@ def test_pair_reduction_rows_are_primitive(cells):
         assert direct_sign == 0
         return
     rho = lcm(reduction12.rho, reduction32.rho)
-    lifted = ([r * (rho // reduction12.rho) for r in reduction12.con_rhs]
-              + [r * (rho // reduction32.rho) for r in reduction32.con_rhs])
-    sign_b, numerators, det = solve_integer(
-        reduction12.con_rows + reduction32.con_rows, lifted)
+    lifts = (rho // reduction12.rho, rho // reduction32.rho)
+    sign_b, numerators, det = solve_integer(reduction12, reduction32, *lifts)
     assert (sign_b == 0) == (direct_sign == 0)
+    assert sign_b == solve_bareiss(*joined_system(reduction12, reduction32,
+                                                  *lifts))[0]
     if direct_sign:
         d = len(f2.columns)
         assert [Rat(s * n, rho * det) for s, n in zip(f2.scales,
@@ -500,9 +502,9 @@ def _solved_candidates(track, monkeypatch):
     live = sweep.solve_integer
     systems = []
 
-    def recording(rows, rhs):
-        systems.append(([list(row) for row in rows], list(rhs)))
-        return live(rows, rhs)
+    def recording(*args):
+        systems.append(joined_system(*args))
+        return live(*args)
 
     with monkeypatch.context() as patch:
         patch.setattr(sweep, "solve_integer", recording)
