@@ -346,24 +346,29 @@ def cramer_status(numerators, det, scales, rho, arity):
     ``N_i * D < 0``, or the implied one, when ``(rho * D - sum of scales *
     N over the block) * D < 0``; ``False`` when none is negative but some
     is zero (the point is on the closed simplex's boundary); ``True`` when
-    every coordinate is positive.  A negative listed entry returns at once,
+    every coordinate is positive.  Signs are compared with ``D``'s, so
+    nothing is negated, and a negative listed entry returns at once,
     before the implied coordinate is formed.
     """
-    if det < 0:
-        det = -det
-        numerators = [-n for n in numerators]
     interior = True
-    for n in numerators:
-        if n < 0:
-            return None
-        if not n:
-            interior = False
+    if det > 0:
+        for n in numerators:
+            if n <= 0:
+                if n:
+                    return None
+                interior = False
+    else:
+        for n in numerators:
+            if n >= 0:
+                if n:
+                    return None
+                interior = False
     implied = rho * det
     for i in range(arity - 1):
         implied -= scales[i] * numerators[i]
-    if implied < 0:
+    if implied and (implied > 0) != (det > 0):
         return None
-    return interior and implied > 0
+    return interior and implied != 0
 
 
 # ---------------------------------------------------------------------------
@@ -424,14 +429,14 @@ class PairReduction:
     eliminated block, ``scales_x``, and of the kept one, ``scales_kept``,
     the extra columns' included.
 
-    :meth:`minors`, read by every candidate the reduction enters, and
-    :meth:`triangular`, read only when a candidate's kept block is not
-    outside (most reductions never need them), are formed on first use
-    and kept."""
+    :meth:`minors`, read as they stand by every candidate the reduction
+    enters, as either block of its joined solve, and :meth:`triangular`,
+    read only when a candidate's kept block is not outside (most
+    reductions never need them), are formed on first use and kept."""
 
     __slots__ = ("con_rows", "con_rhs", "sign_fix", "rho", "scales_x",
                  "scales_kept", "_tri_x", "_ops", "_columns", "_triangular",
-                 "_minors", "_signed_minors")
+                 "_minors")
 
     def __init__(self, con_rows, con_rhs, sign_fix, rho, scales_x,
                  scales_kept, tri_x, ops, columns):
@@ -446,7 +451,6 @@ class PairReduction:
         self._columns = columns
         self._triangular = None
         self._minors = None
-        self._signed_minors = None
 
     def minors(self):
         """:func:`~ornaments.laplace.block_minors` of the x-free block
@@ -454,14 +458,6 @@ class PairReduction:
         if self._minors is None:
             self._minors = block_minors(self.con_rows, self.con_rhs)
         return self._minors
-
-    def signed_minors(self):
-        """:meth:`minors` followed by their negatives, the form the upper
-        block of a joined solve is read in; built once."""
-        if self._signed_minors is None:
-            minors = self.minors()
-            self._signed_minors = minors + [-m for m in minors]
-        return self._signed_minors
 
     def triangular(self):
         """The triangular integer rows [x cols | kept cols | rhs], one per

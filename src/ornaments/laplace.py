@@ -9,12 +9,14 @@ per term.  A block's minors are expanded once, row by row
 (:func:`block_minors`), and kept by its reduction, so a candidate's solve
 is 2 (2k + 1) C(2k - 1, k - 1) products of integers already at hand and
 no elimination.  Which minors multiply, and with which sign, depends on k
-alone: the signed term tables are built once per k.
+alone: the signed term table of the joined solve is compiled once per k
+into one straight-line function (:func:`_joined_solve`).
 """
 
 from __future__ import annotations
 
 from itertools import combinations
+from math import comb
 from operator import add, itemgetter, mul
 
 
@@ -41,24 +43,24 @@ def _picks(terms):
 
 def _signed_terms(k):
     """``(expansion, joined)``: the term tables of :func:`block_minors` and
-    :func:`solve_integer` for blocks of k rows, whose columns are 2k kept
+    of the joined solve for blocks of k rows, whose columns are 2k kept
     ones and the right-hand side, column 2k.  Minors are listed by column
-    set in ``combinations`` order.  The left factors, a signed row or
-    block a's minors, are followed by their negatives, so that a term's
-    sign is an index into the negated half.
+    set in ``combinations`` order.
 
     ``expansion[r - 2]``, r >= 2, expands the minors of a block's first r
     rows along row r: the entry in the set's column t (from 0) has the
-    sign (-1)^(r + t + 1) and the minor of the rows above on the rest.
+    sign (-1)^(r + t + 1) and the minor of the rows above on the rest.  Its
+    left factors are the row followed by its negatives, so that a term's
+    sign is an index into the negated half.
 
-    ``joined`` sums over the k-sets S of kept columns (-1)^(k (k + 3) / 2
-    + sum S) minor_a(S) minor_b(complement) for the determinant.  For
-    numerator i the right-hand side stands in column i, so the block whose
-    set holds i takes its minor with i swapped for column 2k, signed by
-    the set's columns past i.  Its 2 (2k + 1) sums of C(2k - 1, k - 1)
-    terms are the determinant in two halves (column 0 in S or not), then
-    per column i the terms with a's right-hand side and those with b's,
-    which are lifted apart.
+    ``joined`` is ``(det, numerators)`` in terms ``(sign, p, q)``, each
+    standing for sign * minor_a[p] * minor_b[q].  ``det`` sums over the
+    k-sets S of kept columns (-1)^(k (k + 3) / 2 + sum S) minor_a(S)
+    minor_b(complement).  For numerator i the right-hand side stands in
+    column i, so the block whose set holds i takes its minor with i swapped
+    for column 2k, signed by the set's columns past i; ``numerators[i]``
+    is the pair of sums of its terms with a's right-hand side and with
+    b's, which are lifted apart.
     """
     n = 2 * k
     sets = [list(combinations(range(n + 1), r)) for r in range(k + 1)]
@@ -69,39 +71,71 @@ def _signed_terms(k):
                 for t in range(r)])
         for r in range(2, k + 1)
     ]
-    negated = len(sets[k])
 
     def term(sign, set_a, set_b):
-        return where[k][set_a] + (negated if sign < 0 else 0), where[k][set_b]
+        return sign, where[k][set_a], where[k][set_b]
 
-    halves = ([], [])
-    lifted = [([], []) for _ in range(n)]
+    det = []
+    numerators = [([], []) for _ in range(n)]
     for s in combinations(range(n), k):
         c = tuple(j for j in range(n) if j not in s)
         sign = (-1) ** (k * (k + 3) // 2 + sum(s))
-        halves[0 if 0 in s else 1].append(term(sign, s, c))
+        det.append(term(sign, s, c))
         for i in range(n):
             if i in s:
                 past = sum(j > i for j in s)
                 swapped = tuple(j for j in s if j != i) + (n,)
-                lifted[i][0].append(term(sign * (-1) ** past, swapped, c))
+                numerators[i][0].append(term(sign * (-1) ** past, swapped, c))
             else:
                 past = sum(j > i for j in c)
                 swapped = tuple(j for j in c if j != i) + (n,)
-                lifted[i][1].append(term(sign * (-1) ** past, s, swapped))
-    sums = list(halves) + [side for sides in lifted for side in sides]
-    return expansion, _picks(list(zip(*sums)))
+                numerators[i][1].append(term(sign * (-1) ** past, s, swapped))
+    return expansion, (det, numerators)
 
 
-_TERM_TABLES = {}  # k -> _signed_terms(k)
+def _joined_solve(k, joined):
+    """The joined solve for blocks of k rows, compiled from the term table
+    ``joined`` of :func:`_signed_terms` into one straight-line function
+    ``solve(a, b, lift_a, lift_b)`` of the two blocks' minors, which
+    writes out every sum term by term with its sign and returns what
+    :func:`solve_integer` does.  The source is formatted from the table's
+    integer indices alone (``%d``), never from the data it solves."""
+    det, numerators = joined
+
+    def total(terms):
+        return " ".join("%s a%d * b%d" % ("-" if sign < 0 else "+", p, q)
+                        for sign, p, q in terms).removeprefix("+ ")
+
+    size = comb(2 * k + 1, k)
+    source = "\n".join([
+        "def solve(a, b, lift_a, lift_b):",
+        "    %s, = a" % ", ".join("a%d" % p for p in range(size)),
+        "    %s, = b" % ", ".join("b%d" % q for q in range(size)),
+        "    det = %s" % total(det),
+        "    if not det:",
+        "        return 0, None, None",
+        "    return (1 if det > 0 else -1), [",
+        *["        lift_a * (%s) + lift_b * (%s)," % (total(on_a), total(on_b))
+          for on_a, on_b in numerators],
+        "    ], det",
+    ])
+    namespace = {}
+    exec(compile(source, "<joined solve, k=%d>" % k, "exec"), namespace)
+    return namespace["solve"]
 
 
-def _term_table(k):
-    """:func:`_signed_terms` of ``k``, built once per k."""
-    table = _TERM_TABLES.get(k)
-    if table is None:
-        table = _TERM_TABLES[k] = _signed_terms(k)
-    return table
+_KERNELS = {}  # k -> _kernel(k)
+
+
+def _kernel(k):
+    """``(expansion, solve)`` for blocks of k rows: the row expansion table
+    of :func:`block_minors` and the compiled :func:`_joined_solve`, built
+    once per k."""
+    kernel = _KERNELS.get(k)
+    if kernel is None:
+        expansion, joined = _signed_terms(k)
+        kernel = _KERNELS[k] = expansion, _joined_solve(k, joined)
+    return kernel
 
 
 def block_minors(rows, rhs):
@@ -109,7 +143,7 @@ def block_minors(rows, rhs):
     the right-hand sides ``rhs`` as column 2k, one per column set in
     ``combinations`` order: the first row's entries are the 1 x 1 minors,
     and each further row extends those of the rows above it."""
-    expansion, _ = _term_table(len(rows))
+    expansion, _ = _kernel(len(rows))
     level = rows[0] + [rhs[0]]
     for row, r, terms in zip(rows[1:], rhs[1:], expansion):
         signed = row + [r]
@@ -126,18 +160,11 @@ def solve_integer(reduction_a, reduction_b, lift_a, lift_b):
     Returns ``(sign, numerators, det)``: the sign of the determinant
     ``det`` in {-1, 0, +1} and integer Cramer numerators over it, so that
     ``x_i = numerators[i] / det``; both are ``None`` when the system is
-    singular.  The terms are products of block a's cached
-    ``signed_minors()`` and block b's ``minors()``; those in which a
+    singular.  The terms are products of the two blocks' cached
+    ``minors()``, summed by the compiled solve of k; those in which a
     block's right-hand side stands are summed apart and multiplied by its
     lift once.  ``det`` is the joined matrix's own, so it and the
     numerators have the magnitudes Bareiss elimination gives.
     """
-    _, joined = _term_table(len(reduction_a.con_rows))
-    sums = _signed_sums(reduction_a.signed_minors(), reduction_b.minors(),
-                        joined)
-    det = sums[0] + sums[1]
-    if not det:
-        return 0, None, None
-    numerators = list(map(add, map(lift_a.__mul__, sums[2::2]),
-                          map(lift_b.__mul__, sums[3::2])))
-    return (1 if det > 0 else -1), numerators, det
+    _, solve = _kernel(len(reduction_a.con_rows))
+    return solve(reduction_a.minors(), reduction_b.minors(), lift_a, lift_b)

@@ -19,19 +19,18 @@ time a candidate reads them; the (cell 2, cell 3) reductions, and their
 minors, are kept until the keyframe interval is done.  The kernel returns
 the candidate's verdict (singular, outside, on a boundary, or strictly
 interior) decided on integers, and builds rationals only for a triple
-point's witness.  Each row the
-reductions leave is divided by its content (the gcd of its entries and
-right-hand side), which roughly halves the width of the integers that
-reach the solve.  Before that, prism
-triples and then cell triples are prefiltered by their extents along the
+point's witness.  Each row the reductions leave is divided by its content
+(the gcd of its entries and right-hand side), which roughly halves the
+width of the integers that reach the solve.  Before that, prism triples
+and then cell triples are prefiltered by their extents along the
 coordinates and the directions e_i +- e_j, computed on integers about 64
 bits wide: the track is rounded outward onto one power-of-two grid, so the
-extents contain the exact ones and no triple that can meet is cut.  Every grid vertex is
-expanded into its ends along those directions once, a keyframe at a time,
-and the extents of a prism or cell are the least and greatest of its
-vertices' ends.  The set-up is lazy: a prism's cells are built only when a
-prism triple that passes reaches it, and a cell's rational points and
-simplex frame only when it enters a candidate triple.
+extents contain the exact ones and no triple that can meet is cut.  Every
+grid vertex is expanded into its ends along those directions once, a
+keyframe at a time, and the extents of a prism or cell are the least and
+greatest of its vertices' ends.  The set-up is lazy: a prism's cells are
+built only when a prism triple that passes reaches it, and a cell's
+rational points and simplex frame only when it enters a candidate triple.
 Strictly interior transverse solutions are the signed triple points; their
 algebraic count over a homotopy to the trivial ornament is the invariant,
 and over an arbitrary homotopy it is the difference of the endpoint

@@ -10,6 +10,7 @@ silently moving a benchmark metric.
 
 import ast
 from collections import Counter
+from importlib import import_module
 from math import gcd
 from pathlib import Path
 from statistics import median
@@ -30,7 +31,9 @@ K2_REFERENCE_COUNTS = {
     "sweep.solves": 50090,
 }
 
-RUN_SCRIPT = Path(__file__).resolve().parent.parent / "perfbench" / "run.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+RUN_SCRIPT = PERFBENCH / "run.py"
+TRACE_SCRIPT = PERFBENCH / "tracing.py"
 
 
 class Tally:
@@ -189,51 +192,48 @@ def test_sweep_triangular_rows_borromean_k1_r3(borromean_k1_r3, monkeypatch):
 
 def test_sweep_minors_borromean_k1_r3(borromean_k1_r3, monkeypatch):
     """Each of the sweep's 923 pair reductions expands its minors once,
-    however many of the 4,906 joined solves read them; only the 484
-    (cell 1, cell 2) reductions, block a of every solve, keep a signed
-    copy, once each; and the term table of k=1 is built once.  The work
+    however many of the 4,906 joined solves read them, and the term table
+    of k=1 and the solve compiled from it are built once.  The work
     counters do not move."""
     live_reduction = sweep.pair_reduction
     live_minors = geometry.PairReduction.minors
-    live_signed = geometry.PairReduction.signed_minors
     live_terms = laplace._signed_terms
+    live_solve = laplace._joined_solve
     reductions = []
-    returned = {"minors": {}, "signed": {}}  # kind -> id -> lists returned
+    returned = {}  # id -> minors lists returned
     tables = []
+    compiled = []
 
     def reduction(frame_x, frame2):
         result = live_reduction(frame_x, frame2)
         reductions.append(result)
         return result
 
-    def recording(kind, live):
-        def method(self):
-            values = live(self)
-            returned[kind].setdefault(id(self), []).append(values)
-            return values
-        return method
+    def minors(self):
+        values = live_minors(self)
+        returned.setdefault(id(self), []).append(values)
+        return values
 
     def terms(k):
         tables.append(k)
         return live_terms(k)
 
+    def joined_solve(k, joined):
+        compiled.append(k)
+        return live_solve(k, joined)
+
     monkeypatch.setattr(sweep, "pair_reduction", reduction)
-    monkeypatch.setattr(geometry.PairReduction, "minors",
-                        recording("minors", live_minors))
-    monkeypatch.setattr(geometry.PairReduction, "signed_minors",
-                        recording("signed", live_signed))
+    monkeypatch.setattr(geometry.PairReduction, "minors", minors)
     monkeypatch.setattr(laplace, "_signed_terms", terms)
-    monkeypatch.setattr(laplace, "_TERM_TABLES", {})
+    monkeypatch.setattr(laplace, "_joined_solve", joined_solve)
+    monkeypatch.setattr(laplace, "_KERNELS", {})
     solves = Tally(monkeypatch, sweep, "solve_integer", singular)
     assert sweep.mu_via_sweep(borromean_k1_r3, seed=0) == 1
     assert len(reductions) == 923 and None not in reductions
-    assert len(returned["minors"]) == 923
-    assert len(returned["signed"]) == 484
-    for kind in returned.values():
-        assert all(values is seen[0] for seen in kind.values()
-                   for values in seen)
-    assert sum(map(len, returned["signed"].values())) == 4906
-    assert tables == [1]
+    assert len(returned) == 923
+    assert all(values is seen[0] for seen in returned.values()
+               for values in seen)
+    assert tables == [1] and compiled == [1]
     assert (solves.calls, solves.hits) == (4906, 0)
 
 
@@ -334,16 +334,39 @@ def test_validate_counters_borromean_k2(borromean_k2, monkeypatch):
     assert (boxes.calls, boxes.hits) == (4064, 3570)
 
 
+def assigned(script, name):
+    """The values of the top-level assignments to ``name`` in ``script``,
+    parsed without running or importing it."""
+    tree = ast.parse(script.read_text(), filename=str(script))
+    return [
+        node.value for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(target, ast.Name) and target.id == name
+                for target in node.targets)
+    ]
+
+
 def test_benchmark_pins_the_tested_k2_counts():
     """``perfbench/run.py`` checks each traced k=2 run against its own
     ``K2_REFERENCE_COUNTS``; read without running or importing the script,
     they are the counts the k=2 tests here pin."""
-    tree = ast.parse(RUN_SCRIPT.read_text(), filename=str(RUN_SCRIPT))
-    recorded = [
-        ast.literal_eval(node.value) for node in tree.body
-        if isinstance(node, ast.Assign)
-        and any(isinstance(target, ast.Name)
-                and target.id == "K2_REFERENCE_COUNTS"
-                for target in node.targets)
-    ]
+    recorded = [ast.literal_eval(value)
+                for value in assigned(RUN_SCRIPT, "K2_REFERENCE_COUNTS")]
     assert recorded == [K2_REFERENCE_COUNTS]
+
+
+def test_every_traced_hook_names_a_callable():
+    """Every ``(module, attribute)`` that ``perfbench/tracing.py`` hooks,
+    read without importing the script, names a callable of
+    ``ornaments.<module>``: a refactor that drops a traced binding, such as
+    ``sweep.solve_integer``, fails here instead of leaving its metric
+    absent from traced runs."""
+    (hooks,) = assigned(TRACE_SCRIPT, "HOOKS")
+    named = [tuple(map(ast.literal_eval, entry.elts[:2]))
+             for entry in hooks.elts]
+    assert {("sweep", "solve_integer"), ("degree", "solve_integer")} <= set(
+        named)
+    absent = [f"{module}.{attr}" for module, attr in named
+              if not callable(getattr(import_module(f"ornaments.{module}"),
+                                      attr, None))]
+    assert absent == []
