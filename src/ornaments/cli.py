@@ -197,6 +197,10 @@ def cmd_sweep(args):
     if not validate_ornament(start).ok or not validate_ornament(end).ok:
         return _fail("track endpoints must be valid ornaments")
     try:
+        degree.component_k(start)
+    except DimensionMismatch as exc:
+        return _fail(str(exc))
+    try:
         points, _ = sweep.sweep_with_retries(track, seed=args.seed)
         mu_start, _ = degree.mu_via_degree_auto(start, seed=args.seed)
         mu_end, _ = degree.mu_via_degree_auto(end, seed=args.seed)

@@ -24,16 +24,18 @@ with no solve.
 
 Before any solve, a triple must pass a prefilter: the ray has to meet an
 interval hull of the map over the three facet boxes.  The prefilter runs
-on integers alone.  Every facet box is rounded outward onto one
-power-of-two grid (lower ends down, upper ends up), so each facet's share
-of the hull is made of integers about 64 bits wide, and the ray is
-cleared of denominators; "some s >= 0 puts s*v in the box" does not
-change under positive scalings of the box or of v, and the rounded hull
-contains the scaled exact one, so every triple whose exact hull meets the
-ray reaches a solve.  A triple let through by the rounding alone has
-closed cells that miss the ray, so its solve finds nothing: a singular
-system fails the touching test, and a nonsingular one has its solution
-outside some facet.  The answer, the witnesses and the retries are
+on integers alone, on the prefilter layer of :mod:`ornaments.geometry`
+that validation and the sweep share.  Every vertex image is rounded
+outward onto one power-of-two grid (:func:`outward_grid`), and a facet's
+box is the :func:`hull` of its vertices' brackets (lower ends down, upper
+ends up), so each facet's share of the hull is made of integers about 64
+bits wide, and the ray is cleared of denominators; "some s >= 0 puts s*v
+in the box" does not change under positive scalings of the box or of v,
+and the rounded hull contains the scaled exact one, so every triple whose
+exact hull meets the ray reaches a solve.  A triple let through by the
+rounding alone has closed cells that miss the ray, so its solve finds
+nothing: a singular system fails the touching test, and a nonsingular one
+has its solution outside some facet.  The answer, the witnesses and the retries are
 therefore those of the exact hull.  Each share is normalised by the ray
 once per direction (:func:`normalise_by_ray`: coordinate c scaled by
 L / |v_c|, L the lcm of the nonzero |v_c|, and negated when v_c < 0), so
@@ -69,6 +71,7 @@ from .geometry import (
     Vector,
     derive_seed,
     feasible_point,
+    hull,
     integer_scaled,
     normalise_by_ray,
     outward_grid,
@@ -162,30 +165,22 @@ def _sphere_map_box_terms(o):
     """Per component and facet, the facet's integer share of an interval
     hull of (2x-y-z, 2y-x-z) over the boxes of a facet triple.
 
-    Every facet box is rounded outward onto one power-of-two grid
-    (:func:`outward_grid`: lower ends down, upper ends up), so it contains
-    ``2 ** shift`` times the exact box.  The hull of a triple is the sum of
-    its three shares, each a pair ``(mins, maxs)`` of integer lists built
-    from those rounded ends, and so contains ``2 ** shift`` times the exact
-    rational hull, with integers about 64 bits wide.
+    Every vertex image is rounded outward onto one power-of-two grid
+    (:func:`outward_grid`), and a facet's box is the :func:`hull` of its
+    vertices' brackets: lower ends rounded down, upper ends up, so it
+    contains ``2 ** shift`` times the exact box.  The hull of a triple is
+    the sum of its three shares, each a pair ``(mins, maxs)`` of integer
+    lists built from those rounded ends, and so contains ``2 ** shift``
+    times the exact rational hull, with integers about 64 bits wide.
     """
-    boxes = [
-        [f.facet_box(i) for i in range(len(f.domain.facets))]
-        for f in o.components
-    ]
-    _, floors, ceils = outward_grid(
-        c for per_facet in boxes for box in per_facet
-        for side in box for c in side
-    )
-    width = o.m
+    _, brackets = outward_grid(img for f in o.components for img in f.images)
+    grid = iter(brackets)
     terms = []
-    start = 0
-    for which, per_facet in enumerate(boxes):
+    for which, f in enumerate(o.components):
+        points = [next(grid) for _ in f.images]
         shares = []
-        for _ in per_facet:
-            lo = floors[start:start + width]
-            hi = ceils[start + width:start + 2 * width]
-            start += 2 * width
+        for facet in f.domain.facets:
+            lo, hi = hull([points[v] for v in facet])
             if which == 0:
                 mins = [2 * a for a in lo] + [-b for b in hi]
                 maxs = [2 * b for b in hi] + [-a for a in lo]
@@ -299,9 +294,10 @@ def mu_via_degree(o, v):
     return global_sign * total, solutions
 
 
-def mu_via_degree_auto(o, seed=0, max_attempts=64):
-    """Retry mu_via_degree over seeded directions until one is generic."""
-    for attempt in range(max_attempts):
+def mu_via_degree_auto(o, seed=0):
+    """Retry mu_via_degree over 64 seeded directions until one is
+    generic."""
+    for attempt in range(64):
         v = ray_direction(o.m, derive_seed(seed, "ray", attempt))
         try:
             return mu_via_degree(o, v)

@@ -45,7 +45,7 @@ import random
 import re
 
 from fractions import Fraction as Rat
-from operator import mul
+from operator import le, mul
 
 from .laplace import block_minors
 
@@ -251,42 +251,14 @@ def back_substitute(rows, rhs):
     return numerators
 
 
-def common_denominator(values):
-    """Least positive integer whose product with every value is integral."""
-    return math.lcm(*[c.denominator for c in values])
-
-
-def integer_scaled(coords, scale=None):
-    """``(scale, ints)`` with a positive integer ``scale`` such that
+def integer_scaled(coords):
+    """``(scale, ints)`` with ``scale`` the least positive integer such that
     ``scale * coords`` is integral; scaling a matrix column or a right-hand
-    side this way preserves determinant signs and is undone on solutions.
-
-    ``scale`` defaults to :func:`common_denominator` of ``coords``; a given
-    one must be a multiple of it (say, one scale shared by many lists)."""
-    if scale is None:
-        scale = common_denominator(coords)
+    side this way preserves determinant signs and is undone on solutions."""
+    scale = math.lcm(*[c.denominator for c in coords])
     if scale == 1:
         return 1, [c.numerator for c in coords]
     return scale, [c.numerator * (scale // c.denominator) for c in coords]
-
-
-def outward_grid(values):
-    """``(shift, floors, ceils)``: the rationals (or integers) ``values``
-    rounded outward onto the grid of step ``2 ** -shift``, that is
-    ``floor(x * 2 ** shift)`` and ``ceil(x * 2 ** shift)`` for every x,
-    both exact when ``x * 2 ** shift`` is an integer.
-
-    One shift serves all values and puts the largest magnitude near 2**60,
-    so the integers stay about 64 bits wide whatever the denominators.
-    Intervals built from floors of lower and ceils of upper ends contain
-    ``2 ** shift`` times the exact ones: the grid serves prefilters that
-    only have to be conservative."""
-    ratios = [x.as_integer_ratio() for x in values]
-    top = max((abs(n) // d for n, d in ratios), default=0)
-    shift = max(0, 60 - top.bit_length())
-    floors = [(n << shift) // d for n, d in ratios]
-    ceils = [-((-n << shift) // d) for n, d in ratios]
-    return shift, floors, ceils
 
 
 class SimplexFrame:
@@ -785,32 +757,56 @@ def feasible_point(eq_rows, nvars, scales=None):
 
 
 # ---------------------------------------------------------------------------
-# Exact bounding-box prefilters.
+# The prefilter layer of validation and both routes: outward grid, hulls
+# of brackets, and the meet and intersection of extents.
 # ---------------------------------------------------------------------------
 
-def bounding_box(points):
-    """Componentwise (mins, maxs) over a nonempty iterable of point tuples."""
-    it = iter(points)
-    first = next(it)
-    mins = list(first)
-    maxs = list(first)
-    for p in it:
-        for i, c in enumerate(p):
-            if c < mins[i]:
-                mins[i] = c
-            elif c > maxs[i]:
-                maxs[i] = c
-    return tuple(mins), tuple(maxs)
+def outward_grid(points):
+    """``(shift, brackets)``: the points (tuples of rationals or integers)
+    rounded outward onto the grid of step ``2 ** -shift``, one bracket
+    ``(floors, ceils)`` of integer tuples per point, ``floor(x * 2 **
+    shift)`` and ``ceil(x * 2 ** shift)`` for every coordinate x, both
+    exact when ``x * 2 ** shift`` is an integer.
+
+    One shift serves all points and puts the largest magnitude near 2**60,
+    so the integers stay about 64 bits wide whatever the denominators.
+    Floor and ceil are monotone, so the :func:`hull` of brackets contains
+    ``2 ** shift`` times the exact box of the points, and is the box's own
+    rounding: the grid serves prefilters that only have to be
+    conservative."""
+    ratios = [[x.as_integer_ratio() for x in p] for p in points]
+    top = max((abs(n) // d for p in ratios for n, d in p), default=0)
+    shift = max(0, 60 - top.bit_length())
+    return shift, [
+        (tuple((n << shift) // d for n, d in p),
+         tuple(-((-n << shift) // d) for n, d in p))
+        for p in ratios
+    ]
+
+
+def hull(brackets):
+    """The extents ``(mins, maxs)`` of a nonempty list of brackets or
+    extents ``(lows, highs)``: the least lower and the greatest upper end
+    of every coordinate.  ``hull([(p, p) for p in points])`` is the exact
+    bounding box of the points."""
+    return ([min(col) for col in zip(*[b[0] for b in brackets])],
+            [max(col) for col in zip(*[b[1] for b in brackets])])
+
+
+def extents_meet(a, b):
+    """Whether the closed extents ``a`` and ``b``, each ``(mins, maxs)``,
+    share a point."""
+    return all(map(le, a[0], b[1])) and all(map(le, b[0], a[1]))
 
 
 def box_intersection(a, b):
-    """Intersection of two closed boxes, or ``None`` when empty."""
-    mins = tuple(max(x, y) for x, y in zip(a[0], b[0]))
-    maxs = tuple(min(x, y) for x, y in zip(a[1], b[1]))
-    for lo, hi in zip(mins, maxs):
-        if lo > hi:
-            return None
-    return mins, maxs
+    """The common part of the closed extents ``a`` and ``b``, or ``None``
+    when they do not meet; a third extent meets both of them exactly
+    when it meets (:func:`extents_meet`) their common part."""
+    if not extents_meet(a, b):
+        return None
+    return ([x if x > y else y for x, y in zip(a[0], b[0])],
+            [x if x < y else y for x, y in zip(a[1], b[1])])
 
 
 def normalise_by_ray(direction, box):

@@ -26,10 +26,10 @@ from .geometry import (
     DimensionMismatch,
     Rat,
     Vector,
-    bounding_box,
     box_intersection,
     derive_seed,
     feasible_point,
+    hull,
     integer_scaled,
     random_rational_perturbation,
 )
@@ -171,7 +171,7 @@ class PLMap:
     """A triangulated manifold together with rational vertex images in R^m;
     the map is affine on each facet."""
 
-    __slots__ = ("domain", "ambient_dim", "images", "_facet_boxes")
+    __slots__ = ("domain", "ambient_dim", "images")
 
     def __init__(self, domain, ambient_dim, images):
         images = tuple(img if isinstance(img, Vector) else Vector(img)
@@ -188,17 +188,9 @@ class PLMap:
         self.domain = domain
         self.ambient_dim = ambient_dim
         self.images = images
-        self._facet_boxes = {}
 
     def facet_points(self, i):
         return [self.images[v] for v in self.domain.facets[i]]
-
-    def facet_box(self, i):
-        box = self._facet_boxes.get(i)
-        if box is None:
-            box = bounding_box(tuple(p.coords for p in self.facet_points(i)))
-            self._facet_boxes[i] = box
-        return box
 
     def __eq__(self, other):
         return (
@@ -310,7 +302,7 @@ def validate_ornament(o):
         boxed = [[x * (scale // w) for x in pt] for w, pt in comp]
         facets.append([
             ([comp[v][0] for v in facet], [comp[v][1] for v in facet],
-             bounding_box([boxed[v] for v in facet]))
+             hull([(boxed[v], boxed[v]) for v in facet]))
             for facet in f.domain.facets
         ])
     boxes1, boxes2, boxes3 = ([box for _, _, box in comp] for comp in facets)

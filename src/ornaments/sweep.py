@@ -24,11 +24,12 @@ point's witness.  Each row the reductions leave is divided by its content
 width of the integers that reach the solve.  Before that, prism triples
 and then cell triples are prefiltered by their extents along the
 coordinates and the directions e_i +- e_j, computed on integers about 64
-bits wide: the track is rounded outward onto one power-of-two grid, so the
-extents contain the exact ones and no triple that can meet is cut.  Every
-grid vertex is expanded into its ends along those directions once, a
-keyframe at a time, and the extents of a prism or cell are the least and
-greatest of its vertices' ends.  The set-up is lazy: a prism's cells are
+bits wide on the prefilter layer of :mod:`ornaments.geometry` that
+validation and the degree route share: the track is rounded outward onto
+one power-of-two grid, so the extents contain the exact ones and no triple
+that can meet is cut.  Every grid vertex is expanded into its ends along
+those directions once, a keyframe at a time, and the extents of a prism or
+cell are the :func:`hull` of its vertices' ends.  The set-up is lazy: a prism's cells are
 built only when a prism triple that passes reaches it, and a cell's
 rational points and simplex frame only when it enters a candidate triple.
 Strictly interior transverse solutions are the signed triple points; their
@@ -46,14 +47,17 @@ untouched.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import le
+from itertools import combinations
 
 from .geometry import (
     DimensionMismatch,
     Rat,
     Vector,
+    box_intersection,
     derive_seed,
+    extents_meet,
     feasible_point,
+    hull,
     outward_grid,
     pair_reduction,
     random_rational_perturbation,
@@ -228,34 +232,18 @@ _COLLAPSE_CUTS = (Rat(1, 8), Rat(1, 4), Rat(3, 8), Rat(1, 2), Rat(3, 4))
 
 def _integer_frames(track):
     """Per keyframe, each vertex image with the time appended, rounded
-    outward onto one power-of-two grid by :func:`outward_grid`: a pair
-    ``(floors, ceils)`` of integer tuples bracketing ``2 ** shift`` times
-    the point, indexed like ``track.images`` (compare
-    :func:`cell_points`)."""
-    width = track.m + 1
-    _, floors, ceils = outward_grid(
-        c for t, frame in zip(track.times, track.images) for comp in frame
-        for img in comp for c in img.coords + (t,)
+    outward onto one power-of-two grid by :func:`outward_grid`: a bracket
+    ``(floors, ceils)`` of integer tuples around ``2 ** shift`` times the
+    point, indexed like ``track.images`` (compare :func:`cell_points`)."""
+    _, brackets = outward_grid(
+        img.coords + (t,) for t, frame in zip(track.times, track.images)
+        for comp in frame for img in comp
     )
-    grid = iter([
-        (tuple(floors[i:i + width]), tuple(ceils[i:i + width]))
-        for i in range(0, len(floors), width)
-    ])
+    grid = iter(brackets)
     return [
         tuple(tuple(next(grid) for _ in comp) for comp in frame)
         for frame in track.images
     ]
-
-
-def _extent_directions(width):
-    """Index pairs defining the prefilter directions e_i + e_j and
-    e_i - e_j; together with the plain coordinates they separate thin
-    simplices far better than boxes alone."""
-    pairs = []
-    for i in range(width):
-        for j in range(i + 1, width):
-            pairs.append((i, j))
-    return pairs
 
 
 def _vertex_extents(point, pairs):
@@ -274,32 +262,11 @@ def _vertex_extents(point, pairs):
     return low, high
 
 
-def _hull(vertices):
-    """Extents of a cell or prism from its vertices' :func:`_vertex_extents`:
-    the least lower and the greatest upper end in every direction.  They
-    contain the exact extents; a conservative separating-interval
-    prefilter."""
-    return ([min(col) for col in zip(*[v[0] for v in vertices])],
-            [max(col) for col in zip(*[v[1] for v in vertices])])
-
-
 def _expanded_frame(frame, pairs):
     """:func:`_vertex_extents` of every grid point of one keyframe of
     :func:`_integer_frames`, indexed like it."""
     return tuple(tuple(_vertex_extents(point, pairs) for point in comp)
                  for comp in frame)
-
-
-def _extents_meet(a, b):
-    return all(map(le, a[0], b[1])) and all(map(le, b[0], a[1]))
-
-
-def _extents_common(a, b):
-    """The common part of two extents that meet (see :func:`_extents_meet`):
-    the three extents a, b and c meet exactly when
-    ``_extents_meet(_extents_common(a, b), c)``."""
-    return ([x if x > y else y for x, y in zip(a[0], b[0])],
-            [x if x < y else y for x, y in zip(a[1], b[1])])
 
 
 class _SweepCell:
@@ -333,7 +300,7 @@ def _interval_triple_points(track, j, vertices):
     See :func:`detect_triple_points`."""
     found = []
     prism_extents = [
-        [_hull([vertices[level][ci][v] for level in (0, 1) for v in facet])
+        [hull([vertices[level][ci][v] for level in (0, 1) for v in facet])
          for facet in dom.facets]
         for ci, dom in enumerate(track.domains)
     ]
@@ -345,7 +312,7 @@ def _interval_triple_points(track, j, vertices):
         if entries is None:
             facet = track.domains[ci].facets[fi]
             entries = prism_cells[ci][fi] = [
-                _SweepCell(cell, _hull(
+                _SweepCell(cell, hull(
                     [vertices[level][ci][v] for v, level in cell.vertices]
                 ))
                 for cell in staircase_cells(facet, ci, fi, j)
@@ -354,12 +321,12 @@ def _interval_triple_points(track, j, vertices):
 
     for i1, x1 in enumerate(prism_extents[0]):
         for i2, x2 in enumerate(prism_extents[1]):
-            if not _extents_meet(x1, x2):
+            x12 = box_intersection(x1, x2)
+            if x12 is None:
                 continue
-            x12 = _extents_common(x1, x2)
             third = [
                 i3 for i3, x3 in enumerate(prism_extents[2])
-                if _extents_meet(x12, x3)
+                if extents_meet(x12, x3)
             ]
             if not third:
                 continue
@@ -368,12 +335,12 @@ def _interval_triple_points(track, j, vertices):
                 cx1 = entry1.extents
                 for entry2 in cells_of(1, i2):
                     cx2 = entry2.extents
-                    if not _extents_meet(cx1, cx2):
+                    cx12 = box_intersection(cx1, cx2)
+                    if cx12 is None:
                         continue
-                    cx12 = _extents_common(cx1, cx2)
                     candidates = [
                         entry3 for entry3 in cells3
-                        if _extents_meet(cx12, entry3.extents)
+                        if extents_meet(cx12, entry3.extents)
                     ]
                     if not candidates:
                         continue
@@ -445,7 +412,7 @@ def detect_triple_points(track):
     The set-up is lazy.  The grid vertices of keyframes j and j + 1 are
     expanded by :func:`_vertex_extents` for interval j, those of j + 1
     kept for the next, and the extents of a prism or cell are the
-    :func:`_hull` of its vertices' (its 2(d + 1) or d + 2 of them), so a
+    :func:`hull` of its vertices' (its 2(d + 1) or d + 2 of them), so a
     prism's equal the union of its cells'.  A prism's cells and their
     extents are built when a prism triple that passes reaches it, and a
     cell's rational points and simplex frame (which carries its column
@@ -466,7 +433,9 @@ def detect_triple_points(track):
     NonGenericTrack on any exactly-degenerate configuration.
     """
     found = []
-    pairs = _extent_directions(track.m + 1)
+    # The directions e_i + e_j and e_i - e_j: with the plain coordinates
+    # they separate thin simplices far better than boxes alone.
+    pairs = list(combinations(range(track.m + 1), 2))
     int_frames = _integer_frames(track)
     upper = _expanded_frame(int_frames[0], pairs)
     for j in range(len(track.times) - 1):
@@ -478,23 +447,21 @@ def detect_triple_points(track):
     return found
 
 
-def _refined_track(track, seed, attempt, eps=None):
+def _refined_track(track, seed, attempt):
     """Insert a midpoint keyframe into every interval of the original track
     and jiggle the inserted frames; endpoints are never touched.
 
     Each inserted vertex is the average of its images at the two
     neighbouring keyframes with every coordinate moved by less than
     ``eps / 2 ** (4 + attempt % 8)``, seeded by ``(seed, attempt)``;
-    ``eps`` defaults to the span of the track's image coordinates, or 1 if
-    that is smaller.  The scale thus falls from eps/16 to eps/2048 over
-    attempts 0-7 and repeats every 8 attempts, with fresh seeds."""
-    if eps is None:
-        coords = [
-            c for frame in track.images for comp in frame
-            for img in comp for c in img
-        ]
-        eps = max(max(coords) - min(coords), Rat(1))
-    eps = Rat(eps) / 2 ** (4 + attempt % 8)
+    ``eps`` is the span of the track's image coordinates, or 1 if that is
+    smaller.  The scale thus falls from eps/16 to eps/2048 over attempts
+    0-7 and repeats every 8 attempts, with fresh seeds."""
+    coords = [
+        c for frame in track.images for comp in frame
+        for img in comp for c in img
+    ]
+    eps = max(max(coords) - min(coords), Rat(1)) / 2 ** (4 + attempt % 8)
     times = []
     frames = []
     for j in range(len(track.times) - 1):
@@ -518,8 +485,9 @@ def _refined_track(track, seed, attempt, eps=None):
     return HomotopyTrack(track.domains, track.m, times, frames)
 
 
-def sweep_with_retries(track, seed=0, max_attempts=32, eps=None):
-    """Detect triple points, refining the track on degeneracy.
+def sweep_with_retries(track, seed=0):
+    """Detect triple points, refining the track on degeneracy, at most 32
+    times.
 
     Returns ``(points, swept_track)`` where the track is either the input or
     a refinement with jiggled midpoint keyframes and the same endpoints (see
@@ -530,8 +498,8 @@ def sweep_with_retries(track, seed=0, max_attempts=32, eps=None):
         return detect_triple_points(track), track
     except NonGenericTrack:
         pass
-    for attempt in range(max_attempts):
-        candidate = _refined_track(track, seed, attempt, eps)
+    for attempt in range(32):
+        candidate = _refined_track(track, seed, attempt)
         try:
             return detect_triple_points(candidate), candidate
         except NonGenericTrack:
@@ -579,13 +547,12 @@ def _collapse_track(o, targets):
     return linear_track(o, end, cuts=_COLLAPSE_CUTS)
 
 
-def straight_line_homotopy_to_trivial(o, targets, eps=None, seed=0):
+def straight_line_homotopy_to_trivial(o, targets, seed=0):
     """Track of the straight-line homotopy collapsing each component to its
-    target point, refined (midpoint keyframes jiggled by less than ``eps /
-    16``, see :func:`_refined_track`) until the sweep is generic; endpoints
-    are exact."""
-    _, swept = sweep_with_retries(_collapse_track(o, targets), seed=seed,
-                                  eps=eps)
+    target point, refined (midpoint keyframes jiggled by less than a
+    sixteenth of the track's span, see :func:`_refined_track`) until the
+    sweep is generic; endpoints are exact."""
+    _, swept = sweep_with_retries(_collapse_track(o, targets), seed=seed)
     return swept
 
 

@@ -3,8 +3,10 @@
 Deliberately self-contained: the feasibility oracle enumerates candidate
 vertices of the constraint polyhedron with its own little Gaussian
 elimination instead of calling anything from the package, so the two
-routes share no code.  The rational ray-box test and sphere-map box are
-the references for the integer prefilter of the degree route.  The direct
+routes share no code.  The rational ray-box test and sphere-map box, over
+facet boxes built from the facets' points, are the references for the
+integer prefilter of the degree route, and the shares rounded from whole
+facet boxes for its shares built from each vertex's grid bracket.  The direct
 triple solve is the reference for the pair-reduced kernel as the sweep
 uses it, and the direct ray solve for the kernel as the degree route uses
 it: each solves the whole block system (4k x 4k, and 2m x 2m) with the
@@ -40,6 +42,7 @@ from ornaments.geometry import (
     back_substitute,
     eliminate,
     integer_scaled,
+    outward_grid,
 )
 from ornaments.model import validate_ornament
 from ornaments.sweep import (
@@ -377,6 +380,46 @@ def sphere_map_box(b1, b2, b3):
         mins.append(2 * lo2 - hi1 - hi3)
         maxs.append(2 * hi2 - lo1 - lo3)
     return tuple(mins), tuple(maxs)
+
+
+def facet_box(f, i):
+    """Reference facet box of the PL map ``f``: the componentwise least
+    and greatest coordinates of facet ``i``'s points, ``(mins, maxs)``."""
+    coords = [p.coords for p in f.facet_points(i)]
+    return tuple(map(min, zip(*coords))), tuple(map(max, zip(*coords)))
+
+
+def sphere_map_box_terms(o):
+    """Reference for the degree route's integer shares: every
+    :func:`facet_box` end rounded outward onto one grid as a point of its
+    own (a box's mins down, its maxs up), then each facet's share of the
+    sphere-map hull, ``(mins, maxs)``, from its rounded box."""
+    boxes = [
+        [facet_box(f, i) for i in range(len(f.domain.facets))]
+        for f in o.components
+    ]
+    _, brackets = outward_grid(
+        side for per_facet in boxes for box in per_facet for side in box
+    )
+    ends = iter(brackets)
+    terms = []
+    for which, per_facet in enumerate(boxes):
+        shares = []
+        for _ in per_facet:
+            lo = list(next(ends)[0])
+            hi = list(next(ends)[1])
+            if which == 0:
+                mins = [2 * a for a in lo] + [-b for b in hi]
+                maxs = [2 * b for b in hi] + [-a for a in lo]
+            elif which == 1:
+                mins = [-b for b in hi] + [2 * a for a in lo]
+                maxs = [-a for a in lo] + [2 * b for b in hi]
+            else:
+                mins = [-b for b in hi] * 2
+                maxs = [-a for a in lo] * 2
+            shares.append((mins, maxs))
+        terms.append(shares)
+    return terms
 
 
 def eliminate_sliced(aug, ncols, skip=False):

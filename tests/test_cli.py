@@ -270,6 +270,28 @@ def test_sweep_rejects_invalid_endpoints(tmp_path, capsys):
     assert code == 1
 
 
+def test_sweep_dimension_mismatch_is_input_error(tmp_path, capsys):
+    """A track in R^3 of 1-dimensional components (3d != 2m - 1) is
+    rejected before the sweep, with a JSON error and no traceback."""
+    o = make_borromean(1)
+
+    def lifted(c):
+        return Ornament([
+            PLMap(f.domain, 3, [tuple(img) + (c,) for img in f.images])
+            for f in o.components
+        ])
+
+    path = tmp_path / "lifted.json"
+    path.write_text(formats.dumps_doc(
+        formats.track_to_doc(linear_track(lifted(0), lifted(1)))
+    ))
+    code = cli.main(["sweep", str(path)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "3d = 2m-1" in json.loads(captured.out)["error"]
+    assert "Traceback" not in captured.err
+
+
 def test_gen_with_eps_perturbs_but_keeps_invariant(tmp_path, capsys):
     out = tmp_path / "b1eps.json"
     code, _ = run(capsys, "gen", "borromean", "--k", "1", "--eps", "1/16",

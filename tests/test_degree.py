@@ -38,11 +38,13 @@ from ornaments.model import (
 )
 
 from oracles import (
+    facet_box,
     interior_barycentric,
     point_at,
     ray_meets_box_by_division,
     solve_ray_triple,
     sphere_map_box,
+    sphere_map_box_terms,
 )
 
 
@@ -379,7 +381,7 @@ def test_integer_prefilter_passes_the_rational_triples(make, monkeypatch):
 
     monkeypatch.setattr(degree, "ray_meets_box", recording)
     boxes = [
-        [f.facet_box(i) for i in range(len(f.domain.facets))]
+        [facet_box(f, i) for i in range(len(f.domain.facets))]
         for f in o.components
     ]
     triples = list(product(*(range(len(b)) for b in boxes)))
@@ -425,17 +427,17 @@ def test_grid_hull_contains_the_scaled_rational_hull(make, monkeypatch):
     live = degree.outward_grid
     shifts = []
 
-    def grid(values):
-        shift, floors, ceils = live(values)
+    def grid(points):
+        shift, brackets = live(points)
         shifts.append(shift)
-        return shift, floors, ceils
+        return shift, brackets
 
     monkeypatch.setattr(degree, "outward_grid", grid)
     terms = degree._sphere_map_box_terms(o)
     assert len(shifts) == 1 and shifts[0] > 0
     unit = 2 ** shifts[0]
     boxes = [
-        [f.facet_box(i) for i in range(len(f.domain.facets))]
+        [facet_box(f, i) for i in range(len(f.domain.facets))]
         for f in o.components
     ]
     for triple in product(*(range(len(b)) for b in boxes)):
@@ -449,3 +451,17 @@ def test_grid_hull_contains_the_scaled_rational_hull(make, monkeypatch):
             assert 0 <= unit * x - lo <= 4
         for hi, x in zip(maxs, exact_maxs):
             assert 0 <= hi - unit * x <= 4
+
+
+@pytest.mark.parametrize("make", [
+    lambda: make_borromean(1, r=2),
+    lambda: make_random_ornament(1, 0, 1, 8),
+    lambda: make_random_ornament(1, 0, 2, 8),
+], ids=["borromean-r2", "random-seed1", "random-seed2"])
+def test_grid_shares_equal_the_rounded_facet_box_shares(make):
+    """The shares built from the hulls of the vertices' grid brackets are
+    those of the facet boxes rounded outward as a whole: floor and ceil are
+    monotone, and every box end is a vertex coordinate, so the grid's shift
+    is the same."""
+    o = make()
+    assert degree._sphere_map_box_terms(o) == sphere_map_box_terms(o)

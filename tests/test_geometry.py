@@ -1,5 +1,6 @@
 import random
-from itertools import combinations
+from itertools import combinations, product
+from operator import le
 
 import pytest
 from hypothesis import assume, example, given, strategies as st
@@ -9,13 +10,14 @@ from ornaments.geometry import (
     Rat,
     Vector,
     back_substitute,
-    bounding_box,
     box_intersection,
     cramer_status,
     derive_seed,
     eliminate,
+    extents_meet,
     feasible_point,
     format_rational,
+    hull,
     integer_scaled,
     normalise_by_ray,
     outward_grid,
@@ -704,13 +706,41 @@ def test_feasible_point_matches_gauss_jordan_oracle():
 
 # --- boxes --------------------------------------------------------------------
 
-def test_bounding_box_and_overlap():
-    box = bounding_box([(Rat(0), Rat(1)), (Rat(2), Rat(-1))])
-    assert box == ((Rat(0), Rat(-1)), (Rat(2), Rat(1)))
-    other = bounding_box([(Rat(2), Rat(0))])
-    assert box_intersection(box, other) == other
-    far = bounding_box([(Rat(3), Rat(0))])
-    assert box_intersection(box, far) is None
+def _extents(n):
+    """Small integer extents ``(mins, maxs)`` of ``n`` coordinates, with
+    single points and every kind of overlap likely."""
+    ends = st.tuples(st.integers(-3, 3), st.integers(0, 3))
+    return st.lists(ends, min_size=n, max_size=n).map(
+        lambda pairs: ([lo for lo, _ in pairs],
+                       [lo + width for lo, width in pairs]))
+
+
+def _lattice(extents):
+    return set(product(*(range(lo, hi + 1) for lo, hi in zip(*extents))))
+
+
+@given(st.integers(1, 3).flatmap(lambda n: st.tuples(
+    _extents(n), _extents(n), _extents(n),
+    st.lists(_extents(n), min_size=1, max_size=4))))
+def test_extents_meet_intersect_and_hull(case):
+    """On integer extents, the intersection is empty exactly when no
+    lattice point is common and holds exactly the common ones; a third
+    extent meets it exactly when all three share a lattice point; the hull
+    contains every bracket and attains each of its ends."""
+    a, b, c, brackets = case
+    common = box_intersection(a, b)
+    assert (common is None) == (not _lattice(a) & _lattice(b))
+    assert extents_meet(a, b) == (common is not None)
+    if common is not None:
+        assert _lattice(common) == _lattice(a) & _lattice(b)
+        assert extents_meet(common, c) == bool(
+            _lattice(a) & _lattice(b) & _lattice(c))
+    mins, maxs = hull(brackets)
+    for lows, highs in brackets:
+        assert all(map(le, mins, lows)) and all(map(le, highs, maxs))
+    for i, (lo, hi) in enumerate(zip(mins, maxs)):
+        assert lo in [lows[i] for lows, _ in brackets]
+        assert hi in [highs[i] for _, highs in brackets]
 
 
 def _meets(direction, box, share):
@@ -839,26 +869,33 @@ _GRID_VALUES = st.builds(
 )
 
 
-@given(st.lists(_GRID_VALUES, min_size=1, max_size=8))
-@example([Rat(-3, 2), Rat(5, 4), Rat(-1, 3), Rat(0)])
-@example([Rat(2 ** 70 + 1, 3), Rat(-1, 2 ** 40)])
-def test_outward_grid_brackets_every_value(values):
-    shift, floors, ceils = outward_grid(values)
-    top = max(abs(x.numerator) // x.denominator for x in values)
+@given(st.lists(st.lists(_GRID_VALUES, min_size=1, max_size=3),
+                min_size=1, max_size=4))
+@example([[Rat(-3, 2), Rat(5, 4)], [Rat(-1, 3), Rat(0)]])
+@example([[Rat(2 ** 70 + 1, 3)], [Rat(-1, 2 ** 40)]])
+def test_outward_grid_brackets_every_value(points):
+    shift, brackets = outward_grid(points)
+    top = max(abs(x.numerator) // x.denominator for p in points for x in p)
     assert shift == max(0, 60 - top.bit_length())
     unit = 2 ** shift
-    for x, lo, hi in zip(values, floors, ceils):
-        assert isinstance(lo, int) and isinstance(hi, int)
-        assert lo <= x * unit <= hi
-        assert hi - lo <= 1
-        if (x * unit).denominator == 1:
-            assert lo == hi == x * unit
-        if shift:
-            assert max(abs(lo), abs(hi)) <= 2 ** 60
+    assert len(brackets) == len(points)
+    for p, (floors, ceils) in zip(points, brackets):
+        assert type(floors) is tuple and type(ceils) is tuple
+        assert len(floors) == len(ceils) == len(p)
+        for x, lo, hi in zip(p, floors, ceils):
+            assert isinstance(lo, int) and isinstance(hi, int)
+            assert lo <= x * unit <= hi
+            assert hi - lo <= 1
+            if (x * unit).denominator == 1:
+                assert lo == hi == x * unit
+            if shift:
+                assert max(abs(lo), abs(hi)) <= 2 ** 60
 
 
 def test_outward_grid_keeps_integers_and_dyadics_exact():
-    shift, floors, ceils = outward_grid([Rat(-7, 8), Rat(3), Rat(5, 2 ** 14)])
+    shift, brackets = outward_grid([(Rat(-7, 8), Rat(3)), (Rat(5, 2 ** 14),)])
     assert shift == 58
-    assert floors == ceils == [-7 * 2 ** 55, 3 * 2 ** 58, 5 * 2 ** 44]
-    assert outward_grid([2 ** 64, -1]) == (0, [2 ** 64, -1], [2 ** 64, -1])
+    exact = (-7 * 2 ** 55, 3 * 2 ** 58)
+    assert brackets == [(exact, exact), ((5 * 2 ** 44,), (5 * 2 ** 44,))]
+    assert outward_grid([(2 ** 64, -1)]) == (
+        0, [((2 ** 64, -1), (2 ** 64, -1))])

@@ -536,21 +536,21 @@ def _recorded_extents(track, monkeypatch):
     The per-vertex extents map ``(keyframe, component, vertex)`` to
     ``(pairs, extents)``, one :func:`sweep._vertex_extents` call each (a
     second call for one vertex fails); the cell and prism extents are the
-    :func:`sweep._hull` calls as ``(pairs, vertices, extents)``, naming
+    :func:`sweep.hull` calls as ``(pairs, vertices, extents)``, naming
     their vertices the same way (found by identity)."""
     live_grid = sweep.outward_grid
     live_frames = sweep._integer_frames
     live_vertex = sweep._vertex_extents
-    live_hull = sweep._hull
+    live_hull = sweep.hull
     shifts = []
     built = []
     expanded = []  # (point, pairs, result)
     hulls = []  # (vertex results, result)
 
-    def grid(values):
-        shift, floors, ceils = live_grid(values)
+    def grid(points):
+        shift, brackets = live_grid(points)
         shifts.append(shift)
-        return shift, floors, ceils
+        return shift, brackets
 
     def frames(track):
         result = live_frames(track)
@@ -571,7 +571,7 @@ def _recorded_extents(track, monkeypatch):
         patch.setattr(sweep, "outward_grid", grid)
         patch.setattr(sweep, "_integer_frames", frames)
         patch.setattr(sweep, "_vertex_extents", vertex)
-        patch.setattr(sweep, "_hull", hull)
+        patch.setattr(sweep, "hull", hull)
         detect_triple_points(track)
     assert len(shifts) == 1 and len(built) == 1
     where = {
