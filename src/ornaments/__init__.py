@@ -4,10 +4,8 @@ ways: as a mapping degree by ray-preimage counting, and as the algebraic
 number of triple points swept out by a homotopy to the trivial ornament."""
 
 from .geometry import (
-    DEFAULT_DENOMINATOR_LIMIT,
     DimensionMismatch,
     Rat,
-    Vector,
     format_rational,
     parse_rational,
     random_rational_perturbation,
@@ -24,13 +22,10 @@ from .model import (
 from .degree import (
     NonGenericDirection,
     PreimageSolution,
-    RayDirection,
     degree_sign,
     mu_via_degree,
     mu_via_degree_auto,
     ray_direction,
-    reverse_component_orientation,
-    unnormalized_sphere_map,
 )
 from .sweep import (
     HomotopyTrack,
@@ -40,8 +35,6 @@ from .sweep import (
     detect_triple_points,
     mu_via_sweep,
     pair_opposite_signs,
-    relative_sweep,
-    straight_line_homotopy_to_trivial,
 )
 from .constructions import (
     CrossPolytopeSphere,

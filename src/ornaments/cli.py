@@ -16,7 +16,7 @@ import functools
 import sys
 
 from . import constructions, degree, formats, sweep
-from .geometry import DimensionMismatch, Vector, parse_rational
+from .geometry import DimensionMismatch, parse_rational
 from .model import validate_manifold, validate_ornament
 
 
@@ -43,13 +43,11 @@ def _load_doc(path):
     return formats.loads_doc(text)
 
 
-def _parse_targets(text, m):
-    targets = []
-    for chunk in text.split(";"):
-        coords = [parse_rational(c.strip()) for c in chunk.split(",")]
-        if len(coords) != m:
-            raise ValueError(f"each target needs {m} coordinates")
-        targets.append(Vector(coords))
+def _parse_targets(text):
+    """Three points "p/q,...;...;..."; their dimension is checked by
+    :func:`~ornaments.constructions.make_trivial`."""
+    targets = [[parse_rational(c.strip()) for c in chunk.split(",")]
+               for chunk in text.split(";")]
     if len(targets) != 3:
         raise ValueError("exactly three targets required")
     return targets
@@ -149,7 +147,7 @@ def cmd_gen(args):
         elif args.kind == "trivial":
             targets = None
             if args.targets:
-                targets = _parse_targets(args.targets, 3 * args.k - 1)
+                targets = _parse_targets(args.targets)
             ornament = constructions.make_trivial(args.k, targets, args.r)
         else:
             ornament = constructions.make_random_ornament(

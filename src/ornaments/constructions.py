@@ -21,8 +21,9 @@ from dataclasses import dataclass
 from itertools import product
 from math import isqrt, lcm
 
-from .geometry import Rat, Vector, derive_seed, random_rational_perturbation
+from .geometry import Rat, derive_seed, random_rational_perturbation
 from .model import Ornament, PLMap, TriangulatedManifold, validate_ornament
+from .sweep import trivial_ornament
 
 
 @dataclass(frozen=True)
@@ -51,8 +52,8 @@ def cross_polytope_sphere(k, r=0):
         plus[axis] = Rat(1)
         minus = [Rat(0)] * n
         minus[axis] = Rat(-1)
-        positions.append(Vector(plus))
-        positions.append(Vector(minus))
+        positions.append(tuple(plus))
+        positions.append(tuple(minus))
     facets = []
     for signs in product((1, -1), repeat=n):
         verts = [2 * axis + (0 if s > 0 else 1) for axis, s in enumerate(signs)]
@@ -68,13 +69,12 @@ def cross_polytope_sphere(k, r=0):
     return CrossPolytopeSphere(k, r, manifold, tuple(positions))
 
 
-def _rational_inverse_sqrt(value, precision_bits=16):
-    """Rational approximation of 1/sqrt(value) for a positive rational."""
-    num = value.numerator
-    den = value.denominator
-    # 1/sqrt(num/den) = sqrt(den/num); floor-sqrt at the chosen precision.
-    approx = isqrt((den << (2 * precision_bits)) // num)
-    return Rat(approx, 1 << precision_bits)
+def _rational_inverse_sqrt(value):
+    """Rational approximation of 1/sqrt(value) for a positive rational, on
+    the grid of step 2 ** -16."""
+    # 1/sqrt(num/den) = sqrt(den/num); floor-sqrt at 16 bits.
+    approx = isqrt((value.denominator << 32) // value.numerator)
+    return Rat(approx, 1 << 16)
 
 
 def _stellar_round(manifold, positions):
@@ -84,11 +84,10 @@ def _stellar_round(manifold, positions):
     new_facets = []
     for facet in manifold.facets:
         arity = len(facet)
-        bary = Rat(1, arity) * sum(
-            (positions[v] for v in facet[1:]), positions[facet[0]]
-        )
-        factor = _rational_inverse_sqrt(bary.dot(bary))
-        center = factor * bary
+        bary = [sum(col) / arity
+                for col in zip(*[positions[v] for v in facet])]
+        factor = _rational_inverse_sqrt(sum(c * c for c in bary))
+        center = tuple(factor * c for c in bary)
         center_index = len(positions)
         positions.append(center)
         for pos in range(arity):
@@ -101,28 +100,26 @@ def _stellar_round(manifold, positions):
     )
 
 
-def rational_unit_near_diagonal(n, precision_bits=0, skew=1):
+def rational_unit_near_diagonal(n, skew=1):
     """An exact rational unit vector in R^n with all coordinates positive,
     near the diagonal direction (1, ..., 1)/sqrt(n).
 
     Built from the quadratic parameterization of rational sphere points:
     q ~ t/(1+t) on each of the first n-1 coordinates for a rational
-    t ~ 1/sqrt(n), mapped to (2q, 1-|q|^2)/(1+|q|^2).  A nonzero ``skew``
-    spreads the q entries apart slightly; a center with a coordinate
-    symmetry sits on exceptional spheres through several construction
-    vertices, which projects distinct facets onto one line and wrecks
-    validity, so asymmetric is the generic choice."""
-    s = isqrt(n << (2 * precision_bits))
-    t = Rat(1 << precision_bits, s)
+    t ~ 1/sqrt(n), 4 bits after the point, mapped to (2q, 1-|q|^2) /
+    (1+|q|^2).  A nonzero ``skew`` spreads the q entries apart slightly; a
+    center with a coordinate symmetry sits on exceptional spheres through
+    several construction vertices, which projects distinct facets onto one
+    line and wrecks validity, so asymmetric is the generic choice."""
+    t = Rat(1 << 4, isqrt(n << 8))
     base = t / (1 + t)
     q = [base * (1 + Rat(skew * (i + 1), 8 * n)) for i in range(n - 1)]
     qq = sum((x * x for x in q), Rat(0))
     denom = 1 + qq
     coords = [2 * x / denom for x in q] + [(1 - qq) / denom]
-    unit = Vector(coords)
-    assert unit.dot(unit) == 1
-    assert all(c > 0 for c in unit)
-    return unit
+    assert sum(c * c for c in coords) == 1
+    assert all(c > 0 for c in coords)
+    return tuple(coords)
 
 
 def stereographic_image(center, point, drop):
@@ -133,12 +130,11 @@ def stereographic_image(center, point, drop):
     Composing with a linear isomorphism of the target never changes
     ornament validity or the invariant, so dropping a coordinate is as good
     as choosing an orthonormal frame and keeps everything rational."""
-    denom = 1 - center.dot(point)
+    denom = 1 - sum(c * p for c, p in zip(center, point))
     if denom == 0:
         raise ValueError("point coincides with the projection center")
-    shifted = center + (1 / denom) * (point - center)
-    coords = tuple(shifted)
-    return Vector(coords[:drop] + coords[drop + 1:])
+    shifted = tuple(c + (p - c) / denom for c, p in zip(center, point))
+    return shifted[:drop] + shifted[drop + 1:]
 
 
 _PLANE_AXES = {
@@ -153,7 +149,7 @@ def _embed(position, axes, ambient):
     coords = [Rat(0)] * ambient
     for value, axis in zip(position, axes):
         coords[axis] = value
-    return Vector(coords)
+    return tuple(coords)
 
 
 def make_borromean(k, r=0, seed=0):
@@ -170,7 +166,7 @@ def make_borromean(k, r=0, seed=0):
     m = ambient - 1
     ornament = None
     for skew in (1, 2, 3, 5, 7):
-        center = rational_unit_near_diagonal(ambient, precision_bits=4, skew=skew)
+        center = rational_unit_near_diagonal(ambient, skew=skew)
         drop = max(range(ambient), key=lambda i: center[i])
         # Scaling the whole target space by the center's common denominator
         # keeps the image coordinates' denominators small (positive scalings
@@ -185,15 +181,16 @@ def make_borromean(k, r=0, seed=0):
             images = []
             for pos in sphere.positions:
                 embedded = _embed(pos, axes, ambient)
-                image = scale * stereographic_image(center, embedded, drop)
-                previous = projected_by_position.setdefault(tuple(embedded), image)
+                image = tuple(scale * c for c in
+                              stereographic_image(center, embedded, drop))
+                previous = projected_by_position.setdefault(embedded, image)
                 if previous != image:
                     raise AssertionError("projection produced inconsistent images")
                 images.append(image)
             components.append(PLMap(sphere.manifold, m, images))
         images_seen = {}
         for position, image in projected_by_position.items():
-            other = images_seen.setdefault(tuple(image), position)
+            other = images_seen.setdefault(image, position)
             if other != position:
                 raise AssertionError("projection not injective on vertices")
         ornament = Ornament(components)
@@ -221,7 +218,7 @@ def _default_targets(k):
     for i in range(3):
         coords = [Rat(0)] * m
         coords[0] = Rat(3 * i)
-        targets.append(Vector(coords))
+        targets.append(coords)
     return targets
 
 
@@ -232,18 +229,10 @@ def make_trivial(k, targets=None, r=0):
     m = 3 * k - 1
     if targets is None:
         targets = _default_targets(k)
-    else:
-        targets = [t if isinstance(t, Vector) else Vector(t) for t in targets]
-    if len({tuple(t) for t in targets}) != 3:
-        raise ValueError("targets must be pairwise distinct")
-    for t in targets:
-        if len(t) != m:
-            raise ValueError(f"targets must live in R^{m}")
+    elif any(len(t) != m for t in targets):
+        raise ValueError(f"targets must live in R^{m}")
     sphere = cross_polytope_sphere(k, r)
-    return Ornament([
-        PLMap(sphere.manifold, m, [t] * sphere.manifold.vertex_count)
-        for t in targets
-    ])
+    return trivial_ornament([sphere.manifold] * 3, m, targets)
 
 
 #: Grid resolution of random vertex coordinates.
@@ -279,7 +268,7 @@ def make_random_ornament(k, r=0, seed=0, spread=Rat(3)):
                     )
                     for _ in range(m)
                 ]
-                images.append(Vector(coords))
+                images.append(coords)
             components.append(PLMap(sphere.manifold, m, images))
         candidate = Ornament(components)
         if validate_ornament(candidate).ok:

@@ -25,14 +25,15 @@ with no solve.
 Before any solve, a triple must pass a prefilter: the ray has to meet an
 interval hull of the map over the three facet boxes.  The prefilter runs
 on integers alone, on the prefilter layer of :mod:`ornaments.geometry`
-that validation and the sweep share.  Every vertex image is rounded
-outward onto one power-of-two grid (:func:`outward_grid`), and a facet's
-box is the :func:`hull` of its vertices' brackets (lower ends down, upper
-ends up), so each facet's share of the hull is made of integers about 64
-bits wide, and the ray is cleared of denominators; "some s >= 0 puts s*v
-in the box" does not change under positive scalings of the box or of v,
-and the rounded hull contains the scaled exact one, so every triple whose
-exact hull meets the ray reaches a solve.  A triple let through by the
+that validation and the sweep share.  The facet boxes are validation's
+(:func:`~ornaments.model.facet_grid_boxes`): every vertex image is rounded
+outward onto one power-of-two grid, and a facet's box is the hull of its
+vertices' brackets (lower ends down, upper ends up), so each facet's share
+of the hull is made of integers about 64 bits wide, and the ray is
+cleared of denominators; "some s >= 0 puts s*v in the box" does not
+change under positive scalings of the box or of v, and the rounded hull
+contains the scaled exact one, so every triple whose exact hull meets the
+ray reaches a solve.  A triple let through by the
 rounding alone has closed cells that miss the ray, so its solve finds
 nothing: a singular system fails the touching test, and a nonsingular one
 has its solution outside some facet.  The answer, the witnesses and the retries are
@@ -68,20 +69,18 @@ from operator import add
 
 from .geometry import (
     DimensionMismatch,
-    Vector,
+    as_point,
     derive_seed,
     feasible_point,
-    hull,
     integer_scaled,
     normalise_by_ray,
-    outward_grid,
     pair_reduction,
     ray_meets_box,
     simplex_frame,
     solve_from_pairs,
 )
 from .laplace import solve_integer
-from .model import Ornament, TriangulatedManifold, common_point_system
+from .model import common_point_system, facet_grid_boxes
 
 
 def degree_sign(k):
@@ -103,18 +102,6 @@ class NonGenericDirection(Exception):
 
 
 @dataclass(frozen=True)
-class RayDirection:
-    """A nonzero rational direction in R^{2m}, standing for the ray it spans."""
-
-    v: Vector
-    seed: int | None = None
-
-    def __post_init__(self):
-        if self.v.is_zero():
-            raise ValueError("ray direction must be nonzero")
-
-
-@dataclass(frozen=True)
 class PreimageSolution:
     """One transverse ray preimage: facet triple, full barycentric
     coordinates per facet, ray scalar s > 0, and the calibrated sign."""
@@ -125,22 +112,13 @@ class PreimageSolution:
     sign: int
 
 
-def unnormalized_sphere_map(x, y, z):
-    """(x, y, z) -> (2x-y-z, 2y-x-z); zero exactly when x = y = z."""
-    if not (len(x) == len(y) == len(z)):
-        raise DimensionMismatch("points must share one ambient dimension")
-    top = 2 * x - y - z
-    bottom = 2 * y - x - z
-    return Vector(tuple(top) + tuple(bottom))
-
-
 def ray_direction(m, seed):
-    """Seeded rational ray direction in R^{2m} (integer entries, nonzero)."""
+    """Seeded ray direction in R^{2m}: a nonzero tuple of integers."""
     rng = random.Random(seed)
     while True:
-        coords = [rng.getrandbits(17) - 2 ** 16 for _ in range(2 * m)]
+        coords = tuple(rng.getrandbits(17) - 2 ** 16 for _ in range(2 * m))
         if any(coords):
-            return RayDirection(Vector(coords), seed)
+            return coords
 
 
 def component_k(o):
@@ -165,22 +143,17 @@ def _sphere_map_box_terms(o):
     """Per component and facet, the facet's integer share of an interval
     hull of (2x-y-z, 2y-x-z) over the boxes of a facet triple.
 
-    Every vertex image is rounded outward onto one power-of-two grid
-    (:func:`outward_grid`), and a facet's box is the :func:`hull` of its
-    vertices' brackets: lower ends rounded down, upper ends up, so it
-    contains ``2 ** shift`` times the exact box.  The hull of a triple is
-    the sum of its three shares, each a pair ``(mins, maxs)`` of integer
-    lists built from those rounded ends, and so contains ``2 ** shift``
-    times the exact rational hull, with integers about 64 bits wide.
+    The facet boxes are those of :func:`facet_grid_boxes`: lower ends
+    rounded down, upper ends up, on one power-of-two grid, so each contains
+    ``2 ** shift`` times the exact box.  The hull of a triple is the sum of
+    its three shares, each a pair ``(mins, maxs)`` of integer lists built
+    from those rounded ends, and so contains ``2 ** shift`` times the exact
+    rational hull, with integers about 64 bits wide.
     """
-    _, brackets = outward_grid(img for f in o.components for img in f.images)
-    grid = iter(brackets)
     terms = []
-    for which, f in enumerate(o.components):
-        points = [next(grid) for _ in f.images]
+    for which, boxes in enumerate(facet_grid_boxes(o)):
         shares = []
-        for facet in f.domain.facets:
-            lo, hi = hull([points[v] for v in facet])
+        for lo, hi in boxes:
             if which == 0:
                 mins = [2 * a for a in lo] + [-b for b in hi]
                 maxs = [2 * b for b in hi] + [-a for a in lo]
@@ -217,24 +190,23 @@ def mu_via_degree(o, v):
     """Signed count of ray preimages: the invariant plus its witnesses.
 
     Requires a valid ornament with the dimensions checked by
-    :func:`component_k`.  Returns ``(mu, solutions)``.  Raises
+    :func:`component_k`, and a nonzero direction ``v`` of length 2m (a
+    sequence of rationals or integers) for the ray.  Returns ``(mu,
+    solutions)``.  Raises
     NonGenericDirection when the direction fails to be a regular value
     (some system singular-but-touching, a boundary preimage, or a zero ray
     scalar); the caller retries with a fresh seeded direction.
     """
     k = component_k(o)
     global_sign = degree_sign(k)
-    if isinstance(v, RayDirection):
-        ray = v.v
-    else:
-        ray = Vector(v)
-        if ray.is_zero():
-            raise ValueError("ray direction must be nonzero")
+    ray = as_point(v)
+    if not any(ray):
+        raise ValueError("ray direction must be nonzero")
     m = o.m
     if len(ray) != 2 * m:
         raise DimensionMismatch(f"ray must have length {2 * m}")
     # u and w as integer columns over 3 * ray_scale (see the module doc).
-    ray_scale, ray_int = integer_scaled(ray.coords)
+    ray_scale, ray_int = integer_scaled(ray)
     u = [2 * a + b for a, b in zip(ray_int[:m], ray_int[m:])]
     w = [a + 2 * b for a, b in zip(ray_int[:m], ray_int[m:])]
     ray_columns = (((u, 3 * ray_scale),), ((w, 3 * ray_scale),))
@@ -304,18 +276,3 @@ def mu_via_degree_auto(o, seed=0):
         except NonGenericDirection:
             continue
     raise RuntimeError("no generic direction found; is the ornament valid?")
-
-
-def reverse_component_orientation(o, which):
-    """Flip the orientation of one component (1, 2 or 3) by transposing the
-    first two vertices of each of its facets; images are untouched."""
-    if which not in (1, 2, 3):
-        raise ValueError("component index must be 1, 2 or 3")
-    components = list(o.components)
-    f = components[which - 1]
-    flipped = tuple((fac[1], fac[0]) + fac[2:] for fac in f.domain.facets)
-    domain = TriangulatedManifold(f.domain.dim, f.domain.vertex_count, flipped)
-    from .model import PLMap
-
-    components[which - 1] = PLMap(domain, f.ambient_dim, f.images)
-    return Ornament(components)

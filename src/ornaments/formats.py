@@ -107,19 +107,19 @@ def ornament_from_doc(doc):
     return Ornament([p for p, _ in parsed])
 
 
-def ornament_to_doc(o, names=("component1", "component2", "component3")):
+def ornament_to_doc(o):
     return {
         "m": o.m,
         "components": [
             {
-                "name": name,
+                "name": f"component{i}",
                 "dim": f.domain.dim,
                 "vertices": [
                     [format_rational(c) for c in img] for img in f.images
                 ],
                 "facets": [list(facet) for facet in f.domain.facets],
             }
-            for f, name in zip(o.components, names)
+            for i, f in enumerate(o.components, 1)
         ],
     }
 
@@ -175,8 +175,8 @@ def track_from_doc(doc):
         _fail("$.keyframes", str(exc))
 
 
-def track_to_doc(track, names=("component1", "component2", "component3")):
-    doc = ornament_to_doc(track.endpoint(0), names)
+def track_to_doc(track):
+    doc = ornament_to_doc(track.endpoint(0))
     doc["keyframes"] = [
         {
             "t": format_rational(t),

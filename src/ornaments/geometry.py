@@ -49,10 +49,6 @@ from operator import le, mul
 
 from .laplace import block_minors
 
-#: Default bound on the denominator factor introduced by seeded perturbations.
-DEFAULT_DENOMINATOR_LIMIT = 2 ** 16
-
-
 class DimensionMismatch(ValueError):
     """Shapes of the operands are incompatible."""
 
@@ -95,59 +91,9 @@ def derive_seed(*parts):
     return h
 
 
-class Vector:
-    """Fixed-length tuple of exact rationals; length is checked on every
-    binary operation."""
-
-    __slots__ = ("coords",)
-
-    def __init__(self, coords):
-        self.coords = tuple(c if type(c) is Rat else Rat(c) for c in coords)
-
-    def __len__(self):
-        return len(self.coords)
-
-    def __iter__(self):
-        return iter(self.coords)
-
-    def __getitem__(self, index):
-        return self.coords[index]
-
-    def __eq__(self, other):
-        return isinstance(other, Vector) and self.coords == other.coords
-
-    def __hash__(self):
-        return hash(self.coords)
-
-    def __repr__(self):
-        return "Vector(%s)" % ", ".join(str(c) for c in self.coords)
-
-    def _require_same_length(self, other):
-        if len(self.coords) != len(other.coords):
-            raise DimensionMismatch(
-                f"vector lengths differ: {len(self.coords)} vs {len(other.coords)}"
-            )
-
-    def __add__(self, other):
-        self._require_same_length(other)
-        return Vector(a + b for a, b in zip(self.coords, other.coords))
-
-    def __sub__(self, other):
-        self._require_same_length(other)
-        return Vector(a - b for a, b in zip(self.coords, other.coords))
-
-    def __rmul__(self, scalar):
-        return Vector(Rat(scalar) * c for c in self.coords)
-
-    def __neg__(self):
-        return Vector(-c for c in self.coords)
-
-    def dot(self, other):
-        self._require_same_length(other)
-        return sum((a * b for a, b in zip(self.coords, other.coords)), Rat(0))
-
-    def is_zero(self):
-        return all(c == 0 for c in self.coords)
+def as_point(coords):
+    """A point: the tuple of its coordinates as exact rationals."""
+    return tuple(c if type(c) is Rat else Rat(c) for c in coords)
 
 
 def eliminate(aug, ncols, skip=False):
@@ -606,28 +552,24 @@ def solve_from_pairs(reduction_a, reduction_b, solve):
     return sign, (full_a, full_kept, full_b, extras)
 
 
-def random_rational_perturbation(v, eps, seed,
-                                 denominator_limit=DEFAULT_DENOMINATOR_LIMIT):
-    """Deterministic rational jitter of every coordinate of ``v``.
+def random_rational_perturbation(v, eps, seed):
+    """Deterministic rational jitter of every coordinate of the point ``v``.
 
-    Each coordinate moves by ``eps * j / denominator_limit`` with an integer
-    ``|j| < denominator_limit`` drawn from the seeded generator, so the
-    sup-distance to ``v`` is strictly below ``eps`` and the denominator
-    factor introduced beyond that of ``eps`` is at most the configured
-    limit.  Identical arguments give identical output.
+    Each coordinate moves by ``eps * j / 2 ** 16`` with an integer ``|j| <
+    2 ** 16`` drawn from the seeded generator, so the sup-distance to ``v``
+    is strictly below ``eps`` and the denominator factor introduced beyond
+    that of ``eps`` is at most ``2 ** 16``.  Identical arguments give
+    identical output, a tuple of rationals.
     """
     eps = Rat(eps)
     if eps <= 0:
         raise ValueError("eps must be positive")
-    if denominator_limit < 2:
-        raise ValueError("denominator_limit must be at least 2")
     rng = random.Random(seed)
-    span = 2 * denominator_limit - 1
-    deltas = []
-    for _ in range(len(v)):
-        j = rng.getrandbits(64) % span - (denominator_limit - 1)
-        deltas.append(eps * Rat(j, denominator_limit))
-    return Vector(c + d for c, d in zip(v, deltas))
+    span = 2 ** 17 - 1
+    return tuple(
+        c + eps * Rat(rng.getrandbits(64) % span - (2 ** 16 - 1), 2 ** 16)
+        for c in v
+    )
 
 
 # ---------------------------------------------------------------------------

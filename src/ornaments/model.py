@@ -5,11 +5,13 @@ into a common R^m whose three images share no point.  That no-common-point
 condition is decided exactly, facet triple by facet triple, as a linear
 feasibility question over the closed facets; a failure comes with an exact
 witness (the facet triple and barycentric coordinates of a common image
-point).  The vertex images are cleared of denominators once per
-validation, so the facet boxes are compared and the common-point rows are
-built on integers, and each box-surviving triple is decided by integer
-rank first (6k + 1 equations in 6k unknowns for three (2k - 1)-manifolds
-in R^(3k - 1), nearly always inconsistent).
+point).  A triple is first tested on facet boxes rounded outward onto one
+power-of-two grid, the prefilter layer of :mod:`ornaments.geometry` that
+the degree route and the sweep share; the vertex images are cleared of
+denominators once per validation, so the common-point rows are built on
+integers, and each box-surviving triple is decided by integer rank first
+(6k + 1 equations in 6k unknowns for three (2k - 1)-manifolds in
+R^(3k - 1), nearly always inconsistent).
 
 Manifolds are accepted at orientable-pseudomanifold strength: every
 codimension-1 face in exactly two facets, with coherently opposite induced
@@ -19,18 +21,18 @@ beyond that are checked.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .geometry import (
     DimensionMismatch,
     Rat,
-    Vector,
+    as_point,
     box_intersection,
     derive_seed,
     feasible_point,
     hull,
     integer_scaled,
+    outward_grid,
     random_rational_perturbation,
 )
 
@@ -169,21 +171,21 @@ def validate_manifold(t):
 
 class PLMap:
     """A triangulated manifold together with rational vertex images in R^m;
-    the map is affine on each facet."""
+    the map is affine on each facet.  Each image is a point
+    (:func:`~ornaments.geometry.as_point`)."""
 
     __slots__ = ("domain", "ambient_dim", "images")
 
     def __init__(self, domain, ambient_dim, images):
-        images = tuple(img if isinstance(img, Vector) else Vector(img)
-                       for img in images)
+        images = tuple(as_point(img) for img in images)
         if len(images) != domain.vertex_count:
             raise DimensionMismatch(
                 f"{domain.vertex_count} vertices but {len(images)} images"
             )
-        for img in images:
+        for vi, img in enumerate(images):
             if len(img) != ambient_dim:
                 raise DimensionMismatch(
-                    f"image {img!r} does not live in R^{ambient_dim}"
+                    f"image {vi} does not live in R^{ambient_dim}"
                 )
         self.domain = domain
         self.ambient_dim = ambient_dim
@@ -275,6 +277,22 @@ def common_point_system(point_lists, weights=None):
     return eq_rows, nvars, offsets
 
 
+def facet_grid_boxes(o):
+    """Per component, the box of each facet on one outward grid: every
+    vertex image of the ornament is rounded outward by
+    :func:`outward_grid` (one shift for all), and a facet's box is the
+    :func:`hull` of its vertices' brackets, integer ``(mins, maxs)`` that
+    contain ``2 ** shift`` times the facet's exact box."""
+    _, brackets = outward_grid(img for f in o.components for img in f.images)
+    grid = iter(brackets)
+    boxes = []
+    for f in o.components:
+        points = [next(grid) for _ in f.images]
+        boxes.append([hull([points[v] for v in facet])
+                      for facet in f.domain.facets])
+    return boxes
+
+
 def validate_ornament(o):
     """Decide the no-common-point condition exactly, over closed facets.
 
@@ -290,22 +308,19 @@ def validate_ornament(o):
     integers in the barycentric coordinates divided by the weights, and
     :func:`feasible_point` (given the weights as column scales) decides
     nearly every triple by rank alone, on small integers; its witness is
-    in barycentric coordinates.  The boxes are integer too: all images
-    scaled by one common positive integer.
+    in barycentric coordinates.  Only triples whose :func:`facet_grid_boxes`
+    meet are decided; the boxes contain the exact ones, so a triple they
+    let through by rounding alone is infeasible.
     """
-    homogeneous = [
-        [integer_scaled(img.coords) for img in f.images] for f in o.components
-    ]
-    scale = math.lcm(*(w for comp in homogeneous for w, _ in comp))
-    facets = []  # per component, per facet: (weights, points, box)
-    for f, comp in zip(o.components, homogeneous):
-        boxed = [[x * (scale // w) for x in pt] for w, pt in comp]
+    facets = []  # per component, per facet: (weights, points)
+    for f in o.components:
+        homogeneous = [integer_scaled(img) for img in f.images]
         facets.append([
-            ([comp[v][0] for v in facet], [comp[v][1] for v in facet],
-             hull([(boxed[v], boxed[v]) for v in facet]))
+            ([homogeneous[v][0] for v in facet],
+             [homogeneous[v][1] for v in facet])
             for facet in f.domain.facets
         ])
-    boxes1, boxes2, boxes3 = ([box for _, _, box in comp] for comp in facets)
+    boxes1, boxes2, boxes3 = facet_grid_boxes(o)
     for i1, b1 in enumerate(boxes1):
         for i2, b2 in enumerate(boxes2):
             b12 = box_intersection(b1, b2)
@@ -315,9 +330,9 @@ def validate_ornament(o):
                 if box_intersection(b12, b3) is None:
                     continue
                 chosen = [comp[i] for comp, i in zip(facets, (i1, i2, i3))]
-                weights = [ws for ws, _, _ in chosen]
+                weights = [ws for ws, _ in chosen]
                 eq_rows, nvars, offsets = common_point_system(
-                    [pts for _, pts, _ in chosen], weights
+                    [pts for _, pts in chosen], weights
                 )
                 point = feasible_point(eq_rows, nvars,
                                        [w for ws in weights for w in ws])

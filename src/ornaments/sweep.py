@@ -52,7 +52,7 @@ from itertools import combinations
 from .geometry import (
     DimensionMismatch,
     Rat,
-    Vector,
+    as_point,
     box_intersection,
     derive_seed,
     extents_meet,
@@ -106,8 +106,8 @@ class HomotopyTrack:
             raise ValueError("one image set per keyframe required")
         frozen = []
         for frame in images:
-            frame = tuple(tuple(img if isinstance(img, Vector) else Vector(img)
-                                for img in comp) for comp in frame)
+            frame = tuple(tuple(as_point(img) for img in comp)
+                          for comp in frame)
             if len(frame) != 3:
                 raise ValueError("each keyframe needs all three components")
             for dom, comp in zip(domains, frame):
@@ -209,14 +209,13 @@ def linear_track(start, end, cuts=()):
     # a + t (b - a) equals (1 - t) a + t b exactly; the steps b - a are
     # shared by every interior keyframe.
     steps = [
-        [(a.coords, tuple(y - x for x, y in zip(a.coords, b.coords)))
-         for a, b in zip(fs, fe)]
+        [(a, tuple(y - x for x, y in zip(a, b))) for a, b in zip(fs, fe)]
         for fs, fe in zip(first, last)
     ]
     frames = [first]
     for t in times[1:-1]:
         frames.append(tuple(
-            tuple(Vector(tuple(x + t * s for x, s in zip(a, step)))
+            tuple(tuple(x + t * s for x, s in zip(a, step))
                   for a, step in comp)
             for comp in steps
         ))
@@ -236,7 +235,7 @@ def _integer_frames(track):
     ``(floors, ceils)`` of integer tuples around ``2 ** shift`` times the
     point, indexed like ``track.images`` (compare :func:`cell_points`)."""
     _, brackets = outward_grid(
-        img.coords + (t,) for t, frame in zip(track.times, track.images)
+        img + (t,) for t, frame in zip(track.times, track.images)
         for comp in frame for img in comp
     )
     grid = iter(brackets)
@@ -472,8 +471,9 @@ def _refined_track(track, seed, attempt):
         for ci in range(3):
             comp = []
             for vi in range(track.domains[ci].vertex_count):
-                avg = Rat(1, 2) * (track.images[j][ci][vi]
-                                   + track.images[j + 1][ci][vi])
+                avg = [(a + b) / 2 for a, b in zip(
+                    track.images[j][ci][vi], track.images[j + 1][ci][vi]
+                )]
                 comp.append(random_rational_perturbation(
                     avg, eps, derive_seed(seed, attempt, j, ci, vi)
                 ))
@@ -509,8 +509,8 @@ def sweep_with_retries(track, seed=0):
 
 def trivial_ornament(domains, m, targets):
     """Collapse each domain to its own fixed target point."""
-    targets = [t if isinstance(t, Vector) else Vector(t) for t in targets]
-    if len({tuple(t) for t in targets}) != 3:
+    targets = [as_point(t) for t in targets]
+    if len(set(targets)) != 3:
         raise ValueError("targets must be pairwise distinct")
     return Ornament([
         PLMap(dom, m, [t] * dom.vertex_count) for dom, t in zip(domains, targets)
@@ -530,7 +530,7 @@ def default_trivial_targets(o, seed=0):
             base[i % m] = 4 * radius
         else:
             base = [-4 * radius] * m
-        bases.append(Vector(base))
+        bases.append(base)
     return [
         random_rational_perturbation(
             base, radius, derive_seed(seed, "target", i)
@@ -547,28 +547,12 @@ def _collapse_track(o, targets):
     return linear_track(o, end, cuts=_COLLAPSE_CUTS)
 
 
-def straight_line_homotopy_to_trivial(o, targets, seed=0):
-    """Track of the straight-line homotopy collapsing each component to its
-    target point, refined (midpoint keyframes jiggled by less than a
-    sixteenth of the track's span, see :func:`_refined_track`) until the
-    sweep is generic; endpoints are exact."""
-    _, swept = sweep_with_retries(_collapse_track(o, targets), seed=seed)
-    return swept
-
-
 def mu_via_sweep(o, seed=0):
     """The invariant as the algebraic triple-point count of a seeded
     homotopy to the trivial ornament."""
     targets = default_trivial_targets(o, derive_seed(seed, "targets"))
     track = _collapse_track(o, targets)
     points, _ = sweep_with_retries(track, seed=derive_seed(seed, "sweep"))
-    return sum(p.sign for p in points)
-
-
-def relative_sweep(track, seed=0):
-    """Signed triple-point count of a track with valid ornament endpoints;
-    equals invariant(start) - invariant(end)."""
-    points, _ = sweep_with_retries(track, seed=seed)
     return sum(p.sign for p in points)
 
 

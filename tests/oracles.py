@@ -28,8 +28,10 @@ inequalities, is the reference for the package's rank-first
 common-scale frames and extents are the references for the sweep's
 outward-rounded grid prefilter; the union of extents is the reference for
 the sweep's cell and prism extents.  The helpers at the end (image of
-a barycentric point, reversed and concatenated tracks, certification of an
-ornament homotopy) are used only by tests.
+a barycentric point, the unnormalised sphere map, reversed components,
+reversed and concatenated tracks, the straight-line homotopy to a trivial
+ornament, relative sweeps, certification of an ornament homotopy) are used
+only by tests.
 """
 
 import math
@@ -38,17 +40,23 @@ from itertools import combinations, permutations
 
 from ornaments.geometry import (
     DimensionMismatch,
-    Vector,
     back_substitute,
     eliminate,
     integer_scaled,
     outward_grid,
 )
-from ornaments.model import validate_ornament
+from ornaments import sweep
+from ornaments.model import (
+    Ornament,
+    PLMap,
+    TriangulatedManifold,
+    validate_ornament,
+)
 from ornaments.sweep import (
     HomotopyTrack,
     NonGenericTrack,
     detect_triple_points,
+    sweep_with_retries,
 )
 
 
@@ -385,7 +393,7 @@ def sphere_map_box(b1, b2, b3):
 def facet_box(f, i):
     """Reference facet box of the PL map ``f``: the componentwise least
     and greatest coordinates of facet ``i``'s points, ``(mins, maxs)``."""
-    coords = [p.coords for p in f.facet_points(i)]
+    coords = f.facet_points(i)
     return tuple(map(min, zip(*coords))), tuple(map(max, zip(*coords)))
 
 
@@ -613,7 +621,7 @@ def integer_frames_exact(track):
                     scale = math.lcm(scale, c.denominator)
     return [
         tuple(
-            tuple(tuple(int(c * scale) for c in img.coords + (t,))
+            tuple(tuple(int(c * scale) for c in img + (t,))
                   for img in comp)
             for comp in frame
         )
@@ -667,7 +675,7 @@ def point_at(f, facet_index, barycentric):
         img = f.images[v]
         for c in range(f.ambient_dim):
             acc[c] += Fraction(lam) * img[c]
-    return Vector(acc)
+    return tuple(acc)
 
 
 def reverse_track(track):
@@ -703,3 +711,43 @@ def certify_ornament_homotopy(track):
         return detect_triple_points(track) == []
     except NonGenericTrack:
         return False
+
+
+def unnormalized_sphere_map(x, y, z):
+    """(x, y, z) -> (2x-y-z, 2y-x-z); zero exactly when x = y = z."""
+    if not (len(x) == len(y) == len(z)):
+        raise DimensionMismatch("points must share one ambient dimension")
+    top = tuple(2 * a - b - c for a, b, c in zip(x, y, z))
+    bottom = tuple(2 * b - a - c for a, b, c in zip(x, y, z))
+    return top + bottom
+
+
+def reverse_component_orientation(o, which):
+    """Flip the orientation of one component (1, 2 or 3) by transposing the
+    first two vertices of each of its facets; images are untouched."""
+    if which not in (1, 2, 3):
+        raise ValueError("component index must be 1, 2 or 3")
+    components = list(o.components)
+    f = components[which - 1]
+    flipped = tuple((fac[1], fac[0]) + fac[2:] for fac in f.domain.facets)
+    domain = TriangulatedManifold(f.domain.dim, f.domain.vertex_count, flipped)
+    components[which - 1] = PLMap(domain, f.ambient_dim, f.images)
+    return Ornament(components)
+
+
+def straight_line_homotopy_to_trivial(o, targets, seed=0):
+    """Track of the straight-line homotopy collapsing each component to its
+    target point, keyframed as :func:`ornaments.sweep.mu_via_sweep` keys
+    its collapse and refined (midpoint keyframes jiggled by less than a
+    sixteenth of the track's span) until the sweep is generic; endpoints
+    are exact."""
+    _, swept = sweep_with_retries(sweep._collapse_track(o, targets),
+                                  seed=seed)
+    return swept
+
+
+def relative_sweep(track, seed=0):
+    """Signed triple-point count of a track with valid ornament endpoints;
+    equals invariant(start) - invariant(end)."""
+    points, _ = sweep_with_retries(track, seed=seed)
+    return sum(p.sign for p in points)

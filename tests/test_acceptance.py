@@ -16,10 +16,8 @@ from ornaments.degree import (
     mu_via_degree,
     mu_via_degree_auto,
     ray_direction,
-    reverse_component_orientation,
-    unnormalized_sphere_map,
 )
-from ornaments.geometry import Rat, Vector, derive_seed
+from ornaments.geometry import Rat, derive_seed
 from ornaments.model import perturb_ornament, validate_ornament
 from ornaments.sweep import (
     cell_points,
@@ -28,12 +26,16 @@ from ornaments.sweep import (
     linear_track,
     mu_via_sweep,
     pair_opposite_signs,
-    straight_line_homotopy_to_trivial,
     sweep_with_retries,
     trivial_ornament,
 )
 
-from oracles import point_at
+from oracles import (
+    point_at,
+    reverse_component_orientation,
+    straight_line_homotopy_to_trivial,
+    unnormalized_sphere_map,
+)
 
 
 def verdict(number, description, ok):
@@ -217,7 +219,7 @@ def audit_degree(o, seed_base):
             point_at(f, i, bary)
             for f, i, bary in zip(o.components, sol.facets, sol.barycentric)
         ]
-        if unnormalized_sphere_map(*pts) != Vector([sol.s * c for c in v.v]):
+        if unnormalized_sphere_map(*pts) != tuple(sol.s * c for c in v):
             return False
         if not sol.s > 0:
             return False

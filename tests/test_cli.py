@@ -5,7 +5,7 @@ import pytest
 
 from ornaments import cli, constructions, degree, formats, sweep
 from ornaments.constructions import make_borromean
-from ornaments.geometry import Rat, Vector
+from ornaments.geometry import Rat, as_point
 from ornaments.model import Ornament, PLMap, TriangulatedManifold
 from ornaments.sweep import (
     default_trivial_targets,
@@ -130,7 +130,7 @@ def test_validate_reports_invalid_with_witness(tmp_path, capsys):
     digon = TriangulatedManifold(1, 2, [(0, 1), (1, 0)])
 
     def seg(a, b):
-        return PLMap(digon, 2, [Vector(a), Vector(b)])
+        return PLMap(digon, 2, [as_point(a), as_point(b)])
 
     concurrent = Ornament([
         seg([-1, 0], [1, 0]),
@@ -151,7 +151,7 @@ def test_malformed_rational_is_input_error(tmp_path, capsys):
     doc = formats.ornament_to_doc(
         Ornament([
             PLMap(TriangulatedManifold(1, 2, [(0, 1), (1, 0)]), 2,
-                  [Vector([0, 0]), Vector([1, 0])])
+                  [as_point([0, 0]), as_point([1, 0])])
         ] * 3)
     )
     doc["components"][0]["vertices"][0][0] = "3/0"
@@ -190,7 +190,7 @@ def test_mu_dimension_mismatch_is_input_error(tmp_path, capsys):
     digon = TriangulatedManifold(1, 2, [(0, 1), (1, 0)])
 
     def seg(a, b):
-        return PLMap(digon, 3, [Vector(a), Vector(b)])
+        return PLMap(digon, 3, [as_point(a), as_point(b)])
 
     # valid ornament, but 1-dimensional components in R^3: no invariant
     o = Ornament([
@@ -256,7 +256,7 @@ def test_sweep_rejects_invalid_endpoints(tmp_path, capsys):
     digon = TriangulatedManifold(1, 2, [(0, 1), (1, 0)])
 
     def seg(a, b):
-        return PLMap(digon, 2, [Vector(a), Vector(b)])
+        return PLMap(digon, 2, [as_point(a), as_point(b)])
 
     concurrent = Ornament([
         seg([-1, 0], [1, 0]),
@@ -311,6 +311,22 @@ def test_bad_targets_rejected(tmp_path, capsys):
                        "--targets", "0,0;0,0;1,1",
                        "--out", str(tmp_path / "x.json"))
     assert code == 1
+
+
+@pytest.mark.parametrize("k, targets, message", [
+    ("0", "0;1;2", "k must be at least 1"),
+    ("1", "0;1;2", "targets must live in R^2"),
+], ids=["k0", "wrong-dimension"])
+def test_gen_trivial_checks_k_then_target_dimension(k, targets, message,
+                                                     tmp_path, capsys):
+    """k is checked before the targets are measured against R^(3k - 1),
+    and either failure is an input error with a JSON report."""
+    code = cli.main(["gen", "trivial", "--k", k, "--targets", targets,
+                     "--out", str(tmp_path / "x.json")])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert json.loads(captured.out) == {"error": message}
+    assert "Traceback" not in captured.err
 
 
 def _never_generic_direction(*args, **kwargs):
@@ -429,7 +445,7 @@ def _segment_meeting_ornament():
     triangle = TriangulatedManifold(1, 3, [(0, 1), (1, 2), (2, 0)])
 
     def loop(*points):
-        return PLMap(triangle, 2, [Vector(p) for p in points])
+        return PLMap(triangle, 2, [as_point(p) for p in points])
 
     return Ornament([
         loop([0, 0], [3, 0], [1, 2]),

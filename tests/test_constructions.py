@@ -9,7 +9,7 @@ from ornaments.constructions import (
     stereographic_image,
 )
 from ornaments.degree import mu_via_degree_auto
-from ornaments.geometry import Rat, Vector
+from ornaments.geometry import Rat, as_point
 from ornaments.model import validate_manifold, validate_ornament
 from ornaments.sweep import mu_via_sweep
 
@@ -22,7 +22,7 @@ def test_cross_polytope_counts_and_validity():
         assert len(sphere.manifold.facets) == 2 ** (2 * k)
         assert validate_manifold(sphere.manifold).ok
         for pos in sphere.positions:
-            assert pos.dot(pos) == 1
+            assert sum(c * c for c in pos) == 1
 
 
 @pytest.mark.parametrize("k,r", [(1, 1), (1, 2), (2, 1), (3, 1), (2, 2), (3, 2)])
@@ -34,14 +34,14 @@ def test_subdivision_preserves_validity(k, r):
     assert validate_manifold(sphere.manifold).ok
     # pushed-out vertices sit near the unit sphere
     for pos in sphere.positions:
-        q = pos.dot(pos)
+        q = sum(c * c for c in pos)
         assert abs(float(q.numerator) / float(q.denominator) - 1.0) < 0.1
 
 
 def test_rational_unit_near_diagonal():
     for n in (3, 6, 9):
-        c = rational_unit_near_diagonal(n, precision_bits=4)
-        assert c.dot(c) == 1
+        c = rational_unit_near_diagonal(n)
+        assert sum(x * x for x in c) == 1
         assert all(x > 0 for x in c)
         target = 1.0 / n ** 0.5
         for x in c:
@@ -98,14 +98,14 @@ def test_trivial_properties(trivial_k1):
 
 
 def test_trivial_rejects_coincident_targets():
-    t = Vector([0, 0])
+    t = as_point([0, 0])
     with pytest.raises(ValueError):
-        make_trivial(1, targets=[t, t, Vector([1, 1])])
+        make_trivial(1, targets=[t, t, as_point([1, 1])])
 
 
 def test_trivial_rejects_wrong_target_dimension():
     with pytest.raises(ValueError):
-        make_trivial(1, targets=[Vector([0]), Vector([1]), Vector([2])])
+        make_trivial(1, targets=[as_point([0]), as_point([1]), as_point([2])])
 
 
 def test_random_ornament_deterministic_and_valid():

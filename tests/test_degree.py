@@ -3,7 +3,7 @@ from itertools import product
 
 import pytest
 
-from ornaments import degree
+from ornaments import degree, model
 from ornaments.constructions import (
     make_borromean,
     make_random_ornament,
@@ -11,18 +11,15 @@ from ornaments.constructions import (
 )
 from ornaments.degree import (
     NonGenericDirection,
-    RayDirection,
     component_k,
     mu_via_degree,
     mu_via_degree_auto,
     ray_direction,
-    reverse_component_orientation,
-    unnormalized_sphere_map,
 )
 from ornaments.geometry import (
     DimensionMismatch,
     Rat,
-    Vector,
+    as_point,
     derive_seed,
     integer_scaled,
     pair_reduction,
@@ -42,34 +39,36 @@ from oracles import (
     interior_barycentric,
     point_at,
     ray_meets_box_by_division,
+    reverse_component_orientation,
     solve_ray_triple,
     sphere_map_box,
     sphere_map_box_terms,
+    unnormalized_sphere_map,
 )
 
 
 def test_sphere_map_kills_diagonal():
-    p = Vector([Rat(3, 7), Rat(-2)])
-    assert unnormalized_sphere_map(p, p, p).is_zero()
+    p = as_point([Rat(3, 7), Rat(-2)])
+    assert not any(unnormalized_sphere_map(p, p, p))
 
 
 def test_sphere_map_basis_case():
-    e1 = Vector([1, 0])
-    zero = Vector([0, 0])
-    assert unnormalized_sphere_map(e1, zero, zero) == Vector([2, 0, -1, 0])
+    e1 = as_point([1, 0])
+    zero = as_point([0, 0])
+    assert unnormalized_sphere_map(e1, zero, zero) == as_point([2, 0, -1, 0])
 
 
 def test_sphere_map_zero_sum_identity():
-    x = Vector([Rat(1), Rat(2)])
-    y = Vector([Rat(-3), Rat(1, 2)])
-    z = Vector([-(x[0] + y[0]), -(x[1] + y[1])])
+    x = as_point([Rat(1), Rat(2)])
+    y = as_point([Rat(-3), Rat(1, 2)])
+    z = as_point([-(x[0] + y[0]), -(x[1] + y[1])])
     out = unnormalized_sphere_map(x, y, z)
-    assert out == Vector([3 * x[0], 3 * x[1], 3 * y[0], 3 * y[1]])
+    assert out == as_point([3 * x[0], 3 * x[1], 3 * y[0], 3 * y[1]])
 
 
 def test_sphere_map_length_mismatch():
     with pytest.raises(DimensionMismatch):
-        unnormalized_sphere_map(Vector([1]), Vector([1, 2]), Vector([1]))
+        unnormalized_sphere_map(as_point([1]), as_point([1, 2]), as_point([1]))
 
 
 def test_trivial_has_no_preimages(trivial_k1):
@@ -125,7 +124,7 @@ def test_preimages_substitute_exactly(borromean_k1):
                 )
             ]
             image = unnormalized_sphere_map(*pts)
-            expected = Vector([sol.s * c for c in v.v])
+            expected = tuple(sol.s * c for c in v)
             assert image == expected
             assert sol.s > 0
 
@@ -134,7 +133,7 @@ def test_dimension_checks():
     o = make_trivial(1)
     assert component_k(o) == 1
     with pytest.raises(DimensionMismatch):
-        mu_via_degree(o, RayDirection(Vector([1, 2, 3])))  # wrong ray length
+        mu_via_degree(o, [1, 2, 3])  # wrong ray length
 
 
 def test_non_generic_direction_detected(borromean_k1):
@@ -143,7 +142,7 @@ def test_non_generic_direction_detected(borromean_k1):
     f1, f2, f3 = borromean_k1.components
     target = unnormalized_sphere_map(f1.images[0], f2.images[2], f3.images[2])
     with pytest.raises(NonGenericDirection):
-        mu_via_degree(borromean_k1, RayDirection(target))
+        mu_via_degree(borromean_k1, target)
 
 
 def square_ornament(third):
@@ -163,7 +162,7 @@ def square_ornament(third):
 
 #: The ray (p - q, p - q) sends x = y to z = x + s * (q - p): from X and C
 #: along (2, 1), the direction of the squares' facets 0 and 2 of component 3.
-_PARALLEL_RAY = RayDirection(Vector([-2, -1, -2, -1]))
+_PARALLEL_RAY = (-2, -1, -2, -1)
 
 
 def count_singular(monkeypatch):
@@ -288,8 +287,8 @@ def test_kernel_matches_full_ray_system():
                 which = rng.randrange(3)
                 facets[which] = facet_around((x, y, z)[which], npts, True,
                                              rng.randrange(npts - 1))
-            ray = list(unnormalized_sphere_map(Vector(x), Vector(y),
-                                               Vector(z)))
+            ray = list(unnormalized_sphere_map(as_point(x), as_point(y),
+                                               as_point(z)))
             if kind == "zero s":
                 ray = rand_point(2 * m)
             elif kind == "shared" and rng.random() < 0.2:
@@ -304,7 +303,7 @@ def test_kernel_matches_full_ray_system():
             j = rng.randrange(d)
             edge = [a - b for a, b in zip(facets[2][j], facets[2][-1])]
             ray = edge + edge
-        f1, f2, f3 = (simplex_frame([Vector(p) for p in f]) for f in facets)
+        f1, f2, f3 = (simplex_frame([as_point(p) for p in f]) for f in facets)
         ray_scale, ray_int = integer_scaled(ray)
         u = [2 * a + b for a, b in zip(ray_int[:m], ray_int[m:])]
         w = [a + 2 * b for a, b in zip(ray_int[:m], ray_int[m:])]
@@ -345,9 +344,9 @@ def test_kernel_matches_full_ray_system():
 def test_ray_direction_seeded_and_nonzero():
     a = ray_direction(2, 5)
     b = ray_direction(2, 5)
-    assert a.v == b.v and a.seed == 5
-    assert not a.v.is_zero()
-    assert ray_direction(2, 6).v != a.v
+    assert a == b
+    assert any(a)
+    assert ray_direction(2, 6) != a
 
 
 def test_agreement_on_random_corpus():
@@ -406,7 +405,7 @@ def test_integer_prefilter_passes_the_rational_triples(make, monkeypatch):
         except NonGenericDirection:
             continue
         break
-    check(v.v)
+    check(v)
     for direction in ([0, 3, -5, 2], [-7, 2, 0, 1]):
         passed.clear()
         scaled_counts.clear()
@@ -424,7 +423,7 @@ def test_grid_hull_contains_the_scaled_rational_hull(make, monkeypatch):
     times its rational sphere-map hull, at most 4 grid units wider per side
     (a doubled end and two single ends, each rounded by under one unit)."""
     o = make()
-    live = degree.outward_grid
+    live = model.outward_grid
     shifts = []
 
     def grid(points):
@@ -432,7 +431,7 @@ def test_grid_hull_contains_the_scaled_rational_hull(make, monkeypatch):
         shifts.append(shift)
         return shift, brackets
 
-    monkeypatch.setattr(degree, "outward_grid", grid)
+    monkeypatch.setattr(model, "outward_grid", grid)
     terms = degree._sphere_map_box_terms(o)
     assert len(shifts) == 1 and shifts[0] > 0
     unit = 2 ** shifts[0]

@@ -1,7 +1,7 @@
 import pytest
 
 from ornaments import formats
-from ornaments.geometry import Rat, Vector
+from ornaments.geometry import Rat, as_point
 from ornaments.model import Ornament, PLMap, TriangulatedManifold
 from ornaments.sweep import default_trivial_targets, linear_track, trivial_ornament
 
@@ -10,7 +10,7 @@ def small_ornament():
     digon = TriangulatedManifold(1, 2, [(0, 1), (1, 0)])
 
     def seg(a, b):
-        return PLMap(digon, 2, [Vector(a), Vector(b)])
+        return PLMap(digon, 2, [as_point(a), as_point(b)])
 
     return Ornament([
         seg([Rat(1, 3), 0], [1, 0]),

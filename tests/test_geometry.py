@@ -8,7 +8,7 @@ from hypothesis import assume, example, given, strategies as st
 from ornaments.geometry import (
     PairReduction,
     Rat,
-    Vector,
+    as_point,
     back_substitute,
     box_intersection,
     cramer_status,
@@ -502,14 +502,14 @@ def test_cramer_status_stops_at_the_first_negative_entry():
 # --- random_rational_perturbation -------------------------------------------
 
 def test_perturbation_respects_bound_exactly():
-    v = Vector([0, 0])
+    v = as_point([0, 0])
     eps = Rat(1, 10)
     out = random_rational_perturbation(v, eps, seed=11)
     assert max(abs(c) for c in out) < eps
 
 
 def test_perturbation_deterministic():
-    v = Vector([Rat(3, 7), Rat(-1, 2), Rat(5)])
+    v = as_point([Rat(3, 7), Rat(-1, 2), Rat(5)])
     a = random_rational_perturbation(v, Rat(1, 100), seed=99)
     b = random_rational_perturbation(v, Rat(1, 100), seed=99)
     assert a == b
@@ -518,23 +518,23 @@ def test_perturbation_deterministic():
 
 
 def test_perturbation_denominator_bound():
-    v = Vector([Rat(1, 3)])
+    v = as_point([Rat(1, 3)])
     eps = Rat(1, 5)
-    out = random_rational_perturbation(v, eps, seed=7, denominator_limit=64)
+    out = random_rational_perturbation(v, eps, seed=7)
     delta = out[0] - v[0]
-    # the grid step is eps / limit, so limit * den(eps) clears the delta
-    assert (delta * 64 * 5).denominator == 1
+    # the grid step is eps / 2 ** 16, so 2 ** 16 * den(eps) clears the delta
+    assert (delta * 2 ** 16 * 5).denominator == 1
 
 
 def test_perturbation_rejects_bad_eps():
     with pytest.raises(ValueError):
-        random_rational_perturbation(Vector([0]), 0, seed=1)
+        random_rational_perturbation(as_point([0]), 0, seed=1)
     with pytest.raises(ValueError):
-        random_rational_perturbation(Vector([0]), Rat(-1, 2), seed=1)
+        random_rational_perturbation(as_point([0]), Rat(-1, 2), seed=1)
 
 
 def test_perturbation_bound_over_seeds():
-    v = Vector([Rat(2, 3), Rat(-7, 4), Rat(0)])
+    v = as_point([Rat(2, 3), Rat(-7, 4), Rat(0)])
     eps = Rat(1, 64)
     for seed in range(50):
         out = random_rational_perturbation(v, eps, seed=seed)

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from ornaments.geometry import DimensionMismatch, Rat, Vector
+from ornaments.geometry import DimensionMismatch, Rat, as_point
 from ornaments.model import (
     Ornament,
     PLMap,
@@ -28,7 +28,7 @@ def digon():
 
 
 def segment_component(a, b):
-    return PLMap(digon(), 2, [Vector(a), Vector(b)])
+    return PLMap(digon(), 2, [as_point(a), as_point(b)])
 
 
 # --- validate_manifold -------------------------------------------------------
@@ -83,16 +83,16 @@ def test_manifold_constructor_rejects_bad_facets():
 def test_plmap_shape_checks():
     t = digon()
     with pytest.raises(DimensionMismatch):
-        PLMap(t, 2, [Vector([0, 0])])
+        PLMap(t, 2, [as_point([0, 0])])
     with pytest.raises(DimensionMismatch):
-        PLMap(t, 2, [Vector([0, 0]), Vector([0, 0, 0])])
+        PLMap(t, 2, [as_point([0, 0]), as_point([0, 0, 0])])
 
 
 def test_ornament_requires_three_equal_dim_components():
     seg = segment_component([0, 0], [1, 0])
     with pytest.raises(ValueError):
         Ornament([seg, seg])
-    other = PLMap(digon(), 3, [Vector([0, 0, 0]), Vector([1, 0, 0])])
+    other = PLMap(digon(), 3, [as_point([0, 0, 0]), as_point([1, 0, 0])])
     with pytest.raises(DimensionMismatch):
         Ornament([seg, seg, other])
 
@@ -119,13 +119,13 @@ def test_concurrent_segments_invalid_with_exact_witness():
         for f, i, bary in zip(o.components, facets, barys)
     ]
     assert points[0] == points[1] == points[2]
-    assert points[0] == Vector([0, 0])
+    assert points[0] == as_point([0, 0])
 
 
 def test_disjoint_triangles_valid():
     def tri(cx):
         t = triangle_boundary()
-        pts = [Vector([cx, 0]), Vector([cx + 1, 0]), Vector([cx, 1])]
+        pts = [as_point([cx, 0]), as_point([cx + 1, 0]), as_point([cx, 1])]
         return PLMap(t, 2, pts)
 
     o = Ornament([tri(0), tri(5), tri(10)])

@@ -13,7 +13,7 @@ from ornaments.constructions import (
 from ornaments.degree import mu_via_degree_auto
 from ornaments.geometry import (
     Rat,
-    Vector,
+    as_point,
     derive_seed,
     pair_reduction,
     simplex_frame,
@@ -30,9 +30,7 @@ from ornaments.sweep import (
     linear_track,
     mu_via_sweep,
     pair_opposite_signs,
-    relative_sweep,
     staircase_cells,
-    straight_line_homotopy_to_trivial,
     sweep_with_retries,
     trivial_ornament,
 )
@@ -45,9 +43,11 @@ from oracles import (
     integer_frames_exact,
     interior_barycentric,
     joined_system,
+    relative_sweep,
     reverse_track,
     solve_bareiss,
     solve_triple,
+    straight_line_homotopy_to_trivial,
 )
 
 
@@ -299,7 +299,8 @@ def test_linear_track_keyframes_follow_the_straight_line(borromean_k1, cuts):
         assert track.times == (0,) + tuple(cuts) + (1,)
         for t, frame in zip(track.times, track.images):
             assert frame == tuple(
-                tuple((1 - t) * a + t * b for a, b in zip(fs.images, fe.images))
+                tuple(tuple((1 - t) * x + t * y for x, y in zip(a, b))
+                      for a, b in zip(fs.images, fe.images))
                 for fs, fe in zip(start.components, end.components)
             )
 
@@ -318,7 +319,7 @@ def test_track_time_validation(borromean_k1):
 def test_trivial_to_same_targets_has_no_triple_points():
     from ornaments.constructions import make_trivial
 
-    targets = [Vector([0, 0]), Vector([3, 0]), Vector([0, 3])]
+    targets = [as_point([0, 0]), as_point([3, 0]), as_point([0, 3])]
     o = make_trivial(1, targets=targets)
     track = straight_line_homotopy_to_trivial(o, targets, seed=0)
     assert detect_triple_points(track) == []
@@ -336,9 +337,10 @@ def test_borromean_track_counts_one(borromean_k1):
 
 
 def test_straight_line_rejects_coincident_targets(borromean_k1):
-    t = Vector([10, 10])
+    t = as_point([10, 10])
     with pytest.raises(ValueError):
-        straight_line_homotopy_to_trivial(borromean_k1, [t, t, Vector([0, 1])])
+        straight_line_homotopy_to_trivial(borromean_k1,
+                                          [t, t, as_point([0, 1])])
 
 
 def test_time_reversal_negates(borromean_k1):
@@ -421,10 +423,10 @@ def test_retry_resolves_engineered_degeneracy():
     # t = 1/2: every system is degenerate, so detection must refuse and the
     # retry protocol must settle to the correct (zero) relative count
     start = make_trivial(1, targets=[
-        Vector([-1, -1]), Vector([2, 0]), Vector([0, 2])
+        as_point([-1, -1]), as_point([2, 0]), as_point([0, 2])
     ])
     end = make_trivial(1, targets=[
-        Vector([1, 1]), Vector([-2, 0]), Vector([0, -2])
+        as_point([1, 1]), as_point([-2, 0]), as_point([0, -2])
     ])
     track = linear_track(start, end)
     with pytest.raises(NonGenericTrack):
@@ -607,7 +609,7 @@ def test_grid_extents_contain_the_scaled_rational_extents(grid_tracks,
         assert shift > 0
         unit = 2 ** shift
         for pairs, vertices, (mins, maxs) in calls:
-            pts = [track.images[k][ci][v].coords + (track.times[k],)
+            pts = [track.images[k][ci][v] + (track.times[k],)
                    for k, ci, v in vertices]
             exact_mins, exact_maxs = extents_exact(pts, pairs)
             for lo, x in zip(mins, exact_mins):
