@@ -212,6 +212,7 @@ def mu_via_degree(o, v):
     ray_columns = (((u, 3 * ray_scale),), ((w, 3 * ray_scale),))
     frames = {}  # (component, facet) -> simplex_frame
     reductions = {}  # (component 1 or 2, facet, facet 3) -> pair_reduction
+    lifts = {}  # (rho 1-3, rho 2-3) -> (rho, lift 1-3, lift 2-3)
 
     def frame(ci, fi):
         if (ci, fi) not in frames:
@@ -240,7 +241,8 @@ def mu_via_degree(o, v):
                 if not ray_meets_box(hull12, share3, scaled):
                     continue
                 sign, verdict = solve_from_pairs(
-                    reduction(0, i1, i3), reduction(1, i2, i3), solve_integer
+                    reduction(0, i1, i3), reduction(1, i2, i3), solve_integer,
+                    lifts
                 )
                 if sign == 0:
                     if _ray_touches_closed_cells(o, (i1, i2, i3), u, w):

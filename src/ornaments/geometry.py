@@ -309,6 +309,14 @@ def edge_elimination(columns, width):
     columns, det(with these rows on top) = sign_fix * det(with ``E``'s
     columns dropped and the rows past the pivots in their place), up to a
     positive factor.
+
+    Each row of ``ops`` past the pivots is divided by its positive
+    content, once per frame, which narrows the products of
+    :func:`pair_reduction`.  Such a row makes one x-free row there, which
+    the division only scales by a positive factor, and since gcd(c v) =
+    c gcd(v), the x-free rows that function returns, each divided by its
+    own content, are unchanged.  The triangular rows' operations are kept
+    whole.
     """
     d = len(columns)
     aug = []
@@ -332,7 +340,12 @@ def edge_elimination(columns, width):
         if (p < 0) != (previous < 0) and (width - 1 - t) % 2 == 1:
             sign_fix = -sign_fix  # parity of the row rescalings
         previous = p
-    return [row[:d] for row in aug[:d]], [row[d:] for row in aug], sign_fix
+    ops = [row[d:] for row in aug[:d]]
+    for row in aug[d:]:
+        op = row[d:]
+        content = math.gcd(*op)
+        ops.append([c // content for c in op] if content > 1 else op)
+    return [row[:d] for row in aug[:d]], ops, sign_fix
 
 
 class PairReduction:
@@ -476,7 +489,7 @@ def _full_coordinates(numerators, det, scales, rho, arity):
     return tuple(listed), coords[arity - 1:]
 
 
-def solve_from_pairs(reduction_a, reduction_b, solve):
+def solve_from_pairs(reduction_a, reduction_b, solve, lifts):
     """Decide a triple from the :func:`pair_reduction` of its two row
     blocks, which share the kept columns and their scales.  ``solve`` is the
     caller's own binding of :func:`~ornaments.laplace.solve_integer`, so
@@ -484,8 +497,14 @@ def solve_from_pairs(reduction_a, reduction_b, solve):
 
     The k x-free rows of each reduction form one square system on the kept
     columns; ``solve`` is given the two reductions and the lifts of their
-    right-hand sides to the lcm of their ``rho``.  Its integer Cramer
-    solution is classified by
+    right-hand sides to the lcm of their ``rho``.  Those come from
+    ``lifts``, a dict the caller owns, mapping ``(rho_a, rho_b)`` to
+    ``(rho, lift_a, lift_b)`` and filled the first time a pair of ``rho``
+    is seen: many candidates share a few such pairs (155 across the 4,906
+    of one k=1 sweep), so the lcm and its divisions of ~150-bit integers
+    are done once per pair while the caller keeps the dict, one keyframe
+    interval of the sweep or one call of the degree route.  Its integer
+    Cramer solution is classified by
     :func:`cramer_status`, with the kept simplex of the eliminated ones'
     arity and the extra columns as coordinates that must not be negative;
     b is back-substituted and classified only for a kept block that is not
@@ -515,11 +534,13 @@ def solve_from_pairs(reduction_a, reduction_b, solve):
     """
     if reduction_a is None or reduction_b is None:
         return 0, None
-    rho_a = reduction_a.rho
-    rho_b = reduction_b.rho
-    rho = rho_a if rho_a == rho_b else math.lcm(rho_a, rho_b)
-    lift_a = rho // rho_a
-    lift_b = rho // rho_b
+    key = (reduction_a.rho, reduction_b.rho)
+    lift = lifts.get(key)
+    if lift is None:
+        rho_a, rho_b = key
+        rho = math.lcm(rho_a, rho_b)
+        lift = lifts[key] = (rho, rho // rho_a, rho // rho_b)
+    rho, lift_a, lift_b = lift
     sign_n, numerators, det = solve(reduction_a, reduction_b, lift_a, lift_b)
     if sign_n == 0:
         return 0, None

@@ -21,17 +21,22 @@ the candidate's verdict (singular, outside, on a boundary, or strictly
 interior) decided on integers, and builds rationals only for a triple
 point's witness.  Each row the reductions leave is divided by its content
 (the gcd of its entries and right-hand side), which roughly halves the
-width of the integers that reach the solve.  Before that, prism triples
-and then cell triples are prefiltered by their extents along the
-coordinates and the directions e_i +- e_j, computed on integers about 64
-bits wide on the prefilter layer of :mod:`ornaments.geometry` that
-validation and the degree route share: the track is rounded outward onto
-one power-of-two grid, so the extents contain the exact ones and no triple
-that can meet is cut.  Every grid vertex is expanded into its ends along
-those directions once, a keyframe at a time, and the extents of a prism or
-cell are the :func:`hull` of its vertices' ends.  The set-up is lazy: a prism's cells are
-built only when a prism triple that passes reaches it, and a cell's
-rational points and simplex frame only when it enters a candidate triple.
+width of the integers that reach the solve.  Before that, candidates are
+prefiltered on three levels by their extents along the coordinates and
+the directions e_i +- e_j, computed on integers about 64 bits wide on the
+prefilter layer of :mod:`ornaments.geometry` that validation and the
+degree route share: the track is rounded outward onto one power-of-two
+grid, so the extents contain the exact ones and no triple that can meet is
+cut.  Every grid vertex is expanded into its ends along those directions
+once, a keyframe at a time, and the extents of a whole component over a
+keyframe interval, of a prism or of a cell are the :func:`hull` of its
+vertices' ends.  The component level rules out a keyframe interval whose
+components have separated before any prism extent is built, and otherwise
+keeps, per component, the prisms that meet the other two components'
+common extents; prism triples and then cell triples are tested on those.
+The set-up is lazy: a prism's cells are built only when a prism triple
+that passes reaches it, and a cell's rational points and simplex frame
+only when it enters a candidate triple.
 Strictly interior transverse solutions are the signed triple points; their
 algebraic count over a homotopy to the trivial ornament is the invariant,
 and over an arbitrary homotopy it is the difference of the endpoint
@@ -298,13 +303,23 @@ def _interval_triple_points(track, j, vertices):
     ``vertices`` holds the :func:`_expanded_frame` of keyframes j and j + 1.
     See :func:`detect_triple_points`."""
     found = []
-    prism_extents = [
-        [hull([vertices[level][ci][v] for level in (0, 1) for v in facet])
-         for facet in dom.facets]
-        for ci, dom in enumerate(track.domains)
-    ]
+    w1, w2, w3 = (hull(lower + upper) for lower, upper in zip(*vertices))
+    # Per component, the common part of the other two components' extents.
+    others = (box_intersection(w2, w3), box_intersection(w1, w3),
+              box_intersection(w1, w2))
+    if any(common is None for common in others):
+        return found
+    prisms = []  # per component, the (facet index, extents) that can meet
+    for ci, (dom, common) in enumerate(zip(track.domains, others)):
+        prisms.append([])
+        for fi, facet in enumerate(dom.facets):
+            extents = hull([vertices[level][ci][v] for level in (0, 1)
+                            for v in facet])
+            if extents_meet(extents, common):
+                prisms[ci].append((fi, extents))
     prism_cells = [[None] * len(dom.facets) for dom in track.domains]
     reductions32 = {}  # (cell 2, cell 3) -> pair_reduction
+    lifts = {}  # (rho 1-2, rho 3-2) -> (rho, lift 1-2, lift 3-2)
 
     def cells_of(ci, fi):
         entries = prism_cells[ci][fi]
@@ -318,15 +333,12 @@ def _interval_triple_points(track, j, vertices):
             ]
         return entries
 
-    for i1, x1 in enumerate(prism_extents[0]):
-        for i2, x2 in enumerate(prism_extents[1]):
+    for i1, x1 in prisms[0]:
+        for i2, x2 in prisms[1]:
             x12 = box_intersection(x1, x2)
             if x12 is None:
                 continue
-            third = [
-                i3 for i3, x3 in enumerate(prism_extents[2])
-                if extents_meet(x12, x3)
-            ]
+            third = [i3 for i3, x3 in prisms[2] if extents_meet(x12, x3)]
             if not third:
                 continue
             cells3 = [entry for i3 in third for entry in cells_of(2, i3)]
@@ -355,7 +367,7 @@ def _interval_triple_points(track, j, vertices):
                                 fr3, fr2
                             )
                         sign, verdict = solve_from_pairs(
-                            reduction12, reduction32, solve_integer
+                            reduction12, reduction32, solve_integer, lifts
                         )
                         if sign == 0:
                             eq_rows, nvars, _ = common_point_system(
@@ -397,9 +409,17 @@ def detect_triple_points(track):
 
     Enumerates same-interval cell triples (a strictly interior common point
     has a strictly interior time, so cross-interval triples cannot
-    contribute), prefiltered by extents along the coordinates and the
-    directions e_i +- e_j: first those of the prisms, then those of their
-    staircase cells.  The extents are computed on the grid points of
+    contribute), prefiltered on three levels by extents along the
+    coordinates and the directions e_i +- e_j: first those of the whole
+    components over the keyframe interval, then those of the prisms, then
+    those of their staircase cells.  An interval where two components'
+    extents miss holds no candidate and builds no prism extent.  Otherwise
+    (pairwise meeting extents, coordinate by coordinate intervals, have a
+    common point) a prism that misses the common part of the other two
+    components' extents is in no prism triple whose extents share a point,
+    and is dropped before the prism-pair loop, which keeps the order of the
+    rest, so the candidates reach the solver in the same order as without
+    this level.  The extents are computed on the grid points of
     :func:`_integer_frames`, each vertex rounded outward onto one
     power-of-two grid, so they contain ``2 ** shift`` times the exact
     extents: every triple whose exact extents overlap reaches a solve.  A
@@ -410,26 +430,30 @@ def detect_triple_points(track):
 
     The set-up is lazy.  The grid vertices of keyframes j and j + 1 are
     expanded by :func:`_vertex_extents` for interval j, those of j + 1
-    kept for the next, and the extents of a prism or cell are the
-    :func:`hull` of its vertices' (its 2(d + 1) or d + 2 of them), so a
-    prism's equal the union of its cells'.  A prism's cells and their
-    extents are built when a prism triple that passes reaches it, and a
-    cell's rational points and simplex frame (which carries its column
-    scales) when it first enters a candidate triple.  A pair of extents
-    that meet is intersected once and tested against each third one.
+    kept for the next, and the extents of a component, prism or cell are
+    the :func:`hull` of its vertices' (all of the component's at both
+    keyframes, or the 2(d + 1) or d + 2 of the prism or cell), so a
+    prism's equal the union of its cells', and a component's the union of
+    its prisms'.  A prism's cells and their extents are built when a prism
+    triple that passes reaches it, and a cell's rational points and simplex
+    frame (which carries its column scales) when it first enters a
+    candidate triple.  A pair of extents that meet is intersected once and
+    tested against each third one.
 
     Each candidate is solved by :func:`solve_from_pairs` from the (cell 1,
     cell 2) reduction, made once per pair, and the (cell 3, cell 2)
     reduction, made on first use and cached for the rest of the keyframe
-    interval.  A cell's edges are eliminated once, by its frame, however
-    many reductions eliminate it; the x-free rows of the reductions are
-    primitive, which keeps the joined 2k x 2k system narrow.  The kernel
-    decides each candidate on integers: one outside some cell is dropped
-    and one on a cell's boundary raises, both before any rational is built;
-    a singular one (a degenerate cell 1 or cell 3 included) goes to the
-    exact touching test, which raises when the closed cells meet.  The
-    touching tests and the witnesses use the rational points.  Raises
-    NonGenericTrack on any exactly-degenerate configuration.
+    interval, as are the lifts of the right-hand sides to a common scale,
+    one per pair of the two reductions' ``rho``.  A cell's edges are
+    eliminated once, by its frame, however many reductions eliminate it;
+    the x-free rows of the reductions are primitive, which keeps the joined
+    2k x 2k system narrow.  The kernel decides each candidate on integers:
+    one outside some cell is dropped and one on a cell's boundary raises,
+    both before any rational is built; a singular one (a degenerate cell 1
+    or cell 3 included) goes to the exact touching test, which raises when
+    the closed cells meet.  The touching tests and the witnesses use the
+    rational points.  Raises NonGenericTrack on any exactly-degenerate
+    configuration.
     """
     found = []
     # The directions e_i + e_j and e_i - e_j: with the plain coordinates
@@ -510,6 +534,8 @@ def sweep_with_retries(track, seed=0):
 def trivial_ornament(domains, m, targets):
     """Collapse each domain to its own fixed target point."""
     targets = [as_point(t) for t in targets]
+    if len(targets) != 3:
+        raise ValueError("exactly three targets required")
     if len(set(targets)) != 3:
         raise ValueError("targets must be pairwise distinct")
     return Ornament([

@@ -27,7 +27,9 @@ inequalities, is the reference for the package's rank-first
 ``feasible_point`` on "A x = b, x >= 0", and the exact
 common-scale frames and extents are the references for the sweep's
 outward-rounded grid prefilter; the union of extents is the reference for
-the sweep's cell and prism extents.  The helpers at the end (image of
+the sweep's cell and prism extents, and the two-level enumeration of cell
+triples on exact extents the reference for the candidates of its
+three-level prefilter.  The helpers at the end (image of
 a barycentric point, the unnormalised sphere map, reversed components,
 reversed and concatenated tracks, the straight-line homotopy to a trivial
 ornament, relative sweeps, certification of an ornament homotopy) are used
@@ -55,7 +57,9 @@ from ornaments.model import (
 from ornaments.sweep import (
     HomotopyTrack,
     NonGenericTrack,
+    cell_points,
     detect_triple_points,
+    staircase_cells,
     sweep_with_retries,
 )
 
@@ -662,6 +666,64 @@ def extents_union(extent_list):
             if mx[i] > maxs[i]:
                 maxs[i] = mx[i]
     return mins, maxs
+
+
+def _common_extents(a, b):
+    """The common part of the extents ``a`` and ``b``, or ``None`` when they
+    do not meet."""
+    mins = [max(x, y) for x, y in zip(a[0], b[0])]
+    maxs = [min(x, y) for x, y in zip(a[1], b[1])]
+    if any(lo > hi for lo, hi in zip(mins, maxs)):
+        return None
+    return mins, maxs
+
+
+def two_level_cell_triples(track):
+    """Reference for the cell triples the sweep's prefilter passes: those
+    of a two-level rule on the exact extents of the rational points, in the
+    order the sweep solves them, as ``(cell 1, cell 2, cell 3)``.
+
+    Per keyframe interval, prism 1 runs over component 0's facets and
+    prism 2, inside it, over component 1's; a pair whose extents meet keeps
+    the component-2 prisms meeting their common part, and the staircase
+    cells of those third prisms, in order, are the third cells.  Each cell
+    1 of prism 1 then runs against each cell 2 of prism 2, and a pair whose
+    extents meet yields one triple per third cell meeting their common
+    part.  There is no component level, so the sweep solving exactly these
+    triples shows that its component level cuts no candidate."""
+    pairs = list(combinations(range(track.m + 1), 2))
+    triples = []
+    for j in range(len(track.times) - 1):
+        prisms = []
+        for ci, dom in enumerate(track.domains):
+            entries = []
+            for fi, facet in enumerate(dom.facets):
+                points = [
+                    track.images[j + level][ci][v] + (track.times[j + level],)
+                    for level in (0, 1) for v in facet
+                ]
+                cells = [(cell, extents_exact(cell_points(track, cell), pairs))
+                         for cell in staircase_cells(facet, ci, fi, j)]
+                entries.append((extents_exact(points, pairs), cells))
+            prisms.append(entries)
+        for x1, cells1 in prisms[0]:
+            for x2, cells2 in prisms[1]:
+                x12 = _common_extents(x1, x2)
+                if x12 is None:
+                    continue
+                cells3 = [entry for x3, cells3 in prisms[2]
+                          if _common_extents(x12, x3) is not None
+                          for entry in cells3]
+                for cell1, cx1 in cells1:
+                    for cell2, cx2 in cells2:
+                        cx12 = _common_extents(cx1, cx2)
+                        if cx12 is None:
+                            continue
+                        triples.extend(
+                            (cell1, cell2, cell3) for cell3, cx3 in cells3
+                            if _common_extents(cx12, cx3) is not None
+                        )
+    return triples
 
 
 def point_at(f, facet_index, barycentric):

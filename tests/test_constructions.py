@@ -11,7 +11,7 @@ from ornaments.constructions import (
 from ornaments.degree import mu_via_degree_auto
 from ornaments.geometry import Rat, as_point
 from ornaments.model import validate_manifold, validate_ornament
-from ornaments.sweep import mu_via_sweep
+from ornaments.sweep import mu_via_sweep, trivial_ornament
 
 
 def test_cross_polytope_counts_and_validity():
@@ -101,6 +101,19 @@ def test_trivial_rejects_coincident_targets():
     t = as_point([0, 0])
     with pytest.raises(ValueError):
         make_trivial(1, targets=[t, t, as_point([1, 1])])
+
+
+@pytest.mark.parametrize("count", [2, 4])
+def test_trivial_rejects_a_wrong_number_of_targets(count):
+    """Two targets, or four distinct ones, are a wrong count, reported in
+    the CLI's words by ``make_trivial`` and by ``sweep.trivial_ornament``,
+    not as coincident targets."""
+    targets = [as_point([i, i]) for i in range(count)]
+    with pytest.raises(ValueError, match="exactly three targets required"):
+        make_trivial(1, targets=targets)
+    sphere = cross_polytope_sphere(1)
+    with pytest.raises(ValueError, match="exactly three targets required"):
+        trivial_ornament([sphere.manifold] * 3, 2, targets)
 
 
 def test_trivial_rejects_wrong_target_dimension():

@@ -152,6 +152,58 @@ def test_sweep_system_width_borromean_k1_r3(borromean_k1_r3, monkeypatch):
     assert all(gcd(*row) == 1 for row in rows_seen)
 
 
+@pytest.mark.parametrize("fixture, solves, prisms, prism_pairs", [
+    ("borromean_k1_r3", 4906, 96, 204),
+    ("borromean_k2", 50090, 48, 256),
+])
+def test_sweep_component_level(fixture, solves, prisms, prism_pairs, request,
+                               monkeypatch):
+    """The component level of the sweep's prefilter rules out keyframe
+    intervals 1-5 of the six before any prism extent is built, so prism
+    extents are built in interval 0 alone, one per facet of each component
+    (96 = 3 x 32 at k=1 with r=3, 48 = 3 x 16 at k=2), and, of those, only
+    the prisms meeting the other two components' common extents enter the
+    prism-pair loop (204 of 1,024 pairs at k=1, 256 of 256 at k=2); the
+    solves do not move."""
+    ornament = request.getfixturevalue(fixture)
+    live_interval = sweep._interval_triple_points
+    live_hull = sweep.hull
+    live_intersection = sweep.box_intersection
+    prism_size = 2 * len(ornament.components[0].domain.facets[0])
+    built = Counter()  # interval -> prism extents built
+    prism_extents = []  # kept alive, so that their ids stay unique
+    ids = set()
+    pairs = []
+    intervals = []
+
+    def interval(track, j, vertices):
+        intervals.append(j)
+        return live_interval(track, j, vertices)
+
+    def hull(parts):
+        result = live_hull(parts)
+        if len(parts) == prism_size:
+            built[intervals[-1]] += 1
+            prism_extents.append(result)
+            ids.add(id(result))
+        return result
+
+    def intersection(a, b):
+        if id(a) in ids and id(b) in ids:
+            pairs.append((a, b))
+        return live_intersection(a, b)
+
+    monkeypatch.setattr(sweep, "_interval_triple_points", interval)
+    monkeypatch.setattr(sweep, "hull", hull)
+    monkeypatch.setattr(sweep, "box_intersection", intersection)
+    counted = Tally(monkeypatch, sweep, "solve_integer", singular)
+    assert sweep.mu_via_sweep(ornament, seed=0) == 1
+    assert intervals == [0, 1, 2, 3, 4, 5]
+    assert built == {0: prisms}
+    assert len(pairs) == prism_pairs
+    assert (counted.calls, counted.hits) == (solves, 0)
+
+
 def test_degree_counters_borromean_k1_r3(borromean_k1_r3, monkeypatch):
     boxes = Tally(monkeypatch, degree, "ray_meets_box", lambda passed: passed)
     solves = Tally(monkeypatch, degree, "solve_integer", singular)

@@ -48,6 +48,7 @@ from oracles import (
     solve_bareiss,
     solve_triple,
     straight_line_homotopy_to_trivial,
+    two_level_cell_triples,
 )
 
 
@@ -156,6 +157,7 @@ def test_pair_reduction_matches_direct_solver():
         ("singular", "kept outside", "b outside", "a outside", "closed",
          "inside"), 0
     )
+    lifts = {}  # shared by every trial, as by every candidate of an interval
     for k, kind in corpus:
         if k is None:
             k = rng.choice((1, 2))
@@ -181,6 +183,11 @@ def test_pair_reduction_matches_direct_solver():
         direct = solve_triple(f1, f2, f3)
         reduction12 = pair_reduction(f1, f2)
         reduction32 = pair_reduction(f3, f2)
+        for frame in (f1, f3):
+            elimination = frame.elimination()
+            if elimination is not None:
+                tri_x, ops, _ = elimination
+                assert all(gcd(*op) == 1 for op in ops[len(tri_x):])
         if kind.startswith("repeated"):
             assert direct[0] == 0
         if kind == "repeated 0":
@@ -188,7 +195,7 @@ def test_pair_reduction_matches_direct_solver():
         if kind == "repeated 2":
             assert reduction32 is None
         sign, verdict = solve_from_pairs(reduction12, reduction32,
-                                         solve_integer)
+                                         solve_integer, lifts)
         assert sign == direct[0]
         if sign == 0:
             assert verdict is None
@@ -246,7 +253,7 @@ def test_pair_reduction_rows_are_primitive(cells):
         if reduction is not None:
             for row, r in zip(reduction.con_rows, reduction.con_rhs):
                 assert gcd(*row, r) in (0, 1)  # 0: an all-zero row
-    sign, _ = solve_from_pairs(reduction12, reduction32, solve_integer)
+    sign, _ = solve_from_pairs(reduction12, reduction32, solve_integer, {})
     assert sign == direct_sign
     if reduction12 is None or reduction32 is None:
         assert direct_sign == 0
@@ -531,9 +538,52 @@ def test_grid_prefilter_solves_the_exact_candidates(grid_tracks, monkeypatch):
         assert grid
 
 
+@pytest.fixture(scope="module")
+def random_collapse_track():
+    """The default collapse track of a seeded random k=1 ornament whose
+    components' boxes overlap."""
+    o = make_random_ornament(1, seed=5, spread=Rat(6))
+    return sweep._collapse_track(o, default_trivial_targets(o, 0))
+
+
+def test_sweep_solves_the_two_level_triples(grid_tracks,
+                                            random_collapse_track,
+                                            monkeypatch):
+    """The sweep sends the solver exactly the systems of the cell triples
+    that the two-level rule (prism triples, then their cell triples) passes
+    on exact extents, in the same order: its component level, which rules
+    out whole keyframe intervals and prisms, cuts no candidate."""
+    for track in grid_tracks + [random_collapse_track]:
+        systems, _ = _solved_candidates(track, monkeypatch)
+        expected = []
+
+        def recording(*args):
+            expected.append(joined_system(*args))
+            return solve_integer(*args)
+
+        frames = {}
+        reductions = {}
+
+        def reduction(cell_x, cell_kept):
+            for cell in (cell_x, cell_kept):
+                if cell not in frames:
+                    frames[cell] = simplex_frame(cell_points(track, cell))
+            if (cell_x, cell_kept) not in reductions:
+                reductions[cell_x, cell_kept] = pair_reduction(
+                    frames[cell_x], frames[cell_kept])
+            return reductions[cell_x, cell_kept]
+
+        lifts = {}
+        for cell1, cell2, cell3 in two_level_cell_triples(track):
+            solve_from_pairs(reduction(cell1, cell2), reduction(cell3, cell2),
+                             recording, lifts)
+        assert systems == expected
+        assert systems
+
+
 def _recorded_extents(track, monkeypatch):
     """Sweep ``track`` and return the grid shift, the per-vertex extents
-    and every extent of a cell or prism the sweep computes.
+    and every extent of a component, prism or cell the sweep computes.
 
     The per-vertex extents map ``(keyframe, component, vertex)`` to
     ``(pairs, extents)``, one :func:`sweep._vertex_extents` call each (a
@@ -600,10 +650,11 @@ def _recorded_extents(track, monkeypatch):
 
 def test_grid_extents_contain_the_scaled_rational_extents(grid_tracks,
                                                           monkeypatch):
-    """Every extent the sweep computes, of a prism or of a cell, contains
-    ``2 ** shift`` times the exact extent of the same rational points, at
-    most 2 grid units wider per side; it is computed from the extents of
-    its vertices, each expanded once per sweep."""
+    """Every extent the sweep computes, of a whole component over a
+    keyframe interval, of a prism or of a cell, contains ``2 ** shift``
+    times the exact extent of the same rational points, at most 2 grid
+    units wider per side; it is computed from the extents of its vertices,
+    each expanded once per sweep."""
     for track in grid_tracks:
         shift, _, calls = _recorded_extents(track, monkeypatch)
         assert shift > 0
@@ -616,30 +667,55 @@ def test_grid_extents_contain_the_scaled_rational_extents(grid_tracks,
                 assert 0 <= unit * x - lo <= 2
             for hi, x in zip(maxs, exact_maxs):
                 assert 0 <= hi - unit * x <= 2
-        # both kinds are checked: 2(d + 1) prism and d + 2 cell vertices
+        # all three kinds are checked: the 2n vertices of a component with
+        # n, the 2(d + 1) of a prism and the d + 2 of a cell
         sizes = {len(facet) for dom in track.domains for facet in dom.facets}
         assert {len(vertices) for _, vertices, _ in calls} == (
-            {2 * n for n in sizes} | {n + 1 for n in sizes}
+            {2 * dom.vertex_count for dom in track.domains}
+            | {2 * n for n in sizes} | {n + 1 for n in sizes}
         )
 
 
 def test_prism_extents_are_the_union_of_cell_extents(grid_tracks,
                                                      monkeypatch):
-    """The sweep computes the extents of every prism once, and they equal
-    the union of the extents of the prism's staircase cells, each the
-    union of its vertices' extents."""
+    """The sweep computes the extents of each component once per keyframe
+    interval.  Only in an interval where those of the three components
+    meet pairwise does it compute prism extents: then those of every
+    prism, once each, and a component's extents are the union of its
+    prisms'.  The extents of every prism computed equal the union of the
+    extents of the prism's staircase cells, each the union of its
+    vertices' extents."""
+    def meet(a, b):
+        return all(max(lo) <= min(hi) for lo, hi in zip(zip(a[0], b[0]),
+                                                        zip(a[1], b[1])))
+
+    outcomes = set()  # whether an interval computed prism extents
     for track in grid_tracks:
         _, vertices, calls = _recorded_extents(track, monkeypatch)
+        components = {}
         prisms = {}
         for _, names, extent in calls:
+            (ci,) = {c for _, c, _ in names}
+            j = min(k for k, _, _ in names)
             facet = frozenset(v for _, _, v in names)
-            if len(names) == 2 * len(facet):  # both levels of a facet
-                (ci,) = {c for _, c, _ in names}
-                key = (min(k for k, _, _ in names), ci, facet)
-                assert key not in prisms
-                prisms[key] = extent
+            if len(names) == 2 * track.domains[ci].vertex_count:
+                key, built = (j, ci), components
+            elif len(names) == 2 * len(facet):  # both levels of a facet
+                key, built = (j, ci, facet), prisms
+            else:
+                continue
+            assert key not in built
+            built[key] = extent
         for j in range(len(track.times) - 1):
+            whole = [components.pop((j, ci)) for ci in range(3)]
+            meets = all(meet(whole[a], whole[b])
+                        for a, b in ((0, 1), (0, 2), (1, 2)))
+            outcomes.add(meets)
+            if not meets:
+                assert not any(key[0] == j for key in prisms)
+                continue
             for ci, dom in enumerate(track.domains):
+                extents = []
                 for fi, facet in enumerate(dom.facets):
                     extent = prisms.pop((j, ci, frozenset(facet)))
                     cells = [
@@ -648,4 +724,7 @@ def test_prism_extents_are_the_union_of_cell_extents(grid_tracks,
                         for cell in staircase_cells(facet, ci, fi, j)
                     ]
                     assert extent == extents_union(cells)
-        assert not prisms
+                    extents.append(extent)
+                assert whole[ci] == extents_union(extents)
+        assert not prisms and not components
+    assert outcomes == {True, False}
