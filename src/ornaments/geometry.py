@@ -27,15 +27,16 @@ into one 2k x 2k solve per triple, a Laplace expansion over their minors
 (:mod:`ornaments.laplace`), and returns the triple's verdict: singular,
 outside, on a boundary, or strictly interior.  Every verdict is
 read off integer Cramer numerators over the integer determinant by one
-classifier, :func:`cramer_status`, so rationals are built only for
-interior points, the witnesses.  Linear feasibility is asked in one form,
-"A x = b, x >= 0", and decided rank first: the equalities, cleared of
-denominators row by row, go through the same elimination loop (skipping
-columns without a pivot), and an inconsistent system is rejected on
-integers alone.  Only a consistent one is brought to its reduced row
-echelon form, one rational per entry, and its sign constraints to
-Fourier-Motzkin elimination, with exact sample-point extraction for
-witnesses.
+classifier, :func:`cramer_status`, whose first test (a negative kept
+coordinate) the compiled solve makes as it expands each numerator, so
+rationals are built only for interior points, the witnesses.  Linear
+feasibility is asked in one form, "A x = b, x >= 0", and decided rank
+first: the equalities, cleared of denominators row by row, go through the
+same elimination loop (skipping columns without a pivot), and an
+inconsistent system is rejected on integers alone.  Only a consistent one
+is brought to its reduced row echelon form, one rational per entry, and
+its sign constraints to Fourier-Motzkin elimination, with exact
+sample-point extraction for witnesses.
 """
 
 from __future__ import annotations
@@ -503,8 +504,9 @@ def solve_from_pairs(reduction_a, reduction_b, solve, lifts):
     is seen: many candidates share a few such pairs (155 across the 4,906
     of one k=1 sweep), so the lcm and its divisions of ~150-bit integers
     are done once per pair while the caller keeps the dict, one keyframe
-    interval of the sweep or one call of the degree route.  Its integer
-    Cramer solution is classified by
+    interval of the sweep or one call of the degree route.  Unless
+    ``solve`` found a negative kept coordinate and left the numerators
+    out, its integer Cramer solution is classified by
     :func:`cramer_status`, with the kept simplex of the eliminated ones'
     arity and the extra columns as coordinates that must not be negative;
     b is back-substituted and classified only for a kept block that is not
@@ -547,6 +549,8 @@ def solve_from_pairs(reduction_a, reduction_b, solve, lifts):
     sign = reduction_a.sign_fix * reduction_b.sign_fix * sign_n
     if len(reduction_a.con_rows) % 2:
         sign = -sign
+    if numerators is None:
+        return sign, None  # the solve's screen found a negative coordinate
     scales_a = reduction_a.scales_x
     scales_b = reduction_b.scales_x
     scales_kept = reduction_a.scales_kept
@@ -721,7 +725,7 @@ def feasible_point(eq_rows, nvars, scales=None):
 
 # ---------------------------------------------------------------------------
 # The prefilter layer of validation and both routes: outward grid, hulls
-# of brackets, and the meet and intersection of extents.
+# of brackets, and the meet, meet masks and intersection of extents.
 # ---------------------------------------------------------------------------
 
 def outward_grid(points):
@@ -770,6 +774,21 @@ def box_intersection(a, b):
         return None
     return ([x if x > y else y for x, y in zip(a[0], b[0])],
             [x if x < y else y for x, y in zip(a[1], b[1])])
+
+
+def meet_mask(extents, others):
+    """The bitmask of the list ``others`` that ``extents`` meets: bit b
+    is set when it meets ``others[b]``.  So ``mask_a & mask_b`` of two
+    extents that meet lists, in order, the others that share a point with
+    both (see :func:`box_intersection`)."""
+    lows, highs = extents
+    mask = 0
+    bit = 1
+    for other_lows, other_highs in others:
+        if all(map(le, lows, other_highs)) and all(map(le, other_lows, highs)):
+            mask |= bit
+        bit <<= 1
+    return mask
 
 
 def normalise_by_ray(direction, box):

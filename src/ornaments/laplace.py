@@ -10,7 +10,8 @@ per term.  A block's minors are expanded once, row by row
 is 2 (2k + 1) C(2k - 1, k - 1) products of integers already at hand and
 no elimination.  Which minors multiply, and with which sign, depends on k
 alone: the signed term table of the joined solve is compiled once per k
-into one straight-line function (:func:`_joined_solve`).
+into one straight-line function (:func:`_joined_solve`), which stops at
+the first numerator that gives a negative coordinate.
 """
 
 from __future__ import annotations
@@ -97,14 +98,28 @@ def _joined_solve(k, joined):
     """The joined solve for blocks of k rows, compiled from the term table
     ``joined`` of :func:`_signed_terms` into one straight-line function
     ``solve(a, b, lift_a, lift_b)`` of the two blocks' minors, which
-    writes out every sum term by term with its sign and returns what
-    :func:`solve_integer` does.  The source is formatted from the table's
-    integer indices alone (``%d``), never from the data it solves."""
+    returns what :func:`solve_integer` does.  It writes out every sum term
+    by term with its sign, ``det`` first and then, in a branch per sign of
+    ``det``, each numerator followed by a test of its sign against
+    ``det``'s.  The source is formatted from the table's integer indices
+    alone (``%d``), never from the data it solves."""
     det, numerators = joined
 
     def total(terms):
         return " ".join("%s a%d * b%d" % ("-" if sign < 0 else "+", p, q)
                         for sign, p, q in terms).removeprefix("+ ")
+
+    def screened(sign, opposite):
+        lines = []
+        for i, (on_a, on_b) in enumerate(numerators):
+            lines += [
+                "        n%d = lift_a * (%s) + lift_b * (%s)"
+                % (i, total(on_a), total(on_b)),
+                "        if n%d %s 0:" % (i, opposite),
+                "            return %d, None, det" % sign,
+            ]
+        names = ", ".join("n%d" % i for i in range(len(numerators)))
+        return lines + ["        return %d, [%s], det" % (sign, names)]
 
     size = comb(2 * k + 1, k)
     source = "\n".join([
@@ -112,12 +127,11 @@ def _joined_solve(k, joined):
         "    %s, = a" % ", ".join("a%d" % p for p in range(size)),
         "    %s, = b" % ", ".join("b%d" % q for q in range(size)),
         "    det = %s" % total(det),
-        "    if not det:",
-        "        return 0, None, None",
-        "    return (1 if det > 0 else -1), [",
-        *["        lift_a * (%s) + lift_b * (%s)," % (total(on_a), total(on_b))
-          for on_a, on_b in numerators],
-        "    ], det",
+        "    if det > 0:",
+        *screened(1, "<"),
+        "    if det < 0:",
+        *screened(-1, ">"),
+        "    return 0, None, None",
     ])
     namespace = {}
     exec(compile(source, "<joined solve, k=%d>" % k, "exec"), namespace)
@@ -160,11 +174,12 @@ def solve_integer(reduction_a, reduction_b, lift_a, lift_b):
     Returns ``(sign, numerators, det)``: the sign of the determinant
     ``det`` in {-1, 0, +1} and integer Cramer numerators over it, so that
     ``x_i = numerators[i] / det``; both are ``None`` when the system is
-    singular.  The terms are products of the two blocks' cached
-    ``minors()``, summed by the compiled solve of k; those in which a
-    block's right-hand side stands are summed apart and multiplied by its
-    lift once.  ``det`` is the joined matrix's own, so it and the
-    numerators have the magnitudes Bareiss elimination gives.
+    singular, and the numerators alone when some ``x_i`` is negative (the
+    first such numerator ends the expansion).  The terms are products of
+    the two blocks' cached ``minors()``, summed by the compiled solve of k;
+    those in which a block's right-hand side stands are summed apart and
+    multiplied by its lift once.  ``det`` is the joined matrix's own, so it
+    and the numerators have the magnitudes Bareiss elimination gives.
     """
     _, solve = _kernel(len(reduction_a.con_rows))
     return solve(reduction_a.minors(), reduction_b.minors(), lift_a, lift_b)

@@ -33,10 +33,12 @@ keyframe interval, of a prism or of a cell are the :func:`hull` of its
 vertices' ends.  The component level rules out a keyframe interval whose
 components have separated before any prism extent is built, and otherwise
 keeps, per component, the prisms that meet the other two components'
-common extents; prism triples and then cell triples are tested on those.
-The set-up is lazy: a prism's cells are built only when a prism triple
-that passes reaches it, and a cell's rational points and simplex frame
-only when it enters a candidate triple.
+common extents.  Each cell of components 1 and 2 carries a bitmask of the
+kept component-3 cells its extents meet, so a pair of meeting prisms, then
+of meeting cells, reads its candidates off the two masks' common bits.
+The set-up is lazy: the cells of a prism of component 1 or 2 are built
+only when a meeting prism pair reaches it, and a cell's rational points
+and simplex frame only when it enters a candidate triple.
 Strictly interior transverse solutions are the signed triple points; their
 algebraic count over a homotopy to the trivial ornament is the invariant,
 and over an arbitrary homotopy it is the difference of the endpoint
@@ -63,6 +65,7 @@ from .geometry import (
     extents_meet,
     feasible_point,
     hull,
+    meet_mask,
     outward_grid,
     pair_reduction,
     random_rational_perturbation,
@@ -275,10 +278,12 @@ def _expanded_frame(frame, pairs):
 
 class _SweepCell:
     """A staircase cell of the sweep with its grid extents; its rational
-    points and simplex frame are built by :meth:`framed` on first use.
-    Hashed by identity, so it keys the (cell 2, cell 3) reductions."""
+    points and simplex frame are built by :meth:`framed` on first use.  A
+    cell of component 1 or 2 also holds its :func:`meet_mask` against the
+    keyframe interval's cells of component 3, and a cell of component 2
+    its (cell 2, cell 3) reductions, in a list indexed like those cells."""
 
-    __slots__ = ("cell", "extents", "points", "frame")
+    __slots__ = ("cell", "extents", "points", "frame", "mask", "reductions")
 
     def __init__(self, cell, extents):
         self.cell = cell
@@ -317,53 +322,59 @@ def _interval_triple_points(track, j, vertices):
                             for v in facet])
             if extents_meet(extents, common):
                 prisms[ci].append((fi, extents))
-    prism_cells = [[None] * len(dom.facets) for dom in track.domains]
-    reductions32 = {}  # (cell 2, cell 3) -> pair_reduction
+    if not all(prisms):
+        return found
     lifts = {}  # (rho 1-2, rho 3-2) -> (rho, lift 1-2, lift 3-2)
 
+    def staircase(ci, fi):
+        facet = track.domains[ci].facets[fi]
+        return [
+            _SweepCell(cell, hull(
+                [vertices[level][ci][v] for v, level in cell.vertices]
+            ))
+            for cell in staircase_cells(facet, ci, fi, j)
+        ]
+
+    # The cells of component 3, in prism then staircase order: bit b of a
+    # mask stands for cells3[b].
+    cells3 = [entry for i3, _ in prisms[2] for entry in staircase(2, i3)]
+    extents3 = [entry.extents for entry in cells3]
+    masked = ({}, {})  # per component 1 and 2, facet index -> its cells
+
     def cells_of(ci, fi):
-        entries = prism_cells[ci][fi]
+        entries = masked[ci].get(fi)
         if entries is None:
-            facet = track.domains[ci].facets[fi]
-            entries = prism_cells[ci][fi] = [
-                _SweepCell(cell, hull(
-                    [vertices[level][ci][v] for v, level in cell.vertices]
-                ))
-                for cell in staircase_cells(facet, ci, fi, j)
-            ]
+            entries = masked[ci][fi] = staircase(ci, fi)
+            for entry in entries:
+                entry.mask = meet_mask(entry.extents, extents3)
+                if ci:
+                    entry.reductions = [_UNSEEN] * len(cells3)
         return entries
 
     for i1, x1 in prisms[0]:
         for i2, x2 in prisms[1]:
-            x12 = box_intersection(x1, x2)
-            if x12 is None:
+            if not extents_meet(x1, x2):
                 continue
-            third = [i3 for i3, x3 in prisms[2] if extents_meet(x12, x3)]
-            if not third:
-                continue
-            cells3 = [entry for i3 in third for entry in cells_of(2, i3)]
             for entry1 in cells_of(0, i1):
+                mask1 = entry1.mask
                 cx1 = entry1.extents
                 for entry2 in cells_of(1, i2):
-                    cx2 = entry2.extents
-                    cx12 = box_intersection(cx1, cx2)
-                    if cx12 is None:
-                        continue
-                    candidates = [
-                        entry3 for entry3 in cells3
-                        if extents_meet(cx12, entry3.extents)
-                    ]
-                    if not candidates:
+                    mask = mask1 & entry2.mask
+                    if not mask or not extents_meet(cx1, entry2.extents):
                         continue
                     fr1 = entry1.framed(track)
                     fr2 = entry2.framed(track)
                     reduction12 = pair_reduction(fr1, fr2)
-                    for entry3 in candidates:
+                    reductions32 = entry2.reductions
+                    while mask:
+                        low = mask & -mask
+                        mask ^= low
+                        b = low.bit_length() - 1
+                        entry3 = cells3[b]
                         fr3 = entry3.framed(track)
-                        key = (entry2, entry3)
-                        reduction32 = reductions32.get(key, _UNSEEN)
+                        reduction32 = reductions32[b]
                         if reduction32 is _UNSEEN:
-                            reduction32 = reductions32[key] = pair_reduction(
+                            reduction32 = reductions32[b] = pair_reduction(
                                 fr3, fr2
                             )
                         sign, verdict = solve_from_pairs(
@@ -412,21 +423,25 @@ def detect_triple_points(track):
     contribute), prefiltered on three levels by extents along the
     coordinates and the directions e_i +- e_j: first those of the whole
     components over the keyframe interval, then those of the prisms, then
-    those of their staircase cells.  An interval where two components'
-    extents miss holds no candidate and builds no prism extent.  Otherwise
-    (pairwise meeting extents, coordinate by coordinate intervals, have a
-    common point) a prism that misses the common part of the other two
-    components' extents is in no prism triple whose extents share a point,
-    and is dropped before the prism-pair loop, which keeps the order of the
-    rest, so the candidates reach the solver in the same order as without
-    this level.  The extents are computed on the grid points of
-    :func:`_integer_frames`, each vertex rounded outward onto one
-    power-of-two grid, so they contain ``2 ** shift`` times the exact
-    extents: every triple whose exact extents overlap reaches a solve.  A
-    triple let through by the rounding alone has closed cells that do not
-    meet, so a singular system fails the touching test and a nonsingular
-    one has its solution outside some cell; it can neither add a point nor
-    raise, and the points found are those of the exact prefilter.
+    those of their staircase cells.  Extents are intervals, coordinate by
+    coordinate, so three of them share a point exactly when they meet
+    pairwise.  An interval where two components' extents miss holds no
+    candidate and builds no prism extent.  Otherwise a prism that misses
+    the common part of the other two components' extents is dropped.  The
+    cells of the component-3 prisms kept are listed once, in prism then
+    staircase order, and each cell of components 1 and 2 gets a
+    :func:`meet_mask` over them.  A cell pair of meeting prisms whose
+    extents meet has the common bits of its masks, in ascending order, as
+    its candidates: as cell extents lie in their prism's, those are the
+    triples of a prism-triple loop, in its order.  The extents are
+    computed on the grid points of :func:`_integer_frames`, each vertex
+    rounded outward onto one power-of-two grid, so they contain
+    ``2 ** shift`` times the exact extents: every triple whose exact
+    extents overlap reaches a solve.  A triple let through by the rounding
+    alone has closed cells that do not meet, so a singular system fails the
+    touching test and a nonsingular one has its solution outside some
+    cell; it can neither add a point nor raise, and the points found are
+    those of the exact prefilter.
 
     The set-up is lazy.  The grid vertices of keyframes j and j + 1 are
     expanded by :func:`_vertex_extents` for interval j, those of j + 1
@@ -434,22 +449,23 @@ def detect_triple_points(track):
     the :func:`hull` of its vertices' (all of the component's at both
     keyframes, or the 2(d + 1) or d + 2 of the prism or cell), so a
     prism's equal the union of its cells', and a component's the union of
-    its prisms'.  A prism's cells and their extents are built when a prism
-    triple that passes reaches it, and a cell's rational points and simplex
-    frame (which carries its column scales) when it first enters a
-    candidate triple.  A pair of extents that meet is intersected once and
-    tested against each third one.
+    its prisms'.  The cells of a prism of component 1 or 2, their extents
+    and masks are built when a meeting prism pair reaches it, and a cell's
+    rational points and simplex frame (which carries its column scales)
+    when it first enters a candidate triple.
 
     Each candidate is solved by :func:`solve_from_pairs` from the (cell 1,
     cell 2) reduction, made once per pair, and the (cell 3, cell 2)
-    reduction, made on first use and cached for the rest of the keyframe
-    interval, as are the lifts of the right-hand sides to a common scale,
-    one per pair of the two reductions' ``rho``.  A cell's edges are
-    eliminated once, by its frame, however many reductions eliminate it;
-    the x-free rows of the reductions are primitive, which keeps the joined
-    2k x 2k system narrow.  The kernel decides each candidate on integers:
-    one outside some cell is dropped and one on a cell's boundary raises,
-    both before any rational is built; a singular one (a degenerate cell 1
+    reduction, made on first use and kept by cell 2 at cell 3's bit for the
+    rest of the keyframe interval, as are the lifts of the right-hand sides
+    to a common scale, one per pair of the two reductions' ``rho``.  A
+    cell's edges are eliminated once, by its frame, however many reductions
+    eliminate it; the x-free rows of the reductions are primitive, which
+    keeps the joined 2k x 2k system narrow.  The kernel decides each
+    candidate on integers: one outside some cell is dropped (most of them
+    by :func:`solve_integer` itself, at the first negative coordinate of
+    cell 2) and one on a cell's boundary raises, both before any rational
+    is built; a singular one (a degenerate cell 1
     or cell 3 included) goes to the exact touching test, which raises when
     the closed cells meet.  The touching tests and the witnesses use the
     rational points.  Raises NonGenericTrack on any exactly-degenerate

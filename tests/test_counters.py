@@ -163,12 +163,12 @@ def test_sweep_component_level(fixture, solves, prisms, prism_pairs, request,
     extents are built in interval 0 alone, one per facet of each component
     (96 = 3 x 32 at k=1 with r=3, 48 = 3 x 16 at k=2), and, of those, only
     the prisms meeting the other two components' common extents enter the
-    prism-pair loop (204 of 1,024 pairs at k=1, 256 of 256 at k=2); the
-    solves do not move."""
+    prism-pair loop (204 of 1,024 pairs at k=1, 256 of 256 at k=2), where
+    each pair's extents are tested once; the solves do not move."""
     ornament = request.getfixturevalue(fixture)
     live_interval = sweep._interval_triple_points
     live_hull = sweep.hull
-    live_intersection = sweep.box_intersection
+    live_meet = sweep.extents_meet
     prism_size = 2 * len(ornament.components[0].domain.facets[0])
     built = Counter()  # interval -> prism extents built
     prism_extents = []  # kept alive, so that their ids stay unique
@@ -188,19 +188,58 @@ def test_sweep_component_level(fixture, solves, prisms, prism_pairs, request,
             ids.add(id(result))
         return result
 
-    def intersection(a, b):
+    def meet(a, b):
         if id(a) in ids and id(b) in ids:
             pairs.append((a, b))
-        return live_intersection(a, b)
+        return live_meet(a, b)
 
     monkeypatch.setattr(sweep, "_interval_triple_points", interval)
     monkeypatch.setattr(sweep, "hull", hull)
-    monkeypatch.setattr(sweep, "box_intersection", intersection)
+    monkeypatch.setattr(sweep, "extents_meet", meet)
     counted = Tally(monkeypatch, sweep, "solve_integer", singular)
     assert sweep.mu_via_sweep(ornament, seed=0) == 1
     assert intervals == [0, 1, 2, 3, 4, 5]
     assert built == {0: prisms}
     assert len(pairs) == prism_pairs
+    assert (counted.calls, counted.hits) == (solves, 0)
+
+
+@pytest.mark.parametrize("fixture, solves, masks, cells3, cell_pairs", [
+    ("borromean_k1_r3", 4906, 58, 28, 514),
+    ("borromean_k2", 50090, 128, 64, 2123),
+])
+def test_sweep_cell_extent_tests(fixture, solves, masks, cells3, cell_pairs,
+                                 request, monkeypatch):
+    """The pairwise cell-extent tests of the sweep's mask stage: each cell
+    of component 1 or 2 in the prisms that enter the prism-pair loop is
+    tested once against every cell of component 3 that the component level
+    keeps (58 x 28 = 1,624 tests at k=1 with r=3, 128 x 64 = 8,192 at
+    k=2), and a cell pair's own extents are tested only when their masks
+    share a cell (514 and 2,123 pairs); the solves do not move."""
+    ornament = request.getfixturevalue(fixture)
+    live_mask = sweep.meet_mask
+    live_meet = sweep.extents_meet
+    masked = []  # (extents, number of others) per mask
+    ids = set()
+    pairs = []
+
+    def meet_mask(extents, others):
+        masked.append((extents, len(others)))
+        ids.add(id(extents))
+        return live_mask(extents, others)
+
+    def meet(a, b):
+        if id(a) in ids and id(b) in ids:
+            pairs.append((a, b))
+        return live_meet(a, b)
+
+    monkeypatch.setattr(sweep, "meet_mask", meet_mask)
+    monkeypatch.setattr(sweep, "extents_meet", meet)
+    counted = Tally(monkeypatch, sweep, "solve_integer", singular)
+    assert sweep.mu_via_sweep(ornament, seed=0) == 1
+    assert len(masked) == len(ids) == masks
+    assert {size for _, size in masked} == {cells3}
+    assert len(pairs) == cell_pairs
     assert (counted.calls, counted.hits) == (solves, 0)
 
 

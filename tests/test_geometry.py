@@ -1,6 +1,6 @@
 import random
 from itertools import combinations, product
-from operator import le
+from operator import le, mul
 
 import pytest
 from hypothesis import assume, example, given, strategies as st
@@ -19,6 +19,7 @@ from ornaments.geometry import (
     format_rational,
     hull,
     integer_scaled,
+    meet_mask,
     normalise_by_ray,
     outward_grid,
     pair_reduction,
@@ -342,13 +343,25 @@ def _joined_cases(draw):
 @example((1, [[1, 0, 5], [0, 1, 7]], 2, 1))  # zero minors, regular
 @example((2, [[1, 2, 3, 4, 5], [0, 1, 0, 1, 0],
               [1, 2, 3, 4, 6], [2, 0, 1, 0, 1]], 1, 4))  # a row repeated
+@example((1, [[1, 0, -5], [0, 1, 7]], 1, 1))  # a negative coordinate
 @example((2, [[1, 0, 0, 0, 1], [0, 1, 0, 0, 2],
               [0, 0, 1, 0, 3], [0, 0, 0, 1, 4]], 5, 3))  # the identity
+@example((2, [[0, 1, 0, 0, 1], [1, 0, 0, 0, 2],
+              [0, 0, 1, 0, 3], [0, 0, 0, 1, -4]], 2, 7))  # det < 0, x < 0
+@example((3, [[1, 0, 0, 0, 0, 0, 1], [0, 1, 0, 0, 0, 0, 2],
+              [0, 0, 1, 0, 0, 0, 3], [0, 0, 0, 0, 1, 0, 4],
+              [0, 0, 0, 1, 0, 0, 5], [0, 0, 0, 0, 0, 1, 6]],
+          1, 2))  # det < 0, every coordinate positive
+@example((3, [[1, 0, 0, 0, 0, 0, 1], [0, 1, 0, 0, 0, 0, 2],
+              [0, 0, 1, 0, 0, 0, 3], [0, 0, 0, 1, 0, 0, 4],
+              [0, 0, 0, 0, 1, 0, 5], [0, 0, 0, 0, 0, 1, -6]],
+          3, 1))  # the last coordinate alone negative
 def test_joined_solve_matches_the_reference_solve(case):
     """The expansion over cached minors has the reference square solve's
     determinant sign on the joined, lifted system, is singular exactly when
-    it is, and otherwise gives its Cramer solution, over a determinant of
-    the same magnitude."""
+    it is, leaves the numerators out exactly when the reference solution
+    has a negative coordinate, and otherwise gives its Cramer solution,
+    over a determinant of the same magnitude."""
     k, rows, lift_a, lift_b = case
     reduction_a, reduction_b = _block(rows[:k]), _block(rows[k:])
     sign, numerators, det = solve_integer(reduction_a, reduction_b,
@@ -360,20 +373,39 @@ def test_joined_solve_matches_the_reference_solve(case):
         assert numerators is None and det is None and ref_det is None
         return
     assert abs(det) == abs(ref_det)
-    assert [n * ref_det for n in numerators] == [
-        n * det for n in ref_numerators]
+    if any(n * ref_det < 0 for n in ref_numerators):
+        assert numerators is None
+    else:
+        assert [n * ref_det for n in numerators] == [
+            n * det for n in ref_numerators]
     assert reduction_a.minors() is reduction_a.minors()
     assert reduction_b.minors() is reduction_b.minors()
+
+
+def _posed_rows(rng, n, lift_a, lift_b, negative):
+    """Random ``n`` x ``n`` rows with right-hand sides whose joined system,
+    lifted by ``lift_a`` on the first n / 2 rows and ``lift_b`` on the
+    rest, solves to positive coordinates, or to coordinates with one
+    negative among them when ``negative``."""
+    rows = rand_rows(rng, n)
+    x = [rng.randint(1, 9) for _ in range(n)]
+    if negative:
+        x[rng.randrange(n)] *= -1
+    return [row + [sum(map(mul, row, x)) * (lift_b if i < n // 2 else lift_a)]
+            for i, row in enumerate(rows)]
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_term_tables_match_leibniz(seed, monkeypatch):
     """On random blocks, each cached minor is the Leibniz determinant of
-    its column set, and the joined determinant and every Cramer numerator
-    (the lifted right-hand side in the column's place) are the Leibniz
-    determinants of the joined system, sign included.  The sizes
-    interleave, k = 2, 1, 3, 2, from an empty cache: each k's solve is
-    compiled once, and the second round of k = 2 reuses the first's."""
+    its column set, and the joined determinant is the Leibniz determinant
+    of the joined system, sign included.  So is every Cramer numerator
+    (the lifted right-hand side in the column's place) when none has the
+    sign opposite to the determinant's; otherwise the numerators are left
+    out.  Each k meets both cases, from blocks posed to solve to positive
+    coordinates or to one negative coordinate.  The sizes interleave,
+    k = 2, 1, 3, 2, from an empty cache: each k's solve is compiled once,
+    and the second round of k = 2 reuses the first's."""
     live = laplace._joined_solve
     compiled = []
 
@@ -384,11 +416,13 @@ def test_term_tables_match_leibniz(seed, monkeypatch):
     monkeypatch.setattr(laplace, "_KERNELS", {})
     monkeypatch.setattr(laplace, "_joined_solve", joined_solve)
     rng = random.Random(seed)
+    solved = {}  # k -> whether each case gave the numerators
     for k in (2, 1, 3, 2):
         n = 2 * k
-        for _ in range(4):
-            rows = rand_rows(rng, n, n + 1)
+        for posed in (None, None, None, None, False, True):
             lift_a, lift_b = rng.randint(1, 9), rng.randint(1, 9)
+            rows = (rand_rows(rng, n, n + 1) if posed is None
+                    else _posed_rows(rng, n, lift_a, lift_b, posed))
             reduction_a, reduction_b = _block(rows[:k]), _block(rows[k:])
             for reduction, block in ((reduction_a, rows[:k]),
                                      (reduction_b, rows[k:])):
@@ -405,10 +439,14 @@ def test_term_tables_match_leibniz(seed, monkeypatch):
             ]
             det = det_leibniz(joined)
             result = solve_integer(reduction_a, reduction_b, lift_a, lift_b)
-            if det:
-                assert result == ((det > 0) - (det < 0), cramer, det)
-            else:
+            if not det:
                 assert result == (0, None, None)
+                continue
+            sign = (det > 0) - (det < 0)
+            negative = any(c * det < 0 for c in cramer)
+            assert result == (sign, None if negative else cramer, det)
+            solved.setdefault(k, set()).add(not negative)
+    assert solved == {1: {True, False}, 2: {True, False}, 3: {True, False}}
     assert compiled == [2, 1, 3]
 
 
@@ -741,6 +779,27 @@ def test_extents_meet_intersect_and_hull(case):
     for i, (lo, hi) in enumerate(zip(mins, maxs)):
         assert lo in [lows[i] for lows, _ in brackets]
         assert hi in [highs[i] for _, highs in brackets]
+
+
+@given(st.integers(1, 4).flatmap(lambda n: st.tuples(
+    _extents(n), _extents(n), st.lists(_extents(n), max_size=6))))
+@example((([0], [1]), ([-1], [0]), [([1], [2]), ([0], [0])]))  # touching
+def test_pairwise_meets_are_a_common_meet(case):
+    """On integer extents of one width, a third extent meets the common part
+    of two exactly when the three meet pairwise, which lets the sweep
+    replace the intersection by two meet masks; bit b of a mask is the meet
+    with entry b of the list."""
+    a, b, others = case
+    common = box_intersection(a, b)
+    mask_a, mask_b = meet_mask(a, others), meet_mask(b, others)
+    assert mask_a == sum(extents_meet(a, c) << i
+                         for i, c in enumerate(others))
+    for i, c in enumerate(others):
+        pairwise = (extents_meet(a, b) and extents_meet(a, c)
+                    and extents_meet(b, c))
+        assert (common is not None and extents_meet(common, c)) == pairwise
+        assert pairwise == (extents_meet(a, b)
+                            and bool((mask_a & mask_b) >> i & 1))
 
 
 def _meets(direction, box, share):
