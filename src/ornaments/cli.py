@@ -16,7 +16,7 @@ import functools
 import sys
 
 from . import constructions, degree, formats, sweep
-from .geometry import DimensionMismatch, parse_rational
+from .geometry import parse_rational
 from .model import validate_manifold, validate_ornament
 
 
@@ -66,11 +66,8 @@ def _manifold_error(doc, domains):
 
 
 def cmd_validate(args):
-    try:
-        doc = _load_doc(args.file)
-        ornament = formats.ornament_from_doc(doc)
-    except formats.FormatError as exc:
-        return _fail(str(exc))
+    doc = _load_doc(args.file)
+    ornament = formats.ornament_from_doc(doc)
     component_reports = []
     for i, component in enumerate(ornament.components):
         report = validate_manifold(component.domain)
@@ -93,20 +90,14 @@ def cmd_validate(args):
 
 
 def cmd_mu(args):
-    try:
-        doc = _load_doc(args.file)
-        ornament = formats.ornament_from_doc(doc)
-    except formats.FormatError as exc:
-        return _fail(str(exc))
+    doc = _load_doc(args.file)
+    ornament = formats.ornament_from_doc(doc)
     error = _manifold_error(doc, [f.domain for f in ornament.components])
     if error is not None:
         return _fail(error)
     if not validate_ornament(ornament).ok:
         return _fail("input is not a valid ornament")
-    try:
-        degree.component_k(ornament)
-    except DimensionMismatch as exc:
-        return _fail(str(exc))
+    degree.component_k(ornament)  # a DimensionMismatch is an input error
     values = {}
     try:
         if args.method in ("degree", "both"):
@@ -159,8 +150,6 @@ def cmd_gen(args):
             ornament = perturb_ornament(
                 ornament, parse_rational(args.eps), seed=args.seed
             )
-    except ValueError as exc:
-        return _fail(str(exc))
     except RuntimeError as exc:  # retries exhausted
         return _fail(str(exc), status=2)
     report = validate_ornament(ornament)
@@ -182,11 +171,8 @@ def cmd_gen(args):
 
 
 def cmd_sweep(args):
-    try:
-        doc = _load_doc(args.file)
-        track = formats.track_from_doc(doc)
-    except formats.FormatError as exc:
-        return _fail(str(exc))
+    doc = _load_doc(args.file)
+    track = formats.track_from_doc(doc)
     error = _manifold_error(doc, track.domains)
     if error is not None:
         return _fail(error)
@@ -194,10 +180,7 @@ def cmd_sweep(args):
     end = track.endpoint(1)
     if not validate_ornament(start).ok or not validate_ornament(end).ok:
         return _fail("track endpoints must be valid ornaments")
-    try:
-        degree.component_k(start)
-    except DimensionMismatch as exc:
-        return _fail(str(exc))
+    degree.component_k(start)  # a DimensionMismatch is an input error
     try:
         points, _ = sweep.sweep_with_retries(track, seed=args.seed)
         mu_start, _ = degree.mu_via_degree_auto(start, seed=args.seed)
@@ -294,7 +277,7 @@ def _parser():
 
 def main(argv=None):
     args = _parser().parse_args(argv)
-    try:
+    try:  # the one boundary for input errors: exit status 1
         return args.func(args)
     except ValueError as exc:
         return _fail(str(exc))

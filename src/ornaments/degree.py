@@ -18,9 +18,9 @@ each triple is solved by the sweep's pair-reduced kernel from
 reductions are made once per pair, each an integer product with the row
 operations that facet 1's or facet 2's frame records once, then one
 2k x 2k integer solve, expanded over the k x k minors that each
-reduction forms once.
-A degenerate facet 1 or 2 has no reduction: its triples are singular,
-with no solve.
+reduction forms once, with each reduction's right-hand side lifted by
+the other's ``rho``.  A degenerate facet 1 or 2 has no reduction: its
+triples are singular, with no solve.
 
 Before any solve, a triple must pass a prefilter: the ray has to meet an
 interval hull of the map over the three facet boxes.  The prefilter runs
@@ -212,7 +212,6 @@ def mu_via_degree(o, v):
     ray_columns = (((u, 3 * ray_scale),), ((w, 3 * ray_scale),))
     frames = {}  # (component, facet) -> simplex_frame
     reductions = {}  # (component 1 or 2, facet, facet 3) -> pair_reduction
-    lifts = {}  # (rho 1-3, rho 2-3) -> (rho, lift 1-3, lift 2-3)
 
     def frame(ci, fi):
         if (ci, fi) not in frames:
@@ -241,8 +240,7 @@ def mu_via_degree(o, v):
                 if not ray_meets_box(hull12, share3, scaled):
                     continue
                 sign, verdict = solve_from_pairs(
-                    reduction(0, i1, i3), reduction(1, i2, i3), solve_integer,
-                    lifts
+                    reduction(0, i1, i3), reduction(1, i2, i3), solve_integer
                 )
                 if sign == 0:
                     if _ray_touches_closed_cells(o, (i1, i2, i3), u, w):

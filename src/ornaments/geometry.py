@@ -23,20 +23,21 @@ and carries the column scales of both blocks; its k x k minors, read by
 every candidate it enters, and its triangular rows, read only to
 back-substitute a candidate, are formed on first use.
 :func:`solve_from_pairs` joins two reductions that share a kept simplex
-into one 2k x 2k solve per triple, a Laplace expansion over their minors
-(:mod:`ornaments.laplace`), and returns the triple's verdict: singular,
-outside, on a boundary, or strictly interior.  Every verdict is
+into one 2k x 2k solve per triple, each right-hand side lifted by the
+other reduction's ``rho`` to the product of both, a Laplace expansion over
+their minors (:mod:`ornaments.laplace` compiles the expansion of the
+minors and of the solve once per k), and returns the triple's verdict:
+singular, outside, on a boundary, or strictly interior.  Every verdict is
 read off integer Cramer numerators over the integer determinant by one
 classifier, :func:`cramer_status`, whose first test (a negative kept
 coordinate) the compiled solve makes as it expands each numerator, so
 rationals are built only for interior points, the witnesses.  Linear
 feasibility is asked in one form, "A x = b, x >= 0", and decided rank
 first: the equalities, cleared of denominators row by row, go through the
-same elimination loop (skipping columns without a pivot), and an
-inconsistent system is rejected on integers alone.  Only a consistent one
-is brought to its reduced row echelon form, one rational per entry, and
-its sign constraints to Fourier-Motzkin elimination, with exact
-sample-point extraction for witnesses.
+same elimination loop, and an inconsistent system is rejected on integers
+alone.  Only a consistent one is brought to its reduced row echelon form,
+one rational per entry, and its sign constraints to Fourier-Motzkin
+elimination, with exact sample-point extraction for witnesses.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ import re
 from fractions import Fraction as Rat
 from operator import le, mul
 
-from .laplace import block_minors
+from .laplace import kernel
 
 class DimensionMismatch(ValueError):
     """Shapes of the operands are incompatible."""
@@ -97,7 +98,7 @@ def as_point(coords):
     return tuple(c if type(c) is Rat else Rat(c) for c in coords)
 
 
-def eliminate(aug, ncols, skip=False):
+def eliminate(aug, ncols):
     """In-place fraction-free forward elimination of the first ``ncols``
     columns over all rows of the integer matrix ``aug``.
 
@@ -106,13 +107,12 @@ def eliminate(aug, ncols, skip=False):
     sit in.  Row ``r`` of the result has its pivot ``pivots[r]`` in column
     ``pivot_cols[r]`` and zeros to its left; every entry below a pivot is
     zeroed, and the rows past the last pivot are zero on the first
-    ``ncols`` columns.  A column with no pivot ends the elimination with
-    ``None`` (the leading columns are dependent) unless ``skip`` is set, in
-    which case it is passed over and the rank is ``len(pivots)``.  A row
-    past the rank is a nonzero multiple of an original row minus a
-    combination of the pivot rows, so a nonzero entry of it after the first
-    ``ncols`` columns (say, a right-hand side) means the system those
-    columns belong to is inconsistent.
+    ``ncols`` columns.  A column with no pivot is passed over, so the rank
+    is ``len(pivots)``, and the leading columns are dependent exactly when
+    it is below ``ncols``.  A row past the rank is a nonzero multiple of an
+    original row minus a combination of the pivot rows, so a nonzero entry
+    of it after the first ``ncols`` columns (say, a right-hand side) means
+    the system those columns belong to is inconsistent.
 
     Each step is a linear map on the rows whose coefficients (pivot, lead,
     previous pivot) come from the eliminated columns alone, so the later
@@ -137,9 +137,7 @@ def eliminate(aug, ncols, skip=False):
                 piv = r
                 break
         if piv is None:
-            if skip:
-                continue
-            return None
+            continue
         if piv != rank:
             aug[rank], aug[piv] = aug[piv], aug[rank]
             swap_sign = -swap_sign
@@ -168,8 +166,6 @@ def eliminate(aug, ncols, skip=False):
         pivot_cols.append(col)
         prev = pivot
         rank += 1
-    if len(pivots) < ncols and not skip:
-        return None
     return swap_sign, pivots, pivot_cols
 
 
@@ -325,10 +321,9 @@ def edge_elimination(columns, width):
         row = [u[c] for u in columns] + [0] * width
         row[d + c] = -1
         aug.append(row)
-    reduction = eliminate(aug, d)
-    if reduction is None:
+    swap_sign, pivots, _ = eliminate(aug, d)
+    if len(pivots) < d:
         return None
-    swap_sign, pivots, _ = reduction
     # Each fraction-free step multiplies the rows below the pivot by
     # (pivot / previous pivot); together with the swaps and the triangular
     # pivot block this fixes the determinant sign of the original system
@@ -362,9 +357,11 @@ class PairReduction:
     the extra columns' included.
 
     :meth:`minors`, read as they stand by every candidate the reduction
-    enters, as either block of its joined solve, and :meth:`triangular`,
-    read only when a candidate's kept block is not outside (most
-    reductions never need them), are formed on first use and kept."""
+    enters, as either block of its joined solve (where the block's
+    right-hand side is lifted by the other block's ``rho``), and
+    :meth:`triangular`, read only when a candidate's kept block is not
+    outside (most reductions never need them), are formed on first use
+    and kept."""
 
     __slots__ = ("con_rows", "con_rhs", "sign_fix", "rho", "scales_x",
                  "scales_kept", "_tri_x", "_ops", "_columns", "_triangular",
@@ -385,10 +382,12 @@ class PairReduction:
         self._minors = None
 
     def minors(self):
-        """:func:`~ornaments.laplace.block_minors` of the x-free block
-        ``[con_rows | con_rhs]``, built once."""
+        """The k x k minors of the x-free block ``[con_rows | con_rhs]``,
+        expanded by the ``minors`` that :func:`~ornaments.laplace.kernel`
+        compiles for k, built once."""
         if self._minors is None:
-            self._minors = block_minors(self.con_rows, self.con_rhs)
+            minors, _ = kernel(len(self.con_rows))
+            self._minors = minors(self.con_rows, self.con_rhs)
         return self._minors
 
     def triangular(self):
@@ -490,29 +489,23 @@ def _full_coordinates(numerators, det, scales, rho, arity):
     return tuple(listed), coords[arity - 1:]
 
 
-def solve_from_pairs(reduction_a, reduction_b, solve, lifts):
+def solve_from_pairs(reduction_a, reduction_b, solve):
     """Decide a triple from the :func:`pair_reduction` of its two row
     blocks, which share the kept columns and their scales.  ``solve`` is the
     caller's own binding of :func:`~ornaments.laplace.solve_integer`, so
     that whoever counts a route's solves sees this one.
 
     The k x-free rows of each reduction form one square system on the kept
-    columns; ``solve`` is given the two reductions and the lifts of their
-    right-hand sides to the lcm of their ``rho``.  Those come from
-    ``lifts``, a dict the caller owns, mapping ``(rho_a, rho_b)`` to
-    ``(rho, lift_a, lift_b)`` and filled the first time a pair of ``rho``
-    is seen: many candidates share a few such pairs (155 across the 4,906
-    of one k=1 sweep), so the lcm and its divisions of ~150-bit integers
-    are done once per pair while the caller keeps the dict, one keyframe
-    interval of the sweep or one call of the degree route.  Unless
-    ``solve`` found a negative kept coordinate and left the numerators
-    out, its integer Cramer solution is classified by
-    :func:`cramer_status`, with the kept simplex of the eliminated ones'
-    arity and the extra columns as coordinates that must not be negative;
-    b is back-substituted and classified only for a kept block that is not
-    outside, and a only for a b that is not outside.  Every verdict is
-    reached on integers, and rationals are built only for a strictly
-    interior point, the witness.
+    columns, which ``solve`` is given as the two reductions: it brings
+    their right-hand sides to the common scale ``rho = rho_a * rho_b`` by
+    lifting each by the other's ``rho``.  Unless ``solve`` found a negative
+    kept coordinate and left the numerators out, its integer Cramer
+    solution is classified by :func:`cramer_status`, with the kept simplex
+    of the eliminated ones' arity and the extra columns as coordinates that
+    must not be negative; b is back-substituted and classified only for a
+    kept block that is not outside, and a only for a b that is not
+    outside.  Every verdict is reached on integers, and rationals are built
+    only for a strictly interior point, the witness.
 
     Sign: det(triple) = fix_a * fix_b * (-1)^k * det(joined), up to a
     positive factor.  With pair blocks of n rows, moving the bottom block
@@ -536,14 +529,7 @@ def solve_from_pairs(reduction_a, reduction_b, solve, lifts):
     """
     if reduction_a is None or reduction_b is None:
         return 0, None
-    key = (reduction_a.rho, reduction_b.rho)
-    lift = lifts.get(key)
-    if lift is None:
-        rho_a, rho_b = key
-        rho = math.lcm(rho_a, rho_b)
-        lift = lifts[key] = (rho, rho // rho_a, rho // rho_b)
-    rho, lift_a, lift_b = lift
-    sign_n, numerators, det = solve(reduction_a, reduction_b, lift_a, lift_b)
+    sign_n, numerators, det = solve(reduction_a, reduction_b)
     if sign_n == 0:
         return 0, None
     sign = reduction_a.sign_fix * reduction_b.sign_fix * sign_n
@@ -555,16 +541,19 @@ def solve_from_pairs(reduction_a, reduction_b, solve, lifts):
     scales_b = reduction_b.scales_x
     scales_kept = reduction_a.scales_kept
     arity = len(scales_b) + 1
+    rho_a = reduction_a.rho
+    rho_b = reduction_b.rho
+    rho = rho_a * rho_b
     interior = cramer_status(numerators, det, scales_kept, rho, arity)
     if interior is None:
         return sign, None
     numerators_b, det_b = _eliminated_block(reduction_b, numerators, det,
-                                            lift_b)
+                                            rho_a)
     interior_b = cramer_status(numerators_b, det_b, scales_b, rho, arity)
     if interior_b is None:
         return sign, None
     numerators_a, det_a = _eliminated_block(reduction_a, numerators, det,
-                                            lift_a)
+                                            rho_b)
     interior_a = cramer_status(numerators_a, det_a, scales_a, rho, arity)
     if interior_a is None:
         return sign, None
@@ -614,24 +603,23 @@ def feasible_point(eq_rows, nvars, scales=None):
 
     The equalities are decided first, by rank, on integers: each row is
     cleared of denominators (a positive row scale keeps its solution set)
-    and :func:`eliminate` reduces them fraction-free, skipping columns
-    without a pivot.  A nonzero right-hand side past the rank means the
-    equalities are inconsistent, and ``None`` is returned without building
-    a rational.  Otherwise the reduced row echelon form of the equalities
-    in x is built from the integer echelon form by :func:`back_substitute`,
-    one rational per entry; it is unique, so it depends on neither kind of
-    scale.  The sign constraints, written in the free variables, are one
-    row per variable: a pivot variable's is its echelon row and a free
-    one's is its own sign.  They are decided by Fourier-Motzkin
-    elimination, whose stages are replayed backwards to produce a concrete
-    solution.
+    and :func:`eliminate` reduces them fraction-free.  A nonzero right-hand
+    side past the rank means the equalities are inconsistent, and ``None``
+    is returned without building a rational.  Otherwise the reduced row
+    echelon form of the equalities in x is built from the integer echelon
+    form by :func:`back_substitute`, one rational per entry; it is unique,
+    so it depends on neither kind of scale.  The sign constraints, written
+    in the free variables, are one row per variable: a pivot variable's is
+    its echelon row and a free one's is its own sign.  They are decided by
+    Fourier-Motzkin elimination, whose stages are replayed backwards to
+    produce a concrete solution.
     """
     aug = []
     for coeffs, rhs in eq_rows:
         row = list(coeffs)
         row.append(rhs)
         aug.append(integer_scaled(row)[1])
-    _, pivots, pivot_cols = eliminate(aug, nvars, skip=True)
+    _, pivots, pivot_cols = eliminate(aug, nvars)
     rank = len(pivots)
     for row in aug[rank:]:
         if row[nvars]:
@@ -781,11 +769,10 @@ def meet_mask(extents, others):
     is set when it meets ``others[b]``.  So ``mask_a & mask_b`` of two
     extents that meet lists, in order, the others that share a point with
     both (see :func:`box_intersection`)."""
-    lows, highs = extents
     mask = 0
     bit = 1
-    for other_lows, other_highs in others:
-        if all(map(le, lows, other_highs)) and all(map(le, other_lows, highs)):
+    for other in others:
+        if extents_meet(extents, other):
             mask |= bit
         bit <<= 1
     return mask

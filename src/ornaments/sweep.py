@@ -324,7 +324,6 @@ def _interval_triple_points(track, j, vertices):
                 prisms[ci].append((fi, extents))
     if not all(prisms):
         return found
-    lifts = {}  # (rho 1-2, rho 3-2) -> (rho, lift 1-2, lift 3-2)
 
     def staircase(ci, fi):
         facet = track.domains[ci].facets[fi]
@@ -378,7 +377,7 @@ def _interval_triple_points(track, j, vertices):
                                 fr3, fr2
                             )
                         sign, verdict = solve_from_pairs(
-                            reduction12, reduction32, solve_integer, lifts
+                            reduction12, reduction32, solve_integer
                         )
                         if sign == 0:
                             eq_rows, nvars, _ = common_point_system(
@@ -457,19 +456,18 @@ def detect_triple_points(track):
     Each candidate is solved by :func:`solve_from_pairs` from the (cell 1,
     cell 2) reduction, made once per pair, and the (cell 3, cell 2)
     reduction, made on first use and kept by cell 2 at cell 3's bit for the
-    rest of the keyframe interval, as are the lifts of the right-hand sides
-    to a common scale, one per pair of the two reductions' ``rho``.  A
-    cell's edges are eliminated once, by its frame, however many reductions
-    eliminate it; the x-free rows of the reductions are primitive, which
-    keeps the joined 2k x 2k system narrow.  The kernel decides each
-    candidate on integers: one outside some cell is dropped (most of them
-    by :func:`solve_integer` itself, at the first negative coordinate of
-    cell 2) and one on a cell's boundary raises, both before any rational
-    is built; a singular one (a degenerate cell 1
-    or cell 3 included) goes to the exact touching test, which raises when
-    the closed cells meet.  The touching tests and the witnesses use the
-    rational points.  Raises NonGenericTrack on any exactly-degenerate
-    configuration.
+    rest of the keyframe interval; in the solve each one's right-hand side
+    is lifted by the other's ``rho``.  A cell's edges are eliminated once, by
+    its frame, however many reductions eliminate it; the x-free rows of the
+    reductions are primitive, which keeps the joined 2k x 2k system
+    narrow.  The kernel decides each candidate on integers: one outside
+    some cell is dropped (most of them by :func:`solve_integer` itself, at
+    the first negative coordinate of cell 2) and one on a cell's boundary
+    raises, both before any rational is built; a singular one (a
+    degenerate cell 1 or cell 3 included) goes to the exact touching test,
+    which raises when the closed cells meet.  The touching tests and the
+    witnesses use the rational points.  Raises NonGenericTrack on any
+    exactly-degenerate configuration.
     """
     found = []
     # The directions e_i + e_j and e_i - e_j: with the plain coordinates

@@ -301,24 +301,23 @@ def solve_bareiss(rows, rhs):
     if n == 0:
         return 1, [], 1
     aug = [list(row) + [b] for row, b in zip(rows, rhs)]
-    reduction = eliminate(aug, n)
-    if reduction is None:
+    swap_sign, pivots, _ = eliminate(aug, n)
+    if len(pivots) < n:
         return 0, None, None
     # The last Bareiss pivot is the determinant of the row-permuted matrix.
-    swap_sign, pivots, _ = reduction
     det = pivots[-1]
     sign = swap_sign if det > 0 else -swap_sign
     return sign, back_substitute(aug, [row[n] for row in aug]), det
 
 
-def joined_system(reduction_a, reduction_b, lift_a, lift_b):
+def joined_system(reduction_a, reduction_b):
     """``(rows, rhs)``: the 2k x 2k integer system that the package's
-    ``solve_integer(reduction_a, reduction_b, lift_a, lift_b)`` solves, the
-    x-free rows of the two pair reductions, a's on top, with their
-    right-hand sides lifted."""
+    ``solve_integer(reduction_a, reduction_b)`` solves, the x-free rows of
+    the two pair reductions, a's on top, with each right-hand side lifted
+    by the other reduction's ``rho``."""
     rows = [list(row) for row in reduction_a.con_rows + reduction_b.con_rows]
-    rhs = ([r * lift_a for r in reduction_a.con_rhs]
-           + [r * lift_b for r in reduction_b.con_rhs])
+    rhs = ([r * reduction_b.rho for r in reduction_a.con_rhs]
+           + [r * reduction_a.rho for r in reduction_b.con_rhs])
     return rows, rhs
 
 
@@ -434,7 +433,7 @@ def sphere_map_box_terms(o):
     return terms
 
 
-def eliminate_sliced(aug, ncols, skip=False):
+def eliminate_sliced(aug, ncols):
     """Reference for ``ornaments.geometry.eliminate``: the same
     fraction-free forward elimination, which must give the same result and
     leave the same rows, written with slices and with every row below the
@@ -454,9 +453,7 @@ def eliminate_sliced(aug, ncols, skip=False):
                 piv = r
                 break
         if piv is None:
-            if skip:
-                continue
-            return None
+            continue
         if piv != rank:
             aug[rank], aug[piv] = aug[piv], aug[rank]
             swap_sign = -swap_sign
@@ -486,8 +483,6 @@ def eliminate_sliced(aug, ncols, skip=False):
         pivot_cols.append(col)
         prev = pivot
         rank += 1
-    if len(pivots) < ncols and not skip:
-        return None
     return swap_sign, pivots, pivot_cols
 
 
@@ -509,10 +504,9 @@ def pair_reduction_direct(frame_x, frame_kept, extra=()):
         aug.append([u[c] for u in frame_x.columns]
                    + [-u[c] for u in frame_kept.columns]
                    + [-col[c] for col, _ in extra] + [r_int[c]])
-    reduction = eliminate_sliced(aug, d)
-    if reduction is None:
+    swap_sign, pivots, _ = eliminate_sliced(aug, d)
+    if len(pivots) < d:
         return None
-    swap_sign, pivots, _ = reduction
     sign_fix = swap_sign
     previous = 1
     for t, p in enumerate(pivots):

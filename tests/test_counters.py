@@ -283,17 +283,13 @@ def test_sweep_triangular_rows_borromean_k1_r3(borromean_k1_r3, monkeypatch):
 
 def test_sweep_minors_borromean_k1_r3(borromean_k1_r3, monkeypatch):
     """Each of the sweep's 923 pair reductions expands its minors once,
-    however many of the 4,906 joined solves read them, and the term table
-    of k=1 and the solve compiled from it are built once.  The work
-    counters do not move."""
+    however many of the 4,906 joined solves read them, and the kernel of
+    k=1, its term tables and the two functions compiled from them, is
+    built once, from an empty cache.  The work counters do not move."""
     live_reduction = sweep.pair_reduction
     live_minors = geometry.PairReduction.minors
-    live_terms = laplace._signed_terms
-    live_solve = laplace._joined_solve
     reductions = []
     returned = {}  # id -> minors lists returned
-    tables = []
-    compiled = []
 
     def reduction(frame_x, frame2):
         result = live_reduction(frame_x, frame2)
@@ -305,26 +301,17 @@ def test_sweep_minors_borromean_k1_r3(borromean_k1_r3, monkeypatch):
         returned.setdefault(id(self), []).append(values)
         return values
 
-    def terms(k):
-        tables.append(k)
-        return live_terms(k)
-
-    def joined_solve(k, joined):
-        compiled.append(k)
-        return live_solve(k, joined)
-
     monkeypatch.setattr(sweep, "pair_reduction", reduction)
     monkeypatch.setattr(geometry.PairReduction, "minors", minors)
-    monkeypatch.setattr(laplace, "_signed_terms", terms)
-    monkeypatch.setattr(laplace, "_joined_solve", joined_solve)
-    monkeypatch.setattr(laplace, "_KERNELS", {})
+    laplace.kernel.cache_clear()
     solves = Tally(monkeypatch, sweep, "solve_integer", singular)
     assert sweep.mu_via_sweep(borromean_k1_r3, seed=0) == 1
     assert len(reductions) == 923 and None not in reductions
     assert len(returned) == 923
     assert all(values is seen[0] for seen in returned.values()
                for values in seen)
-    assert tables == [1] and compiled == [1]
+    cache = laplace.kernel.cache_info()
+    assert (cache.misses, cache.currsize) == (1, 1)
     assert (solves.calls, solves.hits) == (4906, 0)
 
 

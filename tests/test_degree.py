@@ -273,7 +273,6 @@ def test_kernel_matches_full_ray_system():
         ("singular", "kept outside", "b outside", "a outside", "closed",
          "inside"), 0
     )
-    lifts = {}  # shared by every trial, as by every triple of one call
     for k, kind in corpus:
         m, npts = 3 * k - 1, 2 * k
         d = npts - 1
@@ -315,7 +314,7 @@ def test_kernel_matches_full_ray_system():
         if kind == "degenerate 1":
             assert reduction23 is None
         sign, verdict = solve_from_pairs(reduction13, reduction23,
-                                         solve_integer, lifts)
+                                         solve_integer)
         direct_sign, direct = solve_ray_triple(f1, f2, f3, ray)
         assert sign == direct_sign
         if direct_sign == 0:

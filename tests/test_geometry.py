@@ -177,10 +177,10 @@ def test_back_substitute_matches_the_full_loop(case):
     right-hand side, equal the full loop's, on the eliminated system and
     its extra column (the right-hand side) alike."""
     n, rows = case
-    reduction = eliminate(rows, n)
-    if reduction is None:
+    _, pivots, _ = eliminate(rows, n)
+    if len(pivots) < n:
         return
-    det = reduction[1][-1]
+    det = pivots[-1]
     for col in (n, n + 1):
         rhs = [row[col] for row in rows]
         assert back_substitute(rows, rhs) == back_substitute_full(rows, rhs,
@@ -197,31 +197,29 @@ _ENTRIES = st.one_of(st.sampled_from([0, 0, 0, 1, -1, 2]),
 
 @st.composite
 def _elimination_cases(draw):
-    """``(rows, ncols, skip)``: 1-8 integer rows of a width of 1-20, of
-    which the first ``ncols`` columns are eliminated."""
+    """``(rows, ncols)``: 1-8 integer rows of a width of 1-20, of which the
+    first ``ncols`` columns are eliminated."""
     width = draw(st.integers(1, 20))
     nrows = draw(st.integers(1, 8))
     rows = draw(st.lists(st.lists(_ENTRIES, min_size=width, max_size=width),
                          min_size=nrows, max_size=nrows))
-    return rows, draw(st.integers(1, width)), draw(st.booleans())
+    return rows, draw(st.integers(1, width))
 
 
 @given(_elimination_cases())
-@example(([[0, 1, 2], [0, 3, 4]], 2, True))  # a pivotless column, skipped
-@example(([[0, 1, 2], [0, 3, 4]], 2, False))  # ... or ending it
-@example(([[0, 1, 5], [3, 0, 7]], 2, False))  # a forced swap
-@example(([[1, 2, 3], [0, 4, 5]], 2, False))  # zero lead, pivot 1 = previous
-@example(([[2, 0, 5], [0, 1, 7], [0, 0, 3]], 3, False))  # zero lead, 2 = 2
-@example(([[3, 1, 4, 1], [6, 2, 8, 5]], 3, True))  # rank below the rows
-@example(([[2 ** 400, -1], [2 ** 399 + 1, 2 ** 400]], 1, False))
+@example(([[0, 1, 2], [0, 3, 4]], 2))  # a pivotless column, passed over
+@example(([[0, 1, 5], [3, 0, 7]], 2))  # a forced swap
+@example(([[1, 2, 3], [0, 4, 5]], 2))  # zero lead, pivot 1 = previous
+@example(([[2, 0, 5], [0, 1, 7], [0, 0, 3]], 3))  # zero lead, 2 = 2
+@example(([[3, 1, 4, 1], [6, 2, 8, 5]], 3))  # rank below the rows
+@example(([[2 ** 400, -1], [2 ** 399 + 1, 2 ** 400]], 1))
 def test_eliminate_matches_the_slicing_loop(case):
     """The entry-by-entry loop returns the slicing loop's ``(swap_sign,
-    pivots, pivot_cols)`` (or ``None``) and leaves the same rows."""
-    rows, ncols, skip = case
+    pivots, pivot_cols)`` and leaves the same rows."""
+    rows, ncols = case
     fast = [row[:] for row in rows]
     sliced = [row[:] for row in rows]
-    assert eliminate(fast, ncols, skip) == eliminate_sliced(sliced, ncols,
-                                                            skip)
+    assert eliminate(fast, ncols) == eliminate_sliced(sliced, ncols)
     assert fast == sliced
 
 
@@ -301,20 +299,21 @@ def test_pair_reduction_matches_the_direct_reduction(case):
 
 # --- the joined solve ---------------------------------------------------------
 
-def _block(rows):
+def _block(rows, rho):
     """A :class:`PairReduction` holding only the x-free block ``rows``
-    (each row its 2k kept entries and then its right-hand side), which is
-    all the joined solve reads."""
+    (each row its 2k kept entries and then its right-hand side) over the
+    scale ``rho``, which is all the joined solve reads."""
     return PairReduction([row[:-1] for row in rows], [row[-1] for row in rows],
-                         1, 1, [], [], [], [], [])
+                         1, rho, [], [], [], [], [])
 
 
 @st.composite
 def _joined_cases(draw):
-    """``(k, rows, lift_a, lift_b)``: the 2k rows (2k + 1 entries each, the
-    right-hand side last) of two blocks of k rows, k in 1-3, and the lifts
-    of their right-hand sides.  Besides random rows, a row of block b may
-    repeat one of block a (a singular system whatever the lifts), a kept
+    """``(k, rows, rho_a, rho_b)``: the 2k rows (2k + 1 entries each, the
+    right-hand side last) of two blocks of k rows, k in 1-3, and the scales
+    of their right-hand sides, each of which lifts the other block's.
+    Besides random rows, a row of block b may repeat one of block a (a
+    singular system whatever the scales), a kept
     column may be zero, or the entries may be 0 and +-1 only, mostly 0, so
     that many minors vanish, some of them in systems that are still
     regular."""
@@ -333,8 +332,8 @@ def _joined_cases(draw):
         column = draw(st.integers(0, n - 1))
         for row in rows:
             row[column] = 0
-    lifts = st.one_of(st.just(1), st.integers(2, 2 ** 64))
-    return k, rows, draw(lifts), draw(lifts)
+    rho = st.one_of(st.just(1), st.integers(2, 2 ** 64))
+    return k, rows, draw(rho), draw(rho)
 
 
 @given(_joined_cases())
@@ -362,12 +361,11 @@ def test_joined_solve_matches_the_reference_solve(case):
     it is, leaves the numerators out exactly when the reference solution
     has a negative coordinate, and otherwise gives its Cramer solution,
     over a determinant of the same magnitude."""
-    k, rows, lift_a, lift_b = case
-    reduction_a, reduction_b = _block(rows[:k]), _block(rows[k:])
-    sign, numerators, det = solve_integer(reduction_a, reduction_b,
-                                          lift_a, lift_b)
+    k, rows, rho_a, rho_b = case
+    reduction_a, reduction_b = _block(rows[:k], rho_a), _block(rows[k:], rho_b)
+    sign, numerators, det = solve_integer(reduction_a, reduction_b)
     ref_sign, ref_numerators, ref_det = solve_bareiss(
-        *joined_system(reduction_a, reduction_b, lift_a, lift_b))
+        *joined_system(reduction_a, reduction_b))
     assert sign == ref_sign
     if sign == 0:
         assert numerators is None and det is None and ref_det is None
@@ -382,21 +380,21 @@ def test_joined_solve_matches_the_reference_solve(case):
     assert reduction_b.minors() is reduction_b.minors()
 
 
-def _posed_rows(rng, n, lift_a, lift_b, negative):
-    """Random ``n`` x ``n`` rows with right-hand sides whose joined system,
-    lifted by ``lift_a`` on the first n / 2 rows and ``lift_b`` on the
-    rest, solves to positive coordinates, or to coordinates with one
-    negative among them when ``negative``."""
+def _posed_rows(rng, n, rho_a, rho_b, negative):
+    """Random ``n`` x ``n`` rows with right-hand sides over ``rho_a`` on
+    the first n / 2 rows and ``rho_b`` on the rest, whose joined system
+    solves to positive coordinates, or to coordinates with one negative
+    among them when ``negative``."""
     rows = rand_rows(rng, n)
     x = [rng.randint(1, 9) for _ in range(n)]
     if negative:
         x[rng.randrange(n)] *= -1
-    return [row + [sum(map(mul, row, x)) * (lift_b if i < n // 2 else lift_a)]
+    return [row + [sum(map(mul, row, x)) * (rho_a if i < n // 2 else rho_b)]
             for i, row in enumerate(rows)]
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
-def test_term_tables_match_leibniz(seed, monkeypatch):
+def test_term_tables_match_leibniz(seed):
     """On random blocks, each cached minor is the Leibniz determinant of
     its column set, and the joined determinant is the Leibniz determinant
     of the joined system, sign included.  So is every Cramer numerator
@@ -404,41 +402,33 @@ def test_term_tables_match_leibniz(seed, monkeypatch):
     sign opposite to the determinant's; otherwise the numerators are left
     out.  Each k meets both cases, from blocks posed to solve to positive
     coordinates or to one negative coordinate.  The sizes interleave,
-    k = 2, 1, 3, 2, from an empty cache: each k's solve is compiled once,
+    k = 2, 1, 3, 2, from an empty cache: each k's kernel is compiled once,
     and the second round of k = 2 reuses the first's."""
-    live = laplace._joined_solve
-    compiled = []
-
-    def joined_solve(k, joined):
-        compiled.append(k)
-        return live(k, joined)
-
-    monkeypatch.setattr(laplace, "_KERNELS", {})
-    monkeypatch.setattr(laplace, "_joined_solve", joined_solve)
+    laplace.kernel.cache_clear()
     rng = random.Random(seed)
     solved = {}  # k -> whether each case gave the numerators
     for k in (2, 1, 3, 2):
         n = 2 * k
         for posed in (None, None, None, None, False, True):
-            lift_a, lift_b = rng.randint(1, 9), rng.randint(1, 9)
+            rho_a, rho_b = rng.randint(1, 9), rng.randint(1, 9)
             rows = (rand_rows(rng, n, n + 1) if posed is None
-                    else _posed_rows(rng, n, lift_a, lift_b, posed))
-            reduction_a, reduction_b = _block(rows[:k]), _block(rows[k:])
+                    else _posed_rows(rng, n, rho_a, rho_b, posed))
+            reduction_a = _block(rows[:k], rho_a)
+            reduction_b = _block(rows[k:], rho_b)
             for reduction, block in ((reduction_a, rows[:k]),
                                      (reduction_b, rows[k:])):
                 assert reduction.minors() == [
                     det_leibniz([[row[c] for c in cols] for row in block])
                     for cols in combinations(range(n + 1), k)
                 ]
-            joined, rhs = joined_system(reduction_a, reduction_b, lift_a,
-                                        lift_b)
+            joined, rhs = joined_system(reduction_a, reduction_b)
             cramer = [
                 det_leibniz([row[:i] + [r] + row[i + 1:]
                              for row, r in zip(joined, rhs)])
                 for i in range(n)
             ]
             det = det_leibniz(joined)
-            result = solve_integer(reduction_a, reduction_b, lift_a, lift_b)
+            result = solve_integer(reduction_a, reduction_b)
             if not det:
                 assert result == (0, None, None)
                 continue
@@ -447,7 +437,7 @@ def test_term_tables_match_leibniz(seed, monkeypatch):
             assert result == (sign, None if negative else cramer, det)
             solved.setdefault(k, set()).add(not negative)
     assert solved == {1: {True, False}, 2: {True, False}, 3: {True, False}}
-    assert compiled == [2, 1, 3]
+    assert laplace.kernel.cache_info().misses == 3
 
 
 # --- the barycentric verdict --------------------------------------------------

@@ -1,5 +1,5 @@
 import random
-from math import gcd, lcm
+from math import gcd
 
 import pytest
 from hypothesis import given, strategies as st
@@ -118,7 +118,10 @@ def test_pair_reduction_matches_direct_solver():
     shared point on a face of one cell (one weight 0) reaches "closed".
     k = 3 checks the (-1)^k of the reduction for an odd k > 1, and cells
     with a repeated vertex check the singular paths: a degenerate cell 1 or
-    cell 3 has no reduction, a degenerate cell 2 a singular b system."""
+    cell 3 has no reduction, a degenerate cell 2 a singular b system.  The
+    solves reached include the three kinds of pairs of the reductions'
+    ``rho``, whose product lifts the right-hand sides: equal, one of them
+    1, and distinct with a common factor."""
     rng = random.Random(12)
 
     def rand_point(width):
@@ -157,7 +160,11 @@ def test_pair_reduction_matches_direct_solver():
         ("singular", "kept outside", "b outside", "a outside", "closed",
          "inside"), 0
     )
-    lifts = {}  # shared by every trial, as by every candidate of an interval
+    # The pairs of rho the joined solve reaches, whose product is its
+    # common scale: equal, one of them 1, or distinct with a common factor
+    # > 1.  In the first and the last the product exceeds the pair's least
+    # common multiple, so numerators and determinants are wider.
+    scales = dict.fromkeys(("equal", "one is 1", "shared factor"), 0)
     for k, kind in corpus:
         if k is None:
             k = rng.choice((1, 2))
@@ -195,8 +202,16 @@ def test_pair_reduction_matches_direct_solver():
         if kind == "repeated 2":
             assert reduction32 is None
         sign, verdict = solve_from_pairs(reduction12, reduction32,
-                                         solve_integer, lifts)
+                                         solve_integer)
         assert sign == direct[0]
+        if sign:
+            rho_a, rho_b = reduction12.rho, reduction32.rho
+            if rho_a == rho_b:
+                scales["equal"] += 1
+            elif 1 in (rho_a, rho_b):
+                scales["one is 1"] += 1
+            elif gcd(rho_a, rho_b) > 1:
+                scales["shared factor"] += 1
         if sign == 0:
             assert verdict is None
             branches["singular"] += 1
@@ -218,6 +233,7 @@ def test_pair_reduction_matches_direct_solver():
             assert verdict == full + ([],)
             branches["inside"] += 1
     assert all(branches.values()), branches
+    assert all(scales.values()), scales
 
 
 @st.composite
@@ -255,17 +271,16 @@ def test_pair_reduction_rows_are_primitive(cells):
         if reduction is not None:
             for row, r in zip(reduction.con_rows, reduction.con_rhs):
                 assert gcd(*row, r) in (0, 1)  # 0: an all-zero row
-    sign, _ = solve_from_pairs(reduction12, reduction32, solve_integer, {})
+    sign, _ = solve_from_pairs(reduction12, reduction32, solve_integer)
     assert sign == direct_sign
     if reduction12 is None or reduction32 is None:
         assert direct_sign == 0
         return
-    rho = lcm(reduction12.rho, reduction32.rho)
-    lifts = (rho // reduction12.rho, rho // reduction32.rho)
-    sign_b, numerators, det = solve_integer(reduction12, reduction32, *lifts)
+    rho = reduction12.rho * reduction32.rho
+    sign_b, numerators, det = solve_integer(reduction12, reduction32)
     assert (sign_b == 0) == (direct_sign == 0)
-    assert sign_b == solve_bareiss(*joined_system(reduction12, reduction32,
-                                                  *lifts))[0]
+    assert sign_b == solve_bareiss(*joined_system(reduction12,
+                                                  reduction32))[0]
     if direct_sign:
         d = len(f2.columns)
         if any(x < 0 for x in direct[d:2 * d]):
@@ -598,10 +613,9 @@ def test_sweep_solves_the_two_level_triples(grid_tracks,
                     frames[cell_x], frames[cell_kept])
             return reductions[cell_x, cell_kept]
 
-        lifts = {}
         for cell1, cell2, cell3 in two_level_cell_triples(track):
             solve_from_pairs(reduction(cell1, cell2), reduction(cell3, cell2),
-                             recording, lifts)
+                             recording)
         assert systems == expected
         assert systems
 
