@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from itertools import product
 from math import isqrt, lcm
 
-from .geometry import Rat, derive_seed, random_rational_perturbation
+from .geometry import Rat, derive_seed
 from .model import Ornament, PLMap, TriangulatedManifold, validate_ornament
 from .sweep import trivial_ornament
 
@@ -100,20 +100,21 @@ def _stellar_round(manifold, positions):
     )
 
 
-def rational_unit_near_diagonal(n, skew=1):
+def rational_unit_near_diagonal(n):
     """An exact rational unit vector in R^n with all coordinates positive,
     near the diagonal direction (1, ..., 1)/sqrt(n).
 
     Built from the quadratic parameterization of rational sphere points:
     q ~ t/(1+t) on each of the first n-1 coordinates for a rational
     t ~ 1/sqrt(n), 4 bits after the point, mapped to (2q, 1-|q|^2) /
-    (1+|q|^2).  A nonzero ``skew`` spreads the q entries apart slightly; a
-    center with a coordinate symmetry sits on exceptional spheres through
-    several construction vertices, which projects distinct facets onto one
-    line and wrecks validity, so asymmetric is the generic choice."""
+    (1+|q|^2).  The q entries are spread apart slightly, entry i by the
+    factor 1 + (i + 1) / (8n) (the skew-1 center): a center with a
+    coordinate symmetry sits on exceptional spheres through several
+    construction vertices, which projects distinct facets onto one line
+    and wrecks validity, so asymmetric is the generic choice."""
     t = Rat(1 << 4, isqrt(n << 8))
     base = t / (1 + t)
-    q = [base * (1 + Rat(skew * (i + 1), 8 * n)) for i in range(n - 1)]
+    q = [base * (1 + Rat(i + 1, 8 * n)) for i in range(n - 1)]
     qq = sum((x * x for x in q), Rat(0))
     denom = 1 + qq
     coords = [2 * x / denom for x in q] + [(1 - qq) / denom]
@@ -156,60 +157,48 @@ def make_borromean(k, r=0, seed=0):
     """The pairwise-linked three-sphere ornament in R^{3k-1}.
 
     Three copies of the cross-polytope (2k-1)-sphere sit in the coordinate
-    2k-planes of R^{3k}; every vertex is projected stereographically from a
-    rational unit vector near the positive diagonal.  The result is
-    validated (and its vertex projection checked injective on distinct
-    points); if a coarse model ever failed, seeded perturbation retries
-    would repair it."""
+    2k-planes of R^{3k}; every vertex is projected stereographically from
+    the rational unit vector of :func:`rational_unit_near_diagonal`.
+    The result is validated, and its vertex projection checked injective
+    on distinct points.  On a coarse model the projection center can
+    decide the ornament's class, so there is no fallback to another center
+    or to a perturbation: an invalid result raises RuntimeError.  The
+    construction is deterministic; ``seed`` is accepted for the common
+    signature of the generators."""
     sphere = cross_polytope_sphere(k, r)
     ambient = 3 * k
     m = ambient - 1
-    ornament = None
-    for skew in (1, 2, 3, 5, 7):
-        center = rational_unit_near_diagonal(ambient, skew=skew)
-        drop = max(range(ambient), key=lambda i: center[i])
-        # Scaling the whole target space by the center's common denominator
-        # keeps the image coordinates' denominators small (positive scalings
-        # change neither validity nor the invariant).
-        scale = 1
-        for c in center:
-            scale = lcm(scale, c.denominator)
-        components = []
-        projected_by_position = {}
-        for which in (1, 2, 3):
-            axes = _PLANE_AXES[which](k)
-            images = []
-            for pos in sphere.positions:
-                embedded = _embed(pos, axes, ambient)
-                image = tuple(scale * c for c in
-                              stereographic_image(center, embedded, drop))
-                previous = projected_by_position.setdefault(embedded, image)
-                if previous != image:
-                    raise AssertionError("projection produced inconsistent images")
-                images.append(image)
-            components.append(PLMap(sphere.manifold, m, images))
-        images_seen = {}
-        for position, image in projected_by_position.items():
-            other = images_seen.setdefault(image, position)
-            if other != position:
-                raise AssertionError("projection not injective on vertices")
-        ornament = Ornament(components)
-        if validate_ornament(ornament).ok:
-            return ornament
-    for attempt in range(64):
-        eps = Rat(1, 2 ** (4 + attempt))
-        candidate = Ornament([
-            PLMap(f.domain, m, [
-                random_rational_perturbation(
-                    img, eps, derive_seed(seed, attempt, ci, vi)
-                )
-                for vi, img in enumerate(f.images)
-            ])
-            for ci, f in enumerate(ornament.components)
-        ])
-        if validate_ornament(candidate).ok:
-            return candidate
-    raise RuntimeError("could not realize a valid linked configuration")
+    center = rational_unit_near_diagonal(ambient)
+    drop = max(range(ambient), key=lambda i: center[i])
+    # Scaling the whole target space by the center's common denominator
+    # keeps the image coordinates' denominators small (positive scalings
+    # change neither validity nor the invariant).
+    scale = 1
+    for c in center:
+        scale = lcm(scale, c.denominator)
+    components = []
+    projected_by_position = {}
+    for which in (1, 2, 3):
+        axes = _PLANE_AXES[which](k)
+        images = []
+        for pos in sphere.positions:
+            embedded = _embed(pos, axes, ambient)
+            image = tuple(scale * c for c in
+                          stereographic_image(center, embedded, drop))
+            previous = projected_by_position.setdefault(embedded, image)
+            if previous != image:
+                raise AssertionError("projection produced inconsistent images")
+            images.append(image)
+        components.append(PLMap(sphere.manifold, m, images))
+    images_seen = {}
+    for position, image in projected_by_position.items():
+        other = images_seen.setdefault(image, position)
+        if other != position:
+            raise AssertionError("projection not injective on vertices")
+    ornament = Ornament(components)
+    if not validate_ornament(ornament).ok:
+        raise RuntimeError("the Borromean projection is not a valid ornament")
+    return ornament
 
 
 def _default_targets(k):

@@ -52,8 +52,10 @@ for a triple.  The normalised ends are wider than the shares, at most
 only when a triple containing it passes.  The kernel decides each
 candidate on the signs of the integer solve: outside some facet or behind
 the origin (dropped), on a facet's boundary or at a zero ray scalar
-(degenerate), or strictly interior with a positive ray scalar (counted);
-rationals are built only for the counted preimages, the witnesses.
+(degenerate), or strictly interior with a positive ray scalar (counted).
+The solve itself drops a point outside closed facet 3 or behind the
+origin, and :func:`~ornaments.geometry.triple_verdict` classifies the
+rest; rationals are built only for the counted preimages, the witnesses.
 
 Degeneracies (singular systems that still touch the closed cells, boundary
 solutions, zero ray scalar) are detected exactly and reported as
@@ -77,7 +79,7 @@ from .geometry import (
     pair_reduction,
     ray_meets_box,
     simplex_frame,
-    solve_from_pairs,
+    triple_verdict,
 )
 from .laplace import solve_integer
 from .model import common_point_system, facet_grid_boxes
@@ -239,17 +241,24 @@ def mu_via_degree(o, v):
             for i3, share3 in enumerate(terms3):
                 if not ray_meets_box(hull12, share3, scaled):
                     continue
-                sign, verdict = solve_from_pairs(
-                    reduction(0, i1, i3), reduction(1, i2, i3), solve_integer
-                )
+                reduction13 = reduction(0, i1, i3)
+                reduction23 = reduction(1, i2, i3)
+                sign = 0  # a degenerate facet 1 or 2 has no reduction
+                if reduction13 is not None and reduction23 is not None:
+                    sign, numerators, det = solve_integer(reduction13,
+                                                          reduction23)
                 if sign == 0:
                     if _ray_touches_closed_cells(o, (i1, i2, i3), u, w):
                         raise NonGenericDirection(
                             f"singular system touching facets {(i1, i2, i3)}"
                         )
                     continue
+                if numerators is None:
+                    continue  # outside facet 3, or behind the origin
+                sign, verdict = triple_verdict(reduction13, reduction23,
+                                               sign, numerators, det)
                 if verdict is None:
-                    continue  # outside some facet, or behind the origin
+                    continue  # outside facet 1 or 2
                 if verdict == "closed":
                     raise NonGenericDirection(
                         f"boundary preimage on facets {(i1, i2, i3)}"

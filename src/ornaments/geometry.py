@@ -13,31 +13,36 @@ are reduced by fraction-free Bareiss elimination on integer matrices whose
 columns were cleared of denominators by :func:`integer_scaled`; the one
 elimination loop, :func:`eliminate`, serves every caller.  Both routes
 decide their triples with one pair-reduced kernel built on that loop and
-on back-substitution.  A :class:`SimplexFrame` holds a simplex's base
-point and edges as integers, and records the elimination of its edges
-once, as row operations (:func:`edge_elimination`), the first time it is
-the eliminated side of a pair.  :func:`pair_reduction` then eliminates one
-simplex of a pair by one integer product of those row operations with the
-other simplex's edges and the difference of the two integer base points,
-and carries the column scales of both blocks; its k x k minors, read by
-every candidate it enters, and its triangular rows, read only to
-back-substitute a candidate, are formed on first use.
-:func:`solve_from_pairs` joins two reductions that share a kept simplex
-into one 2k x 2k solve per triple, each right-hand side lifted by the
+on back-substitution.  Rationals enter it only at its edges: a
+:class:`SimplexFrame` holds a simplex's base point and edges as integers,
+its edges formed from the vertices' integer ratios (:func:`simplex_frame`),
+and records the elimination of its edges once, as row operations
+(:func:`edge_elimination`), the first time it is the eliminated side of a
+pair.  :func:`pair_reduction` then eliminates one simplex of a pair by one
+integer product of those row operations with the other simplex's edges and
+the difference of the two integer base points, and carries the column
+scales of both blocks and the weights of the kept simplex's implied
+coordinate; its k x k minors, read by every candidate it enters, and its
+triangular rows, read only to back-substitute a candidate, are formed on
+first use.  A triple is decided in two steps, both called by each route.
+:func:`~ornaments.laplace.solve_integer` joins two reductions that share a
+kept simplex into one 2k x 2k solve, each right-hand side lifted by the
 other reduction's ``rho`` to the product of both, a Laplace expansion over
 their minors (:mod:`ornaments.laplace` compiles the expansion of the
-minors and of the solve once per k), and returns the triple's verdict:
-singular, outside, on a boundary, or strictly interior.  Every verdict is
-read off integer Cramer numerators over the integer determinant by one
-classifier, :func:`cramer_status`, whose first test (a negative kept
-coordinate) the compiled solve makes as it expands each numerator, so
-rationals are built only for interior points, the witnesses.  Linear
-feasibility is asked in one form, "A x = b, x >= 0", and decided rank
-first: the equalities, cleared of denominators row by row, go through the
-same elimination loop, and an inconsistent system is rejected on integers
-alone.  Only a consistent one is brought to its reduced row echelon form,
-one rational per entry, and its sign constraints to Fourier-Motzkin
-elimination, with exact sample-point extraction for witnesses.
+minors and of the solve once per k), and returns numerators only for a
+point in the closed kept simplex: it screens each listed coordinate and
+then the implied one.  :func:`triple_verdict` classifies what comes back:
+outside, on a boundary, or strictly interior.  Every verdict is read off
+integer Cramer numerators over the integer determinant by one classifier,
+:func:`cramer_status`, so rationals are built only for interior points,
+the witnesses.  Linear feasibility is asked in one form, "A x = b, x >=
+0", and decided rank first: the equalities, cleared of denominators row by
+row, go through the same elimination loop, and an inconsistent system is
+rejected on integers alone.  Only a consistent one is brought to its
+reduced row echelon form, one rational per entry, and its sign
+constraints to Fourier-Motzkin elimination, with exact sample-point
+extraction for witnesses.  The prefilter layer rounds points outward onto
+one power-of-two grid (:func:`outward_grid`), from their integer ratios.
 """
 
 from __future__ import annotations
@@ -236,17 +241,36 @@ _UNBUILT = object()
 
 
 def simplex_frame(points):
-    """The :class:`SimplexFrame` of a simplex given by its vertices: the
-    last one is the base, and each edge to another vertex is pre-scaled to
-    an integer column by :func:`integer_scaled`."""
-    base = points[-1]
+    """The :class:`SimplexFrame` of a simplex given by its vertices (tuples
+    of rationals): the last one is the base, and each edge to another
+    vertex is pre-scaled to an integer column, as :func:`integer_scaled`
+    scales the rational edge.
+
+    The edges are formed from the coordinates' integer ratios, with no
+    rational arithmetic: coordinate ``n_p / d_p`` of a vertex less ``n_b /
+    d_b`` of the base is ``n_p d_b - n_b d_p`` over ``d_p d_b``, or ``n_p -
+    n_b`` over the common denominator when the two are equal, reduced by
+    one gcd; the column's scale is the lcm of the reduced denominators."""
+    base = [x.as_integer_ratio() for x in points[-1]]
     columns = []
     scales = []
     for p in points[:-1]:
-        scale, ints = integer_scaled(tuple(x - b for x, b in zip(p, base)))
-        columns.append(ints)
+        numerators = []
+        denominators = []
+        for x, (n_b, d_b) in zip(p, base):
+            n_p, d_p = x.as_integer_ratio()
+            if d_p == d_b:
+                n, d = n_p - n_b, d_p
+            else:
+                n, d = n_p * d_b - n_b * d_p, d_p * d_b
+            g = math.gcd(n, d)
+            numerators.append(n // g)
+            denominators.append(d // g)
+        scale = math.lcm(*denominators)
+        columns.append([n * (scale // d) for n, d in
+                        zip(numerators, denominators)])
         scales.append(scale)
-    return SimplexFrame(integer_scaled(base), columns, scales)
+    return SimplexFrame(integer_scaled(points[-1]), columns, scales)
 
 
 def cramer_status(numerators, det, scales, rho, arity):
@@ -354,27 +378,30 @@ class PairReduction:
     sign_fix * det(with the x columns dropped and the x-free rows in the
     block's place), up to a positive factor, and the column scales of the
     eliminated block, ``scales_x``, and of the kept one, ``scales_kept``,
-    the extra columns' included.
+    the extra columns' included, and the ``weights`` of the kept columns
+    in the implied coordinate of the kept simplex: its column scales, and
+    0 for each extra column.
 
-    :meth:`minors`, read as they stand by every candidate the reduction
-    enters, as either block of its joined solve (where the block's
-    right-hand side is lifted by the other block's ``rho``), and
+    :meth:`minors`, read by every candidate the reduction enters, as
+    either block of its joined solve (where the block's right-hand side is
+    lifted by the other block's ``rho``), and
     :meth:`triangular`, read only when a candidate's kept block is not
     outside (most reductions never need them), are formed on first use
     and kept."""
 
     __slots__ = ("con_rows", "con_rhs", "sign_fix", "rho", "scales_x",
-                 "scales_kept", "_tri_x", "_ops", "_columns", "_triangular",
-                 "_minors")
+                 "scales_kept", "weights", "_tri_x", "_ops", "_columns",
+                 "_triangular", "_minors")
 
     def __init__(self, con_rows, con_rhs, sign_fix, rho, scales_x,
-                 scales_kept, tri_x, ops, columns):
+                 scales_kept, weights, tri_x, ops, columns):
         self.con_rows = con_rows
         self.con_rhs = con_rhs
         self.sign_fix = sign_fix
         self.rho = rho
         self.scales_x = scales_x
         self.scales_kept = scales_kept
+        self.weights = weights
         self._tri_x = tri_x
         self._ops = ops
         self._columns = columns
@@ -382,12 +409,13 @@ class PairReduction:
         self._minors = None
 
     def minors(self):
-        """The k x k minors of the x-free block ``[con_rows | con_rhs]``,
-        expanded by the ``minors`` that :func:`~ornaments.laplace.kernel`
-        compiles for k, built once."""
+        """``(minors, lifted)``: the k x k minors of the x-free block
+        ``[con_rows | con_rhs]`` and ``rho`` times those on kept columns
+        alone, expanded by the ``minors`` that
+        :func:`~ornaments.laplace.kernel` compiles for k, built once."""
         if self._minors is None:
             minors, _ = kernel(len(self.con_rows))
-            self._minors = minors(self.con_rows, self.con_rhs)
+            self._minors = minors(self.con_rows, self.con_rhs, self.rho)
         return self._minors
 
     def triangular(self):
@@ -417,8 +445,8 @@ def pair_reduction(frame_x, frame_kept, extra=()):
     its content together with that scale.  Each x-free row is divided, with
     its right-hand side, by its positive gcd: that changes neither the
     solution nor any determinant sign, and it keeps the joined system of
-    :func:`solve_from_pairs` narrow.  The triangular rows are the same
-    product on the first operations, formed by
+    :func:`~ornaments.laplace.solve_integer` narrow.  The triangular rows
+    are the same product on the first operations, formed by
     :meth:`PairReduction.triangular` when first asked for.
 
     Returns ``None`` when the columns of E_x are dependent, in which case
@@ -454,11 +482,12 @@ def pair_reduction(frame_x, frame_kept, extra=()):
             tail = [c // content for c in tail]
         con_rhs.append(tail.pop())
         con_rows.append(tail)
-    scales_kept = frame_kept.scales  # shared: no reduction writes it
+    scales_kept = weights = frame_kept.scales  # shared: nothing writes it
     if extra:
         scales_kept = scales_kept + [scale for _, scale in extra]
+        weights = weights + [0] * len(extra)
     return PairReduction(con_rows, con_rhs, sign_fix, rho, frame_x.scales,
-                         scales_kept, tri_x, ops, columns)
+                         scales_kept, weights, tri_x, ops, columns)
 
 
 def _eliminated_block(reduction, numerators_kept, det, lift):
@@ -489,23 +518,21 @@ def _full_coordinates(numerators, det, scales, rho, arity):
     return tuple(listed), coords[arity - 1:]
 
 
-def solve_from_pairs(reduction_a, reduction_b, solve):
+def triple_verdict(reduction_a, reduction_b, sign, numerators, det):
     """Decide a triple from the :func:`pair_reduction` of its two row
-    blocks, which share the kept columns and their scales.  ``solve`` is the
-    caller's own binding of :func:`~ornaments.laplace.solve_integer`, so
-    that whoever counts a route's solves sees this one.
+    blocks, which share the kept columns and their scales, and the result
+    ``(sign, numerators, det)`` of their joined
+    :func:`~ornaments.laplace.solve_integer`, whose numerators came back:
+    the system is regular and its point lies in the closed kept simplex.
+    Each route calls its own binding of ``solve_integer`` and then this,
+    so that whoever counts a route's solves sees every one.
 
-    The k x-free rows of each reduction form one square system on the kept
-    columns, which ``solve`` is given as the two reductions: it brings
-    their right-hand sides to the common scale ``rho = rho_a * rho_b`` by
-    lifting each by the other's ``rho``.  Unless ``solve`` found a negative
-    kept coordinate and left the numerators out, its integer Cramer
-    solution is classified by :func:`cramer_status`, with the kept simplex
-    of the eliminated ones' arity and the extra columns as coordinates that
-    must not be negative; b is back-substituted and classified only for a
-    kept block that is not outside, and a only for a b that is not
-    outside.  Every verdict is reached on integers, and rationals are built
-    only for a strictly interior point, the witness.
+    The kept block is classified by :func:`cramer_status`, with the kept
+    simplex of the eliminated ones' arity and the extra columns as
+    coordinates that must not be negative, to tell its interior from its
+    boundary; b is back-substituted and classified, and a only for a b
+    that is not outside.  Every verdict is reached on integers, and
+    rationals are built only for a strictly interior point, the witness.
 
     Sign: det(triple) = fix_a * fix_b * (-1)^k * det(joined), up to a
     positive factor.  With pair blocks of n rows, moving the bottom block
@@ -518,25 +545,17 @@ def solve_from_pairs(reduction_a, reduction_b, solve):
     its blocks are the (1, 3) and (2, 3) pair blocks as they stand, with
     no negation or reordering, and (-1)^((3k - 1) k) = +1.
 
-    Returns ``(sign, verdict)``: ``(0, None)`` when singular (a ``None``
-    reduction included, with no call to ``solve``); ``(sign, None)`` when
-    the point is outside some closed simplex or an extra coordinate is
+    Returns ``(sign, verdict)``, ``sign`` the triple's: ``(sign, None)``
+    when the point is outside some closed simplex or an extra coordinate is
     negative; ``(sign, "closed")`` when it lies in every closed simplex but
     some coordinate, an extra one included, is zero; and ``(sign, (full_a,
     full_kept, full_b, extras))`` when it is strictly interior, with the
     full barycentric tuples of the three simplices and the list of the
     extra coordinates.
     """
-    if reduction_a is None or reduction_b is None:
-        return 0, None
-    sign_n, numerators, det = solve(reduction_a, reduction_b)
-    if sign_n == 0:
-        return 0, None
-    sign = reduction_a.sign_fix * reduction_b.sign_fix * sign_n
+    sign *= reduction_a.sign_fix * reduction_b.sign_fix
     if len(reduction_a.con_rows) % 2:
         sign = -sign
-    if numerators is None:
-        return sign, None  # the solve's screen found a negative coordinate
     scales_a = reduction_a.scales_x
     scales_b = reduction_b.scales_x
     scales_kept = reduction_a.scales_kept
@@ -544,9 +563,9 @@ def solve_from_pairs(reduction_a, reduction_b, solve):
     rho_a = reduction_a.rho
     rho_b = reduction_b.rho
     rho = rho_a * rho_b
+    # Never None: the solve returned numerators, so the point is in the
+    # closed kept simplex, and this tells interior from boundary.
     interior = cramer_status(numerators, det, scales_kept, rho, arity)
-    if interior is None:
-        return sign, None
     numerators_b, det_b = _eliminated_block(reduction_b, numerators, det,
                                             rho_a)
     interior_b = cramer_status(numerators_b, det_b, scales_b, rho, arity)
@@ -728,15 +747,21 @@ def outward_grid(points):
     Floor and ceil are monotone, so the :func:`hull` of brackets contains
     ``2 ** shift`` times the exact box of the points, and is the box's own
     rounding: the grid serves prefilters that only have to be
-    conservative."""
+    conservative.  Each coordinate takes one ``divmod``: the ceil is the
+    floor, plus 1 for a nonzero remainder."""
     ratios = [[x.as_integer_ratio() for x in p] for p in points]
     top = max((abs(n) // d for p in ratios for n, d in p), default=0)
     shift = max(0, 60 - top.bit_length())
-    return shift, [
-        (tuple((n << shift) // d for n, d in p),
-         tuple(-((-n << shift) // d) for n, d in p))
-        for p in ratios
-    ]
+    brackets = []
+    for p in ratios:
+        floors = []
+        ceils = []
+        for n, d in p:
+            q, r = divmod(n << shift, d)
+            floors.append(q)
+            ceils.append(q + 1 if r else q)
+        brackets.append((tuple(floors), tuple(ceils)))
+    return shift, brackets
 
 
 def hull(brackets):

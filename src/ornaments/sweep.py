@@ -16,12 +16,14 @@ back-substitution for a cell 3 and a cell 1 that the signs have not yet
 ruled out.  The solve is a Laplace expansion over the k x k minors of the
 two reductions' x-free rows, which each reduction forms once, the first
 time a candidate reads them; the (cell 2, cell 3) reductions, and their
-minors, are kept until the keyframe interval is done.  The kernel returns
-the candidate's verdict (singular, outside, on a boundary, or strictly
-interior) decided on integers, and builds rationals only for a triple
-point's witness.  Each row the reductions leave is divided by its content
-(the gcd of its entries and right-hand side), which roughly halves the
-width of the integers that reach the solve.  Before that, candidates are
+minors, are kept until the keyframe interval is done.  The solve returns
+numerators only for a point in closed cell 2, its implied coordinate
+included, and only those candidates reach the classifier, which decides
+the rest of the verdict (outside, on a boundary, or strictly interior) on
+integers and builds rationals only for a triple point's witness.  Each
+row the reductions leave is divided by its content (the gcd of its
+entries and right-hand side), which roughly halves the width of the
+integers that reach the solve.  Before that, candidates are
 prefiltered on three levels by their extents along the coordinates and
 the directions e_i +- e_j, computed on integers about 64 bits wide on the
 prefilter layer of :mod:`ornaments.geometry` that validation and the
@@ -36,9 +38,12 @@ keeps, per component, the prisms that meet the other two components'
 common extents.  Each cell of components 1 and 2 carries a bitmask of the
 kept component-3 cells its extents meet, so a pair of meeting prisms, then
 of meeting cells, reads its candidates off the two masks' common bits.
-The set-up is lazy: the cells of a prism of component 1 or 2 are built
-only when a meeting prism pair reaches it, and a cell's rational points
-and simplex frame only when it enters a candidate triple.
+Rationals are read only at the set-up's edges: the interior keyframes of
+a straight-line track, the grid points and the cells' integer frames are
+all built from the coordinates' integer ratios.  The set-up is lazy: the
+cells of a prism of component 1 or 2 are built only when a meeting prism
+pair reaches it, and a cell's rational points and simplex frame only when
+it first enters a pair reduction.
 Strictly interior transverse solutions are the signed triple points; their
 algebraic count over a homotopy to the trivial ornament is the invariant,
 and over an arbitrary homotopy it is the difference of the endpoint
@@ -70,7 +75,7 @@ from .geometry import (
     pair_reduction,
     random_rational_perturbation,
     simplex_frame,
-    solve_from_pairs,
+    triple_verdict,
 )
 from .laplace import solve_integer
 from .model import Ornament, PLMap, common_point_system, permutation_parity
@@ -204,7 +209,11 @@ def linear_track(start, end, cuts=()):
 
     ``cuts`` inserts keyframes at interior times on the same straight
     motion; the map is unchanged but the prisms get shorter, which makes the
-    bounding-box prefilter effective on long-range collapses.
+    bounding-box prefilter effective on long-range collapses.  Each
+    coordinate of an interior keyframe is built as one rational from the
+    integer ratios of its ends, with no rational arithmetic: at ``t = p /
+    q`` the coordinate between ``n_a / d_a`` and ``n_b / d_b`` is ``((q -
+    p) n_a d_b + p n_b d_a) / (q d_a d_b)``, which is ``a + t (b - a)``.
     """
     if start.m != end.m:
         raise DimensionMismatch("endpoint ambient dimensions differ")
@@ -214,19 +223,24 @@ def linear_track(start, end, cuts=()):
     times = [Rat(0)] + [Rat(t) for t in cuts] + [Rat(1)]
     first = tuple(f.images for f in start.components)
     last = tuple(f.images for f in end.components)
-    # a + t (b - a) equals (1 - t) a + t b exactly; the steps b - a are
-    # shared by every interior keyframe.
-    steps = [
-        [(a, tuple(y - x for x, y in zip(a, b))) for a, b in zip(fs, fe)]
-        for fs, fe in zip(first, last)
-    ]
     frames = [first]
-    for t in times[1:-1]:
-        frames.append(tuple(
-            tuple(tuple(x + t * s for x, s in zip(a, step))
-                  for a, step in comp)
-            for comp in steps
-        ))
+    if cuts:
+        # Per component and vertex, the ratio pairs of its coordinates at
+        # both ends, shared by every interior keyframe.
+        ends = [
+            [[(x.as_integer_ratio(), y.as_integer_ratio())
+              for x, y in zip(a, b)] for a, b in zip(fs, fe)]
+            for fs, fe in zip(first, last)
+        ]
+        for t in times[1:-1]:
+            p, q = t.numerator, t.denominator
+            r = q - p
+            frames.append(tuple(
+                tuple(tuple(Rat(r * n_a * d_b + p * n_b * d_a, q * d_a * d_b)
+                            for (n_a, d_a), (n_b, d_b) in vertex)
+                      for vertex in comp)
+                for comp in ends
+            ))
     frames.append(last)
     return HomotopyTrack(domains, start.m, times, frames)
 
@@ -278,10 +292,11 @@ def _expanded_frame(frame, pairs):
 
 class _SweepCell:
     """A staircase cell of the sweep with its grid extents; its rational
-    points and simplex frame are built by :meth:`framed` on first use.  A
-    cell of component 1 or 2 also holds its :func:`meet_mask` against the
-    keyframe interval's cells of component 3, and a cell of component 2
-    its (cell 2, cell 3) reductions, in a list indexed like those cells."""
+    points and simplex frame are built by :meth:`framed` when it first
+    enters a pair reduction.  A cell of component 1 or 2 also holds its
+    :func:`meet_mask` against the keyframe interval's cells of component
+    3, and a cell of component 2 its (cell 2, cell 3) reductions, in a
+    list indexed like those cells."""
 
     __slots__ = ("cell", "extents", "points", "frame", "mask", "reductions")
 
@@ -293,7 +308,8 @@ class _SweepCell:
 
     def framed(self, track):
         """The cell's :func:`simplex_frame`, built on first use together
-        with :attr:`points` (see :func:`cell_points`)."""
+        with :attr:`points` (see :func:`cell_points`), which the touching
+        test and the witness read."""
         if self.frame is None:
             self.points = cell_points(track, self.cell)
             self.frame = simplex_frame(self.points)
@@ -370,15 +386,16 @@ def _interval_triple_points(track, j, vertices):
                         mask ^= low
                         b = low.bit_length() - 1
                         entry3 = cells3[b]
-                        fr3 = entry3.framed(track)
                         reduction32 = reductions32[b]
                         if reduction32 is _UNSEEN:
                             reduction32 = reductions32[b] = pair_reduction(
-                                fr3, fr2
+                                entry3.framed(track), fr2
                             )
-                        sign, verdict = solve_from_pairs(
-                            reduction12, reduction32, solve_integer
-                        )
+                        sign = 0  # a degenerate cell 1 or 3: no reduction
+                        if reduction12 is not None and reduction32 is not None:
+                            sign, numerators, det = solve_integer(
+                                reduction12, reduction32
+                            )
                         if sign == 0:
                             eq_rows, nvars, _ = common_point_system(
                                 (entry1.points, entry2.points, entry3.points)
@@ -388,8 +405,13 @@ def _interval_triple_points(track, j, vertices):
                                     f"singular touching system at interval {j}"
                                 )
                             continue
+                        if numerators is None:
+                            continue  # outside cell 2
+                        sign, verdict = triple_verdict(
+                            reduction12, reduction32, sign, numerators, det
+                        )
                         if verdict is None:
-                            continue  # outside some cell
+                            continue  # outside cell 1 or cell 3
                         if verdict == "closed":
                             raise NonGenericTrack(
                                 f"boundary solution at interval {j}"
@@ -450,24 +472,28 @@ def detect_triple_points(track):
     prism's equal the union of its cells', and a component's the union of
     its prisms'.  The cells of a prism of component 1 or 2, their extents
     and masks are built when a meeting prism pair reaches it, and a cell's
-    rational points and simplex frame (which carries its column scales)
-    when it first enters a candidate triple.
+    rational points and simplex frame (which carries its column scales,
+    formed from the points' integer ratios) when it first enters a pair
+    reduction: a cell 1 or 2 with its first meeting cell pair, a cell 3
+    with the first (cell 2, cell 3) reduction it is in.
 
-    Each candidate is solved by :func:`solve_from_pairs` from the (cell 1,
-    cell 2) reduction, made once per pair, and the (cell 3, cell 2)
-    reduction, made on first use and kept by cell 2 at cell 3's bit for the
-    rest of the keyframe interval; in the solve each one's right-hand side
-    is lifted by the other's ``rho``.  A cell's edges are eliminated once, by
-    its frame, however many reductions eliminate it; the x-free rows of the
-    reductions are primitive, which keeps the joined 2k x 2k system
-    narrow.  The kernel decides each candidate on integers: one outside
-    some cell is dropped (most of them by :func:`solve_integer` itself, at
-    the first negative coordinate of cell 2) and one on a cell's boundary
-    raises, both before any rational is built; a singular one (a
-    degenerate cell 1 or cell 3 included) goes to the exact touching test,
-    which raises when the closed cells meet.  The touching tests and the
-    witnesses use the rational points.  Raises NonGenericTrack on any
-    exactly-degenerate configuration.
+    Each candidate is solved in two steps from the (cell 1, cell 2)
+    reduction, made once per pair, and the (cell 3, cell 2) reduction, made
+    on first use and kept by cell 2 at cell 3's bit for the rest of the
+    keyframe interval.  :func:`solve_integer` lifts each one's right-hand
+    side by the other's ``rho`` and returns numerators only for a point in
+    closed cell 2: it stops at the first negative coordinate, and then
+    screens the implied one.  Only then does :func:`triple_verdict`
+    back-substitute cells 3 and 1 and classify the point.  A cell's edges
+    are eliminated once, by its frame, however many reductions eliminate
+    it; the x-free rows of the reductions are primitive, which keeps the
+    joined 2k x 2k system narrow.  Each candidate is decided on integers:
+    one outside some cell is dropped and one on a cell's boundary raises,
+    both before any rational is built; a singular one (a degenerate cell 1
+    or cell 3 included, which has no reduction and gets no solve) goes to
+    the exact touching test, which raises when the closed cells meet.  The
+    touching tests and the witnesses use the rational points.  Raises
+    NonGenericTrack on any exactly-degenerate configuration.
     """
     found = []
     # The directions e_i + e_j and e_i - e_j: with the plain coordinates

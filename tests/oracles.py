@@ -26,14 +26,18 @@ verdicts.  The Gauss-Jordan feasibility routine, with general
 inequalities, is the reference for the package's rank-first
 ``feasible_point`` on "A x = b, x >= 0", and the exact
 common-scale frames and extents are the references for the sweep's
-outward-rounded grid prefilter; the union of extents is the reference for
+outward-rounded grid prefilter; the rational forms of the interior
+keyframe ``a + t (b - a)``, of the grid's floor and ceil and of a simplex
+frame's edges are the references for the set-up built from integer
+ratios; the union of extents is the reference for
 the sweep's cell and prism extents, and the two-level enumeration of cell
 triples on exact extents the reference for the candidates of its
 three-level prefilter.  The helpers at the end (image of
 a barycentric point, the unnormalised sphere map, reversed components,
 reversed and concatenated tracks, the straight-line homotopy to a trivial
 ornament, relative sweeps, certification of an ornament homotopy) are used
-only by tests.
+only by tests, as is :func:`decide_from_pairs`, the routes' two kernel
+steps as one call.
 """
 
 import math
@@ -46,6 +50,7 @@ from ornaments.geometry import (
     eliminate,
     integer_scaled,
     outward_grid,
+    triple_verdict,
 )
 from ornaments import sweep
 from ornaments.model import (
@@ -319,6 +324,24 @@ def joined_system(reduction_a, reduction_b):
     rhs = ([r * reduction_b.rho for r in reduction_a.con_rhs]
            + [r * reduction_a.rho for r in reduction_b.con_rhs])
     return rows, rhs
+
+
+def decide_from_pairs(reduction_a, reduction_b, solve):
+    """Both routes' two kernel steps as one call, ``(sign, verdict)`` with
+    the triple's sign: ``(0, None)`` when singular (a ``None`` reduction
+    included, with no call to ``solve``), ``(sign, None)`` when ``solve``,
+    a binding of the package's ``solve_integer`` that a test may record,
+    left the numerators out, and otherwise ``triple_verdict`` of its
+    result."""
+    if reduction_a is None or reduction_b is None:
+        return 0, None
+    sign, numerators, det = solve(reduction_a, reduction_b)
+    if sign == 0:
+        return 0, None
+    if numerators is None:
+        sign *= reduction_a.sign_fix * reduction_b.sign_fix
+        return (-sign if len(reduction_a.con_rows) % 2 else sign), None
+    return triple_verdict(reduction_a, reduction_b, sign, numerators, det)
 
 
 def det_leibniz(rows):
@@ -602,6 +625,46 @@ def solve_ray_triple(frame1, frame2, frame3, ray):
     return sign, [
         Fraction(s * n, rho * det) for s, n in zip(col_scales, numerators)
     ]
+
+
+def interior_frame_by_steps(first, last, t):
+    """Reference for the interior keyframes of the package's
+    ``linear_track``: the images ``a + t (b - a)`` at time ``t`` of the
+    straight-line motion from the frame ``first`` to ``last`` (per
+    component, the tuples of vertex images), in rational arithmetic."""
+    return tuple(
+        tuple(tuple(x + t * (y - x) for x, y in zip(a, b))
+              for a, b in zip(comp_first, comp_last))
+        for comp_first, comp_last in zip(first, last)
+    )
+
+
+def outward_grid_by_fractions(points):
+    """Reference for the package's ``outward_grid``: the same shift, from
+    the largest integer part of a coordinate's magnitude, and each
+    coordinate's bracket by rational floor and ceil of ``x * 2 ** shift``."""
+    points = [[Fraction(x) for x in p] for p in points]
+    top = max((math.floor(abs(x)) for p in points for x in p), default=0)
+    shift = max(0, 60 - top.bit_length())
+    return shift, [
+        (tuple(math.floor(x * 2 ** shift) for x in p),
+         tuple(math.ceil(x * 2 ** shift) for x in p))
+        for p in points
+    ]
+
+
+def simplex_frame_by_differences(points):
+    """Reference for the package's ``simplex_frame``: ``(base_int,
+    columns, scales)``, the base (the last vertex) and each rational edge
+    ``p - base`` cleared of denominators by ``integer_scaled``."""
+    base = points[-1]
+    columns = []
+    scales = []
+    for p in points[:-1]:
+        scale, ints = integer_scaled(tuple(x - b for x, b in zip(p, base)))
+        columns.append(ints)
+        scales.append(scale)
+    return integer_scaled(base), columns, scales
 
 
 def integer_frames_exact(track):

@@ -386,6 +386,25 @@ def test_retry_exhaustion_exits_two_with_json_error(
     assert isinstance(report["error"], str) and report["error"]
 
 
+def test_gen_borromean_invalid_projection_exits_two(capsys, monkeypatch):
+    """``make_borromean`` has no fallback center: when its one projection
+    is invalid, ``gen borromean`` exits 2 with a JSON error after a single
+    validation."""
+    calls = []
+
+    def never_valid(ornament):
+        calls.append(ornament)
+        return _NeverValid()
+
+    monkeypatch.setattr(constructions, "validate_ornament", never_valid)
+    code = cli.main(["gen", "borromean", "--k", "1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert json.loads(captured.out) == {
+        "error": "the Borromean projection is not a valid ornament"}
+    assert len(calls) == 1
+
+
 #: sha256 of the stdout of ``ornaments mu <doc> --method both --seed 0`` on
 #: make_borromean(1, r=3), recorded while the prefilters still ran on
 #: rationals.  A change that moves a witness, a sign or a byte of the JSON

@@ -1,5 +1,6 @@
 import pytest
 
+from ornaments import constructions
 from ornaments.constructions import (
     cross_polytope_sphere,
     make_borromean,
@@ -66,6 +67,35 @@ def test_borromean_k1(borromean_k1):
 
 def test_borromean_deterministic():
     assert make_borromean(1) == make_borromean(1)
+
+
+@pytest.mark.parametrize("k, r", [(1, 0), (1, 1), (1, 2), (1, 3), (2, 0)])
+def test_borromean_raises_on_an_invalid_projection(k, r, monkeypatch):
+    """Every standard construction is valid at its one projection center,
+    and when that center gives an invalid ornament ``make_borromean``
+    raises after that one validation: no other center or perturbation
+    stands in, since either could change the ornament's class."""
+    calls = []
+    live = constructions.validate_ornament
+
+    def validate(ornament):
+        calls.append(ornament)
+        return live(ornament)
+
+    monkeypatch.setattr(constructions, "validate_ornament", validate)
+    if (k, r) != (2, 0):  # the k=2 fixture already shows it valid
+        assert make_borromean(k, r).m == 3 * k - 1
+        assert len(calls) == 1
+
+    class Invalid:
+        ok = False
+
+    calls.clear()
+    monkeypatch.setattr(constructions, "validate_ornament",
+                        lambda ornament: calls.append(ornament) or Invalid())
+    with pytest.raises(RuntimeError, match="not a valid ornament"):
+        make_borromean(k, r)
+    assert len(calls) == 1
 
 
 def test_borromean_shares_projected_plane_vertices(borromean_k1):

@@ -24,7 +24,6 @@ from ornaments.geometry import (
     integer_scaled,
     pair_reduction,
     simplex_frame,
-    solve_from_pairs,
 )
 from ornaments.laplace import solve_integer
 from ornaments.model import (
@@ -35,6 +34,7 @@ from ornaments.model import (
 )
 
 from oracles import (
+    decide_from_pairs,
     facet_box,
     interior_barycentric,
     point_at,
@@ -313,8 +313,8 @@ def test_kernel_matches_full_ray_system():
             assert reduction13 is None
         if kind == "degenerate 1":
             assert reduction23 is None
-        sign, verdict = solve_from_pairs(reduction13, reduction23,
-                                         solve_integer)
+        sign, verdict = decide_from_pairs(reduction13, reduction23,
+                                          solve_integer)
         direct_sign, direct = solve_ray_triple(f1, f2, f3, ray)
         assert sign == direct_sign
         if direct_sign == 0:

@@ -41,8 +41,10 @@ from oracles import (
     interior_barycentric,
     joined_system,
     nonneg_rows,
+    outward_grid_by_fractions,
     pair_reduction_direct,
     ray_meets_box_by_division,
+    simplex_frame_by_differences,
     solve_bareiss,
 )
 
@@ -299,12 +301,16 @@ def test_pair_reduction_matches_the_direct_reduction(case):
 
 # --- the joined solve ---------------------------------------------------------
 
-def _block(rows, rho):
+def _block(rows, rho, weights=None):
     """A :class:`PairReduction` holding only the x-free block ``rows``
     (each row its 2k kept entries and then its right-hand side) over the
-    scale ``rho``, which is all the joined solve reads."""
+    scale ``rho``, with the kept columns' ``weights``, which is all the
+    joined solve reads.  Zero weights, the default, make the implied
+    coordinate ``rho_a * rho_b * det``, which the solve never screens out."""
+    if weights is None:
+        weights = [0] * (len(rows[0]) - 1)
     return PairReduction([row[:-1] for row in rows], [row[-1] for row in rows],
-                         1, rho, [], [], [], [], [])
+                         1, rho, [], [], weights, [], [], [])
 
 
 @st.composite
@@ -396,7 +402,8 @@ def _posed_rows(rng, n, rho_a, rho_b, negative):
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_term_tables_match_leibniz(seed):
     """On random blocks, each cached minor is the Leibniz determinant of
-    its column set, and the joined determinant is the Leibniz determinant
+    its column set, its lifted copy is ``rho`` times those on kept columns
+    alone, and the joined determinant is the Leibniz determinant
     of the joined system, sign included.  So is every Cramer numerator
     (the lifted right-hand side in the column's place) when none has the
     sign opposite to the determinant's; otherwise the numerators are left
@@ -417,9 +424,14 @@ def test_term_tables_match_leibniz(seed):
             reduction_b = _block(rows[k:], rho_b)
             for reduction, block in ((reduction_a, rows[:k]),
                                      (reduction_b, rows[k:])):
-                assert reduction.minors() == [
+                minors, lifted = reduction.minors()
+                assert minors == [
                     det_leibniz([[row[c] for c in cols] for row in block])
                     for cols in combinations(range(n + 1), k)
+                ]
+                assert lifted == [
+                    reduction.rho * minor for minor, cols in
+                    zip(minors, combinations(range(n + 1), k)) if n not in cols
                 ]
             joined, rhs = joined_system(reduction_a, reduction_b)
             cramer = [
@@ -438,6 +450,70 @@ def test_term_tables_match_leibniz(seed):
             solved.setdefault(k, set()).add(not negative)
     assert solved == {1: {True, False}, 2: {True, False}, 3: {True, False}}
     assert laplace.kernel.cache_info().misses == 3
+
+
+@st.composite
+def _screened_cases(draw):
+    """``(k, rows, rho_a, rho_b, weights, extras)`` for the screen of the
+    joined solve, k in 1-3: 2k rows (2k + 1 entries each, the right-hand
+    side last) and the weights of the 2k kept columns, positive but for
+    the last ``extras`` (0 or 1) columns, extra ones of weight 0.  Random
+    rows and right-hand sides mostly solve to some negative coordinate;
+    posed ones solve to the kept coordinates ``w_i v_i`` with small
+    integers ``v_i >= 0`` (the joined solution ``rho_a * rho_b * v``), so
+    that the implied coordinate, ``1 - sum w_i v_i``, is positive, zero or
+    negative."""
+    k = draw(st.integers(1, 3))
+    n = 2 * k
+    extras = draw(st.integers(0, 1))
+    weights = draw(st.lists(st.integers(1, 5), min_size=n - extras,
+                            max_size=n - extras)) + [0] * extras
+    rho_a, rho_b = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    posed = draw(st.booleans())
+    rows = draw(st.lists(st.lists(_ENTRIES, min_size=n + 1 - posed,
+                                  max_size=n + 1 - posed),
+                         min_size=n, max_size=n))
+    if posed:
+        v = draw(st.lists(st.sampled_from([0, 0, 0, 1, 2]), min_size=n,
+                          max_size=n))
+        rows = [row + [(rho_a if i < k else rho_b) * sum(map(mul, row, v))]
+                for i, row in enumerate(rows)]
+    return k, rows, rho_a, rho_b, weights, extras
+
+
+@given(_screened_cases())
+@example((1, [[1, 0, 1], [0, 1, 5]], 1, 1, [2, 0], 1))  # implied < 0
+@example((1, [[1, 0, 1], [0, 1, 0]], 1, 1, [1, 0], 1))  # implied = 0
+@example((1, [[0, 1, 1], [1, 0, 0]], 3, 2, [1, 2], 0))  # det < 0, inside
+@example((2, [[1, 0, 0, 0, 1], [0, 1, 0, 0, 1],
+              [0, 0, 1, 0, 0], [0, 0, 0, 1, 3]],
+          1, 1, [1, 1, 1, 0], 1))  # implied < 0, the extra positive
+@example((3, [[1, 0, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0, 0],
+              [0, 0, 1, 0, 0, 0, 0], [0, 0, 0, 1, 0, 0, 0],
+              [0, 0, 0, 0, 1, 0, 0], [0, 0, 0, 0, 0, 1, 2]],
+          1, 1, [1, 1, 1, 1, 1, 1], 0))  # implied < 0
+def test_joined_solve_screens_the_closed_kept_simplex(case):
+    """The compiled solve returns numerators exactly when
+    :func:`cramer_status` of the kept block is not ``None``: with the
+    weights as the kept simplex's column scales and the zero-weight extra
+    columns as coordinates that must not be negative, judged on the
+    reference square solve of the joined system.  What it returns is that
+    solve's Cramer solution."""
+    k, rows, rho_a, rho_b, weights, extras = case
+    reduction_a = _block(rows[:k], rho_a, weights)
+    reduction_b = _block(rows[k:], rho_b, weights)
+    sign, numerators, det = solve_integer(reduction_a, reduction_b)
+    ref_sign, ref_numerators, ref_det = solve_bareiss(
+        *joined_system(reduction_a, reduction_b))
+    assert sign == ref_sign
+    if sign == 0:
+        return
+    kept = cramer_status(ref_numerators, ref_det, weights, rho_a * rho_b,
+                         2 * k - extras + 1)
+    assert (numerators is None) == (kept is None)
+    if numerators is not None:
+        assert [n * ref_det for n in numerators] == [
+            n * det for n in ref_numerators]
 
 
 # --- the barycentric verdict --------------------------------------------------
@@ -948,3 +1024,62 @@ def test_outward_grid_keeps_integers_and_dyadics_exact():
     assert brackets == [(exact, exact), ((5 * 2 ** 44,), (5 * 2 ** 44,))]
     assert outward_grid([(2 ** 64, -1)]) == (
         0, [((2 ** 64, -1), (2 ** 64, -1))])
+
+
+#: Coordinates for the integer set-up's oracles: integers, small and wide
+#: numerators over the denominators a cut time, a grid or a seeded
+#: perturbation brings (3, 7, 8, 2 ** 16), signs of both kinds.
+_SETUP_DENOMINATORS = st.sampled_from([1, 2, 3, 7, 8, 2 ** 16, 3 * 2 ** 16])
+_SETUP_NUMERATORS = st.one_of(st.integers(-50, 50),
+                              st.integers(-2 ** 80, 2 ** 80))
+
+
+@given(st.lists(st.lists(st.one_of(
+    st.builds(Rat, _SETUP_NUMERATORS, _SETUP_DENOMINATORS),
+    st.builds(Rat, _SETUP_NUMERATORS, st.sampled_from([2 ** 10, 2 ** 58])),
+    _SETUP_NUMERATORS,
+), min_size=1, max_size=3), max_size=4))
+@example([[Rat(-7, 8), 3, Rat(5, 2 ** 14)], [Rat(-1, 3), Rat(0)]])
+@example([[2 ** 64, -1], [Rat(-2 ** 61 - 1, 7)]])
+def test_outward_grid_matches_rational_floor_and_ceil(points):
+    """One ``divmod`` per coordinate brackets it as the rational floor and
+    ceil of ``x * 2 ** shift`` do, with the same shift: on integers, on
+    exact grid points (dyadic coordinates, whose brackets close up), on
+    negative coordinates and past the 2 ** 60 range."""
+    assert outward_grid(points) == outward_grid_by_fractions(points)
+
+
+@st.composite
+def _frame_points(draw):
+    """The vertices of a simplex, 2 to 5 points of width 1 to 4, for
+    :func:`simplex_frame`: coordinates of mixed denominators, of one
+    denominator throughout (equal ones in most edges) or integers, and now
+    and then a vertex repeating the base (a zero edge)."""
+    width = draw(st.integers(1, 4))
+    npts = draw(st.integers(2, 5))
+    kind = draw(st.sampled_from(["mixed", "one denominator", "integers"]))
+    if kind == "mixed":
+        denominators = _SETUP_DENOMINATORS
+    elif kind == "one denominator":
+        denominators = st.just(draw(st.sampled_from([3, 7, 2 ** 16 + 1])))
+    else:
+        denominators = st.just(1)
+    coordinate = st.builds(Rat, _SETUP_NUMERATORS, denominators)
+    points = [tuple(draw(coordinate) for _ in range(width))
+              for _ in range(npts)]
+    if draw(st.integers(0, 3)) == 0:
+        points[draw(st.integers(0, npts - 2))] = points[-1]
+    return points
+
+
+@given(_frame_points())
+@example([(Rat(1, 3), Rat(-2, 7)), (Rat(1, 3), Rat(-2, 7))])  # zero edge
+@example([(Rat(1, 3), Rat(5)), (Rat(4, 3), Rat(-2, 3))])  # one denominator
+@example([(Rat(-5, 8), Rat(1, 2)), (Rat(1, 8), Rat(3, 7))])
+def test_simplex_frame_matches_the_rational_edges(points):
+    """The edge columns formed from integer ratios, and their scales, are
+    those of ``integer_scaled`` on the rational edges ``p - base``, and the
+    base is cleared the same way."""
+    frame = simplex_frame(points)
+    assert (frame.base_int, frame.columns, frame.scales) == (
+        simplex_frame_by_differences(points))

@@ -4,7 +4,7 @@ from math import gcd
 import pytest
 from hypothesis import given, strategies as st
 
-from ornaments import sweep
+from ornaments import constructions, sweep
 from ornaments.constructions import (
     make_borromean,
     make_random_ornament,
@@ -17,10 +17,14 @@ from ornaments.geometry import (
     derive_seed,
     pair_reduction,
     simplex_frame,
-    solve_from_pairs,
 )
 from ornaments.laplace import solve_integer
-from ornaments.model import Ornament, perturb_ornament, validate_ornament
+from ornaments.model import (
+    Ornament,
+    PLMap,
+    perturb_ornament,
+    validate_ornament,
+)
 from ornaments.sweep import (
     HomotopyTrack,
     NonGenericTrack,
@@ -38,10 +42,12 @@ from ornaments.sweep import (
 from oracles import (
     certify_ornament_homotopy,
     concat_tracks,
+    decide_from_pairs,
     extents_exact,
     extents_union,
     integer_frames_exact,
     interior_barycentric,
+    interior_frame_by_steps,
     joined_system,
     relative_sweep,
     reverse_track,
@@ -201,8 +207,8 @@ def test_pair_reduction_matches_direct_solver():
             assert reduction12 is None
         if kind == "repeated 2":
             assert reduction32 is None
-        sign, verdict = solve_from_pairs(reduction12, reduction32,
-                                         solve_integer)
+        sign, verdict = decide_from_pairs(reduction12, reduction32,
+                                          solve_integer)
         assert sign == direct[0]
         if sign:
             rho_a, rho_b = reduction12.rho, reduction32.rho
@@ -261,8 +267,8 @@ def test_pair_reduction_rows_are_primitive(cells):
     """Every x-free row of a pair reduction is primitive together with its
     right-hand side, and the joined b system has the direct solver's
     determinant sign and, when nonsingular, leaves its numerators out
-    exactly when the direct solution has a negative coordinate of cell 2,
-    and otherwise gives that solution."""
+    exactly when the direct solution is outside closed cell 2 (a negative
+    coordinate, listed or implied), and otherwise gives that solution."""
     f1, f2, f3 = (simplex_frame(c) for c in cells)
     direct_sign, direct = solve_triple(f1, f2, f3)
     reduction12 = pair_reduction(f1, f2)
@@ -271,7 +277,7 @@ def test_pair_reduction_rows_are_primitive(cells):
         if reduction is not None:
             for row, r in zip(reduction.con_rows, reduction.con_rhs):
                 assert gcd(*row, r) in (0, 1)  # 0: an all-zero row
-    sign, _ = solve_from_pairs(reduction12, reduction32, solve_integer)
+    sign, _ = decide_from_pairs(reduction12, reduction32, solve_integer)
     assert sign == direct_sign
     if reduction12 is None or reduction32 is None:
         assert direct_sign == 0
@@ -283,7 +289,7 @@ def test_pair_reduction_rows_are_primitive(cells):
                                                   reduction32))[0]
     if direct_sign:
         d = len(f2.columns)
-        if any(x < 0 for x in direct[d:2 * d]):
+        if interior_barycentric(direct[d:2 * d], [d + 1]) is None:
             assert numerators is None
         else:
             assert [Rat(s * n, rho * det)
@@ -300,6 +306,45 @@ def test_linear_track_endpoints(borromean_k1):
     assert track.endpoint(0) == borromean_k1
     assert track.endpoint(1) == end
     assert len(track.times) == 4
+
+
+@st.composite
+def _straight_motions(draw):
+    """``(start, end, cuts)``: two ornaments of three squares in R^2 with
+    random rational images (integers, negatives, equal and mixed
+    denominators, wide numerators, and vertices that stay put) and
+    interior cut times with denominators 3, 7 and 8."""
+    square = constructions.cross_polytope_sphere(1).manifold
+    coordinate = st.one_of(
+        st.builds(Rat, st.integers(-50, 50),
+                  st.sampled_from([1, 2, 3, 7, 8, 2 ** 16])),
+        st.builds(Rat, st.integers(-2 ** 80, 2 ** 80), st.just(3 * 2 ** 16)),
+    )
+    point = st.tuples(coordinate, coordinate)
+    images = [draw(st.lists(point, min_size=4, max_size=4)) for _ in range(6)]
+    for ci in range(3):
+        if draw(st.booleans()):
+            images[3 + ci][0] = images[ci][0]  # a vertex that stays put
+    start, end = (Ornament([PLMap(square, 2, imgs)
+                            for imgs in images[i:i + 3]]) for i in (0, 3))
+    cuts = draw(st.lists(st.builds(
+        lambda q, p: Rat(p % (q - 1) + 1, q),
+        st.sampled_from([3, 7, 8]), st.integers(0, 6)), max_size=4))
+    return start, end, tuple(sorted(set(cuts)))
+
+
+@given(_straight_motions())
+def test_linear_track_interior_frames_match_the_rational_steps(motion):
+    """Each interior keyframe built from integer ratios is the rational
+    ``a + t (b - a)`` of the reference, coordinate for coordinate, and the
+    end frames are the endpoints' own images."""
+    start, end, cuts = motion
+    track = linear_track(start, end, cuts=cuts)
+    first, last = track.images[0], track.images[-1]
+    assert first == tuple(f.images for f in start.components)
+    assert last == tuple(f.images for f in end.components)
+    for t, frame in zip(cuts, track.images[1:-1]):
+        assert frame == interior_frame_by_steps(first, last, t)
 
 
 @pytest.mark.parametrize("cuts", [
@@ -505,6 +550,44 @@ def test_default_targets_outside_and_distinct(borromean_k1):
         assert max(abs(c) for c in t) > radius
 
 
+#: The arithmetic methods of ``Fraction``, the rational type of the package.
+_FRACTION_ARITHMETIC = (
+    "__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+    "__truediv__", "__rtruediv__", "__floordiv__", "__rfloordiv__",
+    "__mod__", "__rmod__", "__divmod__", "__rdivmod__", "__pow__",
+    "__rpow__", "__neg__", "__pos__", "__abs__",
+)
+
+
+def test_the_collapse_track_does_rational_arithmetic_only_for_witnesses(
+        monkeypatch):
+    """Rationals stay at the sweep's edges.  On the seed-0 collapse track
+    of ``make_borromean(1, r=3)``, with every arithmetic method of
+    ``Fraction`` counted, ``linear_track`` builds its five interior frames
+    with no rational arithmetic, and ``detect_triple_points`` does only
+    what its one triple point's witness needs: the implied last coordinate
+    of each of its three cells (two additions and a subtraction from 1
+    each) and its time t, the sum of three products of a coordinate and a
+    vertex time.  The set-up (grid, frames) and every other candidate run
+    on integers."""
+    o = make_borromean(1, r=3)
+    targets = default_trivial_targets(o, derive_seed(0, "targets"))
+    end = trivial_ornament(tuple(f.domain for f in o.components), o.m,
+                           targets)
+    calls = {}
+    for name in _FRACTION_ARITHMETIC:
+        def counted(*args, _live=getattr(Rat, name), _name=name):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _live(*args)
+        monkeypatch.setattr(Rat, name, counted)
+    track = linear_track(o, end, cuts=sweep._COLLAPSE_CUTS)
+    assert len(track.times) == 7
+    assert calls == {}
+    points = detect_triple_points(track)
+    assert len(points) == 1
+    assert calls == {"__add__": 2 * 3 + 3, "__rsub__": 3, "__mul__": 3}
+
+
 @pytest.fixture(scope="module")
 def grid_tracks(borromean_k1):
     """Two short tracks of ``make_borromean(1)`` (exact common scales of 92
@@ -614,8 +697,8 @@ def test_sweep_solves_the_two_level_triples(grid_tracks,
             return reductions[cell_x, cell_kept]
 
         for cell1, cell2, cell3 in two_level_cell_triples(track):
-            solve_from_pairs(reduction(cell1, cell2), reduction(cell3, cell2),
-                             recording)
+            decide_from_pairs(reduction(cell1, cell2),
+                              reduction(cell3, cell2), recording)
         assert systems == expected
         assert systems
 
