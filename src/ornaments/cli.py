@@ -2,11 +2,15 @@
 
 Machine-readable JSON reports go to standard output, one-line human
 summaries to standard error.  Exit status: 0 for a successful run (even
-when a validation report says "invalid"), 1 for unusable input (parse
-errors, dimension mismatches, invalid ornaments where validity is a
-precondition), 2 for internal contract violations such as the two invariant
-algorithms disagreeing or a route running out of retries.  All randomness
-flows from --seed.
+when a validation report says "invalid"), 1 for unusable input (malformed
+documents or rationals, dimension mismatches, invalid ornaments where
+validity is a precondition), 2 for internal contract violations such as
+the two invariant algorithms disagreeing or a route running out of
+retries.  A usage error also exits 2, from argparse, with a usage line on
+standard error and no JSON: an unknown command or choice, a missing
+argument, or an option value that starts with "-", which argparse reads as
+an option (write ``--targets=-1,0;1,1;2,2`` or ``--eps=-1/2``, not
+``--targets -1,0;1,1;2,2``).  All randomness flows from --seed.
 """
 
 from __future__ import annotations

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from itertools import product
 from math import isqrt, lcm
 
-from .geometry import Rat, derive_seed
+from .geometry import Rat, derive_seed, random_grid_offset
 from .model import Ornament, PLMap, TriangulatedManifold, validate_ornament
 from .sweep import trivial_ornament
 
@@ -185,9 +185,7 @@ def make_borromean(k, r=0, seed=0):
             embedded = _embed(pos, axes, ambient)
             image = tuple(scale * c for c in
                           stereographic_image(center, embedded, drop))
-            previous = projected_by_position.setdefault(embedded, image)
-            if previous != image:
-                raise AssertionError("projection produced inconsistent images")
+            projected_by_position[embedded] = image
             images.append(image)
         components.append(PLMap(sphere.manifold, m, images))
     images_seen = {}
@@ -224,10 +222,6 @@ def make_trivial(k, targets=None, r=0):
     return trivial_ornament([sphere.manifold] * 3, m, targets)
 
 
-#: Grid resolution of random vertex coordinates.
-_RANDOM_GRID = 2 ** 16
-
-
 def make_random_ornament(k, r=0, seed=0, spread=Rat(3)):
     """Seeded random ornament of three (2k-1)-spheres in R^{3k-1}.
 
@@ -242,22 +236,14 @@ def make_random_ornament(k, r=0, seed=0, spread=Rat(3)):
         raise ValueError("k must be at least 1")
     m = 3 * k - 1
     sphere = cross_polytope_sphere(k, r)
-    span = 2 * _RANDOM_GRID - 1
     for attempt in range(64):
         rng = random.Random(derive_seed(seed, "random-ornament", attempt))
         components = []
         for ci in range(3):
             center = Rat(2 * ci - 2)
-            images = []
-            for _ in range(sphere.manifold.vertex_count):
-                coords = [
-                    center + spread * Rat(
-                        rng.getrandbits(64) % span - (_RANDOM_GRID - 1),
-                        _RANDOM_GRID,
-                    )
-                    for _ in range(m)
-                ]
-                images.append(coords)
+            images = [[center + spread * random_grid_offset(rng)
+                       for _ in range(m)]
+                      for _ in range(sphere.manifold.vertex_count)]
             components.append(PLMap(sphere.manifold, m, images))
         candidate = Ornament(components)
         if validate_ornament(candidate).ok:

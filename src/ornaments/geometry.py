@@ -585,24 +585,27 @@ def triple_verdict(reduction_a, reduction_b, sign, numerators, det):
     return sign, (full_a, full_kept, full_b, extras)
 
 
+def random_grid_offset(rng):
+    """One draw from the generator ``rng`` onto the open unit interval's
+    grid of step ``2 ** -16``: ``j / 2 ** 16`` with an integer ``|j| < 2 **
+    16``, taken from one ``rng.getrandbits(64)``."""
+    return Rat(rng.getrandbits(64) % (2 ** 17 - 1) - (2 ** 16 - 1), 2 ** 16)
+
+
 def random_rational_perturbation(v, eps, seed):
     """Deterministic rational jitter of every coordinate of the point ``v``.
 
-    Each coordinate moves by ``eps * j / 2 ** 16`` with an integer ``|j| <
-    2 ** 16`` drawn from the seeded generator, so the sup-distance to ``v``
-    is strictly below ``eps`` and the denominator factor introduced beyond
-    that of ``eps`` is at most ``2 ** 16``.  Identical arguments give
-    identical output, a tuple of rationals.
+    Each coordinate moves by ``eps`` times one :func:`random_grid_offset`
+    of the seeded generator, so the sup-distance to ``v`` is strictly below
+    ``eps`` and the denominator factor introduced beyond that of ``eps`` is
+    at most ``2 ** 16``.  Identical arguments give identical output, a
+    tuple of rationals.
     """
     eps = Rat(eps)
     if eps <= 0:
         raise ValueError("eps must be positive")
     rng = random.Random(seed)
-    span = 2 ** 17 - 1
-    return tuple(
-        c + eps * Rat(rng.getrandbits(64) % span - (2 ** 16 - 1), 2 ** 16)
-        for c in v
-    )
+    return tuple(c + eps * random_grid_offset(rng) for c in v)
 
 
 # ---------------------------------------------------------------------------

@@ -35,15 +35,14 @@ keyframe interval, of a prism or of a cell are the :func:`hull` of its
 vertices' ends.  The component level rules out a keyframe interval whose
 components have separated before any prism extent is built, and otherwise
 keeps, per component, the prisms that meet the other two components'
-common extents.  Each cell of components 1 and 2 carries a bitmask of the
-kept component-3 cells its extents meet, so a pair of meeting prisms, then
-of meeting cells, reads its candidates off the two masks' common bits.
-Rationals are read only at the set-up's edges: the interior keyframes of
-a straight-line track, the grid points and the cells' integer frames are
-all built from the coordinates' integer ratios.  The set-up is lazy: the
-cells of a prism of component 1 or 2 are built only when a meeting prism
-pair reaches it, and a cell's rational points and simplex frame only when
-it first enters a pair reduction.
+common extents, whose cells are the level below.  Each cell of components
+1 and 2 carries a bitmask of the kept component-3 cells its extents meet,
+so a pair of meeting cells reads its candidates off the two masks' common
+bits.  Rationals are read only at the set-up's edges: the interior
+keyframes of a straight-line track, the grid points and the cells' integer
+frames are all built from the coordinates' integer ratios.  A cell's
+rational points and simplex frame are built only when it first enters a
+pair reduction.
 Strictly interior transverse solutions are the signed triple points; their
 algebraic count over a homotopy to the trivial ornament is the invariant,
 and over an arbitrary homotopy it is the difference of the endpoint
@@ -291,12 +290,12 @@ def _expanded_frame(frame, pairs):
 
 
 class _SweepCell:
-    """A staircase cell of the sweep with its grid extents; its rational
+    """A staircase cell of a kept prism with its grid extents; its rational
     points and simplex frame are built by :meth:`framed` when it first
     enters a pair reduction.  A cell of component 1 or 2 also holds its
-    :func:`meet_mask` against the keyframe interval's cells of component
-    3, and a cell of component 2 its (cell 2, cell 3) reductions, in a
-    list indexed like those cells."""
+    :func:`meet_mask` against the keyframe interval's kept cells of
+    component 3, and a cell of component 2 its (cell 2, cell 3)
+    reductions, made on first use, in a list indexed like those cells."""
 
     __slots__ = ("cell", "extents", "points", "frame", "mask", "reductions")
 
@@ -322,6 +321,8 @@ _UNSEEN = object()
 def _interval_triple_points(track, j, vertices):
     """The signed triple points of keyframe interval ``j``, unsorted;
     ``vertices`` holds the :func:`_expanded_frame` of keyframes j and j + 1.
+    The candidates run over cell 1, then cell 2, then the common bits of
+    their masks, each cell in its component's prism then staircase order.
     See :func:`detect_triple_points`."""
     found = []
     w1, w2, w3 = (hull(lower + upper) for lower, upper in zip(*vertices))
@@ -330,109 +331,84 @@ def _interval_triple_points(track, j, vertices):
               box_intersection(w1, w2))
     if any(common is None for common in others):
         return found
-    prisms = []  # per component, the (facet index, extents) that can meet
-    for ci, (dom, common) in enumerate(zip(track.domains, others)):
-        prisms.append([])
-        for fi, facet in enumerate(dom.facets):
-            extents = hull([vertices[level][ci][v] for level in (0, 1)
-                            for v in facet])
-            if extents_meet(extents, common):
-                prisms[ci].append((fi, extents))
-    if not all(prisms):
+    # Per component, the facets whose prisms meet the other two components'
+    # common extents.
+    kept = [
+        [fi for fi, facet in enumerate(dom.facets)
+         if extents_meet(hull([vertices[level][ci][v] for level in (0, 1)
+                               for v in facet]), common)]
+        for ci, (dom, common) in enumerate(zip(track.domains, others))
+    ]
+    if not all(kept):
         return found
-
-    def staircase(ci, fi):
-        facet = track.domains[ci].facets[fi]
-        return [
-            _SweepCell(cell, hull(
-                [vertices[level][ci][v] for v, level in cell.vertices]
-            ))
-            for cell in staircase_cells(facet, ci, fi, j)
-        ]
-
-    # The cells of component 3, in prism then staircase order: bit b of a
-    # mask stands for cells3[b].
-    cells3 = [entry for i3, _ in prisms[2] for entry in staircase(2, i3)]
+    # Per component, the cells of those prisms in prism then staircase
+    # order: bit b of a mask stands for cells3[b].
+    cells1, cells2, cells3 = (
+        [_SweepCell(cell, hull(
+            [vertices[level][ci][v] for v, level in cell.vertices]
+        ))
+         for fi in facets
+         for cell in staircase_cells(track.domains[ci].facets[fi], ci, fi, j)]
+        for ci, facets in enumerate(kept)
+    )
     extents3 = [entry.extents for entry in cells3]
-    masked = ({}, {})  # per component 1 and 2, facet index -> its cells
-
-    def cells_of(ci, fi):
-        entries = masked[ci].get(fi)
-        if entries is None:
-            entries = masked[ci][fi] = staircase(ci, fi)
-            for entry in entries:
-                entry.mask = meet_mask(entry.extents, extents3)
-                if ci:
-                    entry.reductions = [_UNSEEN] * len(cells3)
-        return entries
-
-    for i1, x1 in prisms[0]:
-        for i2, x2 in prisms[1]:
-            if not extents_meet(x1, x2):
+    for entry in cells1 + cells2:
+        entry.mask = meet_mask(entry.extents, extents3)
+    for entry in cells2:
+        entry.reductions = [_UNSEEN] * len(cells3)
+    for entry1 in cells1:
+        for entry2 in cells2:
+            mask = entry1.mask & entry2.mask
+            if not mask or not extents_meet(entry1.extents, entry2.extents):
                 continue
-            for entry1 in cells_of(0, i1):
-                mask1 = entry1.mask
-                cx1 = entry1.extents
-                for entry2 in cells_of(1, i2):
-                    mask = mask1 & entry2.mask
-                    if not mask or not extents_meet(cx1, entry2.extents):
-                        continue
-                    fr1 = entry1.framed(track)
-                    fr2 = entry2.framed(track)
-                    reduction12 = pair_reduction(fr1, fr2)
-                    reductions32 = entry2.reductions
-                    while mask:
-                        low = mask & -mask
-                        mask ^= low
-                        b = low.bit_length() - 1
-                        entry3 = cells3[b]
-                        reduction32 = reductions32[b]
-                        if reduction32 is _UNSEEN:
-                            reduction32 = reductions32[b] = pair_reduction(
-                                entry3.framed(track), fr2
-                            )
-                        sign = 0  # a degenerate cell 1 or 3: no reduction
-                        if reduction12 is not None and reduction32 is not None:
-                            sign, numerators, det = solve_integer(
-                                reduction12, reduction32
-                            )
-                        if sign == 0:
-                            eq_rows, nvars, _ = common_point_system(
-                                (entry1.points, entry2.points, entry3.points)
-                            )
-                            if feasible_point(eq_rows, nvars) is not None:
-                                raise NonGenericTrack(
-                                    f"singular touching system at interval {j}"
-                                )
-                            continue
-                        if numerators is None:
-                            continue  # outside cell 2
-                        sign, verdict = triple_verdict(
-                            reduction12, reduction32, sign, numerators, det
+            fr1 = entry1.framed(track)
+            fr2 = entry2.framed(track)
+            reduction12 = pair_reduction(fr1, fr2)
+            reductions32 = entry2.reductions
+            while mask:
+                low = mask & -mask
+                mask ^= low
+                b = low.bit_length() - 1
+                entry3 = cells3[b]
+                reduction32 = reductions32[b]
+                if reduction32 is _UNSEEN:
+                    reduction32 = reductions32[b] = pair_reduction(
+                        entry3.framed(track), fr2
+                    )
+                sign = 0  # a degenerate cell 1 or 3: no reduction
+                if reduction12 is not None and reduction32 is not None:
+                    sign, numerators, det = solve_integer(
+                        reduction12, reduction32
+                    )
+                if sign == 0:
+                    eq_rows, nvars, _ = common_point_system(
+                        (entry1.points, entry2.points, entry3.points)
+                    )
+                    if feasible_point(eq_rows, nvars) is not None:
+                        raise NonGenericTrack(
+                            f"singular touching system at interval {j}"
                         )
-                        if verdict is None:
-                            continue  # outside cell 1 or cell 3
-                        if verdict == "closed":
-                            raise NonGenericTrack(
-                                f"boundary solution at interval {j}"
-                            )
-                        full = verdict[:3]
-                        t = sum(
-                            (lam * p[-1]
-                             for lam, p in zip(full[0], entry1.points)),
-                            Rat(0),
-                        )
-                        cell1, cell2, cell3 = (
-                            entry1.cell, entry2.cell, entry3.cell
-                        )
-                        sign = (GLOBAL_SWEEP_SIGN * cell1.sign
-                                * cell2.sign * cell3.sign * sign)
-                        found.append(SignedTriplePoint(
-                            cells=(cell1, cell2, cell3),
-                            barycentric=full,
-                            t=t,
-                            sign=sign,
-                        ))
+                    continue
+                if numerators is None:
+                    continue  # outside cell 2
+                sign, verdict = triple_verdict(reduction12, reduction32, sign,
+                                               numerators, det)
+                if verdict is None:
+                    continue  # outside cell 1 or cell 3
+                if verdict == "closed":
+                    raise NonGenericTrack(f"boundary solution at interval {j}")
+                full = verdict[:3]
+                t = sum((lam * p[-1]
+                         for lam, p in zip(full[0], entry1.points)), Rat(0))
+                cell1, cell2, cell3 = entry1.cell, entry2.cell, entry3.cell
+                sign = (GLOBAL_SWEEP_SIGN * cell1.sign
+                        * cell2.sign * cell3.sign * sign)
+                found.append(SignedTriplePoint(
+                    cells=(cell1, cell2, cell3),
+                    barycentric=full,
+                    t=t,
+                    sign=sign,
+                ))
     return found
 
 
@@ -448,13 +424,15 @@ def detect_triple_points(track):
     coordinate, so three of them share a point exactly when they meet
     pairwise.  An interval where two components' extents miss holds no
     candidate and builds no prism extent.  Otherwise a prism that misses
-    the common part of the other two components' extents is dropped.  The
-    cells of the component-3 prisms kept are listed once, in prism then
-    staircase order, and each cell of components 1 and 2 gets a
-    :func:`meet_mask` over them.  A cell pair of meeting prisms whose
-    extents meet has the common bits of its masks, in ascending order, as
-    its candidates: as cell extents lie in their prism's, those are the
-    triples of a prism-triple loop, in its order.  The extents are
+    the common part of the other two components' extents is dropped, and
+    the cells of every prism kept are listed per component, in prism then
+    staircase order.  Each cell of components 1 and 2 gets a
+    :func:`meet_mask` over the cells of component 3, and a (cell 1, cell
+    2) pair whose extents meet has the common bits of its masks, in
+    ascending order, as its candidates.  A cell's extents lie in its
+    prism's, so these are the triples of a prism-triple loop that then
+    pairs the cells of meeting prisms; only their order differs, and the
+    points are sorted.  The extents are
     computed on the grid points of :func:`_integer_frames`, each vertex
     rounded outward onto one power-of-two grid, so they contain
     ``2 ** shift`` times the exact extents: every triple whose exact
@@ -464,18 +442,17 @@ def detect_triple_points(track):
     cell; it can neither add a point nor raise, and the points found are
     those of the exact prefilter.
 
-    The set-up is lazy.  The grid vertices of keyframes j and j + 1 are
-    expanded by :func:`_vertex_extents` for interval j, those of j + 1
-    kept for the next, and the extents of a component, prism or cell are
-    the :func:`hull` of its vertices' (all of the component's at both
-    keyframes, or the 2(d + 1) or d + 2 of the prism or cell), so a
-    prism's equal the union of its cells', and a component's the union of
-    its prisms'.  The cells of a prism of component 1 or 2, their extents
-    and masks are built when a meeting prism pair reaches it, and a cell's
-    rational points and simplex frame (which carries its column scales,
-    formed from the points' integer ratios) when it first enters a pair
-    reduction: a cell 1 or 2 with its first meeting cell pair, a cell 3
-    with the first (cell 2, cell 3) reduction it is in.
+    The set-up is lazy where the candidates are sparse.  The grid vertices
+    of keyframes j and j + 1 are expanded by :func:`_vertex_extents` for
+    interval j, those of j + 1 kept for the next, and the extents of a
+    component, prism or cell are the :func:`hull` of its vertices' (all of
+    the component's at both keyframes, or the 2(d + 1) or d + 2 of the
+    prism or cell), so a prism's equal the union of its cells', and a
+    component's the union of its prisms'.  A cell's rational points and
+    simplex frame (which carries its column scales, formed from the points'
+    integer ratios) are built when it first enters a pair reduction: a cell
+    1 or 2 with its first meeting cell pair, a cell 3 with the first (cell
+    2, cell 3) reduction it is in.
 
     Each candidate is solved in two steps from the (cell 1, cell 2)
     reduction, made once per pair, and the (cell 3, cell 2) reduction, made

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import settings
 
-from ornaments import constructions
+from ornaments import constructions, sweep
 
 # Property tests draw the same examples on every run, and no example is
 # failed for taking long: on a loaded machine the default 200 ms deadline
@@ -28,3 +28,12 @@ def trivial_k1():
 @pytest.fixture(scope="session")
 def trivial_k2():
     return constructions.make_trivial(2)
+
+
+@pytest.fixture(scope="session")
+def mixed_setup_track():
+    """The first set-up track of the benchmark's ``mixed-k1`` workload: in
+    its one keyframe interval a kept prism of component 1 meets no kept
+    prism of component 2."""
+    return sweep.linear_track(constructions.make_random_ornament(1, 0, 1, 8),
+                              constructions.make_random_ornament(1, 0, 501, 8))

@@ -743,11 +743,13 @@ def two_level_cell_triples(track):
     Per keyframe interval, prism 1 runs over component 0's facets and
     prism 2, inside it, over component 1's; a pair whose extents meet keeps
     the component-2 prisms meeting their common part, and the staircase
-    cells of those third prisms, in order, are the third cells.  Each cell
-    1 of prism 1 then runs against each cell 2 of prism 2, and a pair whose
-    extents meet yields one triple per third cell meeting their common
-    part.  There is no component level, so the sweep solving exactly these
-    triples shows that its component level cuts no candidate."""
+    cells of those third prisms are the third cells.  Each cell 1 of prism
+    1 then runs against each cell 2 of prism 2, and a pair whose extents
+    meet yields one triple per third cell meeting their common part.  The
+    triples of an interval are then sorted by each cell's place in its
+    component's facet-then-staircase order, cell 1 first.  There is no
+    component level, so the sweep solving exactly these triples shows that
+    its component level cuts no candidate."""
     pairs = list(combinations(range(track.m + 1), 2))
     triples = []
     for j in range(len(track.times) - 1):
@@ -759,10 +761,14 @@ def two_level_cell_triples(track):
                     track.images[j + level][ci][v] + (track.times[j + level],)
                     for level in (0, 1) for v in facet
                 ]
-                cells = [(cell, extents_exact(cell_points(track, cell), pairs))
-                         for cell in staircase_cells(facet, ci, fi, j)]
+                cells = [(place, cell,
+                          extents_exact(cell_points(track, cell), pairs))
+                         for place, cell in enumerate(
+                             staircase_cells(facet, ci, fi, j),
+                             start=len(facet) * fi)]
                 entries.append((extents_exact(points, pairs), cells))
             prisms.append(entries)
+        placed = []
         for x1, cells1 in prisms[0]:
             for x2, cells2 in prisms[1]:
                 x12 = _common_extents(x1, x2)
@@ -771,15 +777,17 @@ def two_level_cell_triples(track):
                 cells3 = [entry for x3, cells3 in prisms[2]
                           if _common_extents(x12, x3) is not None
                           for entry in cells3]
-                for cell1, cx1 in cells1:
-                    for cell2, cx2 in cells2:
+                for place1, cell1, cx1 in cells1:
+                    for place2, cell2, cx2 in cells2:
                         cx12 = _common_extents(cx1, cx2)
                         if cx12 is None:
                             continue
-                        triples.extend(
-                            (cell1, cell2, cell3) for cell3, cx3 in cells3
+                        placed.extend(
+                            ((place1, place2, place3), (cell1, cell2, cell3))
+                            for place3, cell3, cx3 in cells3
                             if _common_extents(cx12, cx3) is not None
                         )
+        triples.extend(cells for _, cells in sorted(placed))
     return triples
 
 

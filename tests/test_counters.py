@@ -152,28 +152,22 @@ def test_sweep_system_width_borromean_k1_r3(borromean_k1_r3, monkeypatch):
     assert all(gcd(*row) == 1 for row in rows_seen)
 
 
-@pytest.mark.parametrize("fixture, solves, prisms, prism_pairs", [
-    ("borromean_k1_r3", 4906, 96, 204),
-    ("borromean_k2", 50090, 48, 256),
+@pytest.mark.parametrize("fixture, solves, prisms", [
+    ("borromean_k1_r3", 4906, 96),
+    ("borromean_k2", 50090, 48),
 ])
-def test_sweep_component_level(fixture, solves, prisms, prism_pairs, request,
+def test_sweep_component_level(fixture, solves, prisms, request,
                                monkeypatch):
     """The component level of the sweep's prefilter rules out keyframe
     intervals 1-5 of the six before any prism extent is built, so prism
     extents are built in interval 0 alone, one per facet of each component
-    (96 = 3 x 32 at k=1 with r=3, 48 = 3 x 16 at k=2), and, of those, only
-    the prisms meeting the other two components' common extents enter the
-    prism-pair loop (204 of 1,024 pairs at k=1, 256 of 256 at k=2), where
-    each pair's extents are tested once; the solves do not move."""
+    (96 = 3 x 32 at k=1 with r=3, 48 = 3 x 16 at k=2); the solves do not
+    move."""
     ornament = request.getfixturevalue(fixture)
     live_interval = sweep._interval_triple_points
     live_hull = sweep.hull
-    live_meet = sweep.extents_meet
     prism_size = 2 * len(ornament.components[0].domain.facets[0])
     built = Counter()  # interval -> prism extents built
-    prism_extents = []  # kept alive, so that their ids stay unique
-    ids = set()
-    pairs = []
     intervals = []
 
     def interval(track, j, vertices):
@@ -181,41 +175,71 @@ def test_sweep_component_level(fixture, solves, prisms, prism_pairs, request,
         return live_interval(track, j, vertices)
 
     def hull(parts):
-        result = live_hull(parts)
         if len(parts) == prism_size:
             built[intervals[-1]] += 1
-            prism_extents.append(result)
-            ids.add(id(result))
-        return result
-
-    def meet(a, b):
-        if id(a) in ids and id(b) in ids:
-            pairs.append((a, b))
-        return live_meet(a, b)
+        return live_hull(parts)
 
     monkeypatch.setattr(sweep, "_interval_triple_points", interval)
     monkeypatch.setattr(sweep, "hull", hull)
-    monkeypatch.setattr(sweep, "extents_meet", meet)
     counted = Tally(monkeypatch, sweep, "solve_integer", singular)
     assert sweep.mu_via_sweep(ornament, seed=0) == 1
     assert intervals == [0, 1, 2, 3, 4, 5]
     assert built == {0: prisms}
-    assert len(pairs) == prism_pairs
     assert (counted.calls, counted.hits) == (solves, 0)
 
 
+def test_sweep_builds_the_cells_of_every_kept_prism(mixed_setup_track,
+                                                   monkeypatch):
+    """The sweep builds the staircase cells of each prism that meets the
+    other two components' common extents, once, whether or not it meets a
+    prism of another component.  On the first set-up track of the
+    benchmark's ``mixed-k1`` workload, interval 0 keeps 4, 2 and 4 prisms,
+    and one of the 4 of component 1 meets neither of component 2's."""
+    live_interval = sweep._interval_triple_points
+    kept = []  # (interval, component, facet index) per kept prism
+
+    def interval(track, j, vertices):
+        whole = [sweep.hull(lower + upper) for lower, upper in zip(*vertices)]
+        for ci, dom in enumerate(track.domains):
+            a, b = (whole[c] for c in range(3) if c != ci)
+            common = geometry.box_intersection(a, b)
+            kept.extend(
+                (j, ci, fi) for fi, facet in enumerate(dom.facets)
+                if common is not None and geometry.extents_meet(sweep.hull(
+                    [vertices[level][ci][v] for level in (0, 1)
+                     for v in facet]), common)
+            )
+        return live_interval(track, j, vertices)
+
+    built = []
+    live_staircase = sweep.staircase_cells
+
+    def staircase(facet, component, facet_index, interval):
+        built.append((interval, component, facet_index))
+        return live_staircase(facet, component, facet_index, interval)
+
+    monkeypatch.setattr(sweep, "_interval_triple_points", interval)
+    monkeypatch.setattr(sweep, "staircase_cells", staircase)
+    counted = Tally(monkeypatch, sweep, "solve_integer", singular)
+    assert sweep.detect_triple_points(mixed_setup_track) == []
+    assert Counter(ci for _, ci, _ in kept) == {0: 4, 1: 2, 2: 4}
+    assert sorted(built) == sorted(kept)
+    assert len(set(built)) == len(built)
+    assert (counted.calls, counted.hits) == (8, 0)
+
+
 @pytest.mark.parametrize("fixture, solves, masks, cells3, cell_pairs", [
-    ("borromean_k1_r3", 4906, 58, 28, 514),
-    ("borromean_k2", 50090, 128, 64, 2123),
+    ("borromean_k1_r3", 4906, 58, 28, 782),
+    ("borromean_k2", 50090, 128, 64, 2346),
 ])
 def test_sweep_cell_extent_tests(fixture, solves, masks, cells3, cell_pairs,
                                  request, monkeypatch):
     """The pairwise cell-extent tests of the sweep's mask stage: each cell
-    of component 1 or 2 in the prisms that enter the prism-pair loop is
-    tested once against every cell of component 3 that the component level
-    keeps (58 x 28 = 1,624 tests at k=1 with r=3, 128 x 64 = 8,192 at
-    k=2), and a cell pair's own extents are tested only when their masks
-    share a cell (514 and 2,123 pairs); the solves do not move."""
+    of component 1 or 2 in the prisms that the component level keeps is
+    tested once against every kept cell of component 3 (58 x 28 = 1,624
+    tests at k=1 with r=3, 128 x 64 = 8,192 at k=2), and a cell pair's own
+    extents are tested only when their masks share a cell (782 and 2,346
+    pairs); the solves do not move."""
     ornament = request.getfixturevalue(fixture)
     live_mask = sweep.meet_mask
     live_meet = sweep.extents_meet

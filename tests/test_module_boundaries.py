@@ -7,6 +7,7 @@ something neither exports.  Dunder names (``__version__``) are public.
 """
 
 import ast
+import re
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "ornaments"
@@ -146,3 +147,133 @@ def test_every_public_name_is_read_outside_the_tests():
     }
     clients = [path.read_text() for path in sorted(PERFBENCH.glob("*.py"))]
     assert unread_public_names(modules, clients) == []
+
+
+#: A cross-reference in a docstring; the group is its target, without a
+#: leading ``~`` or trailing ``()``.
+_REFERENCE = re.compile(
+    r":(?:func|meth|class|attr|data|mod):`~?([\w.]+?)(?:\(\))?`"
+)
+
+
+def _bound_names(tree):
+    """Every name a module binds at top level: definitions, assignments
+    and imports."""
+    names = {name for name, _ in _definitions(tree)}
+    for node in tree.body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update((alias.asname or alias.name).split(".")[0]
+                         for alias in node.names)
+    return names
+
+
+def _members(cls):
+    """The methods and ``__slots__`` entries of a class definition."""
+    members = set()
+    for node in cls.body:
+        if isinstance(node, ast.FunctionDef):
+            members.add(node.name)
+        elif (isinstance(node, ast.Assign)
+              and any(isinstance(target, ast.Name)
+                      and target.id == "__slots__"
+                      for target in node.targets)):
+            members.update(ast.literal_eval(node.value))
+    return members
+
+
+def _docstrings(tree):
+    """``(enclosing class or None, docstring)`` for the module's docstring
+    and every class's and function's."""
+    stack = [(tree, None)]
+    while stack:
+        node, cls = stack.pop()
+        if isinstance(node, ast.ClassDef):
+            cls = node
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef)):
+            doc = ast.get_docstring(node, clean=False)
+            if doc:
+                yield cls, doc
+        stack.extend((child, cls) for child in ast.iter_child_nodes(node))
+
+
+def docstring_references(modules):
+    """``(module, target, resolved)`` for every ``:func:``, ``:meth:``,
+    ``:class:``, ``:attr:``, ``:data:`` and ``:mod:`` reference in the
+    docstrings of the package modules (a dict of name to source).
+
+    A target resolves when it names a top-level binding of its own module,
+    a method or ``__slots__`` entry of the class whose docstring (or
+    method's docstring) holds it, ``Class.member`` of its own module, or,
+    as ``ornaments.module`` followed by any of those but the enclosing
+    class's members, a package module or a name in one."""
+    trees = {name: ast.parse(source) for name, source in modules.items()}
+    bound = {name: _bound_names(tree) for name, tree in trees.items()}
+    classes = {
+        name: {node.name: _members(node) for node in tree.body
+               if isinstance(node, ast.ClassDef)}
+        for name, tree in trees.items()
+    }
+
+    def resolves(module, parts, cls):
+        if parts[0] == "ornaments":
+            if len(parts) == 1 or parts[1] not in trees:
+                return False
+            if len(parts) == 2:
+                return True
+            module, parts, cls = parts[1], parts[2:], None
+        if len(parts) == 1:
+            return parts[0] in bound[module] or (
+                cls is not None and parts[0] in _members(cls))
+        return len(parts) == 2 and parts[1] in classes[module].get(parts[0],
+                                                                   ())
+
+    found = []
+    for module, tree in trees.items():
+        for cls, doc in _docstrings(tree):
+            for target in _REFERENCE.findall(doc):
+                found.append((module, target,
+                              resolves(module, target.split("."), cls)))
+    return found
+
+
+def test_the_reference_guard_resolves_each_form():
+    modules = {
+        "a": ('"""See :func:`helper`, :mod:`ornaments.b` and\n'
+              ':func:`~ornaments.b.gone`."""\n'
+              "from .b import used\n"
+              "def helper():\n    '''Calls :func:`used` and :func:`_old`.'''\n"
+              "class Box:\n"
+              "    '''Holds :attr:`size`; see :meth:`Box.grow` and\n"
+              "    :meth:`shrink`.'''\n"
+              "    __slots__ = ('size',)\n"
+              "    def grow(self):\n"
+              "        '''Grows :attr:`size`, unlike :func:`~ornaments.a.Box.grow`\n"
+              "        and :class:`ornaments.c`.'''\n"),
+        "b": "def used():\n    '''Like :func:`ornaments.a.helper()`.'''\n",
+    }
+    assert sorted(docstring_references(modules)) == [
+        ("a", "Box.grow", True),
+        ("a", "_old", False),
+        ("a", "helper", True),
+        ("a", "ornaments.a.Box.grow", True),
+        ("a", "ornaments.b", True),
+        ("a", "ornaments.b.gone", False),
+        ("a", "ornaments.c", False),
+        ("a", "shrink", False),
+        ("a", "size", True),
+        ("a", "size", True),
+        ("a", "used", True),
+        ("b", "ornaments.a.helper", True),
+    ]
+
+
+def test_every_docstring_reference_resolves():
+    """A docstring cross-reference names something the package defines:
+    a refactor that deletes or renames a helper also mends the docstrings
+    that still name it."""
+    modules = {path.stem: path.read_text()
+               for path in sorted(PACKAGE.glob("*.py"))}
+    references = docstring_references(modules)
+    assert len(references) >= 80
+    assert [(module, target) for module, target, resolved in references
+            if not resolved] == []

@@ -670,13 +670,17 @@ def parting_k2_track(borromean_k2):
 
 def test_sweep_solves_the_two_level_triples(grid_tracks,
                                             random_collapse_track,
-                                            parting_k2_track, monkeypatch):
+                                            parting_k2_track,
+                                            mixed_setup_track, monkeypatch):
     """The sweep sends the solver exactly the systems of the cell triples
     that the two-level rule (prism triples, then their cell triples) passes
-    on exact extents, in the same order: its component level, which rules
-    out whole keyframe intervals and prisms, cuts no candidate, and its
-    meet masks, read bit by bit, keep the order of the component-3 cells."""
-    for track in grid_tracks + [random_collapse_track, parting_k2_track]:
+    on exact extents, in the order of cell 1, then cell 2, then cell 3 in
+    their components: its component level, which rules out whole keyframe
+    intervals and prisms, cuts no candidate, its loop over all the cell
+    pairs of kept prisms adds none, and its meet masks, read bit by bit,
+    keep the order of the component-3 cells."""
+    for track in grid_tracks + [random_collapse_track, parting_k2_track,
+                                mixed_setup_track]:
         systems, _ = _solved_candidates(track, monkeypatch)
         expected = []
 
