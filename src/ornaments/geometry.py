@@ -38,11 +38,11 @@ integer Cramer numerators over the integer determinant by one classifier,
 the witnesses.  Linear feasibility is asked in one form, "A x = b, x >=
 0", and decided rank first: the equalities, cleared of denominators row by
 row, go through the same elimination loop, and an inconsistent system is
-rejected on integers alone.  Only a consistent one is brought to its
-reduced row echelon form, one rational per entry, and its sign
-constraints to Fourier-Motzkin elimination, with exact sample-point
-extraction for witnesses.  The prefilter layer rounds points outward onto
-one power-of-two grid (:func:`outward_grid`), from their integer ratios.
+rejected on integers alone.  Only a consistent one goes on to an exact
+integer simplex method, whose memory is bounded by its tableau and whose
+minima fix the witness.  The prefilter layer rounds points
+outward onto one power-of-two grid (:func:`outward_grid`), from their
+integer ratios.
 """
 
 from __future__ import annotations
@@ -620,21 +620,19 @@ def feasible_point(eq_rows, nvars, scales=None):
     equalities with every coordinate nonnegative, as a list of rationals,
     or ``None`` when there is none.  Positive integer column ``scales``,
     when given, mean that column ``j`` of every row holds ``scales[j]``
-    times its coefficient (the rows are written in ``x[j] / scales[j]``),
-    the way :func:`integer_scaled` columns are; the point is in x.
+    times its coefficient (the rows are written in ``z[j] = x[j] /
+    scales[j]``); the point is in x.
 
     The equalities are decided first, by rank, on integers: each row is
     cleared of denominators (a positive row scale keeps its solution set)
     and :func:`eliminate` reduces them fraction-free.  A nonzero right-hand
     side past the rank means the equalities are inconsistent, and ``None``
-    is returned without building a rational.  Otherwise the reduced row
-    echelon form of the equalities in x is built from the integer echelon
-    form by :func:`back_substitute`, one rational per entry; it is unique,
-    so it depends on neither kind of scale.  The sign constraints, written
-    in the free variables, are one row per variable: a pivot variable's is
-    its echelon row and a free one's is its own sign.  They are decided by
-    Fourier-Motzkin elimination, whose stages are replayed backwards to
-    produce a concrete solution.
+    is returned without building a rational.  Otherwise :func:`_minimum`
+    decides the echelon rows, in z >= 0.  For the point, the columns
+    without a pivot are fixed from the last to the first: each takes, in
+    x, the midpoint of its least and greatest feasible value with the
+    later ones held, or its least value plus 1 when it has no greatest;
+    then the pivot columns are back-substituted.
     """
     aug = []
     for coeffs, rhs in eq_rows:
@@ -646,91 +644,92 @@ def feasible_point(eq_rows, nvars, scales=None):
     for row in aug[rank:]:
         if row[nvars]:
             return None  # 0 == nonzero
+    del aug[rank:]
+    if _minimum(aug, nvars, [0] * nvars) is None:
+        return None
     if scales is None:
         scales = [1] * nvars
-    pivot_set = set(pivot_cols)
-    free_cols = [c for c in range(nvars) if c not in pivot_set]
-    # Row i of the reduced echelon form reads x[p] + sum_f rows[i][f] * x[f]
-    # = rows[i][nvars], p = pivot_cols[i], over the free columns f: the
-    # triangular pivot block solved against each free column and the
-    # right-hand side, with numerators over its determinant, the last
-    # pivot, and the column scales undone.
-    aug = aug[:rank]
-    echelon = [[row[c] for c in pivot_cols] for row in aug]
-    det = pivots[-1] if pivots else 1
-    rows = [[None] * (nvars + 1) for _ in range(rank)]
-    for col in free_cols + [nvars]:
-        below = det * scales[col] if col < nvars else det
-        numerators = back_substitute(echelon, [row[col] for row in aug])
-        for row, p, n in zip(rows, pivot_cols, numerators):
-            row[col] = Rat(n * scales[p], below)
-    nfree = len(free_cols)
+    z = [Rat(0)] * nvars
+    for f in reversed([c for c in range(nvars) if c not in pivot_cols]):
+        unit = [int(c == f) for c in range(nvars)]
+        lo = _minimum(aug, nvars, unit)
+        top = _minimum(aug, nvars, [-u for u in unit])  # minus the greatest
+        z[f] = lo + Rat(1, scales[f]) if top is False else (lo - top) / 2
+        aug.append([z[f].denominator * u for u in unit] + [z[f].numerator])
+    for i in reversed(range(rank)):
+        row, p = aug[i], pivot_cols[i]
+        z[p] = Rat(row[nvars] - sum(map(mul, row[p + 1:nvars], z[p + 1:])),
+                   row[p])
+    return [s * v for s, v in zip(scales, z)]
 
-    # x >= 0 over the free variables y, one row per variable in variable
-    # order: x[p] = rows[i][-1] - sum_f rows[i][f] * y_f >= 0 reads
-    # sum_f rows[i][f] * y_f <= rows[i][-1], and a free x[f] = y_f reads
-    # -y_f <= 0.
-    pivot_rows = dict(zip(pivot_cols, rows))
-    ineqs = []
-    for v in range(nvars):
-        row = pivot_rows.get(v)
-        if row is None:
-            acc = [Rat(0)] * nfree
-            acc[free_cols.index(v)] = Rat(-1)
-            ineqs.append((acc, Rat(0)))
-        else:
-            ineqs.append(([row[f] for f in free_cols], row[nvars]))
 
-    stages = []
-    system = ineqs
-    for j in range(nfree):
-        stages.append(system)
-        uppers, lowers, passthrough = [], [], []
-        for a, b in system:
-            c = a[j]
-            if c > 0:
-                uppers.append(([x / c for x in a], b / c))
-            elif c < 0:
-                lowers.append(([x / -c for x in a], b / -c))
-            else:
-                passthrough.append((a, b))
-        nxt = list(passthrough)
-        for al, bl in lowers:
-            for au, bu in uppers:
-                nxt.append(([x + y for x, y in zip(al, au)], bl + bu))
-        system = nxt
-    for a, b in system:
-        if b < 0:
-            return None
-    # Replay the stages backwards, fixing one free variable at a time.
-    y = [Rat(0)] * nfree
-    for j in range(nfree - 1, -1, -1):
-        lo = hi = None
-        for a, b in stages[j]:
-            c = a[j]
-            if c == 0:
-                continue
-            val = (b - sum((a[jj] * y[jj] for jj in range(j + 1, nfree)), Rat(0))) / c
-            if c > 0:
-                hi = val if hi is None else min(hi, val)
-            else:
-                lo = val if lo is None else max(lo, val)
-        if lo is None and hi is None:
-            y[j] = Rat(0)
-        elif lo is None:
-            y[j] = hi - 1
-        elif hi is None:
-            y[j] = lo + 1
-        else:
-            y[j] = (lo + hi) / 2
-    x = [Rat(0)] * nvars
-    for jf, f in enumerate(free_cols):
-        x[f] = y[jf]
-    for i, p in enumerate(pivot_cols):
-        x[p] = rows[i][nvars] - sum(
-            (rows[i][f] * y[jf] for jf, f in enumerate(free_cols)), Rat(0)
-        )
-    return x
+def _minimum(rows, nvars, cost):
+    """The exact minimum of ``cost . z`` over "rows z = rhs, z >= 0", each
+    row ``coeffs + [rhs]`` with ``nvars`` integer coefficients and the rows
+    of full rank; ``None`` when there is no such z, ``False`` when the
+    minimum is unbounded.
+
+    Two simplex phases on an integer tableau, under Bland's rule (the
+    first column with a negative reduced cost enters; the row of least
+    ratio, then of least basic column, leaves), so nothing cycles.  Phase
+    1 minimises the sum of one artificial per row, each row negated first
+    if its right-hand side is negative; an artificial still basic after it
+    is pivoted out on a nonzero original column, which full rank provides.
+    The last row holds the reduced costs and minus the objective.  Each
+    entry is ``denom``, the last pivot's magnitude, times its value, so
+    each fraction-free step divides exactly.
+    """
+    m = len(rows)
+    tableau = []
+    for i, row in enumerate(rows):
+        sign = -1 if row[nvars] < 0 else 1
+        line = [sign * c for c in row]
+        line[nvars:nvars] = [int(i == j) for j in range(m)]
+        tableau.append(line)
+    basis = list(range(nvars, nvars + m))
+    denom = 1
+
+    def price(costs):
+        objective = [denom * c for c in costs]
+        for line, b in zip(tableau, basis):
+            if costs[b]:
+                objective = [v - costs[b] * w for v, w in zip(objective, line)]
+        tableau[m:] = [objective]
+
+    def pivot(r, col):
+        nonlocal denom
+        line = tableau[r]
+        p = line[col]
+        for i, other in enumerate(tableau):
+            if i != r:
+                lead = other[col]
+                tableau[i] = [(p * v - lead * w) // denom
+                              for v, w in zip(other, line)]
+        if p < 0:
+            tableau[:] = [[-v for v in other] for other in tableau]
+        denom = abs(p)
+        basis[r] = col
+
+    def run(ncols):
+        while True:
+            col = next((j for j in range(ncols) if tableau[m][j] < 0), None)
+            if col is None:
+                return True
+            ratios = [(Rat(line[-1], line[col]), basis[i], i)
+                      for i, line in enumerate(tableau[:m]) if line[col] > 0]
+            if not ratios:
+                return False
+            pivot(min(ratios)[2], col)
+
+    price([0] * nvars + [1] * m + [0])
+    run(nvars + m)
+    if tableau[m][-1]:
+        return None
+    for i in range(m):
+        if basis[i] >= nvars:
+            pivot(i, next(j for j in range(nvars) if tableau[i][j]))
+    price(cost + [0] * (m + 1))
+    return run(nvars) and Rat(-tableau[m][-1], denom)
 
 
 # ---------------------------------------------------------------------------

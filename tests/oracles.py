@@ -24,7 +24,7 @@ for the package's, which takes its last step from the last pivot.  The
 rational barycentric classifier is the reference for the kernel's integer
 verdicts.  The Gauss-Jordan feasibility routine, with general
 inequalities, is the reference for the package's rank-first
-``feasible_point`` on "A x = b, x >= 0", and the exact
+``feasible_point`` on "A x = b, x >= 0", a simplex method, and the exact
 common-scale frames and extents are the references for the sweep's
 outward-rounded grid prefilter; the rational forms of the interior
 keyframe ``a + t (b - a)``, of the grid's floor and ceil and of a simplex
@@ -158,8 +158,11 @@ def feasible_point_gauss_jordan(eq_rows, le_rows, nvars):
     Fractions; the projected inequality system is then decided by
     Fourier-Motzkin elimination, whose stages are replayed backwards to
     produce a concrete solution.  This is the package's former
-    ``feasible_point``, kept as the reference for the rank-first integer
-    kernel that replaced it: both must return the same point.
+    ``feasible_point`` and now its only Fourier-Motzkin code, kept as the
+    reference for the rank test and the exact simplex method that
+    replaced it: both must return the same point.  The replay's bounds of
+    each free variable are its least and greatest values over the
+    projection, which the simplex computes as two minima.
     """
     rows = [[Fraction(c) for c in coeffs] + [Fraction(rhs)]
             for coeffs, rhs in eq_rows]

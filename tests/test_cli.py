@@ -1,5 +1,9 @@
 import hashlib
 import json
+import os
+import random
+import subprocess
+import sys
 
 import pytest
 
@@ -13,7 +17,7 @@ from ornaments.sweep import (
     trivial_ornament,
 )
 
-from oracles import concat_tracks, reverse_track
+from oracles import concat_tracks, point_at, reverse_track
 
 
 def run(capsys, *argv):
@@ -462,7 +466,9 @@ def test_sweep_stdout_is_pinned(tmp_path, capsys):
 #: built by ``_segment_meeting_ornament``, recorded while the equalities
 #: were still reduced by Gauss-Jordan elimination on Fractions.  Its first
 #: feasible facet triple meets in a segment, so the witness is not unique:
-#: it depends on the reduced echelon form and the Fourier-Motzkin replay.
+#: it depends on the order in which the free columns are fixed and on the
+#: rule that fixes each (the midpoint of its range, or its least value
+#: plus 1 when the range is unbounded).
 PINNED_VALIDATE_STDOUT_SHA256 = (
     "25024c6484823b236ce73c1d398192337c7e5849e1df8fd72b23d72003f8cf26"
 )
@@ -492,6 +498,64 @@ def test_validate_stdout_is_pinned(tmp_path, capsys):
     assert hashlib.sha256(out.encode("utf8")).hexdigest() == (
         PINNED_VALIDATE_STDOUT_SHA256
     )
+
+
+def _flat_k3_ornament(r, seed):
+    """Three copies of the k=3 cross-polytope sphere in R^8 whose vertex
+    images are 0 past their first ``r`` coordinates and random rationals
+    n/d, |n| <= 50, 1 <= d <= 7, in those, drawn component by component,
+    then vertex by vertex: an invalid ornament whose facets' edges are
+    dependent, so the equalities of its facet triples leave many columns
+    free and their sign constraints decide them."""
+    sphere = constructions.cross_polytope_sphere(3, 0)
+    rng = random.Random(seed)
+    components = []
+    for _ in range(3):
+        images = [tuple(Rat(rng.randint(-50, 50), rng.randint(1, 7))
+                        if c < r else Rat(0) for c in range(8))
+                  for _ in sphere.positions]
+        components.append(PLMap(sphere.manifold, 8, images))
+    return Ornament(components)
+
+
+#: Runs the CLI on its arguments with at most 2 GB of address space and
+#: 20 s of CPU time, so the caps act on the child process alone.
+_CAPPED_CLI = """
+import resource, runpy, sys
+resource.setrlimit(resource.RLIMIT_AS, (2 * 1024 ** 3, 2 * 1024 ** 3))
+resource.setrlimit(resource.RLIMIT_CPU, (20, 20))
+sys.argv[0] = "ornaments"
+runpy.run_module("ornaments.cli", run_name="__main__")
+"""
+
+
+@pytest.mark.parametrize("r", [2, 3])
+def test_flat_k3_ornament_validates_under_a_cap(r, tmp_path):
+    """On a flat k=3 input, whose triples reach the sign constraints,
+    ``validate`` ends within the caps with exit 0, one JSON document, no
+    traceback and an invalid verdict; its witness is checked here: three
+    barycentric tuples, each nonnegative with sum 1, whose points have
+    one image."""
+    ornament = _flat_k3_ornament(r, seed=0)
+    path = write_ornament(tmp_path, ornament)
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", _CAPPED_CLI, "validate",
+                           path], capture_output=True, text=True, env=env,
+                          timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert "Traceback" not in done.stderr
+    report = json.loads(done.stdout)
+    assert report["ornament"]["status"] == "invalid"
+    witness = report["ornament"]["witness"]
+    images = set()
+    for f, i, coords in zip(ornament.components, witness["facets"],
+                            witness["barycentric"]):
+        bary = [Rat(c) for c in coords]
+        assert min(bary) >= 0 and sum(bary) == 1
+        images.add(point_at(f, i, bary))
+    assert len(images) == 1
 
 
 def _drop_a_facet(component):

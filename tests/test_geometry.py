@@ -28,7 +28,7 @@ from ornaments.geometry import (
     ray_meets_box,
     simplex_frame,
 )
-from ornaments import laplace
+from ornaments import geometry, laplace
 from ornaments.laplace import solve_integer
 
 from oracles import (
@@ -787,7 +787,7 @@ def test_feasible_point_matches_gauss_jordan_oracle():
     point on "A x = b, x >= 0", entry by entry, and ``None`` exactly when
     it does; given column scales, it answers for the unscaled system."""
     rng = random.Random(20)
-    branches = {"inconsistent": 0, "fm-infeasible": 0, "feasible": 0}
+    branches = {"inconsistent": 0, "lp-infeasible": 0, "feasible": 0}
     for trial in range(600):
         eq, nvars = _random_system(rng, _SYSTEM_SHAPES[trial % 5])
         expected = feasible_point_gauss_jordan(eq, nonneg_rows(nvars), nvars)
@@ -803,10 +803,69 @@ def test_feasible_point_matches_gauss_jordan_oracle():
             assert expected is None
             branches["inconsistent"] += 1
         elif expected is None:
-            branches["fm-infeasible"] += 1
+            branches["lp-infeasible"] += 1
         else:
             branches["feasible"] += 1
     assert min(branches.values()) >= 50, branches
+
+
+def _small_systems(nvars):
+    """``(nvars, eq_rows, scales)``: small integer rows, at least ``nvars -
+    6`` of them, so up to six columns are free when the rows are
+    independent, and positive column scales."""
+    row = st.tuples(st.lists(st.integers(-3, 3), min_size=nvars,
+                             max_size=nvars), st.integers(-3, 3))
+    return st.tuples(
+        st.just(nvars),
+        st.lists(row, min_size=max(0, nvars - 6), max_size=nvars + 1),
+        st.lists(st.integers(1, 64), min_size=nvars, max_size=nvars))
+
+
+def test_feasible_point_matches_oracle_up_to_six_free_columns(monkeypatch):
+    """On random small systems with up to six free columns, with and
+    without column scales, the simplex returns the Fourier-Motzkin
+    oracle's point, and ``None`` exactly when it does.  The minima the
+    simplex reports show that every branch is taken: rejected by rank,
+    infeasible after the rank test, and a free column set to the midpoint
+    of a bounded range, to its least value plus 1 on an unbounded one,
+    and to the one value of a range of one point."""
+    branches = dict.fromkeys(["rank-rejected", "lp-infeasible", "midpoint",
+                              "unbounded", "pinned"], 0)
+    minima = []
+    live = geometry._minimum
+
+    def minimum(rows, nvars, cost):
+        minima.append(live(rows, nvars, cost))
+        return minima[-1]
+
+    monkeypatch.setattr(geometry, "_minimum", minimum)
+
+    @example((3, [([1, 1, 0], 0)], [2, 3, 5]))  # x0 = x1 = 0 pinned
+    @given(st.integers(1, 8).flatmap(_small_systems))
+    def check(case):
+        nvars, eq, scales = case
+        expected = feasible_point_gauss_jordan(eq, nonneg_rows(nvars), nvars)
+        del minima[:]
+        assert feasible_point(eq, nvars) == expected
+        if not minima:
+            branches["rank-rejected"] += 1
+        elif minima[0] is None:
+            branches["lp-infeasible"] += 1
+        # after the feasibility test, one (least, minus greatest) pair per
+        # free column
+        for lo, top in zip(minima[1::2], minima[2::2]):
+            if top is False:
+                branches["unbounded"] += 1
+            elif lo == -top:
+                branches["pinned"] += 1
+            else:
+                branches["midpoint"] += 1
+        scaled = [([c * s for c, s in zip(coeffs, scales)], rhs)
+                  for coeffs, rhs in eq]
+        assert feasible_point(scaled, nvars, scales) == expected
+
+    check()
+    assert min(branches.values()) > 0, branches
 
 # --- boxes --------------------------------------------------------------------
 
