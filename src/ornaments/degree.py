@@ -174,18 +174,15 @@ def _ray_touches_closed_cells(o, facet_indices, u, w):
     """Feasibility of "the closed facet triple maps onto a point of the
     closed ray", in the form x - z = s*u, y - z = s*w with s >= 0 (see
     :func:`mu_via_degree`): decides whether a singular system still
-    matters."""
+    matters.  With the facets listed as (1, 3, 2) the coordinate rows read
+    x - z = 0 and then z - y = 0, and the ray column ``[-u..., w...]``
+    turns them into x - z - s*u = 0 and z - y + s*w = 0."""
     pts1, pts2, pts3 = [
         f.facet_points(i) for f, i in zip(o.components, facet_indices)
     ]
-    eq_rows, nvars, _ = common_point_system([pts1, pts3, pts2])
-    # The rows read x - z = 0, then z - y = 0, then the weight sums; the
-    # ray column turns them into x - z - s*u = 0 and z - y + s*w = 0.
-    ray = [-c for c in u] + list(w) + [0, 0, 0]
-    for (row, _), c in zip(eq_rows, ray):
-        row.append(c)
-    nvars += 1
-    return feasible_point(eq_rows, nvars) is not None
+    eq_rows, scales, _ = common_point_system([pts1, pts3, pts2],
+                                             ([-c for c in u] + w,))
+    return feasible_point(eq_rows, scales) is not None
 
 
 def mu_via_degree(o, v):

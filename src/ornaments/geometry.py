@@ -36,11 +36,11 @@ outside, on a boundary, or strictly interior.  Every verdict is read off
 integer Cramer numerators over the integer determinant by one classifier,
 :func:`cramer_status`, so rationals are built only for interior points,
 the witnesses.  Linear feasibility is asked in one form, "A x = b, x >=
-0", and decided rank first: the equalities, cleared of denominators row by
-row, go through the same elimination loop, and an inconsistent system is
-rejected on integers alone.  Only a consistent one goes on to an exact
-integer simplex method, whose memory is bounded by its tableau and whose
-minima fix the witness.  The prefilter layer rounds points
+0" on integer rows with positive column scales, and decided rank first:
+the equalities go through the same elimination loop, and an inconsistent
+system is rejected on integers alone.  Only a consistent one goes on to
+an exact integer simplex method, whose memory is bounded by its tableau
+and whose minima fix the witness.  The prefilter layer rounds points
 outward onto one power-of-two grid (:func:`outward_grid`), from their
 integer ratios.
 """
@@ -203,10 +203,11 @@ def integer_scaled(coords):
     """``(scale, ints)`` with ``scale`` the least positive integer such that
     ``scale * coords`` is integral; scaling a matrix column or a right-hand
     side this way preserves determinant signs and is undone on solutions."""
-    scale = math.lcm(*[c.denominator for c in coords])
+    ratios = [c.as_integer_ratio() for c in coords]
+    scale = math.lcm(*[d for _, d in ratios])
     if scale == 1:
-        return 1, [c.numerator for c in coords]
-    return scale, [c.numerator * (scale // c.denominator) for c in coords]
+        return 1, [n for n, _ in ratios]
+    return scale, [n * (scale // d) for n, d in ratios]
 
 
 class SimplexFrame:
@@ -497,7 +498,7 @@ def _eliminated_block(reduction, numerators_kept, det, lift):
     is returned with them."""
     tri_rows = reduction.triangular()
     d = len(tri_rows)
-    top = det if lift == 1 else det * lift
+    top = det * lift
     rhs = []
     for row in tri_rows:
         acc = top * row[-1]
@@ -612,33 +613,29 @@ def random_rational_perturbation(v, eps, seed):
 # Linear feasibility with exact witness extraction.
 # ---------------------------------------------------------------------------
 
-def feasible_point(eq_rows, nvars, scales=None):
-    """Decide "A x = b, x >= 0" exactly.
+def feasible_point(eq_rows, scales):
+    """Decide "A x = b, x >= 0" exactly, on integer rows.
 
-    ``eq_rows`` is a list of ``(coeffs, rhs)`` meaning ``coeffs . x ==
-    rhs``; entries are ints or Fractions.  Returns a point satisfying the
-    equalities with every coordinate nonnegative, as a list of rationals,
-    or ``None`` when there is none.  Positive integer column ``scales``,
-    when given, mean that column ``j`` of every row holds ``scales[j]``
-    times its coefficient (the rows are written in ``z[j] = x[j] /
-    scales[j]``); the point is in x.
+    ``eq_rows`` is a list of ``(coeffs, rhs)`` of ``int`` entries, in the
+    variables ``z[j] = x[j] / scales[j]``: column ``j`` holds ``scales[j]``
+    times its coefficient in x, ``scales`` being positive integers, one
+    per column (:func:`~ornaments.model.common_point_system` writes its
+    rows this way).  Returns a point in x satisfying the equalities with
+    every coordinate nonnegative, as a list of rationals, or ``None`` when
+    there is none.
 
-    The equalities are decided first, by rank, on integers: each row is
-    cleared of denominators (a positive row scale keeps its solution set)
-    and :func:`eliminate` reduces them fraction-free.  A nonzero right-hand
-    side past the rank means the equalities are inconsistent, and ``None``
-    is returned without building a rational.  Otherwise :func:`_minimum`
-    decides the echelon rows, in z >= 0.  For the point, the columns
-    without a pivot are fixed from the last to the first: each takes, in
-    x, the midpoint of its least and greatest feasible value with the
-    later ones held, or its least value plus 1 when it has no greatest;
-    then the pivot columns are back-substituted.
+    The equalities are decided first, by rank: :func:`eliminate` reduces
+    them fraction-free, and a nonzero right-hand side past the rank means
+    they are inconsistent, so ``None`` is returned without building a
+    rational.  Otherwise :func:`_minimum` decides the echelon rows, in
+    z >= 0.  For the point, the columns without a pivot are fixed from the
+    last to the first: each takes, in x, the midpoint of its least and
+    greatest feasible value with the later ones held, or its least value
+    plus 1 when it has no greatest; then the pivot columns are
+    back-substituted.
     """
-    aug = []
-    for coeffs, rhs in eq_rows:
-        row = list(coeffs)
-        row.append(rhs)
-        aug.append(integer_scaled(row)[1])
+    nvars = len(scales)
+    aug = [[*coeffs, rhs] for coeffs, rhs in eq_rows]
     _, pivots, pivot_cols = eliminate(aug, nvars)
     rank = len(pivots)
     for row in aug[rank:]:
@@ -647,8 +644,6 @@ def feasible_point(eq_rows, nvars, scales=None):
     del aug[rank:]
     if _minimum(aug, nvars, [0] * nvars) is None:
         return None
-    if scales is None:
-        scales = [1] * nvars
     z = [Rat(0)] * nvars
     for f in reversed([c for c in range(nvars) if c not in pivot_cols]):
         unit = [int(c == f) for c in range(nvars)]

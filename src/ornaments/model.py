@@ -7,11 +7,12 @@ feasibility question over the closed facets; a failure comes with an exact
 witness (the facet triple and barycentric coordinates of a common image
 point).  A triple is first tested on facet boxes rounded outward onto one
 power-of-two grid, the prefilter layer of :mod:`ornaments.geometry` that
-the degree route and the sweep share; the vertex images are cleared of
-denominators once per validation, so the common-point rows are built on
-integers, and each box-surviving triple is decided by integer rank first
-(6k + 1 equations in 6k unknowns for three (2k - 1)-manifolds in
-R^(3k - 1), nearly always inconsistent).
+the degree route and the sweep share.  Each box-surviving triple is then
+decided by integer rank first (6k + 1 equations in 6k unknowns for three
+(2k - 1)-manifolds in R^(3k - 1), nearly always inconsistent), on the
+rows of :func:`common_point_system`: the one integer form, points cleared
+of denominators as the rows are written, in which validation and both
+routes' touching tests ask whether closed cells meet.
 
 Manifolds are accepted at orientable-pseudomanifold strength: every
 codimension-1 face in exactly two facets, with coherently opposite induced
@@ -238,43 +239,47 @@ class Ornament:
         return f"Ornament(m={self.m})"
 
 
-def common_point_system(point_lists, weights=None):
-    """Equality rows for "the simplices spanned by the point lists share a
-    point", in stacked full barycentric coordinates: consecutive lists
-    agree coordinate by coordinate, and each list's weights sum to 1.
+def common_point_system(point_lists, extra=()):
+    """Integer equality rows for "the simplices spanned by the point lists
+    share a point", in stacked full barycentric coordinates: consecutive
+    lists agree coordinate by coordinate, and each list's weights sum to 1.
 
-    Returns ``(eq_rows, nvars, offsets)`` where ``offsets[i]`` is the column
-    of the first barycentric coordinate of list ``i``.  Every entry that is
-    not a point coordinate is an ``int``.  ``weights``, one positive
-    integer per point in the same nesting, give the rows in the variables
-    ``x / weight`` instead: each point is then its weight times the vertex
-    (homogeneous coordinates), and the weights take the place of the 1s.
-    Integer homogeneous points give integer rows, to be decided by
-    :func:`feasible_point` with the flattened weights as column scales.
+    Each rational point is cleared of denominators as its entries are
+    written (:func:`integer_scaled`), so the point becomes its scale times
+    the vertex and the rows are written in the variables ``x / scale``,
+    the scales taking the place of the 1s in the sum rows.  Each column of
+    ``extra``, integers with one entry per coordinate row, is appended to
+    those rows with scale 1 and is 0 on the sum rows; the degree route's
+    ray is one.  Returns ``(eq_rows, scales, offsets)``: ``(coeffs,
+    rhs)`` rows of ``int`` entries, the positive column scales that
+    :func:`feasible_point` takes with them, and ``offsets[i]``, the column
+    of the first barycentric coordinate of list ``i``.
     """
-    if weights is None:
-        weights = [[1] * len(pts) for pts in point_lists]
     width = len(point_lists[0][0])
-    arities = [len(pts) for pts in point_lists]
+    cleared = [[integer_scaled(p) for p in pts] for pts in point_lists]
+    scales = [scale for pts in cleared for scale, _ in pts]
     offsets = [0]
-    for a in arities[:-1]:
-        offsets.append(offsets[-1] + a)
-    nvars = sum(arities)
+    for pts in cleared[:-1]:
+        offsets.append(offsets[-1] + len(pts))
+    npoints = len(scales)
+    scales += [1] * len(extra)
+    nvars = len(scales)
     eq_rows = []
-    for left in range(len(point_lists) - 1):
+    for left in range(len(cleared) - 1):
         right = left + 1
         for c in range(width):
             row = [0] * nvars
-            for a, p in enumerate(point_lists[left]):
+            for a, (_, p) in enumerate(cleared[left]):
                 row[offsets[left] + a] = p[c]
-            for a, p in enumerate(point_lists[right]):
+            for a, (_, p) in enumerate(cleared[right]):
                 row[offsets[right] + a] = -p[c]
+            row[npoints:] = [column[len(eq_rows)] for column in extra]
             eq_rows.append((row, 0))
-    for i, ws in enumerate(weights):
+    for offset, pts in zip(offsets, cleared):
         row = [0] * nvars
-        row[offsets[i]:offsets[i] + len(ws)] = ws
+        row[offset:offset + len(pts)] = [scale for scale, _ in pts]
         eq_rows.append((row, 1))
-    return eq_rows, nvars, offsets
+    return eq_rows, scales, offsets
 
 
 def facet_grid_boxes(o):
@@ -302,24 +307,14 @@ def validate_ornament(o):
     feasible triple found is returned as a witness with exact barycentric
     coordinates of a common image point.
 
-    Each vertex image is first cleared of denominators once, to an integer
-    homogeneous point (its weight, the least positive integer making it
-    integral, times the vertex), so the equality rows are built on
-    integers in the barycentric coordinates divided by the weights, and
-    :func:`feasible_point` (given the weights as column scales) decides
-    nearly every triple by rank alone, on small integers; its witness is
-    in barycentric coordinates.  Only triples whose :func:`facet_grid_boxes`
-    meet are decided; the boxes contain the exact ones, so a triple they
-    let through by rounding alone is infeasible.
+    The rows come from :func:`common_point_system`, on integers in the
+    barycentric coordinates divided by the vertices' scales, and
+    :func:`feasible_point` decides nearly every triple by rank alone, on
+    small integers; its witness is in barycentric coordinates.  Only
+    triples whose :func:`facet_grid_boxes` meet are decided; the boxes
+    contain the exact ones, so a triple they let through by rounding alone
+    is infeasible.
     """
-    facets = []  # per component, per facet: (weights, points)
-    for f in o.components:
-        homogeneous = [integer_scaled(img) for img in f.images]
-        facets.append([
-            ([homogeneous[v][0] for v in facet],
-             [homogeneous[v][1] for v in facet])
-            for facet in f.domain.facets
-        ])
     boxes1, boxes2, boxes3 = facet_grid_boxes(o)
     for i1, b1 in enumerate(boxes1):
         for i2, b2 in enumerate(boxes2):
@@ -329,13 +324,11 @@ def validate_ornament(o):
             for i3, b3 in enumerate(boxes3):
                 if box_intersection(b12, b3) is None:
                     continue
-                chosen = [comp[i] for comp, i in zip(facets, (i1, i2, i3))]
-                weights = [ws for ws, _ in chosen]
-                eq_rows, nvars, offsets = common_point_system(
-                    [pts for _, pts in chosen], weights
-                )
-                point = feasible_point(eq_rows, nvars,
-                                       [w for ws in weights for w in ws])
+                eq_rows, scales, offsets = common_point_system([
+                    f.facet_points(i)
+                    for f, i in zip(o.components, (i1, i2, i3))
+                ])
+                point = feasible_point(eq_rows, scales)
                 if point is not None:
                     splits = [point[offsets[0]:offsets[1]],
                               point[offsets[1]:offsets[2]],

@@ -381,10 +381,10 @@ def _interval_triple_points(track, j, vertices):
                         reduction12, reduction32
                     )
                 if sign == 0:
-                    eq_rows, nvars, _ = common_point_system(
+                    eq_rows, scales, _ = common_point_system(
                         (entry1.points, entry2.points, entry3.points)
                     )
-                    if feasible_point(eq_rows, nvars) is not None:
+                    if feasible_point(eq_rows, scales) is not None:
                         raise NonGenericTrack(
                             f"singular touching system at interval {j}"
                         )

@@ -84,6 +84,23 @@ def test_gen_output_reemits_byte_identical(tmp_path, capsys):
     assert again == text
 
 
+@pytest.mark.parametrize("argv", [
+    ["borromean", "--k", "1"],
+    ["trivial", "--k", "1", "--targets", "0,0;1/2,0;0,3"],
+    ["random", "--k", "1", "--seed", "3"],
+    ["random", "--k", "1", "--seed", "3", "--eps", "1/16"],
+], ids=["borromean", "trivial", "random", "random-eps"])
+def test_gen_output_of_every_kind_validates(argv, tmp_path, capsys):
+    """``gen`` writes what its construction returns without validating it
+    again; every kind's output passes ``validate``."""
+    out = tmp_path / "g.json"
+    code, _ = run(capsys, "gen", *argv, "--out", str(out))
+    assert code == 0
+    code, report = run(capsys, "validate", str(out))
+    assert code == 0
+    assert report["ornament"]["status"] == "valid"
+
+
 def test_gen_unwritable_out_is_input_error(tmp_path, capsys):
     out = tmp_path / "missing" / "x.json"
     code, report = run(capsys, "gen", "borromean", "--k", "1",

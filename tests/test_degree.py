@@ -3,7 +3,7 @@ from itertools import product
 
 import pytest
 
-from ornaments import degree, model
+from ornaments import degree, model, sweep
 from ornaments.constructions import (
     make_borromean,
     make_random_ornament,
@@ -199,6 +199,48 @@ def test_singular_touching_system_is_reported(monkeypatch):
                        match=r"singular system touching facets \(1, 0, 0\)"):
         mu_via_degree(o, _PARALLEL_RAY)
     assert counts["singular"] == counts["lp"] > 0
+
+
+def test_every_feasibility_system_is_integer(monkeypatch):
+    """Validation, the degree route's touching test and the sweep's each
+    pass their ``feasible_point`` binding ``int`` row entries and positive
+    ``int`` column scales, on rational points: a ``Fraction`` entry would
+    be floored silently by ``eliminate``'s ``//``.  Each binding is driven
+    to an LP: validation of three rational segments through (0, 1/3), the
+    singular touching triple of the parallel ray, and a sweep of three
+    points that all pass the origin at t = 1/2."""
+    calls = {}
+    for module in (model, degree, sweep):
+        live = module.feasible_point
+
+        def feasible(eq_rows, scales, live=live, name=module.__name__):
+            assert all(type(c) is int for row, rhs in eq_rows
+                       for c in [*row, rhs])
+            assert all(type(s) is int and s > 0 for s in scales)
+            calls[name] = calls.get(name, 0) + 1
+            return live(eq_rows, scales)
+
+        monkeypatch.setattr(module, "feasible_point", feasible)
+
+    digon = TriangulatedManifold(1, 2, [(0, 1), (1, 0)])
+    segments = [[(Rat(-1, 2), Rat(1, 3)), (Rat(1, 2), Rat(1, 3))],
+                [(0, Rat(-2, 3)), (0, Rat(4, 3))],
+                [(Rat(-1, 3), 0), (Rat(1, 3), Rat(2, 3))]]
+    invalid = Ornament([PLMap(digon, 2, ends) for ends in segments])
+    assert not validate_ornament(invalid).ok
+
+    o = square_ornament([(2, 1), (4, 2), (3, 4), (1, 3)])
+    with pytest.raises(NonGenericDirection, match="singular system touching"):
+        mu_via_degree(o, _PARALLEL_RAY)
+
+    half = Rat(1, 2)
+    start = make_trivial(1, targets=[(-half, -half), (2, 0), (0, 2)])
+    end = make_trivial(1, targets=[(half, half), (-2, 0), (0, -2)])
+    with pytest.raises(sweep.NonGenericTrack,
+                       match="singular touching system"):
+        sweep.detect_triple_points(sweep.linear_track(start, end))
+    assert set(calls) == {"ornaments.model", "ornaments.degree",
+                          "ornaments.sweep"}
 
 
 def test_singular_system_that_misses_is_skipped(monkeypatch):

@@ -677,21 +677,21 @@ def test_derive_seed_stable_and_sensitive():
 
 def test_feasible_point_simple_cases():
     # x + y == 1, x, y >= 0 is feasible
-    point = feasible_point([([1, 1], 1)], 2)
+    point = feasible_point([([1, 1], 1)], [1, 1])
     assert point is not None
     x, y = point
     assert x + y == 1 and x >= 0 and y >= 0
     # x + y == -1 has no nonnegative solution
-    assert feasible_point([([1, 1], -1)], 2) is None
+    assert feasible_point([([1, 1], -1)], [1, 1]) is None
     # x - y == -1 has one, with y >= 1
-    x, y = feasible_point([([1, -1], -1)], 2)
+    x, y = feasible_point([([1, -1], -1)], [1, 1])
     assert x - y == -1 and x >= 0 and y >= 0
     # no equalities: the origin's orthant is never empty
-    assert feasible_point([], 3) is not None
+    assert feasible_point([], [1, 1, 1]) is not None
 
 
 def test_feasible_point_inconsistent_equalities():
-    assert feasible_point([([1, 1], 1), ([2, 2], 3)], 2) is None
+    assert feasible_point([([1, 1], 1), ([2, 2], 3)], [1, 1]) is None
 
 
 def test_feasible_point_satisfies_all_constraints():
@@ -701,7 +701,7 @@ def test_feasible_point_satisfies_all_constraints():
         nvars = rng.randint(1, 5)
         eq = [([rng.randint(-3, 3) for _ in range(nvars)], rng.randint(-3, 3))
               for _ in range(rng.randint(0, 3))]
-        point = feasible_point(eq, nvars)
+        point = feasible_point(eq, [1] * nvars)
         if point is None:
             continue
         found += 1
@@ -722,7 +722,7 @@ def test_feasible_point_agrees_with_vertex_enumeration():
         eq = [([rng.randint(-2, 2) for _ in range(nvars)] + [0],
                rng.randint(-2, 2)) for _ in range(rng.randint(0, 2))]
         eq.append(([1] * (nvars + 1), 4))
-        ours = feasible_point(eq, nvars + 1) is not None
+        ours = feasible_point(eq, [1] * (nvars + 1)) is not None
         theirs = brute_force_feasible(eq, nonneg_rows(nvars + 1), nvars + 1)
         assert ours == theirs
         outcomes[ours] += 1
@@ -783,22 +783,28 @@ _SYSTEM_SHAPES = ["rank-deficient", "zero-and-duplicate-rows",
 
 
 def test_feasible_point_matches_gauss_jordan_oracle():
-    """The rank-first integer kernel returns the Gauss-Jordan routine's
-    point on "A x = b, x >= 0", entry by entry, and ``None`` exactly when
-    it does; given column scales, it answers for the unscaled system."""
+    """The rank-first integer kernel, on the rational rows cleared of
+    denominators row by row, returns the Gauss-Jordan routine's point on
+    the rational "A x = b, x >= 0", entry by entry, and ``None`` exactly
+    when it does; given column scales, it answers for the unscaled
+    system."""
     rng = random.Random(20)
     branches = {"inconsistent": 0, "lp-infeasible": 0, "feasible": 0}
     for trial in range(600):
         eq, nvars = _random_system(rng, _SYSTEM_SHAPES[trial % 5])
         expected = feasible_point_gauss_jordan(eq, nonneg_rows(nvars), nvars)
-        point = feasible_point(eq, nvars)
+        cleared = []
+        for coeffs, rhs in eq:
+            *ints, last = integer_scaled(as_point([*coeffs, rhs]))[1]
+            cleared.append((ints, last))
+        point = feasible_point(cleared, [1] * nvars)
         assert point == expected
         if point is not None:
             assert all(isinstance(c, Rat) for c in point)
         scales = [rng.randint(1, 2 ** rng.randint(1, 20)) for _ in range(nvars)]
         scaled = [([c * s for c, s in zip(coeffs, scales)], rhs)
-                  for coeffs, rhs in eq]
-        assert feasible_point(scaled, nvars, scales) == expected
+                  for coeffs, rhs in cleared]
+        assert feasible_point(scaled, scales) == expected
         if feasible_point_gauss_jordan(eq, [], nvars) is None:
             assert expected is None
             branches["inconsistent"] += 1
@@ -846,7 +852,7 @@ def test_feasible_point_matches_oracle_up_to_six_free_columns(monkeypatch):
         nvars, eq, scales = case
         expected = feasible_point_gauss_jordan(eq, nonneg_rows(nvars), nvars)
         del minima[:]
-        assert feasible_point(eq, nvars) == expected
+        assert feasible_point(eq, [1] * nvars) == expected
         if not minima:
             branches["rank-rejected"] += 1
         elif minima[0] is None:
@@ -862,7 +868,7 @@ def test_feasible_point_matches_oracle_up_to_six_free_columns(monkeypatch):
                 branches["midpoint"] += 1
         scaled = [([c * s for c, s in zip(coeffs, scales)], rhs)
                   for coeffs, rhs in eq]
-        assert feasible_point(scaled, nvars, scales) == expected
+        assert feasible_point(scaled, scales) == expected
 
     check()
     assert min(branches.values()) > 0, branches

@@ -158,24 +158,67 @@ def test_borromean_k1_passes(borromean_k1):
         assert validate_manifold(f.domain).ok
 
 
+def _image(coords, points):
+    return [sum((lam * p[c] for lam, p in zip(coords, points)), Rat(0))
+            for c in range(len(points[0]))]
+
+
 def test_feasibility_matches_brute_force_on_facet_triples():
-    # exhaustive vertex enumeration as the independent route
+    """On facet triples, and on the ray systems of the degree route's
+    touching test (facets listed (1, 3, 2), the ray column ``[-u..., w...]``
+    given as ``extra``), the integer rows are decided as exhaustive vertex
+    enumeration decides them, and a ray system's point satisfies x - z =
+    s*u and y - z = s*w in the rational points."""
     from ornaments.constructions import make_random_ornament
-    from ornaments.geometry import feasible_point
+    from ornaments.geometry import feasible_point, integer_scaled
 
     rng = random.Random(9)
+    ray_outcomes = {True: 0, False: 0}
     for seed in (0, 1, 2):
         o = make_random_ornament(1, seed=seed, spread=Rat(6))
         for _ in range(6):
             idx = tuple(
                 rng.randrange(len(f.domain.facets)) for f in o.components
             )
-            eq_rows, nvars, _ = common_point_system([
+            pts1, pts2, pts3 = [
                 f.facet_points(i) for f, i in zip(o.components, idx)
-            ])
-            ours = feasible_point(eq_rows, nvars) is not None
+            ]
+            eq_rows, scales, _ = common_point_system([pts1, pts2, pts3])
+            nvars = len(scales)
+            ours = feasible_point(eq_rows, scales) is not None
             theirs = brute_force_feasible(eq_rows, nonneg_rows(nvars), nvars)
             assert ours == theirs
+
+            # a ray through the three centroids (s = 1 is feasible), or a
+            # random one
+            if rng.random() < 0.5:
+                x, y, z = (_image([Rat(1, len(p))] * len(p), p)
+                           for p in (pts1, pts2, pts3))
+                u = [a - c for a, c in zip(x, z)]
+                w = [b - c for b, c in zip(y, z)]
+                _, column = integer_scaled(as_point([-c for c in u] + w))
+            else:
+                column = [rng.randint(-4, 4) for _ in range(4)]
+            eq_rows, scales, offsets = common_point_system(
+                [pts1, pts3, pts2], (column,))
+            assert all(type(c) is int for row, rhs in eq_rows
+                       for c in [*row, rhs])
+            nvars = len(scales)
+            point = feasible_point(eq_rows, scales)
+            theirs = brute_force_feasible(eq_rows, nonneg_rows(nvars), nvars)
+            assert (point is not None) == theirs
+            ray_outcomes[theirs] += 1
+            if point is not None:
+                lam1 = point[offsets[0]:offsets[1]]
+                lam3 = point[offsets[1]:offsets[2]]
+                lam2, s = point[offsets[2]:-1], point[-1]
+                x, y, z = (_image(lam, p) for lam, p in
+                           ((lam1, pts1), (lam2, pts2), (lam3, pts3)))
+                assert [a - c for a, c in zip(x, z)] == [-s * c
+                                                         for c in column[:2]]
+                assert [b - c for b, c in zip(y, z)] == [s * c
+                                                         for c in column[2:]]
+    assert min(ray_outcomes.values()) >= 3, ray_outcomes
 
 
 # --- perturb_ornament ---------------------------------------------------------
