@@ -666,7 +666,9 @@ def _minimum(rows, nvars, cost):
 
     Two simplex phases on an integer tableau, under Bland's rule (the
     first column with a negative reduced cost enters; the row of least
-    ratio, then of least basic column, leaves), so nothing cycles.  Phase
+    ratio, then of least basic column, leaves), so nothing cycles.  The
+    ratios are compared on integers, cross-multiplied by the two positive
+    pivots.  Phase
     1 minimises the sum of one artificial per row, each row negated first
     if its right-hand side is negative; an artificial still basic after it
     is pivoted out on a nonzero original column, which full rank provides.
@@ -710,11 +712,21 @@ def _minimum(rows, nvars, cost):
             col = next((j for j in range(ncols) if tableau[m][j] < 0), None)
             if col is None:
                 return True
-            ratios = [(Rat(line[-1], line[col]), basis[i], i)
-                      for i, line in enumerate(tableau[:m]) if line[col] > 0]
-            if not ratios:
+            leave = None
+            for i, line in enumerate(tableau[:m]):
+                if line[col] <= 0:
+                    continue
+                if leave is not None:
+                    best = tableau[leave]
+                    # line[-1] / line[col] against best[-1] / best[col],
+                    # cross-multiplied: both pivots are positive.
+                    ahead = line[-1] * best[col] - best[-1] * line[col]
+                    if ahead > 0 or (ahead == 0 and basis[i] > basis[leave]):
+                        continue
+                leave = i
+            if leave is None:
                 return False
-            pivot(min(ratios)[2], col)
+            pivot(leave, col)
 
     price([0] * nvars + [1] * m + [0])
     run(nvars + m)
@@ -744,11 +756,18 @@ def outward_grid(points):
     Floor and ceil are monotone, so the :func:`hull` of brackets contains
     ``2 ** shift`` times the exact box of the points, and is the box's own
     rounding: the grid serves prefilters that only have to be
-    conservative.  Each coordinate takes one ``divmod``: the ceil is the
-    floor, plus 1 for a nonzero remainder."""
+    conservative.  :func:`grid_brackets` does the rounding."""
     ratios = [[x.as_integer_ratio() for x in p] for p in points]
     top = max((abs(n) // d for p in ratios for n, d in p), default=0)
     shift = max(0, 60 - top.bit_length())
+    return shift, grid_brackets(ratios, shift)
+
+
+def grid_brackets(ratios, shift):
+    """The brackets of :func:`outward_grid` at a given ``shift``, of
+    points given as tuples of integer ratios ``(n, d)`` with ``d > 0``,
+    not necessarily in lowest terms.  Each coordinate takes one
+    ``divmod``: the ceil is the floor, plus 1 for a nonzero remainder."""
     brackets = []
     for p in ratios:
         floors = []
@@ -758,7 +777,7 @@ def outward_grid(points):
             floors.append(q)
             ceils.append(q + 1 if r else q)
         brackets.append((tuple(floors), tuple(ceils)))
-    return shift, brackets
+    return brackets
 
 
 def hull(brackets):

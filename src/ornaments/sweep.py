@@ -43,6 +43,18 @@ keyframes of a straight-line track, the grid points and the cells' integer
 frames are all built from the coordinates' integer ratios.  A cell's
 rational points and simplex frame are built only when it first enters a
 pair reduction.
+
+The sweep that :func:`mu_via_sweep` runs, and only that one, splits its
+collapse track where that cuts candidates: a keyframe interval with more
+than :data:`_SPLIT_CANDIDATES_PER_VERTEX` mask candidates per vertex
+(common bits over its meeting cell pairs, counted before any solve) is
+halved at its midpoint keyframe while the two halves hold fewer
+candidates than it, at most :data:`_SPLIT_DEPTH` times.  The decision is
+made interval by interval, from the halves' own prefilter, which the
+halves kept then reuse.  The midpoints lie on the track's straight
+lines, so the triple points, and the invariant, are those of the same
+map; every other track, the ``sweep`` command's included, is swept on
+the keyframes it was given.
 Strictly interior transverse solutions are the signed triple points; their
 algebraic count over a homotopy to the trivial ornament is the invariant,
 and over an arbitrary homotopy it is the difference of the endpoint
@@ -57,8 +69,9 @@ untouched.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations
+from typing import NamedTuple
 
 from .geometry import (
     DimensionMismatch,
@@ -68,6 +81,7 @@ from .geometry import (
     derive_seed,
     extents_meet,
     feasible_point,
+    grid_brackets,
     hull,
     meet_mask,
     outward_grid,
@@ -192,16 +206,6 @@ def staircase_cells(facet, component, facet_index, interval):
     return cells
 
 
-def cell_points(track, cell):
-    """Images of a cell's vertices in R^{m+1} (time appended)."""
-    j = cell.interval
-    pts = []
-    for v, level in cell.vertices:
-        img = track.images[j + level][cell.component][v]
-        pts.append(tuple(img) + (track.times[j + level],))
-    return pts
-
-
 def linear_track(start, end, cuts=()):
     """Track moving every vertex on a straight line from ``start`` to
     ``end``.
@@ -247,20 +251,36 @@ def linear_track(start, end, cuts=()):
 #: Interior keyframes of the default homotopy to the trivial ornament.  The
 #: motion is the same straight-line collapse; the extra frames exist so the
 #: intervals where the components have already separated prune away.
+#: :func:`mu_via_sweep` splits its intervals further where that cuts
+#: candidates, at most :data:`_SPLIT_DEPTH` times (see
+#: :func:`detect_triple_points`); the ``sweep`` command sweeps a user's
+#: keyframes as given.
 _COLLAPSE_CUTS = (Rat(1, 8), Rat(1, 4), Rat(3, 8), Rat(1, 2), Rat(3, 4))
+
+#: How many times a split sweep may halve one keyframe interval of its track.
+_SPLIT_DEPTH = 4
+
+#: A split sweep tries to halve only an interval that holds more mask
+#: candidates than this many per vertex of the track's components.  A try
+#: builds the midpoint keyframe of every vertex and prefilters both halves;
+#: at k=1 that costs about as much as solving 8 candidates per vertex (some
+#: 0.7 ms with 12 vertices and 6 ms with 96, against 5-8 us a candidate), so
+#: a try that removes half of the candidates pays only above 16.
+_SPLIT_CANDIDATES_PER_VERTEX = 16
 
 
 def _integer_frames(track):
-    """Per keyframe, each vertex image with the time appended, rounded
-    outward onto one power-of-two grid by :func:`outward_grid`: a bracket
-    ``(floors, ceils)`` of integer tuples around ``2 ** shift`` times the
-    point, indexed like ``track.images`` (compare :func:`cell_points`)."""
-    _, brackets = outward_grid(
+    """``(shift, frames)``: per keyframe, each vertex image with the time
+    appended, rounded outward onto one power-of-two grid by
+    :func:`outward_grid`, a bracket ``(floors, ceils)`` of integer tuples
+    around ``2 ** shift`` times the point, indexed like ``track.images``
+    (compare :meth:`_SweepCell.framed`)."""
+    shift, brackets = outward_grid(
         img + (t,) for t, frame in zip(track.times, track.images)
         for comp in frame for img in comp
     )
     grid = iter(brackets)
-    return [
+    return shift, [
         tuple(tuple(next(grid) for _ in comp) for comp in frame)
         for frame in track.images
     ]
@@ -289,6 +309,49 @@ def _expanded_frame(frame, pairs):
                  for comp in frame)
 
 
+class _Keyframe(NamedTuple):
+    """One keyframe of a sweep: its time, its vertex images (indexed like
+    one entry of ``HomotopyTrack.images``) and their
+    :func:`_expanded_frame`."""
+
+    time: object
+    images: tuple
+    vertices: tuple
+
+
+def _midpoint(lower, upper, shift, pairs):
+    """The :class:`_Keyframe` halfway in time between two keyframes of a
+    track, between which every vertex moves on a straight line, so the
+    track's map is unchanged.  Each coordinate, the time included, is the
+    exact average ``(n_a d_b + n_b d_a) / (2 d_a d_b)`` of its neighbours'
+    integer ratios, built as one rational with no rational arithmetic; on a
+    straight-line track it is the keyframe :func:`linear_track` builds at
+    that time.  Its grid points are :func:`grid_brackets` of those ratios at
+    the track's ``shift``, which are the ones :func:`_integer_frames` would
+    give the keyframe inside the track: an average is no larger in
+    magnitude than its ends, so it leaves the shift as it is."""
+
+    def average(a, b):
+        n_a, d_a = a.as_integer_ratio()
+        n_b, d_b = b.as_integer_ratio()
+        return n_a * d_b + n_b * d_a, 2 * d_a * d_b
+
+    time = average(lower.time, upper.time)
+    images = []
+    ratios = []
+    for comp_a, comp_b in zip(lower.images, upper.images):
+        comp = []
+        for p, q in zip(comp_a, comp_b):
+            point = list(map(average, p, q))
+            comp.append(tuple(Rat(n, d) for n, d in point))
+            point.append(time)
+            ratios.append(point)
+        images.append(tuple(comp))
+    grid = iter(grid_brackets(ratios, shift))
+    frame = tuple(tuple(next(grid) for _ in comp) for comp in images)
+    return _Keyframe(Rat(*time), tuple(images), _expanded_frame(frame, pairs))
+
+
 class _SweepCell:
     """A staircase cell of a kept prism with its grid extents; its rational
     points and simplex frame are built by :meth:`framed` when it first
@@ -305,12 +368,17 @@ class _SweepCell:
         self.points = None
         self.frame = None
 
-    def framed(self, track):
+    def framed(self, keyframes):
         """The cell's :func:`simplex_frame`, built on first use together
-        with :attr:`points` (see :func:`cell_points`), which the touching
-        test and the witness read."""
+        with :attr:`points`, the images in R^{m+1} of its vertices with the
+        time appended, read from its interval's two ``keyframes``; the
+        touching test and the witness read them."""
         if self.frame is None:
-            self.points = cell_points(track, self.cell)
+            self.points = [
+                tuple(keyframes[level].images[self.cell.component][v])
+                + (keyframes[level].time,)
+                for v, level in self.cell.vertices
+            ]
             self.frame = simplex_frame(self.points)
         return self.frame
 
@@ -318,29 +386,43 @@ class _SweepCell:
 _UNSEEN = object()
 
 
-def _interval_triple_points(track, j, vertices):
-    """The signed triple points of keyframe interval ``j``, unsorted;
-    ``vertices`` holds the :func:`_expanded_frame` of keyframes j and j + 1.
-    The candidates run over cell 1, then cell 2, then the common bits of
-    their masks, each cell in its component's prism then staircase order.
-    See :func:`detect_triple_points`."""
-    found = []
+class _Candidates(NamedTuple):
+    """The candidates of one keyframe interval: ``pairs`` lists the (cell
+    1, cell 2, mask) of the cell pairs whose extents meet and whose masks
+    share a bit, with the common bits as the mask; ``count`` is the number
+    of those bits; ``cells2`` and ``cells3`` are the kept cells of
+    components 2 and 3."""
+
+    count: int
+    pairs: list
+    cells2: list
+    cells3: list
+
+
+def _interval_candidates(domains, keyframes, limit=None):
+    """The :class:`_Candidates` of the keyframe interval between
+    ``keyframes``, a (lower, upper) pair of :class:`_Keyframe`, or ``None``
+    as soon as their count reaches ``limit``.  The cells carry no interval
+    number, which :func:`_interval_points` gives the cells of each triple
+    point.  See :func:`detect_triple_points`."""
+    empty = _Candidates(0, [], [], [])
+    vertices = (keyframes[0].vertices, keyframes[1].vertices)
     w1, w2, w3 = (hull(lower + upper) for lower, upper in zip(*vertices))
     # Per component, the common part of the other two components' extents.
     others = (box_intersection(w2, w3), box_intersection(w1, w3),
               box_intersection(w1, w2))
     if any(common is None for common in others):
-        return found
+        return empty
     # Per component, the facets whose prisms meet the other two components'
     # common extents.
     kept = [
         [fi for fi, facet in enumerate(dom.facets)
          if extents_meet(hull([vertices[level][ci][v] for level in (0, 1)
                                for v in facet]), common)]
-        for ci, (dom, common) in enumerate(zip(track.domains, others))
+        for ci, (dom, common) in enumerate(zip(domains, others))
     ]
     if not all(kept):
-        return found
+        return empty
     # Per component, the cells of those prisms in prism then staircase
     # order: bit b of a mask stands for cells3[b].
     cells1, cells2, cells3 = (
@@ -348,71 +430,90 @@ def _interval_triple_points(track, j, vertices):
             [vertices[level][ci][v] for v, level in cell.vertices]
         ))
          for fi in facets
-         for cell in staircase_cells(track.domains[ci].facets[fi], ci, fi, j)]
+         for cell in staircase_cells(domains[ci].facets[fi], ci, fi, None)]
         for ci, facets in enumerate(kept)
     )
     extents3 = [entry.extents for entry in cells3]
     for entry in cells1 + cells2:
         entry.mask = meet_mask(entry.extents, extents3)
-    for entry in cells2:
-        entry.reductions = [_UNSEEN] * len(cells3)
+    count = 0
+    pairs = []
     for entry1 in cells1:
         for entry2 in cells2:
             mask = entry1.mask & entry2.mask
             if not mask or not extents_meet(entry1.extents, entry2.extents):
                 continue
-            fr1 = entry1.framed(track)
-            fr2 = entry2.framed(track)
-            reduction12 = pair_reduction(fr1, fr2)
-            reductions32 = entry2.reductions
-            while mask:
-                low = mask & -mask
-                mask ^= low
-                b = low.bit_length() - 1
-                entry3 = cells3[b]
-                reduction32 = reductions32[b]
-                if reduction32 is _UNSEEN:
-                    reduction32 = reductions32[b] = pair_reduction(
-                        entry3.framed(track), fr2
+            pairs.append((entry1, entry2, mask))
+            count += mask.bit_count()
+            if limit is not None and count >= limit:
+                return None
+    return _Candidates(count, pairs, cells2, cells3)
+
+
+def _interval_points(j, keyframes, candidates):
+    """The signed triple points of the keyframe interval between
+    ``keyframes``, numbered ``j`` in the swept track, unsorted, from its
+    :func:`_interval_candidates`.  The candidates run over the pairs in
+    order, then the common bits of their masks.  See
+    :func:`detect_triple_points`."""
+    found = []
+    cells3 = candidates.cells3
+    for entry in candidates.cells2:
+        entry.reductions = [_UNSEEN] * len(cells3)
+    for entry1, entry2, mask in candidates.pairs:
+        fr1 = entry1.framed(keyframes)
+        fr2 = entry2.framed(keyframes)
+        reduction12 = pair_reduction(fr1, fr2)
+        reductions32 = entry2.reductions
+        while mask:
+            low = mask & -mask
+            mask ^= low
+            b = low.bit_length() - 1
+            entry3 = cells3[b]
+            reduction32 = reductions32[b]
+            if reduction32 is _UNSEEN:
+                reduction32 = reductions32[b] = pair_reduction(
+                    entry3.framed(keyframes), fr2
+                )
+            sign = 0  # a degenerate cell 1 or 3: no reduction
+            if reduction12 is not None and reduction32 is not None:
+                sign, numerators, det = solve_integer(
+                    reduction12, reduction32
+                )
+            if sign == 0:
+                eq_rows, scales, _ = common_point_system(
+                    (entry1.points, entry2.points, entry3.points)
+                )
+                if feasible_point(eq_rows, scales) is not None:
+                    raise NonGenericTrack(
+                        f"singular touching system at interval {j}"
                     )
-                sign = 0  # a degenerate cell 1 or 3: no reduction
-                if reduction12 is not None and reduction32 is not None:
-                    sign, numerators, det = solve_integer(
-                        reduction12, reduction32
-                    )
-                if sign == 0:
-                    eq_rows, scales, _ = common_point_system(
-                        (entry1.points, entry2.points, entry3.points)
-                    )
-                    if feasible_point(eq_rows, scales) is not None:
-                        raise NonGenericTrack(
-                            f"singular touching system at interval {j}"
-                        )
-                    continue
-                if numerators is None:
-                    continue  # outside cell 2
-                sign, verdict = triple_verdict(reduction12, reduction32, sign,
-                                               numerators, det)
-                if verdict is None:
-                    continue  # outside cell 1 or cell 3
-                if verdict == "closed":
-                    raise NonGenericTrack(f"boundary solution at interval {j}")
-                full = verdict[:3]
-                t = sum((lam * p[-1]
-                         for lam, p in zip(full[0], entry1.points)), Rat(0))
-                cell1, cell2, cell3 = entry1.cell, entry2.cell, entry3.cell
-                sign = (GLOBAL_SWEEP_SIGN * cell1.sign
-                        * cell2.sign * cell3.sign * sign)
-                found.append(SignedTriplePoint(
-                    cells=(cell1, cell2, cell3),
-                    barycentric=full,
-                    t=t,
-                    sign=sign,
-                ))
+                continue
+            if numerators is None:
+                continue  # outside cell 2
+            sign, verdict = triple_verdict(reduction12, reduction32, sign,
+                                           numerators, det)
+            if verdict is None:
+                continue  # outside cell 1 or cell 3
+            if verdict == "closed":
+                raise NonGenericTrack(f"boundary solution at interval {j}")
+            full = verdict[:3]
+            t = sum((lam * p[-1]
+                     for lam, p in zip(full[0], entry1.points)), Rat(0))
+            cell1, cell2, cell3 = (replace(entry.cell, interval=j)
+                                   for entry in (entry1, entry2, entry3))
+            sign = (GLOBAL_SWEEP_SIGN * cell1.sign
+                    * cell2.sign * cell3.sign * sign)
+            found.append(SignedTriplePoint(
+                cells=(cell1, cell2, cell3),
+                barycentric=full,
+                t=t,
+                sign=sign,
+            ))
     return found
 
 
-def detect_triple_points(track):
+def detect_triple_points(track, split=False):
     """All transverse common points of the three component tracks, signed.
 
     Enumerates same-interval cell triples (a strictly interior common point
@@ -441,6 +542,23 @@ def detect_triple_points(track):
     touching test and a nonsingular one has its solution outside some
     cell; it can neither add a point nor raise, and the points found are
     those of the exact prefilter.
+
+    With ``split`` (the sweep :func:`mu_via_sweep` runs), each keyframe
+    interval is halved at its :func:`_midpoint` while its two halves hold
+    fewer mask candidates, the common bits of all its candidate pairs,
+    than it does, at most :data:`_SPLIT_DEPTH` times.  A split is tried
+    only on an interval with more than
+    :data:`_SPLIT_CANDIDATES_PER_VERTEX` candidates per vertex of the
+    track's components, where the try can pay for itself.  The halves are
+    prefiltered as intervals in their own right, their count stops as soon
+    as it reaches the interval's, and the halves kept are split the same
+    way from what their count built.  The midpoints lie on the track's
+    straight lines, so the map and its triple points are unchanged, and
+    the points found, with their cells numbered in the split track's
+    intervals, and the systems solved are those of the unsplit sweep of
+    the track with the midpoints as keyframes.  Without ``split`` (the
+    ``sweep`` command, and every other track) the keyframes are swept as
+    given.
 
     The set-up is lazy where the candidates are sparse.  The grid vertices
     of keyframes j and j + 1 are expanded by :func:`_vertex_extents` for
@@ -472,15 +590,43 @@ def detect_triple_points(track):
     touching tests and the witnesses use the rational points.  Raises
     NonGenericTrack on any exactly-degenerate configuration.
     """
-    found = []
     # The directions e_i + e_j and e_i - e_j: with the plain coordinates
     # they separate thin simplices far better than boxes alone.
     pairs = list(combinations(range(track.m + 1), 2))
-    int_frames = _integer_frames(track)
-    upper = _expanded_frame(int_frames[0], pairs)
-    for j in range(len(track.times) - 1):
-        lower, upper = upper, _expanded_frame(int_frames[j + 1], pairs)
-        found.extend(_interval_triple_points(track, j, (lower, upper)))
+    shift, int_frames = _integer_frames(track)
+    domains = track.domains
+    vertex_count = sum(dom.vertex_count for dom in domains)
+
+    def leaves(keyframes, candidates, depth):
+        # The intervals swept in place of one, in time order, each with
+        # its candidates.
+        count = candidates.count
+        if depth and count > _SPLIT_CANDIDATES_PER_VERTEX * vertex_count:
+            lower, upper = keyframes
+            middle = _midpoint(lower, upper, shift, pairs)
+            left = _interval_candidates(domains, (lower, middle), count)
+            if left is not None:
+                right = _interval_candidates(domains, (middle, upper),
+                                             count - left.count)
+                if right is not None:
+                    yield from leaves((lower, middle), left, depth - 1)
+                    yield from leaves((middle, upper), right, depth - 1)
+                    return
+        yield keyframes, candidates
+
+    found = []
+    j = 0  # the number of the next interval swept
+    upper = _Keyframe(track.times[0], track.images[0],
+                      _expanded_frame(int_frames[0], pairs))
+    for time, images, frame in zip(track.times[1:], track.images[1:],
+                                   int_frames[1:]):
+        lower, upper = upper, _Keyframe(time, images,
+                                        _expanded_frame(frame, pairs))
+        candidates = _interval_candidates(domains, (lower, upper))
+        for keyframes, kept in leaves((lower, upper), candidates,
+                                      _SPLIT_DEPTH if split else 0):
+            found.extend(_interval_points(j, keyframes, kept))
+            j += 1
     found.sort(key=lambda p: (p.t, tuple(
         (c.component, c.facet, c.interval, c.vertices) for c in p.cells
     )))
@@ -526,7 +672,7 @@ def _refined_track(track, seed, attempt):
     return HomotopyTrack(track.domains, track.m, times, frames)
 
 
-def sweep_with_retries(track, seed=0):
+def sweep_with_retries(track, seed=0, split=False):
     """Detect triple points, refining the track on degeneracy, at most 32
     times.
 
@@ -534,15 +680,17 @@ def sweep_with_retries(track, seed=0):
     a refinement with jiggled midpoint keyframes and the same endpoints (see
     :func:`_refined_track`: every attempt refines the input track afresh,
     and the jiggle scale cycles through eps/16 ... eps/2048 every 8
-    attempts)."""
+    attempts).  Every attempt passes ``split`` on to
+    :func:`detect_triple_points`; with it, the points' cells are numbered
+    in the intervals of the swept track's split, which is not returned."""
     try:
-        return detect_triple_points(track), track
+        return detect_triple_points(track, split), track
     except NonGenericTrack:
         pass
     for attempt in range(32):
         candidate = _refined_track(track, seed, attempt)
         try:
-            return detect_triple_points(candidate), candidate
+            return detect_triple_points(candidate, split), candidate
         except NonGenericTrack:
             continue
     raise RuntimeError("sweep failed to become generic; are the endpoints valid?")
@@ -592,10 +740,12 @@ def _collapse_track(o, targets):
 
 def mu_via_sweep(o, seed=0):
     """The invariant as the algebraic triple-point count of a seeded
-    homotopy to the trivial ornament."""
+    homotopy to the trivial ornament, swept split (see
+    :data:`_COLLAPSE_CUTS`)."""
     targets = default_trivial_targets(o, derive_seed(seed, "targets"))
     track = _collapse_track(o, targets)
-    points, _ = sweep_with_retries(track, seed=derive_seed(seed, "sweep"))
+    points, _ = sweep_with_retries(track, seed=derive_seed(seed, "sweep"),
+                                   split=True)
     return sum(p.sign for p in points)
 
 

@@ -36,7 +36,8 @@ three-level prefilter.  The helpers at the end (image of
 a barycentric point, the unnormalised sphere map, reversed components,
 reversed and concatenated tracks, the straight-line homotopy to a trivial
 ornament, relative sweeps, certification of an ornament homotopy) are used
-only by tests, as is :func:`decide_from_pairs`, the routes' two kernel
+only by tests, as is :func:`cell_points`, a cell's points read off a
+track, as is :func:`decide_from_pairs`, the routes' two kernel
 steps as one call.
 """
 
@@ -62,11 +63,21 @@ from ornaments.model import (
 from ornaments.sweep import (
     HomotopyTrack,
     NonGenericTrack,
-    cell_points,
     detect_triple_points,
     staircase_cells,
     sweep_with_retries,
 )
+
+
+def cell_points(track, cell):
+    """Images of a cell's vertices in R^{m+1} (time appended), read from
+    ``track`` at the cell's interval."""
+    j = cell.interval
+    pts = []
+    for v, level in cell.vertices:
+        img = track.images[j + level][cell.component][v]
+        pts.append(tuple(img) + (track.times[j + level],))
+    return pts
 
 
 def nonneg_rows(nvars):

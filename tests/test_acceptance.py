@@ -20,7 +20,6 @@ from ornaments.degree import (
 from ornaments.geometry import Rat, derive_seed
 from ornaments.model import perturb_ornament, validate_ornament
 from ornaments.sweep import (
-    cell_points,
     default_trivial_targets,
     detect_triple_points,
     linear_track,
@@ -31,6 +30,7 @@ from ornaments.sweep import (
 )
 
 from oracles import (
+    cell_points,
     point_at,
     reverse_component_orientation,
     straight_line_homotopy_to_trivial,

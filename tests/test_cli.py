@@ -9,7 +9,7 @@ import pytest
 
 from ornaments import cli, constructions, degree, formats, sweep
 from ornaments.constructions import make_borromean
-from ornaments.geometry import Rat, as_point
+from ornaments.geometry import Rat, as_point, derive_seed
 from ornaments.model import Ornament, PLMap, TriangulatedManifold
 from ornaments.sweep import (
     default_trivial_targets,
@@ -405,6 +405,44 @@ def test_retry_exhaustion_exits_two_with_json_error(
     report = json.loads(capsys.readouterr().out)
     assert code == 2
     assert isinstance(report["error"], str) and report["error"]
+
+
+def test_a_split_sub_interval_that_raises_is_retried_on_the_input_track(
+        tmp_path, capsys, monkeypatch):
+    """``mu --method sweep`` on ``make_borromean(1, r=3)`` splits the first
+    keyframe interval of its collapse track.  A ``NonGenericTrack`` raised
+    in a split sub-interval of the first attempt goes through
+    ``sweep_with_retries`` as any other: the second attempt sweeps, split
+    again, the refinement of the input collapse track, not of its split,
+    and mu is still 1."""
+    path = write_ornament(tmp_path, make_borromean(1, r=3))
+    live_detect = sweep.detect_triple_points
+    live_points = sweep._interval_points
+    attempts = []  # (track, split) per call
+    raised = []  # the swept interval numbers that raised
+
+    def detect(track, split=False):
+        attempts.append((track, split))
+        return live_detect(track, split)
+
+    def interval(j, keyframes, candidates):
+        if (len(attempts) == 1 and not raised
+                and keyframes[1].time not in attempts[0][0].times):
+            raised.append(j)
+            raise sweep.NonGenericTrack("a degenerate split sub-interval")
+        return live_points(j, keyframes, candidates)
+
+    monkeypatch.setattr(sweep, "detect_triple_points", detect)
+    monkeypatch.setattr(sweep, "_interval_points", interval)
+    code = cli.main(["mu", path, "--method", "sweep", "--seed", "0"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 0 and report["mu"] == {"sweep": 1}
+    assert raised == [0]
+    (first, split_first), (second, split_second) = attempts
+    assert split_first and split_second
+    refined = sweep._refined_track(first, derive_seed(0, "sweep"), 0)
+    assert (second.times, second.images) == (refined.times, refined.images)
+    assert len(second.times) == 2 * len(first.times) - 1
 
 
 def test_gen_borromean_invalid_projection_exits_two(capsys, monkeypatch):

@@ -67,11 +67,31 @@ def borromean_k1_r3():
     return constructions.make_borromean(1, r=3)
 
 
+def collapse_track(ornament):
+    """The seed-0 collapse track of ``mu_via_sweep``, keyframed at
+    ``sweep._COLLAPSE_CUTS`` alone.  The tests of the sweep's kernel and
+    prefilter sweep it unsplit, so their pins do not depend on the
+    intervals that ``mu_via_sweep`` splits."""
+    targets = sweep.default_trivial_targets(
+        ornament, geometry.derive_seed(0, "targets"))
+    return sweep._collapse_track(ornament, targets)
+
+
+def sweep_fixed_cuts(ornament):
+    """mu by :func:`collapse_track` swept unsplit, through the module's
+    ``detect_triple_points`` binding."""
+    points = sweep.detect_triple_points(collapse_track(ornament))
+    return sum(p.sign for p in points)
+
+
 def test_sweep_counters_borromean_k1_r3(borromean_k1_r3, monkeypatch):
+    """``mu_via_sweep`` splits the first keyframe interval of its collapse
+    track twice, so 203 candidates reach a solve (4,906 on the fixed
+    keyframes, as the tests below pin)."""
     solves = Tally(monkeypatch, sweep, "solve_integer", singular)
     points = Tally(monkeypatch, sweep, "detect_triple_points", len)
     assert sweep.mu_via_sweep(borromean_k1_r3, seed=0) == 1
-    assert (solves.calls, solves.hits) == (4906, 0)
+    assert (solves.calls, solves.hits) == (203, 0)
     assert (points.calls, points.hits) == (1, 1)
 
 
@@ -110,7 +130,7 @@ def test_sweep_frames_borromean_k1_r3(borromean_k1_r3, monkeypatch):
     prisms = Tally(monkeypatch, sweep, "staircase_cells", len)
     solves = Tally(monkeypatch, sweep, "solve_integer", singular)
     points = Tally(monkeypatch, sweep, "detect_triple_points", len)
-    assert sweep.mu_via_sweep(borromean_k1_r3, seed=0) == 1
+    assert sweep_fixed_cuts(borromean_k1_r3) == 1
     assert (prisms.calls, prisms.hits) == (43, 86)
     assert len(framed) == 85
     assert len({pts for pts, _ in framed}) == len(framed)
@@ -145,7 +165,7 @@ def test_sweep_system_width_borromean_k1_r3(borromean_k1_r3, monkeypatch):
 
     monkeypatch.setattr(sweep, "solve_integer", solve)
     monkeypatch.setattr(sweep, "pair_reduction", reduction)
-    assert sweep.mu_via_sweep(borromean_k1_r3, seed=0) == 1
+    assert sweep_fixed_cuts(borromean_k1_r3) == 1
     assert len(widths) == 4906
     assert median(widths) <= 240
     assert rows_seen
@@ -164,25 +184,25 @@ def test_sweep_component_level(fixture, solves, prisms, request,
     (96 = 3 x 32 at k=1 with r=3, 48 = 3 x 16 at k=2); the solves do not
     move."""
     ornament = request.getfixturevalue(fixture)
-    live_interval = sweep._interval_triple_points
+    live_candidates = sweep._interval_candidates
     live_hull = sweep.hull
     prism_size = 2 * len(ornament.components[0].domain.facets[0])
     built = Counter()  # interval -> prism extents built
     intervals = []
 
-    def interval(track, j, vertices):
-        intervals.append(j)
-        return live_interval(track, j, vertices)
+    def candidates(domains, keyframes, limit=None):
+        intervals.append(len(intervals))
+        return live_candidates(domains, keyframes, limit)
 
     def hull(parts):
         if len(parts) == prism_size:
             built[intervals[-1]] += 1
         return live_hull(parts)
 
-    monkeypatch.setattr(sweep, "_interval_triple_points", interval)
+    monkeypatch.setattr(sweep, "_interval_candidates", candidates)
     monkeypatch.setattr(sweep, "hull", hull)
     counted = Tally(monkeypatch, sweep, "solve_integer", singular)
-    assert sweep.mu_via_sweep(ornament, seed=0) == 1
+    assert sweep_fixed_cuts(ornament) == 1
     assert intervals == [0, 1, 2, 3, 4, 5]
     assert built == {0: prisms}
     assert (counted.calls, counted.hits) == (solves, 0)
@@ -195,12 +215,16 @@ def test_sweep_builds_the_cells_of_every_kept_prism(mixed_setup_track,
     prism of another component.  On the first set-up track of the
     benchmark's ``mixed-k1`` workload, interval 0 keeps 4, 2 and 4 prisms,
     and one of the 4 of component 1 meets neither of component 2's."""
-    live_interval = sweep._interval_triple_points
+    live_candidates = sweep._interval_candidates
     kept = []  # (interval, component, facet index) per kept prism
+    intervals = []
 
-    def interval(track, j, vertices):
+    def candidates(domains, keyframes, limit=None):
+        j = len(intervals)
+        intervals.append(j)
+        vertices = [keyframe.vertices for keyframe in keyframes]
         whole = [sweep.hull(lower + upper) for lower, upper in zip(*vertices)]
-        for ci, dom in enumerate(track.domains):
+        for ci, dom in enumerate(domains):
             a, b = (whole[c] for c in range(3) if c != ci)
             common = geometry.box_intersection(a, b)
             kept.extend(
@@ -209,16 +233,16 @@ def test_sweep_builds_the_cells_of_every_kept_prism(mixed_setup_track,
                     [vertices[level][ci][v] for level in (0, 1)
                      for v in facet]), common)
             )
-        return live_interval(track, j, vertices)
+        return live_candidates(domains, keyframes, limit)
 
     built = []
     live_staircase = sweep.staircase_cells
 
     def staircase(facet, component, facet_index, interval):
-        built.append((interval, component, facet_index))
+        built.append((intervals[-1], component, facet_index))
         return live_staircase(facet, component, facet_index, interval)
 
-    monkeypatch.setattr(sweep, "_interval_triple_points", interval)
+    monkeypatch.setattr(sweep, "_interval_candidates", candidates)
     monkeypatch.setattr(sweep, "staircase_cells", staircase)
     counted = Tally(monkeypatch, sweep, "solve_integer", singular)
     assert sweep.detect_triple_points(mixed_setup_track) == []
@@ -260,7 +284,7 @@ def test_sweep_cell_extent_tests(fixture, solves, masks, cells3, cell_pairs,
     monkeypatch.setattr(sweep, "meet_mask", meet_mask)
     monkeypatch.setattr(sweep, "extents_meet", meet)
     counted = Tally(monkeypatch, sweep, "solve_integer", singular)
-    assert sweep.mu_via_sweep(ornament, seed=0) == 1
+    assert sweep_fixed_cuts(ornament) == 1
     assert len(masked) == len(ids) == masks
     assert {size for _, size in masked} == {cells3}
     assert len(pairs) == cell_pairs
@@ -298,7 +322,7 @@ def test_sweep_triangular_rows_borromean_k1_r3(borromean_k1_r3, monkeypatch):
     monkeypatch.setattr(sweep, "pair_reduction", reduction)
     monkeypatch.setattr(geometry.PairReduction, "triangular", triangular)
     solves = Tally(monkeypatch, sweep, "solve_integer", singular)
-    assert sweep.mu_via_sweep(borromean_k1_r3, seed=0) == 1
+    assert sweep_fixed_cuts(borromean_k1_r3) == 1
     assert len(reductions) == 923 and None not in reductions
     assert len(built) == 66
     assert all(len(rows) == 1 for rows in built.values())
@@ -329,7 +353,7 @@ def test_sweep_minors_borromean_k1_r3(borromean_k1_r3, monkeypatch):
     monkeypatch.setattr(geometry.PairReduction, "minors", minors)
     laplace.kernel.cache_clear()
     solves = Tally(monkeypatch, sweep, "solve_integer", singular)
-    assert sweep.mu_via_sweep(borromean_k1_r3, seed=0) == 1
+    assert sweep_fixed_cuts(borromean_k1_r3) == 1
     assert len(reductions) == 923 and None not in reductions
     assert len(returned) == 923
     assert all(values is seen[0] for seen in returned.values()

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from math import gcd
 
 import pytest
@@ -28,7 +29,6 @@ from ornaments.model import (
 from ornaments.sweep import (
     HomotopyTrack,
     NonGenericTrack,
-    cell_points,
     default_trivial_targets,
     detect_triple_points,
     linear_track,
@@ -40,6 +40,7 @@ from ornaments.sweep import (
 )
 
 from oracles import (
+    cell_points,
     certify_ornament_homotopy,
     concat_tracks,
     decide_from_pairs,
@@ -569,7 +570,10 @@ def test_the_collapse_track_does_rational_arithmetic_only_for_witnesses(
     of each of its three cells (two additions and a subtraction from 1
     each) and its time t, the sum of three products of a coordinate and a
     vertex time.  The set-up (grid, frames) and every other candidate run
-    on integers."""
+    on integers.  The split sweep that ``mu_via_sweep`` runs on the same
+    track builds its midpoint keyframes, their grid points and the frames
+    of their cells from integer ratios too: it does exactly the same
+    rational arithmetic."""
     o = make_borromean(1, r=3)
     targets = default_trivial_targets(o, derive_seed(0, "targets"))
     end = trivial_ornament(tuple(f.domain for f in o.components), o.m,
@@ -585,6 +589,18 @@ def test_the_collapse_track_does_rational_arithmetic_only_for_witnesses(
     assert calls == {}
     points = detect_triple_points(track)
     assert len(points) == 1
+    assert calls == {"__add__": 2 * 3 + 3, "__rsub__": 3, "__mul__": 3}
+    calls.clear()
+    live_midpoint = sweep._midpoint
+    midpoints = []
+
+    def midpoint(*args):
+        midpoints.append(live_midpoint(*args))
+        return midpoints[-1]
+
+    monkeypatch.setattr(sweep, "_midpoint", midpoint)
+    points = detect_triple_points(track, split=True)
+    assert len(points) == 1 and midpoints
     assert calls == {"__add__": 2 * 3 + 3, "__rsub__": 3, "__mul__": 3}
 
 
@@ -606,7 +622,7 @@ def grid_tracks(borromean_k1):
     ]
 
 
-def _solved_candidates(track, monkeypatch):
+def _solved_candidates(track, monkeypatch, split=False):
     """The integer systems reaching ``sweep.solve_integer``, in order, and
     the triple points, when sweeping ``track``."""
     live = sweep.solve_integer
@@ -618,17 +634,104 @@ def _solved_candidates(track, monkeypatch):
 
     with monkeypatch.context() as patch:
         patch.setattr(sweep, "solve_integer", recording)
-        points = detect_triple_points(track)
+        points = detect_triple_points(track, split)
     return systems, points
+
+
+def _split_sweep(track, monkeypatch):
+    """``(systems, points, track_swept)`` of the split sweep of ``track``, a
+    straight-line track: as :func:`_solved_candidates`, and the track with
+    the keyframes of the intervals it solved, read off their keyframe
+    times."""
+    live = sweep._interval_points
+    times = [track.times[0]]
+
+    def interval(j, keyframes, candidates):
+        assert j == len(times) - 1 and keyframes[0].time == times[-1]
+        times.append(keyframes[1].time)
+        return live(j, keyframes, candidates)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(sweep, "_interval_points", interval)
+        systems, points = _solved_candidates(track, monkeypatch, split=True)
+    assert times[-1] == 1
+    swept = linear_track(track.endpoint(0), track.endpoint(1),
+                         cuts=times[1:-1])
+    return systems, points, swept
+
+
+def _located(track, points):
+    """The multiset of ``(t, ambient point, sign)`` of triple points of
+    ``track``, each point read off its first cell."""
+    located = Counter()
+    for point in points:
+        pts = cell_points(track, point.cells[0])
+        image = tuple(sum((lam * p[c] for lam, p in zip(point.barycentric[0],
+                                                         pts)), Rat(0))
+                      for c in range(track.m))
+        located[point.t, image, point.sign] += 1
+    return located
+
+
+def _split_inputs(k2):
+    """``(ornament, seed)`` pairs whose ``mu_via_sweep`` collapse tracks
+    the split sweep is checked on: ``make_borromean(1, r=3)`` at seeds 0-4,
+    ``make_borromean(2)`` at seed 0 if ``k2``, and 20 random k=1 ornaments
+    whose components' boxes overlap."""
+    k1_r3 = make_borromean(1, r=3)
+    yield from ((k1_r3, seed) for seed in range(5))
+    if k2:
+        yield make_borromean(2), 0
+    for seed in range(20):
+        yield make_random_ornament(1, seed=seed,
+                                   spread=Rat(4 if seed % 2 else 8)), seed
+
+
+@pytest.mark.parametrize("per_vertex", [None, 0],
+                         ids=["module-gate", "every-interval-tried"])
+def test_split_sweep_is_the_sweep_of_its_keyframes(per_vertex, monkeypatch):
+    """On each collapse track of :func:`_split_inputs`, the split sweep
+    that ``mu_via_sweep`` runs finds the same multiset of (t, ambient
+    point, sign) as the sweep of the track's own keyframes, and exactly
+    the points and the solved systems, in order, of the unsplit sweep of
+    the straight-line track keyframed where it swept; it solves no more
+    candidates than the fixed keyframes.  With the try gate at 0 every
+    interval that holds a candidate is tried, so the split rule itself
+    meets the random k=1 tracks too; the k=2 track, whose first interval
+    holds over 2,000 candidates per vertex, is tried under either gate and
+    checked once."""
+    if per_vertex is not None:
+        monkeypatch.setattr(sweep, "_SPLIT_CANDIDATES_PER_VERTEX", per_vertex)
+    split_tracks = 0
+    for o, seed in _split_inputs(k2=per_vertex is None):
+        track = sweep._collapse_track(
+            o, default_trivial_targets(o, derive_seed(seed, "targets")))
+        fixed_systems, fixed = _solved_candidates(track, monkeypatch)
+        systems, points, swept = _split_sweep(track, monkeypatch)
+        assert set(track.times) <= set(swept.times)
+        split_tracks += len(swept.times) > len(track.times)
+        assert _located(swept, points) == _located(track, fixed)
+        if swept.times == track.times:  # nothing split: swept is track
+            assert (fixed_systems, fixed) == (systems, points)
+        else:
+            assert _solved_candidates(swept, monkeypatch) == (systems, points)
+        assert len(systems) <= len(fixed_systems)
+    assert split_tracks >= (5 if per_vertex is None else 15)
 
 
 def test_grid_prefilter_solves_the_exact_candidates(grid_tracks, monkeypatch):
     """The outward-rounded grid prefilter sends exactly the candidates the
-    exact common-scale prefilter sends, in the same order, to the solver."""
-    for track in grid_tracks:
+    exact common-scale prefilter sends, in the same order, to the solver:
+    on the tracks of ``grid_tracks`` and on the track that the split sweep
+    of ``mu_via_sweep(make_borromean(1, r=3), seed=0)`` solves, keyframed
+    where it swept."""
+    _, _, swept = _split_sweep(grid_tracks[2], monkeypatch)
+    assert len(swept.times) > len(grid_tracks[2].times)
+    for track in grid_tracks + [swept]:
         grid, grid_points = _solved_candidates(track, monkeypatch)
         with monkeypatch.context() as exact:
-            exact.setattr(sweep, "_integer_frames", integer_frames_exact)
+            exact.setattr(sweep, "_integer_frames",
+                          lambda track: (None, integer_frames_exact(track)))
             exact.setattr(sweep, "_vertex_extents",
                           lambda point, pairs: extents_exact([point], pairs))
             reference, reference_points = _solved_candidates(
@@ -754,7 +857,7 @@ def _recorded_extents(track, monkeypatch):
     assert len(shifts) == 1 and len(built) == 1
     where = {
         id(point): (k, ci, v)
-        for k, frame in enumerate(built[0])
+        for k, frame in enumerate(built[0][1])
         for ci, comp in enumerate(frame)
         for v, point in enumerate(comp)
     }
