@@ -28,8 +28,10 @@ on integers alone, on the prefilter layer of :mod:`ornaments.geometry`
 that validation and the sweep share.  The facet boxes are validation's
 (:func:`~ornaments.model.facet_grid_boxes`): every vertex image is rounded
 outward onto one power-of-two grid, and a facet's box is the hull of its
-vertices' brackets (lower ends down, upper ends up), so each facet's share
-of the hull is made of integers about 64 bits wide, and the ray is
+vertices' brackets (lower ends down, upper ends up), packed into one
+integer, which the route unpacks once per call.  So each facet's share
+of the hull is made of integers about 64 bits wide (wider only for
+coordinates of magnitude 2**60 and more), and the ray is
 cleared of denominators; "some s >= 0 puts s*v in the box" does not
 change under positive scalings of the box or of v, and the rounded hull
 contains the scaled exact one, so every triple whose exact hull meets the
@@ -147,15 +149,17 @@ def _sphere_map_box_terms(o):
 
     The facet boxes are those of :func:`facet_grid_boxes`: lower ends
     rounded down, upper ends up, on one power-of-two grid, so each contains
-    ``2 ** shift`` times the exact box.  The hull of a triple is the sum of
+    ``2 ** shift`` times the exact box; each packed box is unpacked once,
+    here, into its lists of ends.  The hull of a triple is the sum of
     its three shares, each a pair ``(mins, maxs)`` of integer lists built
     from those rounded ends, and so contains ``2 ** shift`` times the exact
     rational hull, with integers about 64 bits wide.
     """
+    lanes, boxes = facet_grid_boxes(o)
     terms = []
-    for which, boxes in enumerate(facet_grid_boxes(o)):
+    for which, packed in enumerate(boxes):
         shares = []
-        for lo, hi in boxes:
+        for lo, hi in map(lanes.unpack, packed):
             if which == 0:
                 mins = [2 * a for a in lo] + [-b for b in hi]
                 maxs = [2 * b for b in hi] + [-a for a in lo]

@@ -42,7 +42,15 @@ system is rejected on integers alone.  Only a consistent one goes on to
 an exact integer simplex method, whose memory is bounded by its tableau
 and whose minima fix the witness.  The prefilter layer rounds points
 outward onto one power-of-two grid (:func:`outward_grid`), from their
-integer ratios.
+integer ratios, at a shift taken from the binary exponent of the largest
+magnitude, and packs each extent over n directions into one nonnegative
+integer of 2n lanes (:class:`Lanes`): lane l holds the upper end plus
+``2 ** (W - 2)`` and lane n + l minus the lower end plus the same, W
+bits each, with W sized from the data so that ``2 ** (W - 2)`` exceeds
+every end packed.  Then :func:`hull` and :func:`box_intersection` are
+lane-wise maxima and minima, and :func:`extents_meet` and
+:func:`meet_mask` one addition and one mask per test, a handful of
+big-integer operations whatever n is.
 """
 
 from __future__ import annotations
@@ -52,7 +60,7 @@ import random
 import re
 
 from fractions import Fraction as Rat
-from operator import le, mul
+from operator import mul
 
 from .laplace import kernel
 
@@ -740,8 +748,9 @@ def _minimum(rows, nvars, cost):
 
 
 # ---------------------------------------------------------------------------
-# The prefilter layer of validation and both routes: outward grid, hulls
-# of brackets, and the meet, meet masks and intersection of extents.
+# The prefilter layer of validation and both routes: the outward grid, and
+# extents packed into one integer each, with their hull, meet, meet masks
+# and intersection.
 # ---------------------------------------------------------------------------
 
 def outward_grid(points):
@@ -751,16 +760,40 @@ def outward_grid(points):
     shift)`` and ``ceil(x * 2 ** shift)`` for every coordinate x, both
     exact when ``x * 2 ** shift`` is an integer.
 
-    One shift serves all points and puts the largest magnitude near 2**60,
-    so the integers stay about 64 bits wide whatever the denominators.
-    Floor and ceil are monotone, so the :func:`hull` of brackets contains
-    ``2 ** shift`` times the exact box of the points, and is the box's own
-    rounding: the grid serves prefilters that only have to be
-    conservative.  :func:`grid_brackets` does the rounding."""
+    One shift serves all points and puts the largest magnitude below
+    2**60, at 2**59 or above: it is ``60 - e``, with ``e = floor(log2
+    max |x|) + 1`` the binary exponent of the largest magnitude, and 0 when
+    that exponent is 60 or more (a zero largest magnitude counts as ``e =
+    0``).  So the integers stay about 64 bits wide whatever the
+    denominators and however small the points, and grow past that only
+    for points of magnitude 2**60 and above.  Floor and ceil are monotone,
+    so the :func:`hull` of brackets contains ``2 ** shift`` times the
+    exact box of the points, and is the box's own rounding: the grid
+    serves prefilters that only have to be conservative.
+    :func:`grid_brackets` does the rounding."""
     ratios = [[x.as_integer_ratio() for x in p] for p in points]
-    top = max((abs(n) // d for p in ratios for n, d in p), default=0)
-    shift = max(0, 60 - top.bit_length())
+    shift = max(0, 60 - _binary_exponent(ratios))
     return shift, grid_brackets(ratios, shift)
+
+
+def _binary_exponent(ratios):
+    """``floor(log2 max |n / d|) + 1`` over the integer ratios ``(n, d)``
+    (``d > 0``) of the points ``ratios``, or 0 when every one is zero; on
+    integers alone.  When some magnitude is 1 or more it is the bit length
+    of the largest integer part.  Otherwise ``|n|`` and ``d`` of bit
+    lengths ``a`` and ``b`` give ``floor(log2 |n / d|)`` as ``a - b`` or
+    ``a - b - 1``, so only the ratios of the greatest ``a - b`` are
+    compared, ``|n|`` against ``d`` moved ``b - a`` places."""
+    top = max((abs(n) // d for p in ratios for n, d in p), default=0)
+    if top:
+        return top.bit_length()
+    rough = [(abs(n).bit_length() - d.bit_length(), abs(n), d)
+             for p in ratios for n, d in p if n]
+    if not rough:
+        return 0
+    top = max(e for e, _, _ in rough)
+    reached = any(n << -top >= d for e, n, d in rough if e == top)
+    return top + 1 if reached else top
 
 
 def grid_brackets(ratios, shift):
@@ -780,40 +813,135 @@ def grid_brackets(ratios, shift):
     return brackets
 
 
-def hull(brackets):
-    """The extents ``(mins, maxs)`` of a nonempty list of brackets or
-    extents ``(lows, highs)``: the least lower and the greatest upper end
-    of every coordinate.  ``hull([(p, p) for p in points])`` is the exact
-    bounding box of the points."""
-    return ([min(col) for col in zip(*[b[0] for b in brackets])],
-            [max(col) for col in zip(*[b[1] for b in brackets])])
+def grid_magnitude(brackets):
+    """The largest magnitude of an end of the ``(floors, ceils)``
+    brackets, 0 for none: a floor is never above its ceil, so it is the
+    greater of the largest ceil and minus the least floor."""
+    return max((max(max(ceils), -min(floors))
+                for floors, ceils in brackets if floors), default=0)
 
 
-def extents_meet(a, b):
-    """Whether the closed extents ``a`` and ``b``, each ``(mins, maxs)``,
-    share a point."""
-    return all(map(le, a[0], b[1])) and all(map(le, b[0], a[1]))
+class Lanes:
+    """The packing of an extent over ``count`` directions, its lower and
+    upper ends ``lo_l <= hi_l`` integers of magnitude at most ``bound``,
+    into one nonnegative integer of ``2 * count`` lanes of ``width`` bits:
+    lane ``l`` holds ``hi_l + 2 ** (width - 2)`` and lane ``count + l``
+    holds ``-lo_l + 2 ** (width - 2)``, so every lane lies in ``[0, 2 **
+    (width - 1))`` and its top bit, the guard, is clear.
+
+    The width comes from the data: it is the least with ``2 ** (width -
+    2) > bound``.  Then two lanes, or a lane of ``top`` less one, add or
+    subtract without a carry or a borrow leaving the lane, and the guard
+    of the result tells their order.  :func:`hull` is the lane-wise
+    maximum (the greatest upper end and the least lower end) and
+    :func:`box_intersection` the lane-wise minimum, and ``a`` meets ``b``
+    exactly when every guard of ``a + mirror(b)`` is set, ``mirror``
+    swapping the two halves: lane ``l`` of the sum is ``hi_a - lo_b + 2 **
+    (width - 1)`` (see :func:`extents_meet`).  The representation is exact
+    and integer-only."""
+
+    __slots__ = ("count", "width", "bias", "top", "half", "lower")
+
+    def __init__(self, count, bound):
+        width = bound.bit_length() + 2
+        ones = ((1 << (2 * count * width)) - 1) // ((1 << width) - 1)
+        self.count = count
+        self.width = width
+        #: ``2 ** (width - 2)`` in every lane: the packing of [0, 0].
+        self.bias = ones << (width - 2)
+        #: The guard bit of every lane.
+        self.top = ones << (width - 1)
+        #: The bits of one half, the upper or the lower ends.
+        self.half = count * width
+        self.lower = (1 << self.half) - 1
+
+    def pack(self, lows, highs):
+        """The packed extent of the lower ends ``lows`` and upper ends
+        ``highs``, integer sequences of ``count`` entries each."""
+        width = self.width
+        packed = self.bias
+        at = 0
+        for hi in highs:
+            packed += hi << at
+            at += width
+        for lo in lows:
+            packed -= lo << at
+            at += width
+        return packed
+
+    def unpack(self, extent):
+        """``(lows, highs)``, the integer lists that :meth:`pack` packed
+        into ``extent``."""
+        width = self.width
+        lane = (1 << width) - 1
+        bias = 1 << (width - 2)
+        ends = [(extent >> at & lane) - bias
+                for at in range(0, 2 * self.half, width)]
+        return [-e for e in ends[self.count:]], ends[:self.count]
+
+    def mirror(self, extent):
+        """``extent`` with its halves swapped: the form in which
+        :func:`extents_meet` and :func:`meet_mask` take the extent they
+        test against."""
+        return (extent >> self.half) | (extent & self.lower) << self.half
 
 
-def box_intersection(a, b):
-    """The common part of the closed extents ``a`` and ``b``, or ``None``
-    when they do not meet; a third extent meets both of them exactly
-    when it meets (:func:`extents_meet`) their common part."""
-    if not extents_meet(a, b):
+def hull(extents, lanes):
+    """The packed extent of a nonempty list of packed extents (a point's
+    own extent included) on ``lanes``: the least lower and the greatest
+    upper end of every direction, one lane-wise maximum at a time.  For
+    each pair, the guards of ``(x | top) - y`` mark the lanes where ``x >=
+    y``; less their own value moved down to each lane's lowest bit, they
+    become masks of those lanes' value bits, which select ``x`` there and
+    ``y`` elsewhere."""
+    top = lanes.top
+    shift = lanes.width - 1
+    extents = iter(extents)
+    x = next(extents)
+    for y in extents:
+        guards = ((x | top) - y) & top
+        x = y ^ ((x ^ y) & (guards - (guards >> shift)))
+    return x
+
+
+def extents_meet(a, mirrored, lanes):
+    """Whether the closed packed extents ``a`` and ``b`` on ``lanes``
+    share a point, given ``mirrored``, the :meth:`Lanes.mirror` of ``b``:
+    every lane of the sum, ``hi_a - lo_b`` or ``hi_b - lo_a`` plus ``2 **
+    (width - 1)``, has its guard set exactly when that difference is not
+    negative."""
+    top = lanes.top
+    return (a + mirrored) & top == top
+
+
+def box_intersection(a, b, lanes):
+    """The common part of the closed packed extents ``a`` and ``b`` on
+    ``lanes``, their lane-wise minimum (the least upper and the greatest
+    lower end), or ``None`` when they do not meet; a third extent meets
+    both of them exactly when it meets (:func:`extents_meet`) their common
+    part.  It is empty exactly when some direction's lower end passes its
+    upper one, which the guards of its lower half plus its upper half
+    tell, as in :func:`extents_meet`."""
+    top = lanes.top
+    guards = ((a | top) - b) & top
+    common = a ^ ((a ^ b) & (guards - (guards >> (lanes.width - 1))))
+    low = top & lanes.lower
+    if (common + (common >> lanes.half)) & low != low:
         return None
-    return ([x if x > y else y for x, y in zip(a[0], b[0])],
-            [x if x < y else y for x, y in zip(a[1], b[1])])
+    return common
 
 
-def meet_mask(extents, others):
-    """The bitmask of the list ``others`` that ``extents`` meets: bit b
-    is set when it meets ``others[b]``.  So ``mask_a & mask_b`` of two
-    extents that meet lists, in order, the others that share a point with
+def meet_mask(extent, mirrors, lanes):
+    """The bitmask of the packed extents that ``extent`` meets, given as
+    the list ``mirrors`` of their :meth:`Lanes.mirror`: bit b is set when
+    it meets the extent of ``mirrors[b]``.  So ``mask_a & mask_b`` of two
+    extents that meet lists, in order, the extents that share a point with
     both (see :func:`box_intersection`)."""
+    top = lanes.top
     mask = 0
     bit = 1
-    for other in others:
-        if extents_meet(extents, other):
+    for other in mirrors:
+        if (extent + other) & top == top:
             mask |= bit
         bit <<= 1
     return mask

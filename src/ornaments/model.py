@@ -7,7 +7,11 @@ feasibility question over the closed facets; a failure comes with an exact
 witness (the facet triple and barycentric coordinates of a common image
 point).  A triple is first tested on facet boxes rounded outward onto one
 power-of-two grid, the prefilter layer of :mod:`ornaments.geometry` that
-the degree route and the sweep share.  Each box-surviving triple is then
+the degree route and the sweep share: each box is one integer of 2m
+lanes, the upper ends and the negated lower ends, each biased by ``2 **
+(W - 2)``, with W sized from the largest magnitude of the grid points, so
+two boxes are intersected by one lane-wise minimum.  Each box-surviving
+triple is then
 decided by integer rank first (6k + 1 equations in 6k unknowns for three
 (2k - 1)-manifolds in R^(3k - 1), nearly always inconsistent), on the
 rows of :func:`common_point_system`: the one integer form, points cleared
@@ -26,11 +30,13 @@ from dataclasses import dataclass
 
 from .geometry import (
     DimensionMismatch,
+    Lanes,
     Rat,
     as_point,
     box_intersection,
     derive_seed,
     feasible_point,
+    grid_magnitude,
     hull,
     integer_scaled,
     outward_grid,
@@ -283,19 +289,23 @@ def common_point_system(point_lists, extra=()):
 
 
 def facet_grid_boxes(o):
-    """Per component, the box of each facet on one outward grid: every
-    vertex image of the ornament is rounded outward by
-    :func:`outward_grid` (one shift for all), and a facet's box is the
-    :func:`hull` of its vertices' brackets, integer ``(mins, maxs)`` that
-    contain ``2 ** shift`` times the facet's exact box."""
+    """``(lanes, boxes)``: per component, the box of each facet on one
+    outward grid, packed on the :class:`~ornaments.geometry.Lanes` of ``2
+    m`` lanes returned with them.  Every vertex image of the ornament is
+    rounded outward by :func:`outward_grid` (one shift for all), and a
+    facet's box is the :func:`hull` of its vertices' packed brackets, the
+    floors as lower and the ceils as upper ends, which contains ``2 **
+    shift`` times the facet's exact box.  The lane width comes from the
+    largest magnitude of a bracket, so it grows with the grid integers."""
     _, brackets = outward_grid(img for f in o.components for img in f.images)
-    grid = iter(brackets)
+    lanes = Lanes(o.m, grid_magnitude(brackets))
+    grid = iter([lanes.pack(floors, ceils) for floors, ceils in brackets])
     boxes = []
     for f in o.components:
         points = [next(grid) for _ in f.images]
-        boxes.append([hull([points[v] for v in facet])
+        boxes.append([hull([points[v] for v in facet], lanes)
                       for facet in f.domain.facets])
-    return boxes
+    return lanes, boxes
 
 
 def validate_ornament(o):
@@ -315,14 +325,14 @@ def validate_ornament(o):
     contain the exact ones, so a triple they let through by rounding alone
     is infeasible.
     """
-    boxes1, boxes2, boxes3 = facet_grid_boxes(o)
+    lanes, (boxes1, boxes2, boxes3) = facet_grid_boxes(o)
     for i1, b1 in enumerate(boxes1):
         for i2, b2 in enumerate(boxes2):
-            b12 = box_intersection(b1, b2)
+            b12 = box_intersection(b1, b2, lanes)
             if b12 is None:
                 continue
             for i3, b3 in enumerate(boxes3):
-                if box_intersection(b12, b3) is None:
+                if box_intersection(b12, b3, lanes) is None:
                     continue
                 eq_rows, scales, offsets = common_point_system([
                     f.facet_points(i)

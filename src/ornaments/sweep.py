@@ -25,20 +25,26 @@ row the reductions leave is divided by its content (the gcd of its
 entries and right-hand side), which roughly halves the width of the
 integers that reach the solve.  Before that, candidates are
 prefiltered on three levels by their extents along the coordinates and
-the directions e_i +- e_j, computed on integers about 64 bits wide on the
-prefilter layer of :mod:`ornaments.geometry` that validation and the
-degree route share: the track is rounded outward onto one power-of-two
-grid, so the extents contain the exact ones and no triple that can meet is
-cut.  Every grid vertex is expanded into its ends along those directions
-once, a keyframe at a time, and the extents of a whole component over a
-keyframe interval, of a prism or of a cell are the :func:`hull` of its
-vertices' ends.  The component level rules out a keyframe interval whose
-components have separated before any prism extent is built, and otherwise
-keeps, per component, the prisms that meet the other two components'
-common extents, whose cells are the level below.  Each cell of components
-1 and 2 carries a bitmask of the kept component-3 cells its extents meet,
-so a pair of meeting cells reads its candidates off the two masks' common
-bits.  Rationals are read only at the set-up's edges: the interior
+the directions e_i +- e_j, (m + 1) ** 2 in all, on the prefilter layer of
+:mod:`ornaments.geometry` that validation and the degree route share: the
+track is rounded outward onto one power-of-two grid, so the extents
+contain the exact ones and no triple that can meet is cut.  Each extent
+is one integer of 2 (m + 1) ** 2 lanes (:class:`~ornaments.geometry.Lanes`),
+the upper ends and then the negated lower ends, each biased by ``2 ** (W
+- 2)``, with the width W sized per sweep from the largest magnitude of a
+grid point of any keyframe, doubled for the e_i +- e_j ends.  Every grid
+vertex is packed once, a keyframe at a time, as one linear combination
+of its floors and ceils, and the extents of a whole component over a
+keyframe interval, of a prism or of a cell are the :func:`hull`, a
+lane-wise maximum, of its vertices'.  The component level rules out a
+keyframe interval whose components have separated before any prism
+extent is built, and otherwise keeps, per component, the prisms that
+meet the other two components' common extents, whose cells are the level
+below.  Each cell of components 1 and 2 carries a bitmask of the kept
+component-3 cells its extents meet, so a pair of meeting cells reads its
+candidates off the two masks' common bits; a meet test is one addition
+to the mirror (halves swapped) of the other extent, which the cells of
+components 2 and 3 and the common extents compute once.  Rationals are read only at the set-up's edges: the interior
 keyframes of a straight-line track, the grid points and the cells' integer
 frames are all built from the coordinates' integer ratios.  A cell's
 rational points and simplex frame are built only when it first enters a
@@ -70,11 +76,14 @@ untouched.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from itertools import combinations
+from operator import mul
 from typing import NamedTuple
 
 from .geometry import (
     DimensionMismatch,
+    Lanes,
     Rat,
     as_point,
     box_intersection,
@@ -82,6 +91,7 @@ from .geometry import (
     extents_meet,
     feasible_point,
     grid_brackets,
+    grid_magnitude,
     hull,
     meet_mask,
     outward_grid,
@@ -270,42 +280,80 @@ _SPLIT_CANDIDATES_PER_VERTEX = 16
 
 
 def _integer_frames(track):
-    """``(shift, frames)``: per keyframe, each vertex image with the time
-    appended, rounded outward onto one power-of-two grid by
+    """``(shift, lanes, frames)``: per keyframe, each vertex image with the
+    time appended, rounded outward onto one power-of-two grid by
     :func:`outward_grid`, a bracket ``(floors, ceils)`` of integer tuples
     around ``2 ** shift`` times the point, indexed like ``track.images``
-    (compare :meth:`_SweepCell.framed`)."""
+    (compare :meth:`_SweepCell.framed`), and the
+    :class:`~ornaments.geometry.Lanes` that the sweep packs its extents
+    on: ``(m + 1) ** 2`` directions, with a width from the largest
+    magnitude of a grid point's end.  An end along ``e_i +- e_j`` is at
+    most twice that, and a midpoint keyframe's grid point never exceeds
+    its neighbours', so every extent of the sweep fits."""
     shift, brackets = outward_grid(
         img + (t,) for t, frame in zip(track.times, track.images)
         for comp in frame for img in comp
     )
+    lanes = Lanes((track.m + 1) ** 2, 2 * grid_magnitude(brackets))
     grid = iter(brackets)
-    return shift, [
+    return shift, lanes, [
         tuple(tuple(next(grid) for _ in comp) for comp in frame)
         for frame in track.images
     ]
 
 
-def _vertex_extents(point, pairs):
-    """Outward lower and upper ends along every coordinate and every paired
-    direction of one grid point given as a ``(floors, ceils)`` pair: lower
-    ends come from floors, upper ends from ceils (``e_i - e_j`` pairs floor
-    i with ceil j), so they bracket the exact point's values."""
-    lo, hi = point
-    low = list(lo)
-    high = list(hi)
-    for i, j in pairs:
-        low.append(lo[i] + lo[j])
-        low.append(lo[i] - hi[j])
-        high.append(hi[i] + hi[j])
-        high.append(hi[i] - lo[j])
-    return low, high
+@lru_cache(maxsize=16)  # the width varies with the data: keep a few
+def _direction_lanes(dims, width):
+    """``(ceil_lanes, floor_lanes)``: per coordinate of a grid point with
+    ``dims`` coordinates, the integers that a ceil and a floor of it are
+    multiplied by in :func:`_vertex_extents`, on lanes of ``width`` bits.
+    The directions are the coordinates, then ``e_i + e_j`` and ``e_i -
+    e_j`` for each pair ``i < j``; an upper end takes the ceils of the
+    coordinates a direction adds and the floors of those it subtracts, and
+    a lower end the other way round, so lane ``l`` of a direction ``v``
+    gets ``v_c`` times the ceil (``v_c > 0``) or the floor (``v_c < 0``)
+    of coordinate c, and lane ``count + l`` minus ``v_c`` times the
+    other."""
+    directions = [{c: 1} for c in range(dims)]
+    # The directions e_i + e_j and e_i - e_j: with the plain coordinates
+    # they separate thin simplices far better than boxes alone.
+    for i, j in combinations(range(dims), 2):
+        directions += [{i: 1, j: 1}, {i: 1, j: -1}]
+    count = len(directions)
+    ceil_lanes = [0] * dims
+    floor_lanes = [0] * dims
+    for l, direction in enumerate(directions):
+        upper = 1 << (width * l)
+        lower = 1 << (width * (count + l))
+        for c, v in direction.items():
+            if v > 0:
+                ceil_lanes[c] += v * upper
+                floor_lanes[c] -= v * lower
+            else:
+                floor_lanes[c] += v * upper
+                ceil_lanes[c] -= v * lower
+    return ceil_lanes, floor_lanes
 
 
-def _expanded_frame(frame, pairs):
+def _vertex_extents(point, lanes):
+    """The packed extent on ``lanes`` of one grid point given as a
+    ``(floors, ceils)`` pair, along every coordinate and every direction
+    ``e_i +- e_j``: lower ends come from floors, upper ends from ceils
+    (``e_i - e_j`` pairs floor i with ceil j), so they bracket the exact
+    point's values.  It is linear in the floors and ceils, ``bias + sum of
+    ceil_c P_c + floor_c Q_c`` with the lane patterns of
+    :func:`_direction_lanes`, so the point takes ``2 (m + 1)`` products
+    and no lane is written on its own."""
+    floors, ceils = point
+    ceil_lanes, floor_lanes = _direction_lanes(len(floors), lanes.width)
+    return sum(map(mul, ceils, ceil_lanes),
+               sum(map(mul, floors, floor_lanes), lanes.bias))
+
+
+def _expanded_frame(frame, lanes):
     """:func:`_vertex_extents` of every grid point of one keyframe of
     :func:`_integer_frames`, indexed like it."""
-    return tuple(tuple(_vertex_extents(point, pairs) for point in comp)
+    return tuple(tuple(_vertex_extents(point, lanes) for point in comp)
                  for comp in frame)
 
 
@@ -319,7 +367,7 @@ class _Keyframe(NamedTuple):
     vertices: tuple
 
 
-def _midpoint(lower, upper, shift, pairs):
+def _midpoint(lower, upper, shift, lanes):
     """The :class:`_Keyframe` halfway in time between two keyframes of a
     track, between which every vertex moves on a straight line, so the
     track's map is unchanged.  Each coordinate, the time included, is the
@@ -329,7 +377,8 @@ def _midpoint(lower, upper, shift, pairs):
     that time.  Its grid points are :func:`grid_brackets` of those ratios at
     the track's ``shift``, which are the ones :func:`_integer_frames` would
     give the keyframe inside the track: an average is no larger in
-    magnitude than its ends, so it leaves the shift as it is."""
+    magnitude than its ends, so it leaves the shift as it is, and its
+    grid points, packed on the track's ``lanes``, fit their width."""
 
     def average(a, b):
         n_a, d_a = a.as_integer_ratio()
@@ -349,18 +398,22 @@ def _midpoint(lower, upper, shift, pairs):
         images.append(tuple(comp))
     grid = iter(grid_brackets(ratios, shift))
     frame = tuple(tuple(next(grid) for _ in comp) for comp in images)
-    return _Keyframe(Rat(*time), tuple(images), _expanded_frame(frame, pairs))
+    return _Keyframe(Rat(*time), tuple(images), _expanded_frame(frame, lanes))
 
 
 class _SweepCell:
-    """A staircase cell of a kept prism with its grid extents; its rational
-    points and simplex frame are built by :meth:`framed` when it first
-    enters a pair reduction.  A cell of component 1 or 2 also holds its
-    :func:`meet_mask` against the keyframe interval's kept cells of
-    component 3, and a cell of component 2 its (cell 2, cell 3)
-    reductions, made on first use, in a list indexed like those cells."""
+    """A staircase cell of a kept prism with its packed grid extents; its
+    rational points and simplex frame are built by :meth:`framed` when it
+    first enters a pair reduction.  A cell of component 1 or 2 also holds
+    its :func:`meet_mask` against the keyframe interval's kept cells of
+    component 3, a cell of component 2 or 3 the
+    :meth:`~ornaments.geometry.Lanes.mirror` of its extents, which the
+    cells it is tested against read, and a cell of component 2 its (cell
+    2, cell 3) reductions, made on first use, in a list indexed like those
+    cells."""
 
-    __slots__ = ("cell", "extents", "points", "frame", "mask", "reductions")
+    __slots__ = ("cell", "extents", "mirror", "points", "frame", "mask",
+                 "reductions")
 
     def __init__(self, cell, extents):
         self.cell = cell
@@ -399,49 +452,57 @@ class _Candidates(NamedTuple):
     cells3: list
 
 
-def _interval_candidates(domains, keyframes, limit=None):
+def _interval_candidates(domains, lanes, keyframes, limit=None):
     """The :class:`_Candidates` of the keyframe interval between
-    ``keyframes``, a (lower, upper) pair of :class:`_Keyframe`, or ``None``
-    as soon as their count reaches ``limit``.  The cells carry no interval
-    number, which :func:`_interval_points` gives the cells of each triple
-    point.  See :func:`detect_triple_points`."""
+    ``keyframes``, a (lower, upper) pair of :class:`_Keyframe` whose
+    vertices are packed on ``lanes``, or ``None`` as soon as their count
+    reaches ``limit``.  The cells carry no interval number, which
+    :func:`_interval_points` gives the cells of each triple point.  See
+    :func:`detect_triple_points`."""
     empty = _Candidates(0, [], [], [])
     vertices = (keyframes[0].vertices, keyframes[1].vertices)
-    w1, w2, w3 = (hull(lower + upper) for lower, upper in zip(*vertices))
+    w1, w2, w3 = (hull(lower + upper, lanes)
+                  for lower, upper in zip(*vertices))
     # Per component, the common part of the other two components' extents.
-    others = (box_intersection(w2, w3), box_intersection(w1, w3),
-              box_intersection(w1, w2))
+    others = (box_intersection(w2, w3, lanes),
+              box_intersection(w1, w3, lanes),
+              box_intersection(w1, w2, lanes))
     if any(common is None for common in others):
         return empty
     # Per component, the facets whose prisms meet the other two components'
     # common extents.
-    kept = [
-        [fi for fi, facet in enumerate(dom.facets)
-         if extents_meet(hull([vertices[level][ci][v] for level in (0, 1)
-                               for v in facet]), common)]
-        for ci, (dom, common) in enumerate(zip(domains, others))
-    ]
+    kept = []
+    for ci, (dom, common) in enumerate(zip(domains, others)):
+        mirrored = lanes.mirror(common)
+        kept.append([
+            fi for fi, facet in enumerate(dom.facets)
+            if extents_meet(hull([vertices[level][ci][v] for level in (0, 1)
+                                  for v in facet], lanes), mirrored, lanes)
+        ])
     if not all(kept):
         return empty
     # Per component, the cells of those prisms in prism then staircase
     # order: bit b of a mask stands for cells3[b].
     cells1, cells2, cells3 = (
         [_SweepCell(cell, hull(
-            [vertices[level][ci][v] for v, level in cell.vertices]
+            [vertices[level][ci][v] for v, level in cell.vertices], lanes
         ))
          for fi in facets
          for cell in staircase_cells(domains[ci].facets[fi], ci, fi, None)]
         for ci, facets in enumerate(kept)
     )
-    extents3 = [entry.extents for entry in cells3]
+    for entry in cells2 + cells3:
+        entry.mirror = lanes.mirror(entry.extents)
+    mirrors3 = [entry.mirror for entry in cells3]
     for entry in cells1 + cells2:
-        entry.mask = meet_mask(entry.extents, extents3)
+        entry.mask = meet_mask(entry.extents, mirrors3, lanes)
     count = 0
     pairs = []
     for entry1 in cells1:
         for entry2 in cells2:
             mask = entry1.mask & entry2.mask
-            if not mask or not extents_meet(entry1.extents, entry2.extents):
+            if not mask or not extents_meet(entry1.extents, entry2.mirror,
+                                            lanes):
                 continue
             pairs.append((entry1, entry2, mask))
             count += mask.bit_count()
@@ -561,7 +622,7 @@ def detect_triple_points(track, split=False):
     given.
 
     The set-up is lazy where the candidates are sparse.  The grid vertices
-    of keyframes j and j + 1 are expanded by :func:`_vertex_extents` for
+    of keyframes j and j + 1 are packed by :func:`_vertex_extents` for
     interval j, those of j + 1 kept for the next, and the extents of a
     component, prism or cell are the :func:`hull` of its vertices' (all of
     the component's at both keyframes, or the 2(d + 1) or d + 2 of the
@@ -590,10 +651,7 @@ def detect_triple_points(track, split=False):
     touching tests and the witnesses use the rational points.  Raises
     NonGenericTrack on any exactly-degenerate configuration.
     """
-    # The directions e_i + e_j and e_i - e_j: with the plain coordinates
-    # they separate thin simplices far better than boxes alone.
-    pairs = list(combinations(range(track.m + 1), 2))
-    shift, int_frames = _integer_frames(track)
+    shift, lanes, int_frames = _integer_frames(track)
     domains = track.domains
     vertex_count = sum(dom.vertex_count for dom in domains)
 
@@ -603,10 +661,12 @@ def detect_triple_points(track, split=False):
         count = candidates.count
         if depth and count > _SPLIT_CANDIDATES_PER_VERTEX * vertex_count:
             lower, upper = keyframes
-            middle = _midpoint(lower, upper, shift, pairs)
-            left = _interval_candidates(domains, (lower, middle), count)
+            middle = _midpoint(lower, upper, shift, lanes)
+            left = _interval_candidates(domains, lanes, (lower, middle),
+                                        count)
             if left is not None:
-                right = _interval_candidates(domains, (middle, upper),
+                right = _interval_candidates(domains, lanes,
+                                             (middle, upper),
                                              count - left.count)
                 if right is not None:
                     yield from leaves((lower, middle), left, depth - 1)
@@ -617,12 +677,12 @@ def detect_triple_points(track, split=False):
     found = []
     j = 0  # the number of the next interval swept
     upper = _Keyframe(track.times[0], track.images[0],
-                      _expanded_frame(int_frames[0], pairs))
+                      _expanded_frame(int_frames[0], lanes))
     for time, images, frame in zip(track.times[1:], track.images[1:],
                                    int_frames[1:]):
         lower, upper = upper, _Keyframe(time, images,
-                                        _expanded_frame(frame, pairs))
-        candidates = _interval_candidates(domains, (lower, upper))
+                                        _expanded_frame(frame, lanes))
+        candidates = _interval_candidates(domains, lanes, (lower, upper))
         for keyframes, kept in leaves((lower, upper), candidates,
                                       _SPLIT_DEPTH if split else 0):
             found.extend(_interval_points(j, keyframes, kept))

@@ -32,10 +32,14 @@ frame's edges are the references for the set-up built from integer
 ratios; the union of extents is the reference for
 the sweep's cell and prism extents, and the two-level enumeration of cell
 triples on exact extents the reference for the candidates of its
-three-level prefilter.  The helpers at the end (image of
+three-level prefilter.  The list forms of the prefilter, extents as
+``(mins, maxs)`` lists with their hull, meet, intersection and meet masks
+and a grid point's ends along the sweep's directions, are the references
+for the package's extents packed into one integer each.  The helpers at the end (image of
 a barycentric point, the unnormalised sphere map, reversed components,
 reversed and concatenated tracks, the straight-line homotopy to a trivial
-ornament, relative sweeps, certification of an ornament homotopy) are used
+ornament, relative sweeps, certification of an ornament homotopy, a
+scaled ornament) are used
 only by tests, as is :func:`cell_points`, a cell's points read off a
 track, as is :func:`decide_from_pairs`, the routes' two kernel
 steps as one call.
@@ -653,13 +657,31 @@ def interior_frame_by_steps(first, last, t):
     )
 
 
+def binary_exponent_by_fractions(values):
+    """``floor(log2 max |x|) + 1`` over the rational ``values``, or 0 when
+    every one is zero: the largest magnitude halved or doubled into [1/2,
+    1), counting the steps."""
+    biggest = max((abs(Fraction(x)) for x in values), default=Fraction(0))
+    if not biggest:
+        return 0
+    e = 0
+    while biggest >= 1:
+        biggest /= 2
+        e += 1
+    while biggest < Fraction(1, 2):
+        biggest *= 2
+        e -= 1
+    return e
+
+
 def outward_grid_by_fractions(points):
-    """Reference for the package's ``outward_grid``: the same shift, from
-    the largest integer part of a coordinate's magnitude, and each
-    coordinate's bracket by rational floor and ceil of ``x * 2 ** shift``."""
+    """Reference for the package's ``outward_grid``: the same shift, 60
+    less the binary exponent of the largest magnitude of a coordinate (not
+    below 0), and each coordinate's bracket by rational floor and ceil of
+    ``x * 2 ** shift``."""
     points = [[Fraction(x) for x in p] for p in points]
-    top = max((math.floor(abs(x)) for p in points for x in p), default=0)
-    shift = max(0, 60 - top.bit_length())
+    shift = max(0, 60 - binary_exponent_by_fractions(
+        [x for p in points for x in p]))
     return shift, [
         (tuple(math.floor(x * 2 ** shift) for x in p),
          tuple(math.ceil(x * 2 ** shift) for x in p))
@@ -725,9 +747,52 @@ def extents_exact(points, pairs):
     return mins, maxs
 
 
+def vertex_extents_lists(point, pairs):
+    """Reference for the sweep's packed extent of one grid point, given as
+    a ``(floors, ceils)`` pair: its lower and upper ends along every
+    coordinate and, for each ``(i, j)`` in ``pairs``, along e_i + e_j and
+    e_i - e_j, as ``(lows, highs)`` lists; lower ends come from floors and
+    upper ends from ceils (``e_i - e_j`` pairs floor i with ceil j)."""
+    lo, hi = point
+    low = list(lo)
+    high = list(hi)
+    for i, j in pairs:
+        low.append(lo[i] + lo[j])
+        low.append(lo[i] - hi[j])
+        high.append(hi[i] + hi[j])
+        high.append(hi[i] - lo[j])
+    return low, high
+
+
+def extents_meet_lists(a, b):
+    """Reference for the package's packed ``extents_meet``: whether the
+    closed extents ``a`` and ``b``, each ``(mins, maxs)``, share a
+    point."""
+    return (all(x <= y for x, y in zip(a[0], b[1]))
+            and all(x <= y for x, y in zip(b[0], a[1])))
+
+
+def box_intersection_lists(a, b):
+    """Reference for the package's packed ``box_intersection``: the common
+    part of the closed extents ``a`` and ``b``, or ``None`` when they do
+    not meet."""
+    if not extents_meet_lists(a, b):
+        return None
+    return ([max(x, y) for x, y in zip(a[0], b[0])],
+            [min(x, y) for x, y in zip(a[1], b[1])])
+
+
+def meet_mask_lists(extents, others):
+    """Reference for the package's packed ``meet_mask``: bit b is set when
+    ``extents`` meets ``others[b]``."""
+    return sum(extents_meet_lists(extents, other) << b
+               for b, other in enumerate(others))
+
+
 def extents_union(extent_list):
-    """Reference for the sweep's cell and prism extents: the union, entry
-    by entry, of ``(mins, maxs)`` extents (of vertices or of cells)."""
+    """Reference for the sweep's cell and prism extents, and for the
+    package's packed ``hull``: the union, entry by entry, of ``(mins,
+    maxs)`` extents (of vertices or of cells)."""
     mins = list(extent_list[0][0])
     maxs = list(extent_list[0][1])
     for mn, mx in extent_list[1:]:
@@ -736,16 +801,6 @@ def extents_union(extent_list):
                 mins[i] = mn[i]
             if mx[i] > maxs[i]:
                 maxs[i] = mx[i]
-    return mins, maxs
-
-
-def _common_extents(a, b):
-    """The common part of the extents ``a`` and ``b``, or ``None`` when they
-    do not meet."""
-    mins = [max(x, y) for x, y in zip(a[0], b[0])]
-    maxs = [min(x, y) for x, y in zip(a[1], b[1])]
-    if any(lo > hi for lo, hi in zip(mins, maxs)):
-        return None
     return mins, maxs
 
 
@@ -785,21 +840,21 @@ def two_level_cell_triples(track):
         placed = []
         for x1, cells1 in prisms[0]:
             for x2, cells2 in prisms[1]:
-                x12 = _common_extents(x1, x2)
+                x12 = box_intersection_lists(x1, x2)
                 if x12 is None:
                     continue
                 cells3 = [entry for x3, cells3 in prisms[2]
-                          if _common_extents(x12, x3) is not None
+                          if box_intersection_lists(x12, x3) is not None
                           for entry in cells3]
                 for place1, cell1, cx1 in cells1:
                     for place2, cell2, cx2 in cells2:
-                        cx12 = _common_extents(cx1, cx2)
+                        cx12 = box_intersection_lists(cx1, cx2)
                         if cx12 is None:
                             continue
                         placed.extend(
                             ((place1, place2, place3), (cell1, cell2, cell3))
                             for place3, cell3, cx3 in cells3
-                            if _common_extents(cx12, cx3) is not None
+                            if box_intersection_lists(cx12, cx3) is not None
                         )
         triples.extend(cells for _, cells in sorted(placed))
     return triples
@@ -861,6 +916,16 @@ def unnormalized_sphere_map(x, y, z):
     top = tuple(2 * a - b - c for a, b, c in zip(x, y, z))
     bottom = tuple(2 * b - a - c for a, b, c in zip(x, y, z))
     return top + bottom
+
+
+def scaled_ornament(o, factor):
+    """The ornament ``o`` with every vertex image multiplied by the
+    rational ``factor``."""
+    return Ornament([
+        PLMap(f.domain, f.ambient_dim,
+              [tuple(x * factor for x in img) for img in f.images])
+        for f in o.components
+    ])
 
 
 def reverse_component_orientation(o, which):

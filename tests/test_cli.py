@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from ornaments import cli, constructions, degree, formats, sweep
+from ornaments import cli, constructions, degree, formats, model, sweep
 from ornaments.constructions import make_borromean
 from ornaments.geometry import Rat, as_point, derive_seed
 from ornaments.model import Ornament, PLMap, TriangulatedManifold
@@ -17,7 +17,7 @@ from ornaments.sweep import (
     trivial_ornament,
 )
 
-from oracles import concat_tracks, point_at, reverse_track
+from oracles import concat_tracks, point_at, reverse_track, scaled_ornament
 
 
 def run(capsys, *argv):
@@ -41,6 +41,22 @@ def write_ornament(tmp_path, ornament, name="ornament.json"):
     path = tmp_path / name
     path.write_text(formats.dumps_doc(formats.ornament_to_doc(ornament)))
     return str(path)
+
+
+def test_wide_coordinates_validate_and_agree(tmp_path, capsys):
+    """``make_borromean(1, r=3)`` scaled by 2 ** 80 has grid integers about
+    97 bits wide (the grid's shift is 0), so the packed extents' lanes are
+    sized from the data, past 66 bits: ``validate`` accepts the ornament
+    and ``mu --method both`` gives 1 by both routes."""
+    ornament = scaled_ornament(make_borromean(1, r=3), Rat(2 ** 80))
+    lanes, _ = model.facet_grid_boxes(ornament)
+    assert lanes.width > 96
+    path = write_ornament(tmp_path, ornament)
+    code, report = run(capsys, "validate", path)
+    assert code == 0 and report["ornament"]["status"] == "valid"
+    code, report = run(capsys, "mu", path, "--method", "both")
+    assert code == 0
+    assert report["mu"] == {"degree": 1, "sweep": 1}
 
 
 def test_gen_validate_mu_pipeline(tmp_path, capsys):

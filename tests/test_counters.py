@@ -19,7 +19,7 @@ import pytest
 
 from ornaments import constructions, degree, geometry, laplace, model, sweep
 
-from oracles import joined_system
+from oracles import joined_system, scaled_ornament
 
 #: The k=2 counts that ``perfbench/run.py`` records as
 #: ``K2_REFERENCE_COUNTS`` and checks on every traced k=2 run; the k=2
@@ -190,14 +190,14 @@ def test_sweep_component_level(fixture, solves, prisms, request,
     built = Counter()  # interval -> prism extents built
     intervals = []
 
-    def candidates(domains, keyframes, limit=None):
+    def candidates(domains, lanes, keyframes, limit=None):
         intervals.append(len(intervals))
-        return live_candidates(domains, keyframes, limit)
+        return live_candidates(domains, lanes, keyframes, limit)
 
-    def hull(parts):
+    def hull(parts, lanes):
         if len(parts) == prism_size:
             built[intervals[-1]] += 1
-        return live_hull(parts)
+        return live_hull(parts, lanes)
 
     monkeypatch.setattr(sweep, "_interval_candidates", candidates)
     monkeypatch.setattr(sweep, "hull", hull)
@@ -219,21 +219,22 @@ def test_sweep_builds_the_cells_of_every_kept_prism(mixed_setup_track,
     kept = []  # (interval, component, facet index) per kept prism
     intervals = []
 
-    def candidates(domains, keyframes, limit=None):
+    def candidates(domains, lanes, keyframes, limit=None):
         j = len(intervals)
         intervals.append(j)
         vertices = [keyframe.vertices for keyframe in keyframes]
-        whole = [sweep.hull(lower + upper) for lower, upper in zip(*vertices)]
+        whole = [sweep.hull(lower + upper, lanes)
+                 for lower, upper in zip(*vertices)]
         for ci, dom in enumerate(domains):
             a, b = (whole[c] for c in range(3) if c != ci)
-            common = geometry.box_intersection(a, b)
+            common = geometry.box_intersection(a, b, lanes)
             kept.extend(
                 (j, ci, fi) for fi, facet in enumerate(dom.facets)
                 if common is not None and geometry.extents_meet(sweep.hull(
                     [vertices[level][ci][v] for level in (0, 1)
-                     for v in facet]), common)
+                     for v in facet], lanes), lanes.mirror(common), lanes)
             )
-        return live_candidates(domains, keyframes, limit)
+        return live_candidates(domains, lanes, keyframes, limit)
 
     built = []
     live_staircase = sweep.staircase_cells
@@ -263,23 +264,27 @@ def test_sweep_cell_extent_tests(fixture, solves, masks, cells3, cell_pairs,
     tested once against every kept cell of component 3 (58 x 28 = 1,624
     tests at k=1 with r=3, 128 x 64 = 8,192 at k=2), and a cell pair's own
     extents are tested only when their masks share a cell (782 and 2,346
-    pairs); the solves do not move."""
+    pairs), each a cell 1 against the mirror of a cell 2; the solves do
+    not move."""
     ornament = request.getfixturevalue(fixture)
     live_mask = sweep.meet_mask
     live_meet = sweep.extents_meet
     masked = []  # (extents, number of others) per mask
     ids = set()
+    mirrors = set()  # the mirrors of the masked extents
     pairs = []
 
-    def meet_mask(extents, others):
+    def meet_mask(extents, others, lanes):
         masked.append((extents, len(others)))
         ids.add(id(extents))
-        return live_mask(extents, others)
+        mirrors.add(lanes.mirror(extents))
+        return live_mask(extents, others, lanes)
 
-    def meet(a, b):
-        if id(a) in ids and id(b) in ids:
-            pairs.append((a, b))
-        return live_meet(a, b)
+    def meet(a, mirrored, lanes):
+        if id(a) in ids:
+            assert mirrored in mirrors
+            pairs.append((a, mirrored))
+        return live_meet(a, mirrored, lanes)
 
     monkeypatch.setattr(sweep, "meet_mask", meet_mask)
     monkeypatch.setattr(sweep, "extents_meet", meet)
@@ -458,6 +463,30 @@ def test_validate_counters_borromean_k2(borromean_k2, monkeypatch):
     assert model.validate_ornament(borromean_k2).ok
     assert (lps.calls, lps.hits) == (K2_REFERENCE_COUNTS["model.lp_calls"], 0)
     assert (boxes.calls, boxes.hits) == (4064, 3570)
+
+
+def test_validate_and_degree_counters_do_not_depend_on_the_scale(
+        borromean_k1_r3, monkeypatch):
+    """Scaled by 2 ** -80, ``make_borromean(1, r=3)`` keeps validation's
+    and the degree route's counters: 0 LPs, 1,280 box tests with 8 passing,
+    32,768 ray tests with 7 passing.  The grid's shift follows the largest
+    magnitude down, 80 places further, so the grid points are those at
+    scale 1; a shift taken from the integer part alone stops at 60 and
+    rounds every coordinate onto a few grid steps, where every box meets
+    and every triple reaches an LP or a ray solve."""
+    counts = []
+    for factor in (geometry.Rat(1), geometry.Rat(1, 2 ** 80)):
+        ornament = scaled_ornament(borromean_k1_r3, factor)
+        with monkeypatch.context() as patch:
+            lps = Tally(patch, model, "feasible_point", found)
+            boxes = Tally(patch, model, "box_intersection", found)
+            rays = Tally(patch, degree, "ray_meets_box", lambda hit: hit)
+            assert model.validate_ornament(ornament).ok
+            value, _ = degree.mu_via_degree_auto(ornament, seed=0)
+            assert value == 1
+        counts.append((lps.calls, boxes.calls, boxes.hits, rays.calls,
+                       rays.hits))
+    assert counts == [(0, 1280, 8, 32768, 7)] * 2
 
 
 def assigned(script, name):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, example, given, strategies as st
 
 from ornaments.geometry import (
+    Lanes,
     PairReduction,
     Rat,
     as_point,
@@ -34,12 +35,17 @@ from ornaments.laplace import solve_integer
 from oracles import (
     _solve_unique,
     back_substitute_full,
+    binary_exponent_by_fractions,
+    box_intersection_lists,
     brute_force_feasible,
     det_leibniz,
     eliminate_sliced,
+    extents_meet_lists,
+    extents_union,
     feasible_point_gauss_jordan,
     interior_barycentric,
     joined_system,
+    meet_mask_lists,
     nonneg_rows,
     outward_grid_by_fractions,
     pair_reduction_direct,
@@ -888,23 +894,32 @@ def _lattice(extents):
     return set(product(*(range(lo, hi + 1) for lo, hi in zip(*extents))))
 
 
+def _packed(extents, n):
+    """Small integer extents of ``n`` directions packed on lanes wide
+    enough for :func:`_extents`, and those lanes."""
+    lanes = Lanes(n, 6)
+    return lanes, [lanes.pack(*e) for e in extents]
+
+
 @given(st.integers(1, 3).flatmap(lambda n: st.tuples(
     _extents(n), _extents(n), _extents(n),
     st.lists(_extents(n), min_size=1, max_size=4))))
 def test_extents_meet_intersect_and_hull(case):
-    """On integer extents, the intersection is empty exactly when no
+    """On packed integer extents, the intersection is empty exactly when no
     lattice point is common and holds exactly the common ones; a third
     extent meets it exactly when all three share a lattice point; the hull
     contains every bracket and attains each of its ends."""
     a, b, c, brackets = case
-    common = box_intersection(a, b)
+    lanes, (pa, pb, pc) = _packed([a, b, c], len(a[0]))
+    common = box_intersection(pa, pb, lanes)
     assert (common is None) == (not _lattice(a) & _lattice(b))
-    assert extents_meet(a, b) == (common is not None)
+    assert extents_meet(pa, lanes.mirror(pb), lanes) == (common is not None)
     if common is not None:
-        assert _lattice(common) == _lattice(a) & _lattice(b)
-        assert extents_meet(common, c) == bool(
+        assert _lattice(lanes.unpack(common)) == _lattice(a) & _lattice(b)
+        assert extents_meet(common, lanes.mirror(pc), lanes) == bool(
             _lattice(a) & _lattice(b) & _lattice(c))
-    mins, maxs = hull(brackets)
+    _, packed = _packed(brackets, len(a[0]))
+    mins, maxs = lanes.unpack(hull(packed, lanes))
     for lows, highs in brackets:
         assert all(map(le, mins, lows)) and all(map(le, highs, maxs))
     for i, (lo, hi) in enumerate(zip(mins, maxs)):
@@ -916,21 +931,97 @@ def test_extents_meet_intersect_and_hull(case):
     _extents(n), _extents(n), st.lists(_extents(n), max_size=6))))
 @example((([0], [1]), ([-1], [0]), [([1], [2]), ([0], [0])]))  # touching
 def test_pairwise_meets_are_a_common_meet(case):
-    """On integer extents of one width, a third extent meets the common part
-    of two exactly when the three meet pairwise, which lets the sweep
-    replace the intersection by two meet masks; bit b of a mask is the meet
-    with entry b of the list."""
+    """On packed integer extents of one width, a third extent meets the
+    common part of two exactly when the three meet pairwise, which lets the
+    sweep replace the intersection by two meet masks; bit b of a mask is
+    the meet with entry b of the list."""
     a, b, others = case
-    common = box_intersection(a, b)
-    mask_a, mask_b = meet_mask(a, others), meet_mask(b, others)
-    assert mask_a == sum(extents_meet(a, c) << i
-                         for i, c in enumerate(others))
-    for i, c in enumerate(others):
-        pairwise = (extents_meet(a, b) and extents_meet(a, c)
-                    and extents_meet(b, c))
-        assert (common is not None and extents_meet(common, c)) == pairwise
-        assert pairwise == (extents_meet(a, b)
-                            and bool((mask_a & mask_b) >> i & 1))
+    lanes, (pa, pb, *packed) = _packed([a, b, *others], len(a[0]))
+    mirrors = [lanes.mirror(c) for c in packed]
+
+    def meet(x, y):
+        return extents_meet(x, lanes.mirror(y), lanes)
+
+    common = box_intersection(pa, pb, lanes)
+    mask_a = meet_mask(pa, mirrors, lanes)
+    mask_b = meet_mask(pb, mirrors, lanes)
+    assert mask_a == sum(meet(pa, c) << i for i, c in enumerate(packed))
+    for i, c in enumerate(packed):
+        pairwise = meet(pa, pb) and meet(pa, c) and meet(pb, c)
+        assert (common is not None and meet(common, c)) == pairwise
+        assert pairwise == (meet(pa, pb) and bool((mask_a & mask_b) >> i & 1))
+
+
+@st.composite
+def _lane_cases(draw):
+    """A lane layout and extents on it: ``2 m`` lanes of validation's facet
+    boxes or ``(m + 1) ** 2`` directions of the sweep's extents, m = 3k - 1
+    for k = 1 to 3, with a bound of one bit length, and extents whose ends
+    reach it, touch or coincide, both signs included.  Hypothesis draws the
+    layout and a seed; the seeded generator draws the ends, half of them
+    from the bound, 0 and +-1."""
+    m = 3 * draw(st.integers(1, 3)) - 1
+    n = draw(st.sampled_from([m, (m + 1) ** 2]))
+    bound = draw(st.sampled_from([0, 1, 2 ** 3 - 1, 2 ** 61, 2 ** 97 - 1]))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    special = [-bound, -min(bound, 1), 0, min(bound, 1), bound]
+
+    def value():
+        if rng.random() < 0.5:
+            return rng.choice(special)
+        return rng.randint(-bound, bound)
+
+    def extent():
+        pairs = [sorted((value(), value())) for _ in range(n)]
+        return [lo for lo, _ in pairs], [hi for _, hi in pairs]
+
+    a = extent()
+    # b shares a's ends in some directions, so that ends touch and bounds
+    # are equal; in half the cases it meets a in every other direction.
+    b = extent()
+    overlap = rng.random() < 0.5
+    for i in range(n):
+        if overlap and (b[0][i] > a[1][i] or a[0][i] > b[1][i]):
+            b[0][i], b[1][i] = sorted((a[rng.randint(0, 1)][i], b[1][i]))
+        how = rng.choice(["lo", "hi", "touch", None])
+        if how == "lo" and a[0][i] <= b[1][i]:
+            b[0][i] = a[0][i]
+        elif how == "hi" and b[0][i] <= a[1][i]:
+            b[1][i] = a[1][i]
+        elif how == "touch":
+            b[0][i] = b[1][i] = a[1][i]
+    others = [extent() for _ in range(rng.randint(1, 5))]
+    return Lanes(n, bound), bound, a, b, others
+
+
+@given(_lane_cases())
+def test_packed_extents_agree_with_the_list_oracles(case):
+    """The packed ``hull``, ``extents_meet``, ``box_intersection`` and
+    ``meet_mask`` agree with their list forms in ``tests/oracles.py`` on
+    validation's and the sweep's layouts for k = 1 to 3: touching ends,
+    equal bounds, negative ends and ends at the width's limit, where 2 **
+    (width - 2) is the least power of two above the bound."""
+    lanes, bound, a, b, others = case
+    assert 2 ** (lanes.width - 3) <= bound < 2 ** (lanes.width - 2) or (
+        bound == 0 and lanes.width == 2)
+    pa, pb = lanes.pack(*a), lanes.pack(*b)
+    packed = [lanes.pack(*c) for c in others]
+    assert pa >= 0 and lanes.unpack(pa) == a and lanes.unpack(pb) == b
+    assert lanes.mirror(lanes.mirror(pa)) == pa
+    for x, y in [(a, b), (b, a), (a, a)] + [(a, c) for c in others]:
+        px, py = lanes.pack(*x), lanes.pack(*y)
+        assert extents_meet(px, lanes.mirror(py), lanes) == (
+            extents_meet_lists(x, y))
+        common = box_intersection(px, py, lanes)
+        expected = box_intersection_lists(x, y)
+        assert (common if common is None else lanes.unpack(common)) == (
+            expected)
+    assert lanes.unpack(hull([pa, pb, *packed], lanes)) == extents_union(
+        [a, b, *others])
+    assert lanes.unpack(hull([pa], lanes)) == a
+    mirrors = [lanes.mirror(c) for c in packed]
+    assert meet_mask(pa, mirrors, lanes) == meet_mask_lists(a, others)
+    assert meet_mask(pb, mirrors, lanes) == meet_mask_lists(b, others)
 
 
 def _meets(direction, box, share):
@@ -1063,11 +1154,18 @@ _GRID_VALUES = st.builds(
                 min_size=1, max_size=4))
 @example([[Rat(-3, 2), Rat(5, 4)], [Rat(-1, 3), Rat(0)]])
 @example([[Rat(2 ** 70 + 1, 3)], [Rat(-1, 2 ** 40)]])
+@example([[Rat(3, 2 ** 82), Rat(-1, 2 ** 81)], [Rat(0)]])  # all below 1/2
+@example([[Rat(0)], [Rat(0), Rat(0)]])
 def test_outward_grid_brackets_every_value(points):
+    """The shift puts the largest magnitude in [2 ** 59, 2 ** 60) unless
+    that would take a shift below 0; every value is bracketed by one grid
+    step, exactly on a grid point."""
     shift, brackets = outward_grid(points)
-    top = max(abs(x.numerator) // x.denominator for p in points for x in p)
-    assert shift == max(0, 60 - top.bit_length())
+    exponent = binary_exponent_by_fractions([x for p in points for x in p])
+    assert shift == max(0, 60 - exponent)
     unit = 2 ** shift
+    if shift and any(x for p in points for x in p):
+        assert 2 ** 59 <= max(abs(x) for p in points for x in p) * unit
     assert len(brackets) == len(points)
     for p, (floors, ceils) in zip(points, brackets):
         assert type(floors) is tuple and type(ceils) is tuple

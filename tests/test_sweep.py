@@ -1,5 +1,6 @@
 import random
 from collections import Counter
+from itertools import combinations
 from math import gcd
 
 import pytest
@@ -13,6 +14,7 @@ from ornaments.constructions import (
 )
 from ornaments.degree import mu_via_degree_auto
 from ornaments.geometry import (
+    Lanes,
     Rat,
     as_point,
     derive_seed,
@@ -56,6 +58,7 @@ from oracles import (
     solve_triple,
     straight_line_homotopy_to_trivial,
     two_level_cell_triples,
+    vertex_extents_lists,
 )
 
 
@@ -729,11 +732,17 @@ def test_grid_prefilter_solves_the_exact_candidates(grid_tracks, monkeypatch):
     assert len(swept.times) > len(grid_tracks[2].times)
     for track in grid_tracks + [swept]:
         grid, grid_points = _solved_candidates(track, monkeypatch)
+        frames = integer_frames_exact(track)
+        bound = max(abs(x) for frame in frames for comp in frame
+                    for point in comp for x in point)
+        lanes = Lanes((track.m + 1) ** 2, 2 * bound)
+        pairs = list(combinations(range(track.m + 1), 2))
         with monkeypatch.context() as exact:
             exact.setattr(sweep, "_integer_frames",
-                          lambda track: (None, integer_frames_exact(track)))
+                          lambda track: (None, lanes, frames))
             exact.setattr(sweep, "_vertex_extents",
-                          lambda point, pairs: extents_exact([point], pairs))
+                          lambda point, lanes: lanes.pack(
+                              *extents_exact([point], pairs)))
             reference, reference_points = _solved_candidates(
                 track, monkeypatch
             )
@@ -818,14 +827,16 @@ def _recorded_extents(track, monkeypatch):
     ``(pairs, extents)``, one :func:`sweep._vertex_extents` call each (a
     second call for one vertex fails); the cell and prism extents are the
     :func:`sweep.hull` calls as ``(pairs, vertices, extents)``, naming
-    their vertices the same way (found by identity)."""
+    their vertices the same way (found by identity).  Every extent is
+    unpacked into ``(mins, maxs)`` lists on the sweep's lanes, and
+    ``pairs`` are the ``(i, j)`` of its directions ``e_i +- e_j``."""
     live_grid = sweep.outward_grid
     live_frames = sweep._integer_frames
     live_vertex = sweep._vertex_extents
     live_hull = sweep.hull
     shifts = []
     built = []
-    expanded = []  # (point, pairs, result)
+    expanded = []  # (point, lanes, result)
     hulls = []  # (vertex results, result)
 
     def grid(points):
@@ -838,14 +849,14 @@ def _recorded_extents(track, monkeypatch):
         built.append(result)
         return result
 
-    def vertex(point, pairs):
-        result = live_vertex(point, pairs)
-        expanded.append((point, pairs, result))
+    def vertex(point, lanes):
+        result = live_vertex(point, lanes)
+        expanded.append((point, lanes, result))
         return result
 
-    def hull(vertices):
-        result = live_hull(vertices)
-        hulls.append((list(vertices), result))
+    def hull(vertices, lanes):
+        result = live_hull(vertices, lanes)
+        hulls.append((list(vertices), lanes.unpack(result)))
         return result
 
     with monkeypatch.context() as patch:
@@ -857,16 +868,17 @@ def _recorded_extents(track, monkeypatch):
     assert len(shifts) == 1 and len(built) == 1
     where = {
         id(point): (k, ci, v)
-        for k, frame in enumerate(built[0][1])
+        for k, frame in enumerate(built[0][2])
         for ci, comp in enumerate(frame)
         for v, point in enumerate(comp)
     }
     vertices = {}
     named = {}
-    for point, pairs, result in expanded:
+    for point, lanes, result in expanded:
         key = where[id(point)]
         assert key not in vertices
-        vertices[key] = (pairs, result)
+        pairs = list(combinations(range(len(point[0])), 2))
+        vertices[key] = (pairs, lanes.unpack(result))
         named[id(result)] = key
     assert len(vertices) == len(where)
     calls = [
@@ -875,6 +887,28 @@ def _recorded_extents(track, monkeypatch):
         for parts, result in hulls
     ]
     return shifts[0], vertices, calls
+
+
+@given(st.integers(1, 3), st.sampled_from([1, 2 ** 8, 2 ** 61, 2 ** 97]),
+       st.randoms(use_true_random=False))
+def test_a_packed_vertex_is_its_list_extent_packed(k, bound, rng):
+    """:func:`sweep._vertex_extents` packs a grid point as linear
+    combinations of its floors and ceils, on the lanes that
+    ``_integer_frames`` sizes from the largest end, twice the grid
+    points': it equals the point's list extent, along the coordinates and
+    every ``e_i +- e_j``, packed end by end, for points of both signs whose
+    ends reach the bound."""
+    dims = 3 * k
+    lanes = Lanes(dims ** 2, 2 * bound)
+    pairs = list(combinations(range(dims), 2))
+    for _ in range(8):
+        floors = [rng.choice([-bound, bound - 1,
+                              rng.randint(-bound, bound - 1)])
+                  for _ in range(dims)]
+        ceils = [f + rng.randint(0, 1) for f in floors]
+        point = (tuple(floors), tuple(ceils))
+        assert sweep._vertex_extents(point, lanes) == lanes.pack(
+            *vertex_extents_lists(point, pairs))
 
 
 def test_grid_extents_contain_the_scaled_rational_extents(grid_tracks,
