@@ -193,8 +193,6 @@ def back_substitute(rows, rhs):
     itself.
     """
     n = len(rhs)
-    if n == 0:
-        return []
     det = rows[n - 1][n - 1]
     numerators = [0] * n
     numerators[n - 1] = rhs[n - 1]

@@ -67,14 +67,7 @@ class ValidationReport:
         return self.status == "valid"
 
 
-def _valid():
-    return ValidationReport("valid")
-
-
-def _invalid(witness):
-    return ValidationReport("invalid", witness)
-
-
+@dataclass(frozen=True, slots=True)
 class TriangulatedManifold:
     """Pure d-dimensional simplicial complex with oriented facets.
 
@@ -83,40 +76,24 @@ class TriangulatedManifold:
     decided by :func:`validate_manifold`, not at construction.
     """
 
-    __slots__ = ("dim", "vertex_count", "facets")
+    dim: int
+    vertex_count: int
+    facets: tuple
 
-    def __init__(self, dim, vertex_count, facets):
-        if dim < 1:
+    def __post_init__(self):
+        if self.dim < 1:
             raise ValueError("dimension must be at least 1")
-        facets = tuple(tuple(f) for f in facets)
+        facets = tuple(tuple(f) for f in self.facets)
         if not facets:
             raise ValueError("at least one facet required")
         for f in facets:
-            if len(f) != dim + 1:
-                raise ValueError(f"facet {f} does not have {dim + 1} vertices")
+            if len(f) != self.dim + 1:
+                raise ValueError(
+                    f"facet {f} does not have {self.dim + 1} vertices")
             for v in f:
-                if not (0 <= v < vertex_count):
+                if not (0 <= v < self.vertex_count):
                     raise ValueError(f"vertex index {v} out of range")
-        self.dim = dim
-        self.vertex_count = vertex_count
-        self.facets = facets
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, TriangulatedManifold)
-            and self.dim == other.dim
-            and self.vertex_count == other.vertex_count
-            and self.facets == other.facets
-        )
-
-    def __hash__(self):
-        return hash((self.dim, self.vertex_count, self.facets))
-
-    def __repr__(self):
-        return (
-            f"TriangulatedManifold(dim={self.dim}, vertices={self.vertex_count}, "
-            f"facets={len(self.facets)})"
-        )
+        object.__setattr__(self, "facets", facets)
 
 
 def _signed_ridges(facet):
@@ -140,21 +117,22 @@ def validate_manifold(t):
     """
     for fi, facet in enumerate(t.facets):
         if len(set(facet)) != len(facet):
-            return _invalid({"reason": "repeated vertex in facet", "facet": fi})
+            return ValidationReport("invalid", {
+                "reason": "repeated vertex in facet", "facet": fi})
     ridges = {}
     for fi, facet in enumerate(t.facets):
         for key, sign in _signed_ridges(facet):
             ridges.setdefault(key, []).append((fi, sign))
     for key, occurrences in ridges.items():
         if len(occurrences) != 2:
-            return _invalid({
+            return ValidationReport("invalid", {
                 "reason": "ridge not shared by exactly two facets",
                 "ridge": list(key),
                 "facets": [fi for fi, _ in occurrences],
             })
     for key, ((fa, sa), (fb, sb)) in ridges.items():
         if sa + sb != 0:
-            return _invalid({
+            return ValidationReport("invalid", {
                 "reason": "incoherent orientation across ridge",
                 "ridge": list(key),
                 "facets": [fa, fb],
@@ -172,77 +150,57 @@ def validate_manifold(t):
                 stack.append(nb)
     if len(seen) != len(t.facets):
         missing = min(set(range(len(t.facets))) - seen)
-        return _invalid({"reason": "facet graph disconnected", "facet": missing})
-    return _valid()
+        return ValidationReport("invalid", {
+            "reason": "facet graph disconnected", "facet": missing})
+    return ValidationReport("valid")
 
 
+@dataclass(frozen=True, slots=True)
 class PLMap:
     """A triangulated manifold together with rational vertex images in R^m;
     the map is affine on each facet.  Each image is a point
     (:func:`~ornaments.geometry.as_point`)."""
 
-    __slots__ = ("domain", "ambient_dim", "images")
+    domain: TriangulatedManifold
+    ambient_dim: int
+    images: tuple
 
-    def __init__(self, domain, ambient_dim, images):
-        images = tuple(as_point(img) for img in images)
-        if len(images) != domain.vertex_count:
+    def __post_init__(self):
+        images = tuple(as_point(img) for img in self.images)
+        if len(images) != self.domain.vertex_count:
             raise DimensionMismatch(
-                f"{domain.vertex_count} vertices but {len(images)} images"
+                f"{self.domain.vertex_count} vertices but {len(images)} images"
             )
         for vi, img in enumerate(images):
-            if len(img) != ambient_dim:
+            if len(img) != self.ambient_dim:
                 raise DimensionMismatch(
-                    f"image {vi} does not live in R^{ambient_dim}"
+                    f"image {vi} does not live in R^{self.ambient_dim}"
                 )
-        self.domain = domain
-        self.ambient_dim = ambient_dim
-        self.images = images
+        object.__setattr__(self, "images", images)
 
     def facet_points(self, i):
         return [self.images[v] for v in self.domain.facets[i]]
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, PLMap)
-            and self.domain == other.domain
-            and self.ambient_dim == other.ambient_dim
-            and self.images == other.images
-        )
 
-    def __hash__(self):
-        return hash((self.domain, self.ambient_dim, self.images))
-
-    def __repr__(self):
-        return f"PLMap(dim={self.domain.dim}, ambient={self.ambient_dim})"
-
-
+@dataclass(frozen=True, slots=True)
 class Ornament:
     """Exactly three PL maps into one R^m.  The defining no-common-point
     condition is decided by :func:`validate_ornament`."""
 
-    __slots__ = ("components",)
+    components: tuple
 
-    def __init__(self, components):
-        components = tuple(components)
+    def __post_init__(self):
+        components = tuple(self.components)
         if len(components) != 3:
             raise ValueError("an ornament has exactly three components")
         dims = {f.ambient_dim for f in components}
         if len(dims) != 1:
             raise DimensionMismatch(f"ambient dimensions differ: {sorted(dims)}")
-        self.components = components
+        object.__setattr__(self, "components", components)
 
     @property
     def m(self):
         return self.components[0].ambient_dim
-
-    def __eq__(self, other):
-        return isinstance(other, Ornament) and self.components == other.components
-
-    def __hash__(self):
-        return hash(self.components)
-
-    def __repr__(self):
-        return f"Ornament(m={self.m})"
 
 
 def common_point_system(point_lists, extra=()):
@@ -343,11 +301,11 @@ def validate_ornament(o):
                     splits = [point[offsets[0]:offsets[1]],
                               point[offsets[1]:offsets[2]],
                               point[offsets[2]:]]
-                    return _invalid({
+                    return ValidationReport("invalid", {
                         "facets": [i1, i2, i3],
                         "barycentric": [[str(c) for c in s] for s in splits],
                     })
-    return _valid()
+    return ValidationReport("valid")
 
 
 def perturb_ornament(o, eps, seed):

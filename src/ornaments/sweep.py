@@ -68,9 +68,9 @@ invariants.
 
 Degenerate configurations (singular systems that still touch the closed
 cells, boundary solutions) raise NonGenericTrack; the retry protocol
-inserts midpoint keyframes into the offending track, jiggles them with a
-seeded rational perturbation and sweeps again, leaving the endpoints
-untouched.
+inserts midpoint keyframes into the offending track, jiggles them and the
+track's own interior keyframes with a seeded rational perturbation and
+sweeps again.  Only the endpoints stay exact, and they fix the count.
 """
 
 from __future__ import annotations
@@ -120,6 +120,7 @@ class NonGenericTrack(Exception):
     """The track has a degenerate cell-triple configuration; perturb and retry."""
 
 
+@dataclass(frozen=True, slots=True, eq=False)
 class HomotopyTrack:
     """Keyframed homotopy of three PL maps, shared domains, times 0..1.
 
@@ -127,21 +128,24 @@ class HomotopyTrack:
     keyframe ``j``; between keyframes vertices move along straight lines.
     """
 
-    __slots__ = ("domains", "m", "times", "images")
+    domains: tuple
+    m: int
+    times: tuple
+    images: tuple
 
-    def __init__(self, domains, m, times, images):
-        domains = tuple(domains)
-        times = tuple(Rat(t) for t in times)
+    def __post_init__(self):
+        domains = tuple(self.domains)
+        times = tuple(Rat(t) for t in self.times)
         if len(domains) != 3:
             raise ValueError("a track has exactly three components")
         if len(times) < 2 or times[0] != 0 or times[-1] != 1:
             raise ValueError("keyframe times must run from 0 to 1")
         if any(a >= b for a, b in zip(times, times[1:])):
             raise ValueError("keyframe times must strictly increase")
-        if len(images) != len(times):
+        if len(self.images) != len(times):
             raise ValueError("one image set per keyframe required")
         frozen = []
-        for frame in images:
+        for frame in self.images:
             frame = tuple(tuple(as_point(img) for img in comp)
                           for comp in frame)
             if len(frame) != 3:
@@ -150,13 +154,13 @@ class HomotopyTrack:
                 if len(comp) != dom.vertex_count:
                     raise DimensionMismatch("keyframe image count mismatch")
                 for img in comp:
-                    if len(img) != m:
-                        raise DimensionMismatch("keyframe image dimension mismatch")
+                    if len(img) != self.m:
+                        raise DimensionMismatch(
+                            "keyframe image dimension mismatch")
             frozen.append(frame)
-        self.domains = domains
-        self.m = m
-        self.times = times
-        self.images = tuple(frozen)
+        object.__setattr__(self, "domains", domains)
+        object.__setattr__(self, "times", times)
+        object.__setattr__(self, "images", tuple(frozen))
 
     def endpoint(self, which):
         """The ornament at t=0 (``which=0``) or t=1 (``which=1``)."""
@@ -164,9 +168,6 @@ class HomotopyTrack:
         return Ornament([
             PLMap(dom, self.m, comp) for dom, comp in zip(self.domains, frame)
         ])
-
-    def __repr__(self):
-        return f"HomotopyTrack(m={self.m}, keyframes={len(self.times)})"
 
 
 @dataclass(frozen=True)
@@ -216,6 +217,28 @@ def staircase_cells(facet, component, facet_index, interval):
     return cells
 
 
+def _between(x, y, p, q):
+    """The rational at ``t = p / q`` on the way from ``x`` to ``y``, as an
+    integer ratio ``(n, d)`` (not in lowest terms) formed with no rational
+    arithmetic: between ``n_a / d_a`` and ``n_b / d_b`` it is ``((q - p)
+    n_a d_b + p n_b d_a, q d_a d_b)``, which is ``x + t (y - x)``."""
+    n_a, d_a = x.as_integer_ratio()
+    n_b, d_b = y.as_integer_ratio()
+    return (q - p) * n_a * d_b + p * n_b * d_a, q * d_a * d_b
+
+
+def _frame_between(frame_a, frame_b, p, q):
+    """The keyframe at ``t = p / q`` of the straight motion from keyframe
+    ``frame_a`` to ``frame_b`` (indexed like one entry of
+    :attr:`HomotopyTrack.images`), each coordinate one rational built from
+    the :func:`_between` ratio of its ends."""
+    return tuple(
+        tuple(tuple(Rat(*_between(x, y, p, q)) for x, y in zip(a, b))
+              for a, b in zip(comp_a, comp_b))
+        for comp_a, comp_b in zip(frame_a, frame_b)
+    )
+
+
 def linear_track(start, end, cuts=()):
     """Track moving every vertex on a straight line from ``start`` to
     ``end``.
@@ -223,10 +246,8 @@ def linear_track(start, end, cuts=()):
     ``cuts`` inserts keyframes at interior times on the same straight
     motion; the map is unchanged but the prisms get shorter, which makes the
     bounding-box prefilter effective on long-range collapses.  Each
-    coordinate of an interior keyframe is built as one rational from the
-    integer ratios of its ends, with no rational arithmetic: at ``t = p /
-    q`` the coordinate between ``n_a / d_a`` and ``n_b / d_b`` is ``((q -
-    p) n_a d_b + p n_b d_a) / (q d_a d_b)``, which is ``a + t (b - a)``.
+    interior keyframe is :func:`_frame_between` of the end frames at its
+    time, built from their integer ratios with no rational arithmetic.
     """
     if start.m != end.m:
         raise DimensionMismatch("endpoint ambient dimensions differ")
@@ -237,23 +258,8 @@ def linear_track(start, end, cuts=()):
     first = tuple(f.images for f in start.components)
     last = tuple(f.images for f in end.components)
     frames = [first]
-    if cuts:
-        # Per component and vertex, the ratio pairs of its coordinates at
-        # both ends, shared by every interior keyframe.
-        ends = [
-            [[(x.as_integer_ratio(), y.as_integer_ratio())
-              for x, y in zip(a, b)] for a, b in zip(fs, fe)]
-            for fs, fe in zip(first, last)
-        ]
-        for t in times[1:-1]:
-            p, q = t.numerator, t.denominator
-            r = q - p
-            frames.append(tuple(
-                tuple(tuple(Rat(r * n_a * d_b + p * n_b * d_a, q * d_a * d_b)
-                            for (n_a, d_a), (n_b, d_b) in vertex)
-                      for vertex in comp)
-                for comp in ends
-            ))
+    frames += [_frame_between(first, last, t.numerator, t.denominator)
+               for t in times[1:-1]]
     frames.append(last)
     return HomotopyTrack(domains, start.m, times, frames)
 
@@ -359,7 +365,7 @@ def _expanded_frame(frame, lanes):
 
 class _Keyframe(NamedTuple):
     """One keyframe of a sweep: its time, its vertex images (indexed like
-    one entry of ``HomotopyTrack.images``) and their
+    one entry of :attr:`HomotopyTrack.images`) and their
     :func:`_expanded_frame`."""
 
     time: object
@@ -370,35 +376,22 @@ class _Keyframe(NamedTuple):
 def _midpoint(lower, upper, shift, lanes):
     """The :class:`_Keyframe` halfway in time between two keyframes of a
     track, between which every vertex moves on a straight line, so the
-    track's map is unchanged.  Each coordinate, the time included, is the
-    exact average ``(n_a d_b + n_b d_a) / (2 d_a d_b)`` of its neighbours'
-    integer ratios, built as one rational with no rational arithmetic; on a
-    straight-line track it is the keyframe :func:`linear_track` builds at
-    that time.  Its grid points are :func:`grid_brackets` of those ratios at
-    the track's ``shift``, which are the ones :func:`_integer_frames` would
+    track's map is unchanged.  Its time and images are the
+    :func:`_between` and :func:`_frame_between` of its neighbours' at
+    ``t = 1 / 2``, built with no rational arithmetic; on a straight-line
+    track it is the keyframe :func:`linear_track` builds at that time.  Its
+    grid points are :func:`grid_brackets` of their integer ratios at the
+    track's ``shift``, which are the ones :func:`_integer_frames` would
     give the keyframe inside the track: an average is no larger in
     magnitude than its ends, so it leaves the shift as it is, and its
     grid points, packed on the track's ``lanes``, fit their width."""
-
-    def average(a, b):
-        n_a, d_a = a.as_integer_ratio()
-        n_b, d_b = b.as_integer_ratio()
-        return n_a * d_b + n_b * d_a, 2 * d_a * d_b
-
-    time = average(lower.time, upper.time)
-    images = []
-    ratios = []
-    for comp_a, comp_b in zip(lower.images, upper.images):
-        comp = []
-        for p, q in zip(comp_a, comp_b):
-            point = list(map(average, p, q))
-            comp.append(tuple(Rat(n, d) for n, d in point))
-            point.append(time)
-            ratios.append(point)
-        images.append(tuple(comp))
-    grid = iter(grid_brackets(ratios, shift))
+    time = Rat(*_between(lower.time, upper.time, 1, 2))
+    images = _frame_between(lower.images, upper.images, 1, 2)
+    grid = iter(grid_brackets(
+        [[c.as_integer_ratio() for c in img + (time,)]
+         for comp in images for img in comp], shift))
     frame = tuple(tuple(next(grid) for _ in comp) for comp in images)
-    return _Keyframe(Rat(*time), tuple(images), _expanded_frame(frame, lanes))
+    return _Keyframe(time, images, _expanded_frame(frame, lanes))
 
 
 class _SweepCell:
@@ -695,40 +688,42 @@ def detect_triple_points(track, split=False):
 
 def _refined_track(track, seed, attempt):
     """Insert a midpoint keyframe into every interval of the original track
-    and jiggle the inserted frames; endpoints are never touched.
+    and jiggle it and every interior keyframe; the endpoints stay exact.
 
-    Each inserted vertex is the average of its images at the two
-    neighbouring keyframes with every coordinate moved by less than
-    ``eps / 2 ** (4 + attempt % 8)``, seeded by ``(seed, attempt)``;
-    ``eps`` is the span of the track's image coordinates, or 1 if that is
-    smaller.  The scale thus falls from eps/16 to eps/2048 over attempts
-    0-7 and repeats every 8 attempts, with fresh seeds."""
+    Each inserted vertex is the :func:`_frame_between` midpoint of its
+    images at the two neighbouring keyframes of the input track, then,
+    like each vertex of an interior keyframe of the input track, has every
+    coordinate moved by less than ``eps / 2 ** (4 + attempt % 8)``, seeded
+    by ``(seed, attempt)`` and its place (an interior keyframe's with a tag
+    of its own); ``eps`` is the span of the track's image coordinates, or 1
+    if that is smaller.  The scale thus falls from eps/16 to eps/2048 over
+    attempts 0-7 and repeats every 8 attempts, with fresh seeds.  The map
+    changes between the endpoints, which leaves the signed count, the
+    difference of the endpoint invariants, as it is."""
     coords = [
         c for frame in track.images for comp in frame
         for img in comp for c in img
     ]
     eps = max(max(coords) - min(coords), Rat(1)) / 2 ** (4 + attempt % 8)
-    times = []
-    frames = []
-    for j in range(len(track.times) - 1):
-        times.append(track.times[j])
-        frames.append(track.images[j])
-        mid_t = (track.times[j] + track.times[j + 1]) / 2
-        mid_frame = []
-        for ci in range(3):
-            comp = []
-            for vi in range(track.domains[ci].vertex_count):
-                avg = [(a + b) / 2 for a, b in zip(
-                    track.images[j][ci][vi], track.images[j + 1][ci][vi]
-                )]
-                comp.append(random_rational_perturbation(
-                    avg, eps, derive_seed(seed, attempt, j, ci, vi)
-                ))
-            mid_frame.append(tuple(comp))
-        times.append(mid_t)
-        frames.append(tuple(mid_frame))
-    times.append(track.times[-1])
-    frames.append(track.images[-1])
+
+    def jiggled(frame, *tag):
+        return tuple(
+            tuple(random_rational_perturbation(
+                      img, eps, derive_seed(seed, attempt, *tag, ci, vi))
+                  for vi, img in enumerate(comp))
+            for ci, comp in enumerate(frame)
+        )
+
+    last = len(track.times) - 1
+    times = [track.times[0]]
+    frames = [track.images[0]]
+    for j in range(last):
+        lower, upper = track.images[j], track.images[j + 1]
+        times += [Rat(*_between(track.times[j], track.times[j + 1], 1, 2)),
+                  track.times[j + 1]]
+        frames += [jiggled(_frame_between(lower, upper, 1, 2), j),
+                   upper if j + 1 == last
+                   else jiggled(upper, "keyframe", j + 1)]
     return HomotopyTrack(track.domains, track.m, times, frames)
 
 
@@ -737,10 +732,10 @@ def sweep_with_retries(track, seed=0, split=False):
     times.
 
     Returns ``(points, swept_track)`` where the track is either the input or
-    a refinement with jiggled midpoint keyframes and the same endpoints (see
-    :func:`_refined_track`: every attempt refines the input track afresh,
-    and the jiggle scale cycles through eps/16 ... eps/2048 every 8
-    attempts).  Every attempt passes ``split`` on to
+    a refinement with jiggled midpoint and interior keyframes and the same
+    endpoints (see :func:`_refined_track`: every attempt refines the input
+    track afresh, and the jiggle scale cycles through eps/16 ... eps/2048
+    every 8 attempts).  Every attempt passes ``split`` on to
     :func:`detect_triple_points`; with it, the points' cells are numbered
     in the intervals of the swept track's split, which is not returned."""
     try:

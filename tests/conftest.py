@@ -2,6 +2,7 @@ import pytest
 from hypothesis import settings
 
 from ornaments import constructions, sweep
+from ornaments.geometry import Rat
 
 # Property tests draw the same examples on every run, and no example is
 # failed for taking long: on a loaded machine the default 200 ms deadline
@@ -37,3 +38,10 @@ def mixed_setup_track():
     prism of component 2."""
     return sweep.linear_track(constructions.make_random_ornament(1, 0, 1, 8),
                               constructions.make_random_ornament(1, 0, 501, 8))
+
+
+@pytest.fixture(scope="session")
+def borromean_k1_triple_time():
+    """The time of the one triple point on the collapse track of
+    ``make_borromean(1)`` that ``mu_via_sweep`` sweeps at seed 0."""
+    return Rat(44491705096433544069120, 1198279798738132699627433)

@@ -29,7 +29,9 @@ common-scale frames and extents are the references for the sweep's
 outward-rounded grid prefilter; the rational forms of the interior
 keyframe ``a + t (b - a)``, of the grid's floor and ceil and of a simplex
 frame's edges are the references for the set-up built from integer
-ratios; the union of extents is the reference for
+ratios, and the refinement that averages its midpoints in rational
+arithmetic the reference for the retries' on a track with no interior
+keyframe; the union of extents is the reference for
 the sweep's cell and prism extents, and the two-level enumeration of cell
 triples on exact extents the reference for the candidates of its
 three-level prefilter.  The list forms of the prefilter, extents as
@@ -52,9 +54,11 @@ from itertools import combinations, permutations
 from ornaments.geometry import (
     DimensionMismatch,
     back_substitute,
+    derive_seed,
     eliminate,
     integer_scaled,
     outward_grid,
+    random_rational_perturbation,
     triple_verdict,
 )
 from ornaments import sweep
@@ -657,6 +661,39 @@ def interior_frame_by_steps(first, last, t):
     )
 
 
+def refined_track_by_fractions(track, seed, attempt):
+    """Reference for the package's ``_refined_track`` on a track with no
+    interior keyframe: a midpoint keyframe, averaged in rational
+    arithmetic and jiggled with the same seeds and scale, inserted into
+    every interval, and every other keyframe kept as it is."""
+    coords = [
+        c for frame in track.images for comp in frame
+        for img in comp for c in img
+    ]
+    eps = max(max(coords) - min(coords), Fraction(1)) / 2 ** (4 + attempt % 8)
+    times = []
+    frames = []
+    for j in range(len(track.times) - 1):
+        times.append(track.times[j])
+        frames.append(track.images[j])
+        mid_frame = []
+        for ci in range(3):
+            comp = []
+            for vi in range(track.domains[ci].vertex_count):
+                avg = [(a + b) / 2 for a, b in zip(
+                    track.images[j][ci][vi], track.images[j + 1][ci][vi]
+                )]
+                comp.append(random_rational_perturbation(
+                    avg, eps, derive_seed(seed, attempt, j, ci, vi)
+                ))
+            mid_frame.append(tuple(comp))
+        times.append((track.times[j] + track.times[j + 1]) / 2)
+        frames.append(tuple(mid_frame))
+    times.append(track.times[-1])
+    frames.append(track.images[-1])
+    return HomotopyTrack(track.domains, track.m, times, frames)
+
+
 def binary_exponent_by_fractions(values):
     """``floor(log2 max |x|) + 1`` over the rational ``values``, or 0 when
     every one is zero: the largest magnitude halved or doubled into [1/2,
@@ -944,9 +981,9 @@ def reverse_component_orientation(o, which):
 def straight_line_homotopy_to_trivial(o, targets, seed=0):
     """Track of the straight-line homotopy collapsing each component to its
     target point, keyframed as :func:`ornaments.sweep.mu_via_sweep` keys
-    its collapse and refined (midpoint keyframes jiggled by less than a
-    sixteenth of the track's span) until the sweep is generic; endpoints
-    are exact."""
+    its collapse and refined (midpoint and interior keyframes jiggled by
+    less than a sixteenth of the track's span) until the sweep is generic;
+    endpoints are exact."""
     _, swept = sweep_with_retries(sweep._collapse_track(o, targets),
                                   seed=seed)
     return swept

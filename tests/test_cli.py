@@ -43,6 +43,18 @@ def write_ornament(tmp_path, ornament, name="ornament.json"):
     return str(path)
 
 
+def _concurrent_segments():
+    """Three segments of the plane through the origin: digons that are
+    manifolds, in an ornament that is not valid."""
+    digon = TriangulatedManifold(1, 2, [(0, 1), (1, 0)])
+
+    def seg(a, b):
+        return PLMap(digon, 2, [as_point(a), as_point(b)])
+
+    return Ornament([seg([-1, 0], [1, 0]), seg([0, -1], [0, 1]),
+                     seg([-1, -1], [1, 1])])
+
+
 def test_wide_coordinates_validate_and_agree(tmp_path, capsys):
     """``make_borromean(1, r=3)`` scaled by 2 ** 80 has grid integers about
     97 bits wide (the grid's shift is 0), so the packed extents' lanes are
@@ -175,17 +187,7 @@ def test_gen_trivial_k2(tmp_path, capsys):
 
 
 def test_validate_reports_invalid_with_witness(tmp_path, capsys):
-    digon = TriangulatedManifold(1, 2, [(0, 1), (1, 0)])
-
-    def seg(a, b):
-        return PLMap(digon, 2, [as_point(a), as_point(b)])
-
-    concurrent = Ornament([
-        seg([-1, 0], [1, 0]),
-        seg([0, -1], [0, 1]),
-        seg([-1, -1], [1, 1]),
-    ])
-    path = write_ornament(tmp_path, concurrent)
+    path = write_ornament(tmp_path, _concurrent_segments())
     code, report = run(capsys, "validate", path)
     assert code == 0
     assert report["ornament"]["status"] == "invalid"
@@ -208,6 +210,70 @@ def test_malformed_rational_is_input_error(tmp_path, capsys):
         capsys, "$.components[0].vertices[0][0]: zero denominator in "
         "rational literal: '3/0'", "validate", str(path))
 
+
+
+def test_mu_of_an_invalid_ornament_is_input_error(tmp_path, capsys):
+    path = write_ornament(tmp_path, _concurrent_segments())
+    assert_input_error(capsys, "input is not a valid ornament", "mu", path)
+
+
+def test_gen_without_out_writes_the_document_to_stdout(capsys):
+    """Without ``--out``, ``gen`` writes the ornament document itself to
+    standard output, and nothing to standard error; it reads back as the
+    construction and writes back to the same bytes."""
+    assert cli.main(["gen", "borromean"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    ornament = formats.ornament_from_doc(formats.loads_doc(captured.out))
+    assert ornament == make_borromean(1)
+    assert formats.dumps_doc(formats.ornament_to_doc(ornament)) == (
+        captured.out)
+
+
+def _set_times(*times):
+    def corrupt(doc):
+        for keyframe, t in zip(doc["keyframes"], times):
+            keyframe["t"] = t
+    return corrupt
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (_set_times("0", "1/4.0"),
+     "$.keyframes[1].t: not a rational literal: '1/4.0'"),
+    (_set_times("0", "1/0"),
+     "$.keyframes[1].t: zero denominator in rational literal: '1/0'"),
+    (_set_times("0", 1),
+     "$.keyframes[1].t: not a rational literal: 1"),
+    (_set_times("0", "1/2", "1/4"),
+     "$.keyframes: keyframe times must strictly increase"),
+    (_set_times("0", "1/2", "1/2"),
+     "$.keyframes: keyframe times must strictly increase"),
+    (_set_times("0", "1/4", "1/2", "3/4"),
+     "$.keyframes: keyframe times must run from 0 to 1"),
+], ids=["float", "zero-denominator", "number", "decreasing", "repeated",
+        "short-of-1"])
+def test_a_bad_keyframe_time_is_input_error(corrupt, message, tmp_path,
+                                            capsys):
+    o = make_borromean(1)
+    doc = formats.track_to_doc(
+        linear_track(o, o, cuts=(Rat(1, 4), Rat(1, 2))))
+    corrupt(doc)
+    path = tmp_path / "track.json"
+    path.write_text(formats.dumps_doc(doc))
+    assert_input_error(capsys, message, "sweep", str(path))
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["trivial", "--targets=0,0;1,1"], "exactly three targets required"),
+    (["borromean", "--k", "0"], "k must be at least 1"),
+    (["borromean", "--r=-1"], "subdivision level must be nonnegative"),
+    (["random", "--k", "0"], "k must be at least 1"),
+], ids=["two-targets", "borromean-k0", "borromean-r-1", "random-k0"])
+def test_gen_bad_construction_argument_is_input_error(argv, message,
+                                                      tmp_path, capsys):
+    out = tmp_path / "g.json"
+    assert_input_error(capsys, message, "gen", *argv, "--out", str(out))
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("spread, message", [
@@ -303,17 +369,27 @@ def test_sweep_of_ornament_homotopy_lists_nothing(tmp_path, capsys,
     assert report["identity_check"] is True
 
 
+def test_sweep_retries_away_a_triple_point_on_a_keyframe(
+        tmp_path, capsys, borromean_k1, borromean_k1_triple_time):
+    """The seed-0 collapse of ``make_borromean(1)``, keyframed at the time
+    of its one triple point, has a boundary solution on that keyframe;
+    the retries jiggle the keyframe away, and ``sweep`` counts the point
+    with the sign that the endpoint invariants give."""
+    domains = tuple(f.domain for f in borromean_k1.components)
+    end = trivial_ornament(domains, borromean_k1.m, default_trivial_targets(
+        borromean_k1, derive_seed(0, "targets")))
+    track = linear_track(borromean_k1, end, cuts=(borromean_k1_triple_time,))
+    path = tmp_path / "keyframed.json"
+    path.write_text(formats.dumps_doc(formats.track_to_doc(track)))
+    code, report = run(capsys, "sweep", str(path))
+    assert code == 0
+    assert report["sign_sum"] == 1
+    assert report["mu_start"] - report["mu_end"] == 1
+    assert report["identity_check"] is True
+
+
 def test_sweep_rejects_invalid_endpoints(tmp_path, capsys):
-    digon = TriangulatedManifold(1, 2, [(0, 1), (1, 0)])
-
-    def seg(a, b):
-        return PLMap(digon, 2, [as_point(a), as_point(b)])
-
-    concurrent = Ornament([
-        seg([-1, 0], [1, 0]),
-        seg([0, -1], [0, 1]),
-        seg([-1, -1], [1, 1]),
-    ])
+    concurrent = _concurrent_segments()
     track = linear_track(concurrent, concurrent)
     path = tmp_path / "bad-track.json"
     path.write_text(formats.dumps_doc(formats.track_to_doc(track)))

@@ -136,6 +136,11 @@ def test_dimension_checks():
         mu_via_degree(o, [1, 2, 3])  # wrong ray length
 
 
+def test_a_zero_ray_is_rejected():
+    with pytest.raises(ValueError, match="^ray direction must be nonzero$"):
+        mu_via_degree(make_trivial(1), [0, Rat(0), 0, 0])
+
+
 def test_non_generic_direction_detected(borromean_k1):
     # aim the ray exactly at the image of a vertex triple: the preimage then
     # sits on facet boundaries, which must be reported, not counted

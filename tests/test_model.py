@@ -2,11 +2,14 @@ import random
 
 import pytest
 
+from ornaments import model, sweep
+from ornaments.constructions import make_borromean
 from ornaments.geometry import DimensionMismatch, Rat, as_point
 from ornaments.model import (
     Ornament,
     PLMap,
     TriangulatedManifold,
+    ValidationReport,
     common_point_system,
     perturb_ornament,
     validate_manifold,
@@ -71,30 +74,66 @@ def test_ridge_in_three_facets():
     assert report.witness["reason"] == "ridge not shared by exactly two facets"
 
 
+def _raises(error, message, build, *args):
+    """``build(*args)`` raises exactly ``error`` with ``message``."""
+    with pytest.raises(error) as raised:
+        build(*args)
+    assert type(raised.value) is error
+    assert str(raised.value) == message
+
+
 def test_manifold_constructor_rejects_bad_facets():
-    with pytest.raises(ValueError):
-        TriangulatedManifold(1, 2, [(0, 1, 1)])
-    with pytest.raises(ValueError):
-        TriangulatedManifold(1, 2, [(0, 2)])
-    with pytest.raises(ValueError):
-        TriangulatedManifold(1, 2, [])
+    _raises(ValueError, "dimension must be at least 1",
+            TriangulatedManifold, 0, 1, [(0,)])
+    _raises(ValueError, "facet (0, 1, 1) does not have 2 vertices",
+            TriangulatedManifold, 1, 2, [(0, 1, 1)])
+    _raises(ValueError, "vertex index 2 out of range",
+            TriangulatedManifold, 1, 2, [(0, 2)])
+    _raises(ValueError, "vertex index -1 out of range",
+            TriangulatedManifold, 1, 2, [(-1, 0)])
+    _raises(ValueError, "at least one facet required",
+            TriangulatedManifold, 1, 2, [])
 
 
 def test_plmap_shape_checks():
     t = digon()
-    with pytest.raises(DimensionMismatch):
-        PLMap(t, 2, [as_point([0, 0])])
-    with pytest.raises(DimensionMismatch):
-        PLMap(t, 2, [as_point([0, 0]), as_point([0, 0, 0])])
+    _raises(DimensionMismatch, "2 vertices but 1 images",
+            PLMap, t, 2, [as_point([0, 0])])
+    _raises(DimensionMismatch, "image 1 does not live in R^2",
+            PLMap, t, 2, [as_point([0, 0]), as_point([0, 0, 0])])
 
 
 def test_ornament_requires_three_equal_dim_components():
     seg = segment_component([0, 0], [1, 0])
-    with pytest.raises(ValueError):
-        Ornament([seg, seg])
+    _raises(ValueError, "an ornament has exactly three components",
+            Ornament, [seg, seg])
     other = PLMap(digon(), 3, [as_point([0, 0, 0]), as_point([1, 0, 0])])
-    with pytest.raises(DimensionMismatch):
-        Ornament([seg, seg, other])
+    _raises(DimensionMismatch, "ambient dimensions differ: [2, 3]",
+            Ornament, [seg, seg, other])
+
+
+def test_value_types_are_frozen_and_equal_by_value():
+    """Manifolds, maps and ornaments normalise their inputs to tuples of
+    tuples and of points, so equal inputs in other containers give equal
+    values with equal hashes; a changed facet order or image does not, and
+    no attribute can be assigned."""
+    t = TriangulatedManifold(1, 2, [[0, 1], [1, 0]])
+    assert t.facets == ((0, 1), (1, 0))
+    same = TriangulatedManifold(1, 2, ((0, 1), (1, 0)))
+    f = PLMap(t, 2, [[0, 0], [1, Rat(1, 2)]])
+    assert f.images == ((Rat(0), Rat(0)), (Rat(1), Rat(1, 2)))
+    g = PLMap(same, 2, (as_point([0, 0]), as_point([1, Rat(1, 2)])))
+    o = Ornament([f, g, f])
+    assert o.components == (f, g, f) and o.m == 2
+    for a, b in [(t, same), (f, g), (o, Ornament((g, f, g)))]:
+        assert a == b and hash(a) == hash(b)
+    assert t != TriangulatedManifold(1, 2, [(1, 0), (0, 1)])
+    assert f != PLMap(t, 2, [[0, 0], [1, 1]])
+    assert o != Ornament([f, f, PLMap(t, 2, [[0, 0], [1, 1]])])
+    assert len({t, same, f, g, o}) == 3
+    for value, field in [(t, "facets"), (f, "images"), (o, "components")]:
+        with pytest.raises(AttributeError):
+            setattr(value, field, ())
 
 
 # --- validate_ornament -------------------------------------------------------
@@ -249,3 +288,60 @@ def test_perturb_deterministic(borromean_k1):
 def test_perturb_rejects_bad_eps(borromean_k1):
     with pytest.raises(ValueError):
         perturb_ornament(borromean_k1, 0, seed=1)
+
+
+def test_perturb_halves_eps_when_the_certification_finds_a_triple_point(
+        monkeypatch):
+    """At eps = 40,000, against a largest coordinate of 34,745, the first
+    candidate of ``make_borromean(1)`` is valid but its straight-line
+    homotopy from the input crosses one triple point; the second, drawn at
+    eps / 2 with fresh seeds, is certified and returned, with mu = 1 by
+    both routes."""
+    o = make_borromean(1)
+    assert max(c for f in o.components for img in f.images
+               for c in img) == 34745
+    swept = []
+    live = sweep.detect_triple_points
+
+    def detect(track, split=False):
+        swept.append(live(track, split))
+        return swept[-1]
+
+    monkeypatch.setattr(sweep, "detect_triple_points", detect)
+    eps = Rat(40000)
+    out = perturb_ornament(o, eps, seed=0)
+    monkeypatch.undo()
+    assert [len(points) for points in swept] == [1, 0]
+    assert 0 < _largest_move(o, out) < eps / 2
+    assert validate_ornament(out).ok
+    assert mu_via_degree_auto(out, seed=0)[0] == 1
+    assert sweep.mu_via_sweep(out, seed=0) == 1
+
+
+def test_perturb_halves_eps_when_a_candidate_is_invalid(borromean_k1,
+                                                        monkeypatch):
+    """A candidate that validation rejects is never swept: the next one
+    is drawn at eps / 2 with fresh seeds."""
+    live = model.validate_ornament
+    reports = []
+
+    def first_invalid(o):
+        reports.append(live(o) if reports
+                       else ValidationReport("invalid", {}))
+        return reports[-1]
+
+    monkeypatch.setattr(model, "validate_ornament", first_invalid)
+    eps = Rat(1, 16)
+    out = perturb_ornament(borromean_k1, eps, seed=7)
+    monkeypatch.undo()
+    assert [report.ok for report in reports] == [False, True]
+    assert 0 < _largest_move(borromean_k1, out) < eps / 2
+    assert out != perturb_ornament(borromean_k1, eps, seed=7)
+    assert validate_ornament(out).ok
+
+
+def _largest_move(a, b):
+    """The largest change of a vertex image coordinate from ``a`` to
+    ``b``."""
+    return max(abs(x - y) for fa, fb in zip(a.components, b.components)
+               for p, q in zip(fa.images, fb.images) for x, y in zip(p, q))

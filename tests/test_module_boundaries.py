@@ -168,11 +168,15 @@ def _bound_names(tree):
 
 
 def _members(cls):
-    """The methods and ``__slots__`` entries of a class definition."""
+    """The methods, ``__slots__`` entries and annotated fields (a
+    dataclass's) of a class definition."""
     members = set()
     for node in cls.body:
         if isinstance(node, ast.FunctionDef):
             members.add(node.name)
+        elif (isinstance(node, ast.AnnAssign)
+              and isinstance(node.target, ast.Name)):
+            members.add(node.target.id)
         elif (isinstance(node, ast.Assign)
               and any(isinstance(target, ast.Name)
                       and target.id == "__slots__"
@@ -202,10 +206,10 @@ def docstring_references(modules):
     docstrings of the package modules (a dict of name to source).
 
     A target resolves when it names a top-level binding of its own module,
-    a method or ``__slots__`` entry of the class whose docstring (or
-    method's docstring) holds it, ``Class.member`` of its own module, or,
-    as ``ornaments.module`` followed by any of those but the enclosing
-    class's members, a package module or a name in one."""
+    a method, ``__slots__`` entry or annotated field of the class whose
+    docstring (or method's docstring) holds it, ``Class.member`` of its own
+    module, or, as ``ornaments.module`` followed by any of those but the
+    enclosing class's members, a package module or a name in one."""
     trees = {name: ast.parse(source) for name, source in modules.items()}
     bound = {name: _bound_names(tree) for name, tree in trees.items()}
     classes = {
@@ -248,17 +252,28 @@ def test_the_reference_guard_resolves_each_form():
               "    __slots__ = ('size',)\n"
               "    def grow(self):\n"
               "        '''Grows :attr:`size`, unlike :func:`~ornaments.a.Box.grow`\n"
-              "        and :class:`ornaments.c`.'''\n"),
+              "        and :class:`ornaments.c`.'''\n"
+              "@dataclass(frozen=True)\n"
+              "class Pair:\n"
+              "    '''Holds :attr:`left` and :attr:`right`, not\n"
+              "    :attr:`middle`; see :attr:`Pair.left`.'''\n"
+              "    left: int\n"
+              "    right: int = 0\n"
+              "    middle = 1\n"),
         "b": "def used():\n    '''Like :func:`ornaments.a.helper()`.'''\n",
     }
     assert sorted(docstring_references(modules)) == [
         ("a", "Box.grow", True),
+        ("a", "Pair.left", True),
         ("a", "_old", False),
         ("a", "helper", True),
+        ("a", "left", True),
+        ("a", "middle", False),
         ("a", "ornaments.a.Box.grow", True),
         ("a", "ornaments.b", True),
         ("a", "ornaments.b.gone", False),
         ("a", "ornaments.c", False),
+        ("a", "right", True),
         ("a", "shrink", False),
         ("a", "size", True),
         ("a", "size", True),

@@ -14,6 +14,7 @@ from ornaments.constructions import (
 )
 from ornaments.degree import mu_via_degree_auto
 from ornaments.geometry import (
+    DimensionMismatch,
     Lanes,
     Rat,
     as_point,
@@ -52,6 +53,7 @@ from oracles import (
     interior_barycentric,
     interior_frame_by_steps,
     joined_system,
+    refined_track_by_fractions,
     relative_sweep,
     reverse_track,
     solve_bareiss,
@@ -380,14 +382,53 @@ def test_linear_track_keyframes_follow_the_straight_line(borromean_k1, cuts):
 
 
 def test_track_time_validation(borromean_k1):
+    """Each check of ``HomotopyTrack`` raises its own error and message."""
     domains = tuple(f.domain for f in borromean_k1.components)
     frame = tuple(f.images for f in borromean_k1.components)
-    with pytest.raises(ValueError):
-        HomotopyTrack(domains, borromean_k1.m, (0, Rat(1, 2)), (frame, frame))
-    with pytest.raises(ValueError):
-        HomotopyTrack(domains, borromean_k1.m,
-                      (0, Rat(1, 2), Rat(1, 2), 1),
-                      (frame, frame, frame, frame))
+    m = borromean_k1.m
+    short = (frame[0][:-1],) + frame[1:]
+    flat = tuple(tuple(img[:-1] for img in comp) for comp in frame)
+    cases = [
+        ((domains[:2], m, (0, 1), (frame, frame)), ValueError,
+         "a track has exactly three components"),
+        ((domains, m, (0, Rat(1, 2)), (frame, frame)), ValueError,
+         "keyframe times must run from 0 to 1"),
+        ((domains, m, (1,), (frame,)), ValueError,
+         "keyframe times must run from 0 to 1"),
+        ((domains, m, (0, Rat(1, 2), Rat(1, 2), 1), (frame,) * 4),
+         ValueError, "keyframe times must strictly increase"),
+        ((domains, m, (0, 1), (frame,)), ValueError,
+         "one image set per keyframe required"),
+        ((domains, m, (0, 1), (frame, frame[:2])), ValueError,
+         "each keyframe needs all three components"),
+        ((domains, m, (0, 1), (frame, short)), DimensionMismatch,
+         "keyframe image count mismatch"),
+        ((domains, m, (0, 1), (frame, flat)), DimensionMismatch,
+         "keyframe image dimension mismatch"),
+    ]
+    for args, error, message in cases:
+        with pytest.raises(error) as raised:
+            HomotopyTrack(*args)
+        assert type(raised.value) is error
+        assert str(raised.value) == message
+
+
+def test_tracks_are_frozen_and_equal_only_to_themselves(borromean_k1):
+    """A track normalises its times to rationals and its frames to tuples
+    of points; it cannot be assigned to, and two tracks built from the same
+    arguments are two tracks, not equal."""
+    frame = [f.images for f in borromean_k1.components]
+    domains = [f.domain for f in borromean_k1.components]
+    track = HomotopyTrack(domains, borromean_k1.m, [0, 1], [frame, frame])
+    assert track.times == (Rat(0), Rat(1))
+    assert all(type(t) is Rat for t in track.times)
+    assert track.domains == tuple(domains)
+    assert track.images == (tuple(frame), tuple(frame))
+    again = HomotopyTrack(domains, borromean_k1.m, [0, 1], [frame, frame])
+    assert track == track and track != again
+    assert (again.times, again.images) == (track.times, track.images)
+    with pytest.raises(AttributeError):
+        track.times = (Rat(0), Rat(1))
 
 
 def test_trivial_to_same_targets_has_no_triple_points():
@@ -509,6 +550,95 @@ def test_retry_resolves_engineered_degeneracy():
     assert sum(p.sign for p in points) == 0
     assert refined.endpoint(0) == start
     assert refined.endpoint(1) == end
+
+
+def test_a_triple_point_on_an_interior_keyframe_is_retried_away(
+        borromean_k1, borromean_k1_triple_time, monkeypatch):
+    """The seed-0 collapse of ``make_borromean(1)`` has one triple point,
+    at ``borromean_k1_triple_time``.  Cut there, the track has a boundary
+    solution on its interior keyframe, which a refinement that jiggled
+    only its inserted midpoints would keep on every attempt; the retries
+    jiggle the interior keyframe too, and ``mu_via_sweep`` on that cut
+    collapse is 1."""
+    targets = default_trivial_targets(borromean_k1, derive_seed(0, "targets"))
+    uncut = linear_track(borromean_k1, sweep._collapse_track(
+        borromean_k1, targets).endpoint(1))
+    assert [p.t for p in detect_triple_points(uncut)] == [
+        borromean_k1_triple_time]
+    monkeypatch.setattr(sweep, "_COLLAPSE_CUTS", (borromean_k1_triple_time,))
+    track = sweep._collapse_track(borromean_k1, targets)
+    assert track.times == (0, borromean_k1_triple_time, 1)
+    with pytest.raises(NonGenericTrack,
+                       match="^boundary solution at interval 0$"):
+        detect_triple_points(track)
+    assert mu_via_sweep(borromean_k1, seed=0) == 1
+
+
+def _collapse_cut_twice(o):
+    """The seed-0 straight-line collapse of ``o``, keyframed at 1/4 and
+    1/2."""
+    end = trivial_ornament(tuple(f.domain for f in o.components), o.m,
+                           default_trivial_targets(o, 0))
+    return linear_track(o, end, cuts=(Rat(1, 4), Rat(1, 2)))
+
+
+@pytest.mark.parametrize("attempt", [0, 9])
+def test_a_refinement_without_interior_keyframes_is_the_rational_one(
+        borromean_k1, attempt):
+    """On a track of two keyframes there is nothing to jiggle but the
+    midpoints: the refinement equals the one that averages them in
+    rational arithmetic, with the same seeds and scale."""
+    track = linear_track(borromean_k1,
+                         _collapse_cut_twice(borromean_k1).endpoint(1))
+    refined = sweep._refined_track(track, seed=5, attempt=attempt)
+    reference = refined_track_by_fractions(track, 5, attempt)
+    assert (refined.times, refined.images) == (reference.times,
+                                               reference.images)
+
+
+def test_a_refinement_jiggles_every_keyframe_but_the_endpoints(
+        borromean_k1, monkeypatch):
+    """Refining a track with interior keyframes at 1/4 and 1/2 halves each
+    interval and moves every vertex of every keyframe but the two ends by
+    less than a sixteenth of the track's span (attempt 0), each with its
+    own seed.  Without the jiggle, the refinement is the straight-line
+    track at the same times, and the only rational arithmetic it does is
+    the subtraction and division of that scale."""
+    track = _collapse_cut_twice(borromean_k1)
+    refined = sweep._refined_track(track, seed=5, attempt=0)
+    straight = linear_track(track.endpoint(0), track.endpoint(1),
+                            cuts=refined.times[1:-1])
+    assert refined.times == tuple(Rat(j, 8) for j in (0, 1, 2, 3, 4, 6, 8))
+    coords = [c for frame in track.images for comp in frame
+              for img in comp for c in img]
+    eps = (max(coords) - min(coords)) / 16
+    last = len(refined.times) - 1
+    for j, (frame, line) in enumerate(zip(refined.images, straight.images)):
+        moves = [abs(x - y) for comp, comp_line in zip(frame, line)
+                 for img, img_line in zip(comp, comp_line)
+                 for x, y in zip(img, img_line)]
+        if j in (0, last):
+            assert max(moves) == 0
+        else:
+            assert 0 < max(moves) < eps
+    seeds = []
+
+    def unmoved(v, eps, seed):
+        seeds.append(seed)
+        return tuple(v)
+
+    calls = {}
+    for name in _FRACTION_ARITHMETIC:
+        def counted(*args, _live=getattr(Rat, name), _name=name):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _live(*args)
+        monkeypatch.setattr(Rat, name, counted)
+    monkeypatch.setattr(sweep, "random_rational_perturbation", unmoved)
+    flat = sweep._refined_track(track, seed=5, attempt=0)
+    assert calls == {"__sub__": 1, "__truediv__": 1}
+    assert (flat.times, flat.images) == (straight.times, straight.images)
+    vertices = sum(dom.vertex_count for dom in track.domains)
+    assert len(seeds) == len(set(seeds)) == (last - 1) * vertices
 
 
 def test_pair_opposite_signs_cases(borromean_k1):
